@@ -73,9 +73,7 @@ def agents_of(spec: DistributedSpec, state: State) -> list[Agent]:
     validate_spec_state(spec, state)
     by_element = {el: name for name, el in module_elements(spec, state).items()}
     agents = []
-    for fname, args, value in state.stored_items():
-        if fname != "Mod":
-            continue
+    for _, args, value in state.facts("Mod"):
         module = by_element.get(value)
         if module is not None:
             agents.append(Agent(args[0], module, spec.modules[module]))

@@ -248,7 +248,7 @@ def _duplicate_prelude(ctx: _Ctx, node: syntax.Duplicate) -> tuple[Element, froz
     context = tuple(ctx.env.lookup(u) for u in ctx.decls)
     copy = ctx.alloc.fresh(node.var, context)
     out: set[Update] = {Update(Location("Reserve", (copy,)), FALSE)}
-    for fname, args, value in ctx.state.stored_items():
+    for fname, args, value in ctx.state.facts():
         if original not in args:
             continue
         fn = ctx.state.vocabulary.require(fname)

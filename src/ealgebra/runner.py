@@ -272,9 +272,15 @@ def run(
     chooser=None,
     max_steps: int = 100,
 ) -> RunTrace:
-    """Run for at most ``max_steps`` steps, stopping early at a fixpoint."""
+    """Run for at most ``max_steps`` steps, stopping early at a fixpoint.
+
+    Without a chooser, choices come from ``SeededChooser(0)``, as with the
+    CLI's default ``--seed 0``.
+    """
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
+    if chooser is None:
+        chooser = SeededChooser(0)
     _check_appropriate(program, initial)
     prepared = prepare_rule(program)
     states = [initial]

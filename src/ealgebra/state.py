@@ -10,18 +10,24 @@ still in the reserve, and no stored value may point into it (audited by
 
 States are immutable values: every firing operation returns a new state,
 so sharing states across concurrent explorations is safe.
+
+Reachability counts states up to renaming of reserve-origin elements.
+:meth:`State.canonical_key` gives an exact key for that equivalence by
+individualisation-refinement (see :func:`_canonical_form`): colour the
+reserve elements by the facts they occur in, refine by the colours of
+their neighbours until stable, and individualise only on ties, pruned by
+known automorphisms.  It has no limit on the number of reserve elements,
+and its value depends neither on iteration order nor on the hash seed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
     IllegalUpdateError,
-    StateValidityError,
     UpdateTypeError,
     VocabularyError,
 )
@@ -308,7 +314,19 @@ class State:
         members.sort(key=Element.sort_key)
         return tuple(members)
 
+    def facts(self, fname: str | None = None):
+        """Stored ``(name, args, value)`` facts, in no particular order;
+        only those of ``fname`` when it is given."""
+        if fname is not None:
+            for args, value in self._tables.get(fname, {}).items():
+                yield fname, args, value
+            return
+        for name, table in self._tables.items():
+            for args, value in table.items():
+                yield name, args, value
+
     def stored_items(self):
+        """Stored facts in canonical order, for output."""
         for fname in sorted(self._tables):
             table = self._tables[fname]
             for args in sorted(table, key=lambda t: tuple(a.sort_key() for a in t)):
@@ -440,13 +458,6 @@ class State:
 
     # -- equality, isomorphism, audit -------------------------------------------
 
-    @cached_property
-    def _table_key(self):
-        return tuple(
-            (fname, tuple(a.sort_key() for a in args), value.sort_key())
-            for fname, args, value in self.stored_items()
-        )
-
     def __eq__(self, other):
         if not isinstance(other, State):
             return NotImplemented
@@ -456,61 +467,49 @@ class State:
             and self._tables == other._tables
         )
 
+    @cached_property
+    def _fact_set(self) -> frozenset:
+        return frozenset(self.facts())
+
     def __hash__(self):
-        return hash((self._table_key, self.reserve_next))
-
-    def mentioned_reserve(self) -> list[Element]:
-        found = set()
-        for _, args, value in self.stored_items():
-            for e in args:
-                if e.kind == "reserve":
-                    found.add(e)
-            if value.kind == "reserve":
-                found.add(value)
-        return sorted(found, key=Element.sort_key)
-
-    def _remapped_key(self, mapping: Mapping[Element, Element]):
-        def m(e: Element) -> Element:
-            return mapping.get(e, e)
-
-        entries = [
-            (fname, tuple(m(a).sort_key() for a in args), m(value).sort_key())
-            for fname, args, value in self.stored_items()
-        ]
-        entries.sort()
-        return tuple(entries)
+        return hash((self._fact_set, self.reserve_next))
 
     def isomorphic(self, other: "State") -> bool:
-        """True iff a bijection of mentioned elements fixing everything but
-        reserve-origin elements maps this state's tables onto the other's."""
+        """True iff a bijection of reserve-origin elements, fixing every
+        other element, maps this state's tables onto the other's.
+
+        Decided exactly by comparing canonical keys.
+        """
         if self.vocabulary != other.vocabulary:
             raise VocabularyError("isomorphism requires a common vocabulary")
-        mine, theirs = self.mentioned_reserve(), other.mentioned_reserve()
-        if len(mine) != len(theirs):
-            return False
-        if not mine:
-            return self._tables == other._tables
-        if len(mine) > 8:
-            raise StateValidityError("isomorphism check capped at 8 reserve elements")
-        target = other._remapped_key({})
-        for perm in itertools.permutations(theirs):
-            mapping = dict(zip(mine, perm))
-            if self._remapped_key(mapping) == target:
-                return True
-        return False
+        return self.canonical_key() == other.canonical_key()
 
     def canonical_key(self):
-        """Hashable key identifying the state up to reserve-element renaming."""
-        mine = self.mentioned_reserve()
-        if not mine:
-            return self._table_key
-        if len(mine) > 8:
-            raise StateValidityError("canonical form capped at 8 reserve elements")
-        fresh = [Element.reserve(i) for i in range(len(mine))]
-        return min(
-            self._remapped_key(dict(zip(mine, perm)))
-            for perm in itertools.permutations(fresh)
-        )
+        """Exact key identifying the stored facts up to reserve renaming.
+
+        Two states over one vocabulary have equal keys iff they are
+        :meth:`isomorphic`.  Without reserve elements the key is the fact
+        set itself.  Otherwise it pairs the facts free of reserve elements
+        with the canonical form of the rest (see :func:`_canonical_form`).
+        The key is a plain value, independent of set and dict iteration
+        order and of the hash seed; there is no limit on the number of
+        reserve elements.
+        """
+        plain, moving = [], []
+        for fact in self.facts():
+            _, args, value = fact
+            if value.kind == "reserve":
+                moving.append(fact)
+                continue
+            for a in args:
+                if a.kind == "reserve":
+                    moving.append(fact)
+                    break
+            else:
+                plain.append(fact)
+        if not moving:
+            return frozenset(plain)
+        return frozenset(plain), _canonical_form(moving)
 
     def audit_proviso(self) -> list[str]:
         """Check the reserve proviso over all stored locations."""
@@ -533,6 +532,205 @@ class State:
             f"{Location(f, a)!r}={format_element(v)}" for f, a, v in self.stored_items()
         )
         return f"State({facts or 'all default'}; reserve@{self.reserve_next})"
+
+
+# -- canonical form ----------------------------------------------------------
+#
+# Individualisation-refinement as in nauty/Traces (McKay & Piperno 2014) and
+# bliss (Junttila & Kaski 2007), where only reserve elements may be renamed.
+
+
+class _Coded:
+    """Facts mentioning reserve elements, coded for colour refinement.
+
+    The k reserve elements are numbered 0..k-1 by serial.  A fact becomes
+    ``(name, slots)``, the value being the last slot, and a slot indexes
+    ``palette``: below k a reserve element, from k on the sort key of some
+    other element.  A colouring gives each reserve element a colour in
+    0..c-1; relabelling by it shows colour i as ``(3, i, "")``, the sort key
+    of reserve element i.
+    """
+
+    def __init__(self, facts):
+        # Elements are looked up by (kind, value): hashing that tuple is
+        # cheaper than calling Element.__hash__.
+        serials = sorted(
+            {e.value for _, args, value in facts for e in (*args, value) if e.kind == "reserve"}
+        )
+        self.size = k = len(serials)
+        reserve_at = {serial: i for i, serial in enumerate(serials)}
+        other_at: dict[tuple, int] = {}
+        self.palette: list = [None] * k
+        self.facts = []
+        # Where each reserve element occurs: slot positions and fact rows.
+        self.positions: list[list[int]] = [[] for _ in serials]
+        self.rows: list[list[int]] = [[] for _ in serials]
+        for j, (fname, args, value) in enumerate(facts):
+            slots = []
+            for p, e in enumerate((*args, value)):
+                if e.kind == "reserve":
+                    at = reserve_at[e.value]
+                    self.positions[at].append(p)
+                    self.rows[at].append(j)
+                else:
+                    at = other_at.get((e.kind, e.value))
+                    if at is None:
+                        at = other_at[e.kind, e.value] = len(self.palette)
+                        self.palette.append(e.sort_key())
+                slots.append(at)
+            self.facts.append((fname, tuple(slots)))
+
+    def relabel(self, colour: list[int]) -> list:
+        palette = self.palette
+        palette[: self.size] = [(3, c, "") for c in colour]
+        show = palette.__getitem__
+        return [(fname, tuple(map(show, slots))) for fname, slots in self.facts]
+
+    def form(self, colour: list[int]) -> tuple:
+        return tuple(sorted(self.relabel(colour)))
+
+    def refine(self, colour: list[int]) -> list[int]:
+        """Split colours by the relabelled facts each element occurs in, and
+        where, until no colour splits; renumber by the sorted signatures."""
+        cells = len(set(colour))
+        while cells < self.size:
+            show = self.relabel(colour).__getitem__
+            signatures = [
+                (c, tuple(sorted(zip(ps, map(show, js)))))
+                for c, ps, js in zip(colour, self.positions, self.rows)
+            ]
+            rank = {sig: r for r, sig in enumerate(sorted(set(signatures)))}
+            colour = [rank[sig] for sig in signatures]
+            if len(rank) == cells:
+                break
+            cells = len(rank)
+        return colour
+
+    def twins(self, colour: list[int]) -> list[int]:
+        """The least twin of every element (itself if it has none).
+
+        Twins are elements whose transposition maps the facts onto
+        themselves.  They share a colour in every stable colouring, and
+        twinship is an equivalence, so each element is compared with one
+        member per class found so far in its colour.
+        """
+        present = set(self.facts)
+
+        def swaps_onto(a: int, b: int) -> bool:
+            for x in (a, b):
+                for j in self.rows[x]:
+                    fname, slots = self.facts[j]
+                    swapped = tuple(b if s == a else a if s == b else s for s in slots)
+                    if (fname, swapped) not in present:
+                        return False
+            return True
+
+        twin = list(range(self.size))
+        classes: dict[int, list[int]] = {}
+        for x, c in enumerate(colour):
+            reps = classes.setdefault(c, [])
+            for r in reps:
+                if swaps_onto(r, x):
+                    twin[x] = r
+                    break
+            else:
+                reps.append(x)
+        return twin
+
+
+def _canonical_form(facts) -> tuple:
+    """Least relabelled tuple of ``facts`` over the leaves of the search tree.
+
+    The root colouring is refined until stable.  While some colour is
+    shared, the first shared colour's cell is split: one branch per
+    element, individualised and refined again.  Branches that a known
+    automorphism maps onto an explored one are skipped: transpositions of
+    twins from the start, and automorphisms found as two leaves with equal
+    forms.  A cell of mutual twins is split in one branch.  Each leaf
+    colouring is a bijection onto 0..k-1.  The tree depends on the facts
+    alone, so isomorphic fact sets give the same leaf forms and the same
+    least one.
+    """
+    coded = _Coded(facts)
+    colour = coded.refine([0] * coded.size)
+    if len(set(colour)) == coded.size:
+        return coded.form(colour)
+    twin = coded.twins(colour)
+    first = best = None  # (form, element of each label) of a leaf
+    automorphisms: list[list[int]] = []
+    frames = []  # (colour, individualised, untried cell members, explored)
+    node = (colour, ())
+    while node is not None:
+        colour, prefix = node
+        cell = _first_shared_cell(colour)
+        while cell is not None and len({twin[x] for x in cell}) == 1:
+            colour = coded.refine(_split(colour, cell))
+            cell = _first_shared_cell(colour)
+        if cell is None:
+            form = coded.form(colour)
+            labelled = [0] * len(colour)
+            for x, c in enumerate(colour):
+                labelled[c] = x
+            if first is None:
+                first = best = (form, labelled)
+            elif form == first[0] or form == best[0]:
+                known = first if form == first[0] else best
+                automorphisms.append([known[1][c] for c in colour])
+            elif form < best[0]:
+                best = (form, labelled)
+        else:
+            frames.append((colour, prefix, cell, []))
+        node = None
+        while frames and node is None:
+            colour, prefix, untried, explored = frames[-1]
+            if not untried:
+                frames.pop()
+                continue
+            x = untried.pop(0)
+            if explored and _in_orbit(x, explored, prefix, twin, automorphisms):
+                continue
+            explored.append(x)
+            node = (coded.refine(_split(colour, [x])), prefix + (x,))
+    return best[0]
+
+
+def _split(colour: list[int], head: list[int]) -> list[int]:
+    """Give the members of ``head``, in order, colours of their own just
+    ahead of the rest of their colour."""
+    place = {x: n for n, x in enumerate(head)}
+    pairs = [(c, place.get(x, len(head))) for x, c in enumerate(colour)]
+    rank = {pair: r for r, pair in enumerate(sorted(set(pairs)))}
+    return [rank[pair] for pair in pairs]
+
+
+def _first_shared_cell(colour: list[int]) -> Optional[list[int]]:
+    counts = [0] * len(colour)
+    for c in colour:
+        counts[c] += 1
+    for c, n in enumerate(counts):
+        if n > 1:
+            return [x for x, d in enumerate(colour) if d == c]
+    return None
+
+
+def _in_orbit(x: int, explored: list[int], prefix, twin, automorphisms) -> bool:
+    """Whether some automorphism fixing ``prefix`` maps ``x`` into
+    ``explored``, using twin transpositions and the automorphisms found."""
+    parent = list(twin)
+
+    def root(y: int) -> int:
+        while parent[y] != y:
+            y = parent[y]
+        return y
+
+    for g in automorphisms:
+        if all(g[p] == p for p in prefix):
+            for y, z in enumerate(g):
+                ry, rz = root(y), root(z)
+                if ry != rz:
+                    parent[max(ry, rz)] = min(ry, rz)
+    target = root(x)
+    return any(root(y) == target for y in explored)
 
 
 def _bool_op(fname: str, args: tuple[Element, ...]) -> Element:

@@ -118,6 +118,18 @@ def test_enumerate_choose_demo(capsys):
     assert "depth 1: 2" in out
 
 
+def test_enumerate_grow_past_eight_reserve_elements(capsys):
+    # Each step imports two elements: depth 10 holds twenty.
+    code = run_cli(
+        "enumerate", program("grow.ea"), "--state", program("grow.east"),
+        "--depth", "10",
+    )
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "reachable states: 11 (depth 10, budget ok)" in out
+    assert "depth 10: 1" in out
+
+
 def test_normalize_round_trip(capsys, tmp_path):
     out_path = tmp_path / "tree_normal.ea"
     code = run_cli("normalize", program("tree.ea"), "-o", str(out_path))

@@ -177,3 +177,46 @@ def test_trace_rendering_is_deterministic(philosophers, ring3):
         assert render_trace(t1, fmt) == render_trace(t2, fmt)
     text = render_trace(t1, "text")
     assert "Fork(0) := up" in text and "stop schedule-end" in text
+
+
+TREE_RULE = """\
+vocabulary:
+  relation Node/1
+  dynamic Parent/1
+program:
+  choose p in Node
+    import v
+      Node(v) := true
+      Parent(v) := p
+    endimport
+  endchoose
+"""
+
+
+def test_tree_growth_counts_rooted_trees_to_depth_8():
+    # States n steps deep are the rooted trees with n + 1 nodes up to
+    # renaming of the imported ones: OEIS A000081.
+    from ealgebra import parse_state
+
+    program = parse_program(TREE_RULE)
+    initial = parse_state("Node(root) = true\n", program.vocabulary)
+    report = enumerate_reachable(program, initial, depth=8)
+    by_depth = [0] * 9
+    for _, level in report.states:
+        by_depth[level] += 1
+    assert by_depth == [1, 1, 2, 4, 9, 20, 48, 115, 286]
+    assert not report.partial
+
+
+def test_run_without_chooser_matches_seed_zero(choosedemo, choosedemo_state, capsys):
+    from ealgebra.cli import main
+
+    from conftest import PROGRAMS
+
+    trace = run(choosedemo, choosedemo_state, max_steps=3)
+    assert main([
+        "run", str(PROGRAMS / "choosedemo.ea"), "--state", str(PROGRAMS / "choosedemo.east"),
+        "--steps", "3", "--format", "records",
+    ]) == 0
+    header = {"program": "choosedemo.ea", "state": "choosedemo.east", "seed": 0, "steps": 3}
+    assert capsys.readouterr().out == render_trace(trace, fmt="records", header=header)
