@@ -70,10 +70,6 @@ class _Usage(EalgebraError):
     pass
 
 
-def _load_target(path):
-    return parse_program_file(path)
-
-
 def _load_initial(path, target):
     state = load_state(path, target.vocabulary, constants=target.constants)
     violations = state.audit_proviso()
@@ -119,7 +115,7 @@ def _emit_trace(trace, args, header):
 
 
 def _cmd_run(args) -> int:
-    target = _load_target(args.program)
+    target = parse_program_file(args.program)
     if not args.state:
         raise _Usage("run needs --state")
     initial = _load_initial(args.state, target)
@@ -142,7 +138,9 @@ def _cmd_run(args) -> int:
         else:
             steps = args.steps if args.steps is not None else 10
             header["steps"] = steps
-            trace = _seeded_distributed_run(target, initial, chooser, steps, oracle)
+            trace = dist.sequential_run(
+                target, initial, chooser=chooser, oracle=oracle, max_steps=steps
+            )
     else:
         if args.schedule:
             raise _Usage("--schedule only applies to distributed specifications")
@@ -153,40 +151,8 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _seeded_distributed_run(spec, initial, chooser, steps, oracle):
-    """Pick a random agent per stage; one seeded generator drives everything."""
-    schedule = []
-    state = initial
-    states = [initial]
-    records = []
-    for index in range(1, steps + 1):
-        agents = dist.agents_of(spec, state)
-        if not agents:
-            break
-        pick = agents[chooser.choose(len(agents))].element
-        schedule.append(pick)
-        view = runner.OracleView(oracle or runner.UndefOracle(), index)
-        state, beta = dist.agent_move(spec, state, pick, chooser, oracle_view=view)
-        conflicts = beta.conflicts()
-        records.append(
-            runner.StepRecord(
-                index=index,
-                updates=beta,
-                consistent=not conflicts,
-                fired=not conflicts,
-                conflicts=conflicts,
-                choice_index=None,
-                family_size=None,
-                oracle_qa=tuple(view.transcript),
-                agent=pick,
-            )
-        )
-        states.append(state)
-    return runner.RunTrace(states=states, records=records, stop_reason="schedule-end")
-
-
 def _cmd_enumerate(args) -> int:
-    target = _load_target(args.program)
+    target = parse_program_file(args.program)
     if not args.state:
         raise _Usage("enumerate needs --state")
     initial = _load_initial(args.state, target)
@@ -219,7 +185,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    target = _load_target(args.program)
+    target = parse_program_file(args.program)
     if isinstance(target, DistributedSpec):
         raise ModeError("normalize applies to single-agent programs")
     normalized = normalize_guarded(target.core_rule)
@@ -240,7 +206,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_check_run(args) -> int:
-    target = _load_target(args.program)
+    target = parse_program_file(args.program)
     if not isinstance(target, DistributedSpec):
         raise ParseError("check-run needs a distributed specification")
     pr = load_certificate(args.certificate, target)
@@ -252,10 +218,14 @@ def _cmd_check_run(args) -> int:
             states[frozenset()] = initial
             pr.states = states
     verdict = dist.check_partial_run(target, pr, initial_state=initial)
+    witness = verdict.witness  # a move id, or a pair or segment of them
+    if witness is not None and not isinstance(witness, str):
+        witness = sorted(witness)
     payload = {
         "valid": verdict.valid,
         "condition": verdict.condition,
         "message": verdict.message,
+        "witness": witness,
     }
     print(json.dumps(payload, sort_keys=True))
     if verdict.valid:
@@ -266,7 +236,7 @@ def _cmd_check_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    target = _load_target(args.program)
+    target = parse_program_file(args.program)
     kind = "distributed spec" if isinstance(target, DistributedSpec) else "program"
     if args.state:
         _load_initial(args.state, target)

@@ -3,15 +3,17 @@
 An element is an agent at a state when Mod maps it to a module name's
 element.  An agent moves by firing its module's program against its view
 (the global state reduced to the module's names and expanded with Self)
-and changing the global state accordingly.  Partially ordered runs are
+and changing the global state accordingly.  That is a sequential step
+with the view as the local state, so moves, their successors and runs go
+through ``runner.move`` and ``runner.successors``, and their records carry
+the family size and choice index needed for replay.  Partially ordered runs are
 verified against the four run conditions: finite down-sets, per-agent
 linearity, initial-state validity and coherence of the segment states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -22,8 +24,16 @@ from .errors import (
     ScheduleError,
     StateValidityError,
 )
-from .evaluator import Footprint, nupdates, updates
-from .runner import OracleView, RunTrace, StepRecord, UndefOracle, prepare_rule
+from .evaluator import Footprint, updates  # noqa: F401 (perfbench traces it here)
+from .runner import (
+    RunTrace,
+    SeededChooser,
+    StepRecord,
+    fire_and_record,
+    move,
+    resolutions,
+    successors,
+)
 from .state import Element, Location, State, UpdateSet, format_element
 from .syntax import DistributedSpec, Program
 from .vocabulary import SELF, Vocabulary
@@ -36,10 +46,6 @@ class Agent:
     element: Element
     module: str
     program: Program
-
-    @property
-    def deterministic(self) -> bool:
-        return not syntax.has_choose(self.program.rule)
 
 
 def module_elements(spec: DistributedSpec, state: State) -> dict[str, Element]:
@@ -82,15 +88,7 @@ def agents_of(spec: DistributedSpec, state: State) -> list[Agent]:
 
 
 def agent_at(spec: DistributedSpec, state: State, element: Element) -> Agent | None:
-    for agent in agents_of(spec, state):
-        if agent.element == element:
-            return agent
-    return None
-
-
-@lru_cache(maxsize=None)
-def _prepared(program: Program):
-    return prepare_rule(program)
+    return next((a for a in agents_of(spec, state) if a.element == element), None)
 
 
 def view(spec: DistributedSpec, state: State, agent: Agent) -> State:
@@ -110,100 +108,82 @@ def agent_move(
     agent: Agent | Element,
     chooser=None,
     *,
-    oracle_view=None,
+    oracle=None,
+    index: int = 1,
     footprint: Footprint | None = None,
-) -> tuple[State, UpdateSet]:
-    """Fire the agent's program at its view; apply the updates globally."""
+) -> tuple[State, StepRecord]:
+    """Fire the agent's program at its view; apply the updates globally.
+
+    Being an agent of its module is part of what the move reads, so a
+    footprint also gets ``Mod(Self)`` and the module name's location.
+    """
     if isinstance(agent, Element):
         found = agent_at(spec, state, agent)
         if found is None:
             raise ScheduleError(f"{format_element(agent)} is not an agent here")
         agent = found
-    local = view(spec, state, agent)
-    rule = _prepared(agent.program)
-    externals = agent.program.externals
-    if syntax.has_choose(rule):
-        family = nupdates(
-            rule, local, oracle=oracle_view, externals=externals, footprint=footprint
-        )
-        members = family.sorted_members()
-        if not members:
-            return state, UpdateSet()
-        index = chooser.choose(len(members)) if len(members) > 1 else 0
-        chosen = members[index]
-        if chosen is None:
-            return state, UpdateSet()
-        beta = chosen
-    else:
-        beta = updates(
-            rule, local, oracle=oracle_view, externals=externals, footprint=footprint
-        )
-    new_state, _ = state.fire_update_set(beta)
-    return new_state, beta
+    if footprint is not None:
+        footprint.locations.add(Location("Mod", (agent.element,)))
+        footprint.locations.add(Location(agent.module))
+    return move(
+        agent.program, state, view(spec, state, agent), chooser,
+        oracle=oracle, index=index, agent=agent.element, footprint=footprint,
+    )
 
 
 def move_successors(spec: DistributedSpec, state: State) -> list[tuple[str, State]]:
     """Every (move description, successor) over all agents and resolutions."""
-    out = []
-    for agent in agents_of(spec, state):
-        tag = f"agent {format_element(agent.element)}"
-        local = view(spec, state, agent)
-        rule = _prepared(agent.program)
-        if syntax.has_choose(rule):
-            family = nupdates(rule, local, externals=agent.program.externals)
-            if family.is_empty:
-                out.append((f"{tag} (no move)", state))
-                continue
-            for i, member in enumerate(family.sorted_members()):
-                if member is None:
-                    out.append((f"{tag} choice {i} (bottom)", state))
-                else:
-                    nxt, _ = state.fire_update_set(member)
-                    out.append((f"{tag} choice {i}", nxt))
-        else:
-            beta = updates(rule, local, externals=agent.program.externals)
-            nxt, _ = state.fire_update_set(beta)
-            out.append((tag, nxt))
-    return out
+    return [
+        successor
+        for agent in agents_of(spec, state)
+        for successor in successors(
+            agent.program, state, view(spec, state, agent),
+            f"agent {format_element(agent.element)}",
+        )
+    ]
 
 
 def sequential_run(
     spec: DistributedSpec,
     initial: State,
-    schedule: Sequence[Element],
+    schedule: Sequence[Element] | None = None,
     *,
     chooser=None,
     oracle=None,
     max_steps: int | None = None,
 ) -> RunTrace:
-    """Execute one agent move per stage, in schedule order."""
+    """Execute one agent move per stage.
+
+    The agents move in schedule order; with no schedule, each stage's agent
+    is drawn by the chooser from the agents at the current state, until
+    ``max_steps`` stages have run or no agent is left.  One chooser
+    (``SeededChooser(0)`` if none) draws the agent first, then a member of
+    the agent's family when it has more than one.
+    """
     validate_spec_state(spec, initial)
-    states = [initial]
-    records: list[StepRecord] = []
+    if chooser is None:
+        chooser = SeededChooser(0)
+    if schedule is not None:
+        schedule = list(schedule if max_steps is None else schedule[:max_steps])
+        max_steps = len(schedule)
+    elif max_steps is None:
+        raise ScheduleError("a run without a schedule needs max_steps")
+    trace = RunTrace(states=[initial], records=[], stop_reason="schedule-end")
     state = initial
-    picks = list(schedule if max_steps is None else schedule[:max_steps])
-    for index, element in enumerate(picks, start=1):
-        oracle_view = OracleView(oracle or UndefOracle(), index)
-        state2, beta = agent_move(
-            spec, state, element, chooser, oracle_view=oracle_view
+    for index in range(1, max_steps + 1):
+        if schedule is not None:
+            agent = schedule[index - 1]
+        else:
+            agents = agents_of(spec, state)
+            if not agents:
+                break
+            agent = agents[chooser.choose(len(agents))]
+        state, record = agent_move(
+            spec, state, agent, chooser, oracle=oracle, index=index
         )
-        conflicts = beta.conflicts()
-        records.append(
-            StepRecord(
-                index=index,
-                updates=beta,
-                consistent=not conflicts,
-                fired=not conflicts,
-                conflicts=conflicts,
-                choice_index=None,
-                family_size=None,
-                oracle_qa=tuple(oracle_view.transcript),
-                agent=element,
-            )
-        )
-        states.append(state2)
-        state = state2
-    return RunTrace(states=states, records=records, stop_reason="schedule-end")
+        trace.states.append(state)
+        trace.records.append(record)
+    return trace
 
 
 def quasi_move_updates(
@@ -215,16 +195,12 @@ def quasi_move_updates(
         agent = agent_at(spec, state, element)
         if agent is None:
             raise ScheduleError(f"{format_element(element)} is not an agent here")
-        if not agent.deterministic:
+        if agent.program.has_choose:
             raise ModeError(
                 f"quasi-sequential steps need deterministic agents ({agent.module})"
             )
-        beta = updates(
-            _prepared(agent.program),
-            view(spec, state, agent),
-            externals=agent.program.externals,
-        )
-        union = union.union(beta)
+        members, _ = resolutions(agent.program, view(spec, state, agent))
+        union = union.union(members[0])
     return union
 
 
@@ -324,20 +300,18 @@ def _move_update_set(
             False, "4", f"{format_element(element)} is not an agent before {move}",
             witness=move,
         )
-    local = view(spec, at, agent)
-    rule = _prepared(agent.program)
     recorded = (pr.recorded or {}).get(move)
+    if recorded is None and agent.program.has_choose:
+        return None, Verdict(
+            False,
+            "certificate",
+            f"nondeterministic move {move} has no recorded update set",
+            witness=move,
+        )
+    members, _ = resolutions(agent.program, view(spec, at, agent))
     if recorded is None:
-        if not agent.deterministic:
-            return None, Verdict(
-                False,
-                "certificate",
-                f"nondeterministic move {move} has no recorded update set",
-                witness=move,
-            )
-        return updates(rule, local, externals=agent.program.externals), None
-    family = nupdates(rule, local, externals=agent.program.externals)
-    if recorded not in family.sets:
+        return members[0], None
+    if recorded not in members:
         return None, Verdict(
             False, "4", f"recorded update set of {move} is not a move of its agent",
             witness=move,
@@ -522,21 +496,10 @@ def linearizations(
             beta, verdict = _move_update_set(spec, pr, move, state)
             if verdict is not None:
                 raise CertificateError(verdict.message)
-            state, fired = state.fire_update_set(beta)
-            conflicts = beta.conflicts()
-            records.append(
-                StepRecord(
-                    index=index,
-                    updates=beta,
-                    consistent=not conflicts,
-                    fired=fired,
-                    conflicts=conflicts,
-                    choice_index=None,
-                    family_size=None,
-                    oracle_qa=(),
-                    agent=pr.agent_of[move],
-                )
+            state, record = fire_and_record(
+                state, beta, index=index, agent=pr.agent_of[move]
             )
+            records.append(record)
             states.append(state)
         traces.append(RunTrace(states=states, records=records, stop_reason="schedule-end"))
     return LinearizationReport(traces=traces, complete=complete)
@@ -599,28 +562,26 @@ def generate_partial_run(
     if len(schedule) > 12:
         raise CertificateError("partial-run generation capped at 12 moves")
     validate_spec_state(spec, initial)
+    if chooser is None:
+        chooser = SeededChooser(0)
     state = initial
     entries = []
     for i, element in enumerate(schedule, start=1):
         footprint = Footprint()
-        state, beta = agent_move(spec, state, element, chooser, footprint=footprint)
-        entries.append((f"m{i}", element, beta, footprint))
+        state, record = agent_move(
+            spec, state, element, chooser, index=i, footprint=footprint
+        )
+        entries.append((f"m{i}", element, record.updates, footprint))
 
-    edges = set()
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            id_i, el_i, beta_i, fp_i = entries[i]
-            id_j, el_j, beta_j, fp_j = entries[j]
-            if el_i == el_j or _footprints_conflict(
-                beta_i.locations(), fp_i, beta_j.locations(), fp_j
-            ):
-                edges.add((id_i, id_j))
-
+    edges = {
+        (m1, m2)
+        for (m1, el1, beta1, fp1), (m2, el2, beta2, fp2) in combinations(entries, 2)
+        if el1 == el2
+        or _footprints_conflict(beta1.locations(), fp1, beta2.locations(), fp2)
+    }
     moves = tuple(e[0] for e in entries)
     agent_of = {e[0]: e[1] for e in entries}
     recorded = {e[0]: e[2] for e in entries}
-    betas = {e[0]: e[2] for e in entries}
-
     preds = _predecessor_closure(moves, edges)
     assert preds is not None
     states: dict[frozenset, State] = {}
@@ -628,12 +589,6 @@ def generate_partial_run(
         s = initial
         for move in moves:  # original schedule order linearizes every segment
             if move in segment:
-                s, _ = s.fire_update_set(betas[move])
+                s, _ = s.fire_update_set(recorded[move])
         states[segment] = s
-    return PartialRun(
-        moves=moves,
-        agent_of=agent_of,
-        edges=frozenset(edges),
-        states=states,
-        recorded=recorded,
-    )
+    return PartialRun(moves, agent_of, frozenset(edges), states, recorded)

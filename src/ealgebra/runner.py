@@ -1,5 +1,12 @@
 """Sequential execution: steps, runs, replay and bounded reachability.
 
+A sequential step and an agent's move are one act, written once here:
+``resolutions`` gives the update sets one firing of a program may apply
+at a state (for an agent, its view), ``move`` picks one with the chooser
+and ``fire_and_record`` applies it to the global state and records it;
+``successors`` fires every resolution instead, for reachability.  The
+distributed runs and moves call these.
+
 External functions are never written into a state's tables; every step
 reads them through a per-step memoizing oracle view, so a query asked
 twice within one step returns one value while later steps may see fresh
@@ -12,20 +19,21 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import syntax
-from .errors import EalgebraError, OracleError, StateValidityError, VocabularyError
-from .evaluator import nupdates, successor_states, updates
+from .errors import EalgebraError, OracleError, VocabularyError
+from .evaluator import eval_guard, nupdates, updates
 from .parser import parse_guard_text
 from .state import (
+    EMPTY_UPDATE_SET,
+    UNDEF,
     Element,
     Location,
     State,
     StaticMirror,
     Update,
-    UpdateFamily,
     UpdateSet,
     format_element,
 )
@@ -83,8 +91,6 @@ class UndefOracle(Oracle):
     """Irrelevant or unscripted external values are undef."""
 
     def resolve(self, fname, args, step_index):
-        from .state import UNDEF
-
         return UNDEF
 
 
@@ -125,8 +131,6 @@ class ScriptedOracle(Oracle):
             return cls.parse(fh.read(), vocabulary)
 
     def resolve(self, fname, args, step_index):
-        from .state import UNDEF
-
         return self.answers.get((step_index, fname, args), UNDEF)
 
 
@@ -189,8 +193,7 @@ class RunTrace:
 
 def prepare_rule(program: Program) -> syntax.Rule:
     """Desugar and alpha-rename so the evaluator's preconditions hold."""
-    avoid = {fn.name for fn in program.vocabulary.names}
-    return syntax.make_perspicuous(program.core_rule, avoid)
+    return program.prepared
 
 
 def _check_appropriate(program: Program, state: State):
@@ -201,68 +204,81 @@ def _check_appropriate(program: Program, state: State):
             )
 
 
+def resolutions(
+    program: Program, local: State, oracle=None, footprint=None
+) -> tuple[list[UpdateSet], Optional[int]]:
+    """The update sets one firing of the program at ``local`` may apply.
+
+    A choice-free program has exactly one and no family size (None); a
+    program with choose has its family's members, in their deterministic
+    order, and their number.  The family never holds bottom.
+    """
+    kwargs = {"oracle": oracle, "externals": program.externals, "footprint": footprint}
+    if program.has_choose:
+        members = nupdates(program.prepared, local, **kwargs).sorted_members()
+        return members, len(members)
+    return [updates(program.prepared, local, **kwargs)], None
+
+
+def fire_and_record(
+    state: State, beta: UpdateSet | None, *, index: int, agent: Element | None = None,
+    choice_index: int | None = None, family_size: int | None = None, oracle_qa=(),
+) -> tuple[State, StepRecord]:
+    """Fire ``beta`` against ``state`` and record the step.
+
+    ``beta`` None stands for an empty family: nothing fires and the step is
+    inconsistent.  A step that asked no oracle is a fixpoint when it can
+    change nothing: an empty family, or a forced, consistent, empty set.
+    """
+    if beta is None:
+        new_state, fired, conflicts, beta = state, False, {}, EMPTY_UPDATE_SET
+        consistent, fixpoint = False, not oracle_qa
+    else:
+        conflicts = beta.conflicts()
+        new_state, fired = state.fire_update_set(beta)
+        consistent = not conflicts
+        fixpoint = (
+            not (oracle_qa or beta.updates) and fired and family_size in (None, 1)
+        )
+    return new_state, StepRecord(
+        index=index, updates=beta, consistent=consistent, fired=fired,
+        conflicts=conflicts, choice_index=choice_index, family_size=family_size,
+        oracle_qa=oracle_qa, agent=agent, fixpoint=fixpoint,
+    )
+
+
+def move(
+    program: Program, state: State, local: State, chooser=None, *,
+    oracle: Oracle | None = None, index: int = 1, agent: Element | None = None,
+    footprint=None,
+) -> tuple[State, StepRecord]:
+    """Fire one resolution of the program at ``local`` against ``state``.
+
+    A sequential step passes the state itself as ``local``; an agent passes
+    its view, so its module's program reads the view and the update set
+    changes the global state.  The chooser (``SeededChooser(0)`` if none)
+    picks a member only from a family of more than one.
+    """
+    view = OracleView(oracle or UndefOracle(), index)
+    members, family_size = resolutions(program, local, view, footprint)
+    choice_index = None
+    if family_size == 1:
+        choice_index = 0
+    elif family_size:
+        choice_index = (chooser or SeededChooser(0)).choose(family_size)
+    return fire_and_record(
+        state, members[choice_index or 0] if members else None, index=index,
+        agent=agent, choice_index=choice_index, family_size=family_size,
+        oracle_qa=tuple(view.transcript),
+    )
+
+
 def step(
-    program: Program,
-    state: State,
-    oracle: Oracle | None = None,
-    chooser=None,
-    *,
+    program: Program, state: State, oracle: Oracle | None = None, chooser=None, *,
     step_index: int = 1,
-    prepared: syntax.Rule | None = None,
 ) -> tuple[State, StepRecord]:
     """Fire the program once; inconsistent update sets change nothing."""
-    rule = prepared if prepared is not None else prepare_rule(program)
-    view = OracleView(oracle or UndefOracle(), step_index)
-    choice_index = None
-    family_size = None
-    if syntax.has_choose(rule):
-        family = nupdates(
-            rule, state, oracle=view, externals=program.externals
-        )
-        members = family.sorted_members()
-        family_size = len(members)
-        if not members:
-            chosen = None
-        else:
-            choice_index = chooser.choose(len(members)) if len(members) > 1 else 0
-            chosen = members[choice_index]
-        if chosen is None:
-            # Empty family or the bottom member: inconsistency, fire nothing.
-            record = StepRecord(
-                index=step_index,
-                updates=UpdateSet(),
-                consistent=False,
-                fired=False,
-                conflicts={},
-                choice_index=choice_index,
-                family_size=family_size,
-                oracle_qa=tuple(view.transcript),
-                fixpoint=not view.transcript,
-            )
-            return state, record
-        beta = chosen
-    else:
-        beta = updates(rule, state, oracle=view, externals=program.externals)
-    conflicts = beta.conflicts()
-    new_state, fired = state.fire_update_set(beta)
-    is_fixpoint = (
-        not view.transcript
-        and fired
-        and not beta.updates
-        and (family_size is None or family_size == 1)
-    )
-    record = StepRecord(
-        index=step_index,
-        updates=beta,
-        consistent=not conflicts,
-        fired=fired,
-        conflicts=conflicts,
-        choice_index=choice_index,
-        family_size=family_size,
-        oracle_qa=tuple(view.transcript),
-        fixpoint=is_fixpoint,
-    )
-    return new_state, record
+    return move(program, state, state, chooser, oracle=oracle, index=step_index)
 
 
 def run(
@@ -282,21 +298,16 @@ def run(
     if chooser is None:
         chooser = SeededChooser(0)
     _check_appropriate(program, initial)
-    prepared = prepare_rule(program)
-    states = [initial]
-    records: list[StepRecord] = []
+    trace = RunTrace(states=[initial], records=[], stop_reason="max-steps")
     state = initial
-    stop_reason = "max-steps"
     for index in range(1, max_steps + 1):
-        state, record = step(
-            program, state, oracle, chooser, step_index=index, prepared=prepared
-        )
-        states.append(state)
-        records.append(record)
+        state, record = step(program, state, oracle, chooser, step_index=index)
+        trace.states.append(state)
+        trace.records.append(record)
         if record.fixpoint:
-            stop_reason = "fixpoint"
+            trace.stop_reason = "fixpoint"
             break
-    return RunTrace(states=states, records=records, stop_reason=stop_reason)
+    return trace
 
 
 def replay_record(state: State, record: StepRecord) -> State:
@@ -329,23 +340,25 @@ class ReachReport:
     explored: int = 0
 
 
-def _program_successors(program, prepared, state):
-    if syntax.has_choose(prepared):
-        family = nupdates(prepared, state, externals=program.externals)
-        members = family.sorted_members()
-        out = []
-        if family.is_empty:
-            return [("noop", state)]
-        for i, member in enumerate(members):
-            if member is None:
-                out.append((f"choice {i} (bottom)", state))
-            else:
-                nxt, _ = state.fire_update_set(member)
-                out.append((f"choice {i}", nxt))
-        return out
-    beta = updates(prepared, state, externals=program.externals)
-    nxt, _ = state.fire_update_set(beta)
-    return [("step", nxt)]
+def successors(
+    program: Program, state: State, local: State, tag: str | None = None
+) -> list[tuple[str, State]]:
+    """Every (move label, successor) of one firing of the program at ``local``.
+
+    A program's labels are ``step``, ``choice i`` and ``noop`` (empty
+    family); an agent passes its ``tag`` (``agent x``), giving ``agent x``,
+    ``agent x choice i`` and ``agent x (no move)``.
+    """
+    members, family_size = resolutions(program, local)
+    if family_size is None:
+        return [(tag or "step", state.fire_update_set(members[0])[0])]
+    if not members:
+        return [(f"{tag} (no move)" if tag else "noop", state)]
+    prefix = f"{tag} " if tag else ""
+    return [
+        (f"{prefix}choice {i}", state.fire_update_set(member)[0])
+        for i, member in enumerate(members)
+    ]
 
 
 def enumerate_reachable(
@@ -369,21 +382,16 @@ def enumerate_reachable(
         predicate = parse_guard_text(predicate, initial.vocabulary)
 
     is_dist = isinstance(target, DistributedSpec)
-    prepared = None if is_dist else prepare_rule(target)
     if is_dist:
         distributed.validate_spec_state(target, initial)
 
-    def successors(state):
+    def expand(state):
         if is_dist:
             return distributed.move_successors(target, state)
-        return _program_successors(target, prepared, state)
+        return successors(target, state, state)
 
     def check(state) -> bool:
-        if predicate is None:
-            return True
-        from .evaluator import eval_guard
-
-        return eval_guard(state, None, predicate)
+        return predicate is None or eval_guard(state, None, predicate)
 
     key0 = initial.canonical_key()
     seen = {key0: (initial, 0, None, None)}  # key -> (state, depth, parent, move)
@@ -409,14 +417,14 @@ def enumerate_reachable(
             state, level = seen[key][0], seen[key][1]
             if level >= depth:
                 continue
-            for move, nxt in successors(state):
+            for label, nxt in expand(state):
                 nkey = nxt.canonical_key()
                 if nkey in seen:
                     continue
                 if len(seen) >= budget:
                     partial = True
                     break
-                seen[nkey] = (nxt, level + 1, key, move)
+                seen[nkey] = (nxt, level + 1, key, label)
                 order.append(nkey)
                 if not check(nxt):
                     violations.append(witness(nkey))

@@ -391,17 +391,6 @@ class State:
             return self, False
         return self._apply(pairs), True
 
-    def fire_family(self, gamma: UpdateFamily, chooser) -> "State":
-        """Nondeterministically fire one member; the empty family does nothing."""
-        if gamma.is_empty:
-            return self
-        members = gamma.sorted_members()
-        chosen = members[chooser.choose(len(members))] if len(members) > 1 else members[0]
-        if chosen is None:  # the bottom member
-            return self
-        new_state, _ = self.fire_update_set(chosen)
-        return new_state
-
     def reserve_withdraw(self) -> tuple["State", Element]:
         element = Element.reserve(self.reserve_next)
         return State._raw(self.vocabulary, self._tables, self.reserve_next + 1), element

@@ -207,6 +207,16 @@ class Program:
     def core_rule(self) -> Rule:
         return desugar(self.rule, active=self.active_sugar)
 
+    @cached_property
+    def prepared(self) -> Rule:
+        """The core rule alpha-renamed so the evaluator's preconditions hold."""
+        avoid = {fn.name for fn in self.vocabulary.names}
+        return make_perspicuous(self.core_rule, avoid)
+
+    @cached_property
+    def has_choose(self) -> bool:
+        return has_choose(self.core_rule)
+
 
 @dataclass(frozen=True)
 class DistributedSpec:

@@ -165,6 +165,44 @@ def test_normalize_rejects_binder_programs():
     assert run_cli("normalize", program("grow.ea")) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("state", ["pick.east", "pick_empty.east"])
+def test_distributed_choose_run_replays_from_records(capsys, state):
+    from ealgebra import (
+        FixedChooser,
+        SeededChooser,
+        load_state,
+        parse_program_file,
+        replay_record,
+        sequential_run,
+    )
+    from ealgebra.runner import record_from_json, record_to_json
+
+    code = run_cli(
+        "run", program("pick.ea"), "--state", program(state),
+        "--seed", "3", "--steps", "12", "--format", "records",
+    )
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()[1:-1]
+    records = [record_from_json(line) for line in lines]
+    spec = parse_program_file(program("pick.ea"))
+    initial = load_state(program(state), spec.vocabulary, constants=spec.constants)
+    expected = sequential_run(spec, initial, chooser=SeededChooser(3), max_steps=12)
+    assert [r.agent for r in records] == [r.agent for r in expected.records]
+    assert [(r.family_size, r.choice_index) for r in records] == [
+        (r.family_size, r.choice_index) for r in expected.records
+    ]
+    assert any(r.family_size == 3 for r in records)
+
+    schedule = [r.agent for r in records]
+    choices = [r.choice_index for r in records if r.family_size and r.family_size > 1]
+    replayed = sequential_run(spec, initial, schedule, chooser=FixedChooser(choices))
+    assert [record_to_json(r) for r in replayed.records] == lines
+    final = initial
+    for record in records:
+        final = replay_record(final, record)
+    assert final == replayed.final_state == expected.final_state
+
+
 def test_check_run_valid_and_mutated(capsys, tmp_path):
     from ealgebra import (
         Element,
@@ -189,6 +227,7 @@ def test_check_run_valid_and_mutated(capsys, tmp_path):
     assert code == EXIT_OK
     verdict = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert verdict["valid"] is True
+    assert verdict["witness"] is None
 
     bad = tmp_path / "bad.cert"
     bad.write_text(format_certificate(pr).replace("Mode(0) = eat", "Mode(0) = think"))
@@ -199,6 +238,7 @@ def test_check_run_valid_and_mutated(capsys, tmp_path):
     assert code == EXIT_VIOLATION
     verdict = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert verdict["condition"] == "4"
+    assert verdict["witness"] == ["m1"]  # the segment whose sigma was mutated
 
 
 def test_check_run_malformed_certificate(tmp_path):

@@ -112,17 +112,17 @@ def test_views_of_two_agents_differ_only_at_self(philosophers, ring3):
 
 
 def test_philosopher_picks_up_both_forks(philosophers, ring3):
-    state, beta = agent_move(philosophers, ring3, I(0))
+    state, record = agent_move(philosophers, ring3, I(0))
     assert mode(state, 0) == EAT
     assert fork(state, 0) == UP and fork(state, 1) == UP
     assert fork(state, 2) == DOWN and mode(state, 1) == THINK
-    assert len(beta) == 3
+    assert len(record.updates) == 3
 
 
 def test_blocked_philosopher_does_nothing(philosophers, ring3):
     eating, _ = agent_move(philosophers, ring3, I(0))
-    after, beta = agent_move(philosophers, eating, I(1))
-    assert beta == UpdateSet()
+    after, record = agent_move(philosophers, eating, I(1))
+    assert record.updates == UpdateSet()
     assert after == eating
 
 
@@ -130,14 +130,14 @@ def test_team_rule_moves_the_value(sendrecv, sendrecv_state):
     s = sendrecv_state
     s, _ = agent_move(sendrecv, s, E("s"))
     s, _ = agent_move(sendrecv, s, E("r"))
-    s, beta = agent_move(sendrecv, s, E("t1"))
-    assert beta == UpdateSet.of([Update(Location("In", (E("r"),)), E("payload"))])
+    s, record = agent_move(sendrecv, s, E("t1"))
+    assert record.updates == UpdateSet.of([Update(Location("In", (E("r"),)), E("payload"))])
     assert s.read(Location("In", (E("r"),))) == E("payload")
 
 
 def test_team_does_nothing_until_both_ready(sendrecv, sendrecv_state):
-    s, beta = agent_move(sendrecv, sendrecv_state, E("t1"))
-    assert beta == UpdateSet() and s == sendrecv_state
+    s, record = agent_move(sendrecv, sendrecv_state, E("t1"))
+    assert record.updates == UpdateSet() and s == sendrecv_state
 
 
 def test_agent_creation_through_import():
@@ -154,7 +154,7 @@ def test_agent_creation_through_import():
         "  endif\n"
     )
     initial = parse_state("Mod(boss) = Spawner", spec.vocabulary, constants=spec.constants)
-    state, beta = agent_move(spec, initial, E("boss"))
+    state, _ = agent_move(spec, initial, E("boss"))
     agents = agents_of(spec, state)
     assert len(agents) == 2
     validate_spec_state(spec, state)
@@ -222,6 +222,47 @@ def test_quasi_sequential_rejects_nondeterministic_agents():
     )
     with pytest.raises(ModeError):
         quasi_sequential_step(spec, state, [E("p")])
+
+
+@pytest.fixture(scope="module")
+def pick():
+    return load_program("pick.ea")
+
+
+@pytest.fixture(scope="module")
+def pick_state(pick):
+    return load_initial("pick_empty.east", pick)
+
+
+def test_choose_moves_record_family_and_choice(pick, pick_state):
+    trace = sequential_run(pick, pick_state, [E("p"), E("e")], chooser=SeededChooser(3))
+    picked, empty = trace.records
+    assert picked.family_size == 3 and picked.choice_index in (0, 1, 2)
+    assert picked.consistent and picked.fired
+    # an agent whose family is empty does not move, like an empty-family step
+    assert (empty.family_size, empty.choice_index) == (0, None)
+    assert not empty.consistent and not empty.fired
+    assert trace.states[2] == trace.states[1]
+
+
+def test_sequential_run_without_a_schedule_draws_agents(pick, pick_state):
+    trace = sequential_run(pick, pick_state, chooser=SeededChooser(3), max_steps=6)
+    assert len(trace.records) == 6
+    assert {r.agent for r in trace.records} <= {E("p"), E("e")}
+    with pytest.raises(ScheduleError):
+        sequential_run(pick, pick_state)
+
+
+def test_no_chooser_means_seed_zero(pick, pick_state):
+    s = pick_state
+    schedule = [E("p"), E("e"), E("p"), E("p")]
+    assert agent_move(pick, s, E("p")) == agent_move(pick, s, E("p"), SeededChooser(0))
+    plain = sequential_run(pick, s, schedule)
+    seeded = sequential_run(pick, s, schedule, chooser=SeededChooser(0))
+    assert plain.records == seeded.records and plain.states == seeded.states
+    plain = generate_partial_run(pick, s, schedule)
+    seeded = generate_partial_run(pick, s, schedule, chooser=SeededChooser(0))
+    assert plain.recorded == seeded.recorded and plain.states == seeded.states
 
 
 # ---------------------------------------------------------------------------
@@ -414,3 +455,19 @@ def test_active_notation_matches_hand_expansion():
     assert [r.updates for r in t1.records] == [r.updates for r in t2.records]
     # after deactivation the element is no longer an agent
     assert agents_of(sugar, t1.final_state) == []
+
+
+def test_generated_run_orders_a_move_after_its_agent_is_created():
+    spec = parse_program(
+        "vocabulary:\n"
+        "  dynamic X/0\n"
+        "constants a, b\n"
+        "module A:\n"
+        "  Mod(b) := B\n"
+        "module B:\n"
+        "  X := Self\n"
+    )
+    initial = parse_state("Mod(a) = A", spec.vocabulary, constants=spec.constants)
+    pr = generate_partial_run(spec, initial, [E("a"), E("b")])
+    assert pr.edges == frozenset({("m1", "m2")})
+    assert check_partial_run(spec, pr, initial_state=initial).valid

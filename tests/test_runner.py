@@ -220,3 +220,9 @@ def test_run_without_chooser_matches_seed_zero(choosedemo, choosedemo_state, cap
     ]) == 0
     header = {"program": "choosedemo.ea", "state": "choosedemo.east", "seed": 0, "steps": 3}
     assert capsys.readouterr().out == render_trace(trace, fmt="records", header=header)
+
+
+def test_step_without_chooser_matches_seed_zero(choosedemo, choosedemo_state):
+    plain = step(choosedemo, choosedemo_state)
+    assert plain == step(choosedemo, choosedemo_state, chooser=SeededChooser(0))
+    assert plain[1].family_size == 2

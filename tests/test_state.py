@@ -12,13 +12,15 @@ from ealgebra import (
     Location,
     State,
     Update,
-    UpdateFamily,
     UpdateSet,
     UpdateTypeError,
     SeededChooser,
     VocabularyError,
     make_vocabulary,
+    parse_program,
+    parse_state,
 )
+from ealgebra.runner import move
 
 P0, P1, P2 = (Element.integer(i) for i in range(3))
 DOWN, UP, THINK, EAT = (Element.named(n) for n in ("down", "up", "think", "eat"))
@@ -143,27 +145,49 @@ def test_firing_order_irrelevance():
         assert one_by_one == simultaneous
 
 
+CHOOSE_PROGRAM = """\
+vocabulary:
+  dynamic f/1
+  static relation U/1
+constants c, a, b, d
+program:
+  choose v in U
+    f(c) := v
+  endchoose
+"""
+
+
+def fire_family(universe, chooser):
+    """One move of ``choose v in U f(c) := v``: (state, (successor, record))."""
+    program = parse_program(CHOOSE_PROGRAM)
+    facts = "\n".join(f"U({name}) = true" for name in universe)
+    s = parse_state(facts, program.vocabulary, constants=program.constants)
+    return s, move(program, s, s, chooser)
+
+
+class NoDraw:
+    def choose(self, n):
+        raise AssertionError("a forced choice must not draw")
+
+
 def test_fire_family_empty_does_nothing():
-    s = all_down_state()
-    assert s.fire_family(UpdateFamily(), SeededChooser(1)) == s
+    s, (after, record) = fire_family([], SeededChooser(1))
+    assert record.family_size == 0
+    assert after == s
 
 
 def test_fire_family_singleton_is_forced():
-    s = all_down_state()
-    beta = UpdateSet.of([Update(Location("Mode", (P0,)), EAT)])
-    chosen = s.fire_family(UpdateFamily.of([beta]), SeededChooser(1))
-    expected, _ = s.fire_update_set(beta)
+    s, (chosen, record) = fire_family(["a"], NoDraw())
+    c, a = Element.named("c"), Element.named("a")
+    expected, _ = s.fire_update_set(UpdateSet.of([Update(Location("f", (c,)), a)]))
+    assert record.family_size == 1
     assert chosen == expected
 
 
 def test_fire_family_replays_under_the_same_seed():
-    s = all_down_state()
-    family = UpdateFamily.of(
-        UpdateSet.of([Update(Location("Mode", (P0,)), value)])
-        for value in (EAT, THINK, UP)
-    )
-    first = s.fire_family(family, SeededChooser(42))
-    second = s.fire_family(family, SeededChooser(42))
+    _, (first, record) = fire_family(["a", "b", "d"], SeededChooser(42))
+    _, (second, _) = fire_family(["a", "b", "d"], SeededChooser(42))
+    assert record.family_size == 3
     assert first == second
 
 
