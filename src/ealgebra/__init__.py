@@ -95,7 +95,6 @@ from .runner import (
 )
 from .distributed import (
     Agent,
-    DistributedProgram,
     LinearizationReport,
     PartialRun,
     Verdict,

@@ -26,9 +26,11 @@ from .errors import (
 )
 from .evaluator import Footprint, updates  # noqa: F401 (perfbench traces it here)
 from .runner import (
+    OracleView,
     RunTrace,
     SeededChooser,
     StepRecord,
+    UndefOracle,
     fire_and_record,
     move,
     resolutions,
@@ -37,9 +39,6 @@ from .runner import (
 from .state import Element, Location, State, UpdateSet, format_element
 from .syntax import DistributedSpec, Program
 from .vocabulary import SELF, Vocabulary
-
-DistributedProgram = DistributedSpec  # the spec type doubles as the engine handle
-
 
 @dataclass(frozen=True)
 class Agent:
@@ -308,7 +307,11 @@ def _move_update_set(
             f"nondeterministic move {move} has no recorded update set",
             witness=move,
         )
-    members, _ = resolutions(agent.program, view(spec, at, agent))
+    # Certificates record no oracle answers: externals read as undef, as in
+    # a generated run's moves.
+    members, _ = resolutions(
+        agent.program, view(spec, at, agent), OracleView(UndefOracle(), 1)
+    )
     if recorded is None:
         return members[0], None
     if recorded not in members:

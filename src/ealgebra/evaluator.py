@@ -17,7 +17,7 @@ respect to the caller's name set; the engine wrappers in ``runner`` and
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from . import syntax
 from .errors import (
@@ -209,12 +209,13 @@ def eval_guard(state: State, env, g: syntax.Guard, *, oracle=None, externals=())
 
 
 def _check_input(rule: syntax.Rule, state: State, env: Environment, decls) -> None:
-    if not syntax.is_core(rule):
+    facts = syntax.rule_facts(rule)
+    if not facts.core:
         raise ModeError("rule contains surface sugar; desugar it first")
-    avoid = {fn.name for fn in state.vocabulary.names}
-    avoid.update(env.names())
-    avoid.update(decls)
-    if not syntax.is_perspicuous(rule, avoid):
+    binders = facts.binders
+    if binders is None or (binders and not binders.isdisjoint(
+        {fn.name for fn in state.vocabulary.names}.union(facts.free, env.names(), decls)
+    )):
         raise ContractViolation(
             "rule is not perspicuous for this state; apply make_perspicuous"
         )

@@ -34,7 +34,6 @@ from . import syntax
 from .errors import DeclarationError, ParseError
 from .syntax import (
     App,
-    Atom,
     Block,
     BoolGuard,
     Case,
@@ -614,62 +613,14 @@ def _check_external_nesting(rule: syntax.Rule, externals: frozenset[str]):
     """External functions cannot be nested inside one another's arguments."""
     if not externals:
         return
-
-    def scan_term(t: syntax.Term, inside: bool):
-        if isinstance(t, Var):
-            return
-        nested = inside or t.fname in externals
-        if inside and t.fname in externals:
-            raise ParseError(f"{t.fname}: external functions cannot be nested")
-        for a in t.args:
-            scan_term(a, nested)
-
-    def scan_guard(g: syntax.Guard):
-        if isinstance(g, Atom):
-            scan_term(g.term, False)
-        elif isinstance(g, BoolGuard):
-            for sub in g.operands:
-                scan_guard(sub)
-        else:
-            scan_guard(g.body)
-
-    def scan(r: syntax.Rule):
-        if isinstance(r, syntax.UpdateInstr):
-            if r.fname in externals:
-                raise ParseError(f"{r.fname}: external functions cannot be updated")
-            for a in r.args:
-                scan_term(a, False)
-            scan_term(r.rhs, False)
-        elif isinstance(r, Block):
-            for x in r.rules:
-                scan(x)
-        elif isinstance(r, Cond):
-            for g, x in r.clauses:
-                scan_guard(g)
-                scan(x)
-        elif isinstance(r, (Import, Extend)):
-            scan(r.body)
-        elif isinstance(r, Choose):
-            if r.qualifier is not None:
-                scan_term(r.qualifier, False)
-            scan(r.body)
-        elif isinstance(r, Decl):
-            if isinstance(r.range, TermRange):
-                scan_term(r.range.term, False)
-            scan(r.body)
-        elif isinstance(r, Duplicate):
-            scan_term(r.term, False)
-            scan(r.body)
-        elif isinstance(r, Case):
-            scan_term(r.subject, False)
-            for labels, x in r.branches:
-                for t in labels:
-                    scan_term(t, False)
-                scan(x)
-            if r.else_rule is not None:
-                scan(r.else_rule)
-
-    scan(rule)
+    for node in syntax.nodes(rule):
+        if isinstance(node, syntax.UpdateInstr) and node.fname in externals:
+            raise ParseError(f"{node.fname}: external functions cannot be updated")
+        if isinstance(node, App) and node.fname in externals:
+            for arg in node.args:
+                for inner in syntax.nodes(arg):
+                    if isinstance(inner, App) and inner.fname in externals:
+                        raise ParseError(f"{inner.fname}: external functions cannot be nested")
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,9 @@ and transformations return new nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Optional, Union
-
-from .errors import ModeError
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Union
 
 if TYPE_CHECKING:
     from .vocabulary import Vocabulary
@@ -36,12 +34,6 @@ class App:
 
 
 Term = Union[Var, App]
-
-
-def is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return all(is_ground(a) for a in t.args)
 
 
 # ---------------------------------------------------------------------------
@@ -236,163 +228,163 @@ class DistributedSpec:
 
 
 # ---------------------------------------------------------------------------
+# Node shapes
+#
+# ``parts`` and ``rebuild`` are the only code that knows what each node
+# holds.  ``outside`` lists the sub-nodes the node's binders do not scope
+# over (a declaration's range, a duplicated term, a case subject, its
+# labels and branches, every child of a binder-free node); ``inside``
+# lists the bodies and the choose qualifier.  An absent part is None.
+
+
+def _case_parts(n: Case):
+    outside = [n.subject]
+    for labels, rule in n.branches:
+        outside.extend(labels)
+        outside.append(rule)
+    outside.append(n.else_rule)
+    return (), tuple(outside), ()
+
+
+def _case_rebuild(n: Case, binders, outside, inside) -> Case:
+    rest = iter(outside[1:-1])
+    branches = tuple(
+        (tuple(next(rest) for _ in labels), next(rest)) for labels, _ in n.branches
+    )
+    return Case(outside[0], branches, outside[-1])
+
+
+# node type -> (parts(node), rebuild(node, binders, outside, inside))
+_SHAPES = {
+    Var: (lambda n: ((), (), ()), lambda n, b, o, i: n),
+    App: (lambda n: ((), n.args, ()), lambda n, b, o, i: App(n.fname, o)),
+    Atom: (lambda n: ((), (n.term,), ()), lambda n, b, o, i: Atom(o[0])),
+    BoolGuard: (lambda n: ((), n.operands, ()), lambda n, b, o, i: BoolGuard(n.op, o)),
+    QuantGuard: (
+        lambda n: ((n.var,), (), (n.body,)),
+        lambda n, b, o, i: QuantGuard(n.kind, b[0], n.universe, i[0]),
+    ),
+    UniverseRange: (lambda n: ((), (), ()), lambda n, b, o, i: n),
+    TermRange: (lambda n: ((), (n.term,), ()), lambda n, b, o, i: TermRange(o[0])),
+    UpdateInstr: (
+        lambda n: ((), (*n.args, n.rhs), ()),
+        lambda n, b, o, i: UpdateInstr(n.fname, o[:-1], o[-1]),
+    ),
+    Block: (lambda n: ((), n.rules, ()), lambda n, b, o, i: Block(o)),
+    Cond: (
+        lambda n: ((), tuple(x for clause in n.clauses for x in clause), ()),
+        lambda n, b, o, i: Cond(tuple(zip(o[::2], o[1::2]))),
+    ),
+    Import: (lambda n: (n.vars, (), (n.body,)), lambda n, b, o, i: Import(b, i[0])),
+    Choose: (
+        lambda n: (n.vars, (), (n.qualifier, n.body)),
+        lambda n, b, o, i: Choose(b, n.universe, i[0], i[1]),
+    ),
+    Decl: (
+        lambda n: ((n.var,), (n.range,), (n.body,)),
+        lambda n, b, o, i: Decl(b[0], o[0], i[0]),
+    ),
+    Duplicate: (
+        lambda n: ((n.var,), (n.term,), (n.body,)),
+        lambda n, b, o, i: Duplicate(o[0], b[0], i[0]),
+    ),
+    Extend: (
+        lambda n: (n.vars, (), (n.body,)),
+        lambda n, b, o, i: Extend(n.universe, b, i[0]),
+    ),
+    Case: (_case_parts, _case_rebuild),
+}
+
+
+def _shape(node):
+    try:
+        return _SHAPES[type(node)]
+    except KeyError:
+        raise TypeError(f"unsupported syntax node {type(node).__name__}") from None
+
+
+def parts(node) -> tuple[tuple[str, ...], tuple, tuple]:
+    """``(binders, outside, inside)`` of a node; see the section comment."""
+    return _shape(node)[0](node)
+
+
+def rebuild(node, binders, outside, inside):
+    """The node of the same kind as ``node`` with the given parts."""
+    return _shape(node)[1](node, tuple(binders), tuple(outside), tuple(inside))
+
+
+def nodes(node):
+    """Every node of a tree in pre-order, outside parts before inside ones."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        yield n
+        _, outside, inside = parts(n)
+        stack.extend(c for c in reversed(outside + inside) if c is not None)
+
+
+def _map(fn, children) -> tuple:
+    return tuple(None if c is None else fn(c) for c in children)
+
+
+# ---------------------------------------------------------------------------
 # Variable analysis
 
 
 def free_vars(node) -> frozenset[str]:
     if isinstance(node, Var):
-        return frozenset({node.name})
-    if isinstance(node, App):
-        out = frozenset()
-        for a in node.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(node, Atom):
-        return free_vars(node.term)
-    if isinstance(node, BoolGuard):
-        out = frozenset()
-        for g in node.operands:
-            out |= free_vars(g)
-        return out
-    if isinstance(node, QuantGuard):
-        return free_vars(node.body) - {node.var}
-    if isinstance(node, UpdateInstr):
-        out = free_vars(node.rhs)
-        for a in node.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(node, Block):
-        out = frozenset()
-        for r in node.rules:
-            out |= free_vars(r)
-        return out
-    if isinstance(node, Cond):
-        out = frozenset()
-        for g, r in node.clauses:
-            out |= free_vars(g) | free_vars(r)
-        return out
-    if isinstance(node, Import):
-        return free_vars(node.body) - set(node.vars)
-    if isinstance(node, Choose):
-        out = free_vars(node.body)
-        if node.qualifier is not None:
-            out |= free_vars(node.qualifier)
-        return out - set(node.vars)
-    if isinstance(node, Decl):
-        out = free_vars(node.body) - {node.var}
-        if isinstance(node.range, TermRange):
-            out |= free_vars(node.range.term)
-        return out
-    if isinstance(node, Duplicate):
-        return free_vars(node.term) | (free_vars(node.body) - {node.var})
-    if isinstance(node, Extend):
-        return free_vars(node.body) - set(node.vars)
-    if isinstance(node, Case):
-        out = free_vars(node.subject)
-        for labels, rule in node.branches:
-            for t in labels:
-                out |= free_vars(t)
-            out |= free_vars(rule)
-        if node.else_rule is not None:
-            out |= free_vars(node.else_rule)
-        return out
-    raise TypeError(f"free_vars: unsupported node {type(node).__name__}")
-
-
-def bound_vars(node) -> frozenset[str]:
-    if isinstance(node, (Var, App)):
-        return frozenset()
-    if isinstance(node, Atom):
-        return frozenset()
-    if isinstance(node, BoolGuard):
-        out = frozenset()
-        for g in node.operands:
-            out |= bound_vars(g)
-        return out
-    if isinstance(node, QuantGuard):
-        return bound_vars(node.body) | {node.var}
-    if isinstance(node, UpdateInstr):
-        return frozenset()
-    if isinstance(node, Block):
-        out = frozenset()
-        for r in node.rules:
-            out |= bound_vars(r)
-        return out
-    if isinstance(node, Cond):
-        out = frozenset()
-        for g, r in node.clauses:
-            out |= bound_vars(g) | bound_vars(r)
-        return out
-    if isinstance(node, Import):
-        return bound_vars(node.body) | set(node.vars)
-    if isinstance(node, Choose):
-        return bound_vars(node.body) | set(node.vars)
-    if isinstance(node, Decl):
-        return bound_vars(node.body) | {node.var}
-    if isinstance(node, Duplicate):
-        return bound_vars(node.body) | {node.var}
-    if isinstance(node, Extend):
-        return bound_vars(node.body) | set(node.vars)
-    if isinstance(node, Case):
-        out = frozenset()
-        for _, rule in node.branches:
-            out |= bound_vars(rule)
-        if node.else_rule is not None:
-            out |= bound_vars(node.else_rule)
-        return out
-    raise TypeError(f"bound_vars: unsupported node {type(node).__name__}")
+        return frozenset((node.name,))
+    binders, outside, inside = parts(node)
+    out: set[str] = set()
+    for c in inside:
+        if c is not None:
+            out |= free_vars(c)
+    out.difference_update(binders)
+    for c in outside:
+        if c is not None:
+            out |= free_vars(c)
+    return frozenset(out)
 
 
 def binder_occurrences(node) -> list[str]:
     """Every binder declaration in source order (duplicates kept)."""
-    out: list[str] = []
+    return [v for n in nodes(node) for v in parts(n)[0]]
 
-    def walk(n):
-        if isinstance(n, (Var, App, UpdateInstr, Atom)):
-            return
-        if isinstance(n, BoolGuard):
-            for g in n.operands:
-                walk(g)
-        elif isinstance(n, QuantGuard):
-            out.append(n.var)
-            walk(n.body)
-        elif isinstance(n, Block):
-            for r in n.rules:
-                walk(r)
-        elif isinstance(n, Cond):
-            for g, r in n.clauses:
-                walk(g)
-                walk(r)
-        elif isinstance(n, (Import, Extend)):
-            out.extend(n.vars)
-            walk(n.body)
-        elif isinstance(n, Choose):
-            out.extend(n.vars)
-            walk(n.body)
-        elif isinstance(n, Decl):
-            out.append(n.var)
-            walk(n.body)
-        elif isinstance(n, Duplicate):
-            out.append(n.var)
-            walk(n.body)
-        elif isinstance(n, Case):
-            for _, r in n.branches:
-                walk(r)
-            if n.else_rule is not None:
-                walk(n.else_rule)
 
-    walk(node)
-    return out
+def bound_vars(node) -> frozenset[str]:
+    return frozenset(binder_occurrences(node))
+
+
+class RuleFacts(NamedTuple):
+    """What the evaluator's input contract needs to know of a rule alone."""
+
+    core: bool
+    binders: Optional[frozenset[str]]  # None when a binder is declared twice
+    free: frozenset[str]
+
+
+def rule_facts(rule: Rule) -> RuleFacts:
+    """The rule's contract facts, computed once per rule object.
+
+    Rules are immutable, so the facts are kept on the rule itself, the way
+    ``functools.cached_property`` keeps a value on a frozen dataclass.
+    """
+    facts = rule.__dict__.get("_facts")
+    if facts is None:
+        binders = binder_occurrences(rule)
+        unique = frozenset(binders)
+        facts = RuleFacts(
+            is_core(rule), unique if len(unique) == len(binders) else None, free_vars(rule)
+        )
+        rule.__dict__["_facts"] = facts
+    return facts
 
 
 def is_perspicuous(rule: Rule, avoid: frozenset[str] | set[str] = frozenset()) -> bool:
     """No variable both bound and free, no binder declared twice, and no
     binder colliding with the caller's name set."""
-    binders = binder_occurrences(rule)
-    if len(binders) != len(set(binders)):
-        return False
-    taken = set(avoid) | free_vars(rule)
-    return not (set(binders) & taken)
+    facts = rule_facts(rule)
+    return facts.binders is not None and facts.binders.isdisjoint(facts.free.union(avoid))
 
 
 # ---------------------------------------------------------------------------
@@ -409,54 +401,14 @@ def subst(node, mapping: Mapping[str, Term]):
         return node
     if isinstance(node, Var):
         return mapping.get(node.name, node)
-    if isinstance(node, App):
-        return App(node.fname, tuple(subst(a, mapping) for a in node.args))
-    if isinstance(node, Atom):
-        return Atom(subst(node.term, mapping))
-    if isinstance(node, BoolGuard):
-        return BoolGuard(node.op, tuple(subst(g, mapping) for g in node.operands))
-    if isinstance(node, QuantGuard):
-        inner = {k: v for k, v in mapping.items() if k != node.var}
-        return QuantGuard(node.kind, node.var, node.universe, subst(node.body, inner))
-    if isinstance(node, UpdateInstr):
-        return UpdateInstr(
-            node.fname,
-            tuple(subst(a, mapping) for a in node.args),
-            subst(node.rhs, mapping),
-        )
-    if isinstance(node, Block):
-        return Block(tuple(subst(r, mapping) for r in node.rules))
-    if isinstance(node, Cond):
-        return Cond(tuple((subst(g, mapping), subst(r, mapping)) for g, r in node.clauses))
-    if isinstance(node, Import):
-        inner = {k: v for k, v in mapping.items() if k not in node.vars}
-        return Import(node.vars, subst(node.body, inner))
-    if isinstance(node, Choose):
-        inner = {k: v for k, v in mapping.items() if k not in node.vars}
-        qual = None if node.qualifier is None else subst(node.qualifier, inner)
-        return Choose(node.vars, node.universe, qual, subst(node.body, inner))
-    if isinstance(node, Decl):
-        rng = node.range
-        if isinstance(rng, TermRange):
-            rng = TermRange(subst(rng.term, mapping))
-        inner = {k: v for k, v in mapping.items() if k != node.var}
-        return Decl(node.var, rng, subst(node.body, inner))
-    if isinstance(node, Duplicate):
-        inner = {k: v for k, v in mapping.items() if k != node.var}
-        return Duplicate(subst(node.term, mapping), node.var, subst(node.body, inner))
-    if isinstance(node, Extend):
-        inner = {k: v for k, v in mapping.items() if k not in node.vars}
-        return Extend(node.universe, node.vars, subst(node.body, inner))
-    if isinstance(node, Case):
-        return Case(
-            subst(node.subject, mapping),
-            tuple(
-                (tuple(subst(t, mapping) for t in labels), subst(r, mapping))
-                for labels, r in node.branches
-            ),
-            None if node.else_rule is None else subst(node.else_rule, mapping),
-        )
-    raise TypeError(f"subst: unsupported node {type(node).__name__}")
+    binders, outside, inside = parts(node)
+    inner = {k: v for k, v in mapping.items() if k not in binders} if binders else mapping
+    return rebuild(
+        node,
+        binders,
+        _map(lambda c: subst(c, mapping), outside),
+        _map(lambda c: subst(c, inner), inside),
+    )
 
 
 def make_perspicuous(rule: Rule, avoid=frozenset()) -> Rule:
@@ -467,64 +419,19 @@ def make_perspicuous(rule: Rule, avoid=frozenset()) -> Rule:
     """
     used = set(avoid) | free_vars(rule)
 
-    def fresh(base: str) -> str:
-        candidate = base
-        while candidate in used:
-            candidate += "'"
-        return candidate
-
-    def rename_binder(var: str, body_parts: list):
-        """Pick a stable name for ``var``; substitute in the given parts."""
-        if var in used:
-            new = fresh(var)
-            used.add(new)
-            return new, [subst(p, {var: Var(new)}) if p is not None else None for p in body_parts]
-        used.add(var)
-        return var, body_parts
-
     def walk(node):
-        if isinstance(node, (Var, App, UpdateInstr, Atom)):
-            return node
-        if isinstance(node, BoolGuard):
-            return BoolGuard(node.op, tuple(walk(g) for g in node.operands))
-        if isinstance(node, QuantGuard):
-            v, (body,) = rename_binder(node.var, [node.body])
-            return QuantGuard(node.kind, v, node.universe, walk(body))
-        if isinstance(node, Block):
-            return Block(tuple(walk(r) for r in node.rules))
-        if isinstance(node, Cond):
-            return Cond(tuple((walk(g), walk(r)) for g, r in node.clauses))
-        if isinstance(node, Import):
-            new_vars, body = [], node.body
-            for v in node.vars:
-                v2, (body,) = rename_binder(v, [body])
-                new_vars.append(v2)
-            return Import(tuple(new_vars), walk(body))
-        if isinstance(node, Choose):
-            new_vars, body, qual = [], node.body, node.qualifier
-            for v in node.vars:
-                v2, (body, qual) = rename_binder(v, [body, qual])
-                new_vars.append(v2)
-            return Choose(tuple(new_vars), node.universe, qual, walk(body))
-        if isinstance(node, Decl):
-            v, (body,) = rename_binder(node.var, [node.body])
-            return Decl(v, node.range, walk(body))
-        if isinstance(node, Duplicate):
-            v, (body,) = rename_binder(node.var, [node.body])
-            return Duplicate(node.term, v, walk(body))
-        if isinstance(node, Extend):
-            new_vars, body = [], node.body
-            for v in node.vars:
-                v2, (body,) = rename_binder(v, [body])
-                new_vars.append(v2)
-            return Extend(node.universe, tuple(new_vars), walk(body))
-        if isinstance(node, Case):
-            return Case(
-                node.subject,
-                tuple((labels, walk(r)) for labels, r in node.branches),
-                None if node.else_rule is None else walk(node.else_rule),
-            )
-        raise TypeError(f"make_perspicuous: unsupported node {type(node).__name__}")
+        binders, outside, inside = parts(node)
+        names = []
+        for var in binders:
+            if var in used:
+                new = var
+                while new in used:
+                    new += "'"
+                inside = _map(lambda c: subst(c, {var: Var(new)}), inside)
+                var = new
+            used.add(var)
+            names.append(var)
+        return rebuild(node, names, _map(walk, outside), _map(walk, inside))
 
     return walk(rule)
 
@@ -540,14 +447,47 @@ def guard_from_term(t: Term) -> Guard:
     return Atom(t)
 
 
-def _active_term(t: Term) -> Term:
-    """Rewrite Active(x) applications into Mod(x) = Mod'(x)."""
-    if isinstance(t, Var):
-        return t
-    args = tuple(_active_term(a) for a in t.args)
-    if t.fname == "Active" and len(args) == 1:
-        return App("=", (App("Mod", args), App("Mod'", args)))
-    return App(t.fname, args)
+def _expand(node, active: bool):
+    """One node's sugar, its sub-nodes already expanded."""
+    if active and isinstance(node, App) and node.fname == "Active" and len(node.args) == 1:
+        return App("=", (App("Mod", node.args), App("Mod'", node.args)))
+    if active and isinstance(node, Atom):
+        return guard_from_term(node.term)
+    if active and isinstance(node, UpdateInstr) and node.fname == "Active" \
+            and len(node.args) == 1:
+        t = node.args[0]
+        return Cond(
+            (
+                (guard_from_term(node.rhs), UpdateInstr("Mod", (t,), App("Mod'", (t,)))),
+                (TRUE_GUARD, UpdateInstr("Mod", (t,), App("undef"))),
+            )
+        )
+    if isinstance(node, Extend):
+        enrol = tuple(UpdateInstr(node.universe, (Var(v),), App("true")) for v in node.vars)
+        body = node.body.rules if isinstance(node.body, Block) else (node.body,)
+        node = Import(node.vars, Block(enrol + body))
+    if isinstance(node, Import) and len(node.vars) > 1:
+        body = node.body
+        for v in reversed(node.vars):
+            body = Import((v,), body)
+        return body
+    if isinstance(node, Choose) and len(node.vars) > 1:
+        body = Choose(node.vars[-1:], node.universe, node.qualifier, node.body)
+        for v in reversed(node.vars[:-1]):
+            body = Choose((v,), node.universe, None, body)
+        return body
+    if isinstance(node, Case):
+        clauses = []
+        for labels, rule in node.branches:
+            eqs = [Atom(App("=", (node.subject, label))) for label in labels]
+            g = eqs[0]
+            for e in eqs[1:]:
+                g = BoolGuard("or", (g, e))
+            clauses.append((g, rule))
+        if node.else_rule is not None:
+            clauses.append((TRUE_GUARD, node.else_rule))
+        return Cond(tuple(clauses))
+    return node
 
 
 def desugar(rule: Rule, *, active: bool = False) -> Rule:
@@ -560,136 +500,33 @@ def desugar(rule: Rule, *, active: bool = False) -> Rule:
     fixed point of this function.
     """
 
-    def term(t: Term) -> Term:
-        return _active_term(t) if active else t
-
-    def guard(g: Guard) -> Guard:
-        if isinstance(g, Atom):
-            t = term(g.term)
-            return guard_from_term(t) if active else Atom(t)
-        if isinstance(g, BoolGuard):
-            return BoolGuard(g.op, tuple(guard(x) for x in g.operands))
-        return QuantGuard(g.kind, g.var, g.universe, guard(g.body))
-
-    def walk(node: Rule) -> Rule:
-        if isinstance(node, UpdateInstr):
-            if active and node.fname == "Active" and len(node.args) == 1:
-                t = term(node.args[0])
-                return Cond(
-                    (
-                        (guard_from_term(term(node.rhs)),
-                         UpdateInstr("Mod", (t,), App("Mod'", (t,)))),
-                        (TRUE_GUARD, UpdateInstr("Mod", (t,), App("undef"))),
-                    )
-                )
-            return UpdateInstr(node.fname, tuple(term(a) for a in node.args), term(node.rhs))
-        if isinstance(node, Block):
-            return Block(tuple(walk(r) for r in node.rules))
-        if isinstance(node, Cond):
-            return Cond(tuple((guard(g), walk(r)) for g, r in node.clauses))
-        if isinstance(node, Import):
-            body = walk(node.body)
-            for v in reversed(node.vars):
-                body = Import((v,), body)
-            return body
-        if isinstance(node, Choose):
-            body = walk(node.body)
-            qual = None if node.qualifier is None else term(node.qualifier)
-            first = True
-            for v in reversed(node.vars):
-                body = Choose((v,), node.universe, qual if first else None, body)
-                first = False
-            return body
-        if isinstance(node, Decl):
-            rng = node.range
-            if isinstance(rng, TermRange):
-                rng = TermRange(term(rng.term))
-            return Decl(node.var, rng, walk(node.body))
-        if isinstance(node, Duplicate):
-            return Duplicate(term(node.term), node.var, walk(node.body))
-        if isinstance(node, Extend):
-            enrol = [UpdateInstr(node.universe, (Var(v),), App("true")) for v in node.vars]
-            inner = walk(node.body)
-            stmts = tuple(enrol) + (inner.rules if isinstance(inner, Block) else (inner,))
-            body: Rule = Block(stmts)
-            for v in reversed(node.vars):
-                body = Import((v,), body)
-            return body
-        if isinstance(node, Case):
-            subj = term(node.subject)
-            clauses = []
-            for labels, r in node.branches:
-                eqs: list[Guard] = [Atom(App("=", (subj, term(lb)))) for lb in labels]
-                g = eqs[0]
-                for e in eqs[1:]:
-                    g = BoolGuard("or", (g, e))
-                clauses.append((g, walk(r)))
-            if node.else_rule is not None:
-                clauses.append((TRUE_GUARD, walk(node.else_rule)))
-            return Cond(tuple(clauses))
-        raise TypeError(f"desugar: unsupported node {type(node).__name__}")
+    def walk(node):
+        binders, outside, inside = parts(node)
+        return _expand(rebuild(node, binders, _map(walk, outside), _map(walk, inside)), active)
 
     return walk(rule)
 
 
-CORE_RULE_TYPES = (UpdateInstr, Block, Cond, Import, Choose, Decl, Duplicate)
-
-
 def is_core(rule: Rule) -> bool:
-    if isinstance(rule, UpdateInstr):
-        return True
-    if isinstance(rule, Block):
-        return all(is_core(r) for r in rule.rules)
-    if isinstance(rule, Cond):
-        return all(is_core(r) for _, r in rule.clauses)
-    if isinstance(rule, (Import, Choose)):
-        return len(rule.vars) == 1 and is_core(rule.body)
-    if isinstance(rule, (Decl, Duplicate)):
-        return is_core(rule.body)
-    return False
+    return not any(
+        isinstance(n, (Extend, Case)) or (isinstance(n, (Import, Choose)) and len(n.vars) != 1)
+        for n in nodes(rule)
+    )
 
 
 def is_basic(rule: Rule) -> bool:
     """Basic rules: update instructions combined by blocks and conditionals."""
-    if isinstance(rule, UpdateInstr):
-        return True
-    if isinstance(rule, Block):
-        return all(is_basic(r) for r in rule.rules)
-    if isinstance(rule, Cond):
-        return all(is_basic(r) for _, r in rule.clauses)
-    return False
+    return not any(
+        isinstance(n, (Import, Choose, Decl, Duplicate, Extend, Case)) for n in nodes(rule)
+    )
 
 
 def has_choose(rule: Rule) -> bool:
-    if isinstance(rule, Choose):
-        return True
-    if isinstance(rule, Block):
-        return any(has_choose(r) for r in rule.rules)
-    if isinstance(rule, Cond):
-        return any(has_choose(r) for _, r in rule.clauses)
-    if isinstance(rule, (Import, Decl, Duplicate, Extend)):
-        return has_choose(rule.body)
-    if isinstance(rule, Case):
-        if any(has_choose(r) for _, r in rule.branches):
-            return True
-        return rule.else_rule is not None and has_choose(rule.else_rule)
-    return False
+    return any(isinstance(n, Choose) for n in nodes(rule))
 
 
 def has_import(rule: Rule) -> bool:
-    if isinstance(rule, (Import, Extend, Duplicate)):
-        return True
-    if isinstance(rule, Block):
-        return any(has_import(r) for r in rule.rules)
-    if isinstance(rule, Cond):
-        return any(has_import(r) for _, r in rule.clauses)
-    if isinstance(rule, (Choose, Decl)):
-        return has_import(rule.body)
-    if isinstance(rule, Case):
-        if any(has_import(r) for _, r in rule.branches):
-            return True
-        return rule.else_rule is not None and has_import(rule.else_rule)
-    return False
+    return any(isinstance(n, (Import, Extend, Duplicate)) for n in nodes(rule))
 
 
 # ---------------------------------------------------------------------------

@@ -177,70 +177,13 @@ def fun_of(obj) -> set[str]:
     of binders, update subjects, Boolean connectives in guard position) are
     included, matching a plain syntactic scan.
     """
-    names: set[str] = set()
-    _scan(obj, names)
-    return names
-
-
-def _scan(obj, names: set[str]) -> None:
-    if isinstance(obj, syntax.Var):
-        return
-    if isinstance(obj, syntax.App):
-        names.add(obj.fname)
-        for a in obj.args:
-            _scan(a, names)
-    elif isinstance(obj, syntax.Atom):
-        _scan(obj.term, names)
-    elif isinstance(obj, syntax.BoolGuard):
-        names.add(obj.op)
-        for g in obj.operands:
-            _scan(g, names)
-    elif isinstance(obj, syntax.QuantGuard):
-        names.add(obj.universe)
-        _scan(obj.body, names)
-    elif isinstance(obj, syntax.UpdateInstr):
-        names.add(obj.fname)
-        for a in obj.args:
-            _scan(a, names)
-        _scan(obj.rhs, names)
-    elif isinstance(obj, syntax.Block):
-        for r in obj.rules:
-            _scan(r, names)
-    elif isinstance(obj, syntax.Cond):
-        for g, r in obj.clauses:
-            _scan(g, names)
-            _scan(r, names)
-    elif isinstance(obj, syntax.Import):
-        _scan(obj.body, names)
-    elif isinstance(obj, syntax.Choose):
-        names.add(obj.universe)
-        if obj.qualifier is not None:
-            _scan(obj.qualifier, names)
-        _scan(obj.body, names)
-    elif isinstance(obj, syntax.Decl):
-        if isinstance(obj.range, syntax.UniverseRange):
-            names.add(obj.range.universe)
-        else:
-            _scan(obj.range.term, names)
-        _scan(obj.body, names)
-    elif isinstance(obj, syntax.Duplicate):
-        _scan(obj.term, names)
-        _scan(obj.body, names)
-    elif isinstance(obj, syntax.Extend):
-        names.add(obj.universe)
-        _scan(obj.body, names)
-    elif isinstance(obj, syntax.Case):
-        _scan(obj.subject, names)
-        for labels, rule in obj.branches:
-            for t in labels:
-                _scan(t, names)
-            _scan(rule, names)
-        if obj.else_rule is not None:
-            _scan(obj.else_rule, names)
-    elif isinstance(obj, syntax.Program):
-        _scan(obj.rule, names)
-    elif isinstance(obj, syntax.DistributedSpec):
-        for prog in obj.modules.values():
-            _scan(prog.rule, names)
-    else:
-        raise TypeError(f"fun_of: unsupported object {type(obj).__name__}")
+    if isinstance(obj, syntax.Program):
+        return fun_of(obj.rule)
+    if isinstance(obj, syntax.DistributedSpec):
+        return set().union(*(fun_of(prog.rule) for prog in obj.modules.values()))
+    return {
+        getattr(node, attr)
+        for node in syntax.nodes(obj)
+        for attr in ("fname", "op", "universe")
+        if hasattr(node, attr)
+    }

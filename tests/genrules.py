@@ -19,7 +19,25 @@ from ealgebra import (
     UNDEF,
     make_vocabulary,
 )
-from ealgebra.syntax import App, Atom, Block, BoolGuard, Choose, Cond, Var
+from ealgebra.syntax import (
+    SKIP,
+    TRUE_GUARD,
+    App,
+    Atom,
+    Block,
+    BoolGuard,
+    Case,
+    Choose,
+    Cond,
+    Decl,
+    Duplicate,
+    Extend,
+    Import,
+    QuantGuard,
+    TermRange,
+    UniverseRange,
+    Var,
+)
 
 X, Y, Z = Element.named("x"), Element.named("y"), Element.named("z")
 ELEMS = (X, Y, Z)
@@ -103,8 +121,6 @@ def gen_basic_rule(rng: random.Random, depth: int = 2):
     for _ in range(rng.randint(1, 3)):
         clauses.append((gen_guard(rng, 1), gen_basic_rule(rng, depth - 1)))
     if rng.random() < 0.4:
-        from ealgebra.syntax import TRUE_GUARD
-
         clauses.append((TRUE_GUARD, gen_basic_rule(rng, depth - 1)))
     return Cond(tuple(clauses))
 
@@ -203,3 +219,135 @@ def gen_choice_rule(rng: random.Random, depth: int, binders_left: int, scope=Non
             (guard, gen_choice_rule(rng, depth - 1, binders_left, scope)),
         )
     )
+
+
+# ---------------------------------------------------------------------------
+# Surface rules: every constructor, guard form and range, for walker goldens
+
+SURFACE_BINDERS = ("x", "y", "z", "u")
+SURFACE_EXTERNALS = frozenset({"e", "k"})
+
+# (name, arity) of the applications the surface generator draws from; "e"
+# and "k" are the external functions, "w" is a variable left free.
+_SURFACE_FUNS = (("f", 1), ("e", 1), ("Active", 1), ("not", 1), ("and", 2), ("=", 2))
+_SURFACE_CONSTS = ("c", "d", "k", "undef", "Self")
+
+
+def gen_surface_term(rng: random.Random, scope: list[str], depth: int):
+    roll = rng.random()
+    if scope and roll < 0.3:
+        return Var(rng.choice(scope))
+    if roll < 0.36:
+        return Var("w")
+    if depth <= 0 or roll < 0.6:
+        return App(rng.choice(_SURFACE_CONSTS))
+    name, arity = rng.choice(_SURFACE_FUNS)
+    return App(name, tuple(gen_surface_term(rng, scope, depth - 1) for _ in range(arity)))
+
+
+def gen_surface_bool_term(rng: random.Random, scope: list[str]):
+    pick = rng.random()
+    if pick < 0.15:
+        return App(rng.choice(("true", "false")))
+    if pick < 0.4:
+        return App("r", (gen_surface_term(rng, scope, 1),))
+    if pick < 0.55:
+        return App("Active", (gen_surface_term(rng, scope, 1),))
+    if pick < 0.7:
+        return App("not", (App("r", (gen_surface_term(rng, scope, 1),)),))
+    return App("=", (gen_surface_term(rng, scope, 1), gen_surface_term(rng, scope, 1)))
+
+
+def gen_surface_guard(rng: random.Random, scope: list[str], depth: int):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.4:
+        return Atom(gen_surface_bool_term(rng, scope))
+    if roll < 0.55:
+        return BoolGuard("not", (gen_surface_guard(rng, scope, depth - 1),))
+    if roll < 0.8:
+        op = rng.choice(("and", "or", "implies"))
+        return BoolGuard(
+            op, (gen_surface_guard(rng, scope, depth - 1), gen_surface_guard(rng, scope, depth - 1))
+        )
+    var = rng.choice(SURFACE_BINDERS)
+    body = gen_surface_guard(rng, scope + [var], depth - 1)
+    return QuantGuard(rng.choice(("exists", "forall")), var, "U", body)
+
+
+def _surface_update(rng: random.Random, scope: list[str]):
+    def term():
+        return gen_surface_term(rng, scope, 2)
+
+    roll = rng.random()
+    if roll < 0.3:
+        return _instr("g", (), term())
+    if roll < 0.6:
+        return _instr("f", (term(),), term())
+    if roll < 0.8:
+        return _instr("r", (term(),), gen_surface_bool_term(rng, scope))
+    if roll < 0.93:
+        return _instr("Active", (term(),), gen_surface_bool_term(rng, scope))
+    return _instr("e", (term(),), term())
+
+
+def _surface_vars(rng: random.Random) -> tuple[str, ...]:
+    return tuple(rng.choice(SURFACE_BINDERS) for _ in range(rng.randint(1, 2)))
+
+
+def gen_surface_rule(rng: random.Random, depth: int = 3, scope=None):
+    """Random surface rule over all nine rule constructors.
+
+    Binders are drawn from a small pool, so shadowing, repeated binders and
+    binders that collide with free variables all occur; ``w`` is always
+    free, ``e`` and ``k`` stand for external functions.
+    """
+    scope = list(scope or [])
+    if depth <= 0:
+        return _surface_update(rng, scope)
+    kind = rng.choice(
+        ("update", "block", "cond", "import", "choose", "decl", "let", "duplicate",
+         "extend", "case")
+    )
+
+    def sub(extra=()):
+        return gen_surface_rule(rng, depth - 1, scope + list(extra))
+
+    if kind == "update":
+        return _surface_update(rng, scope)
+    if kind == "block":
+        if rng.random() < 0.1:
+            return SKIP
+        return Block(tuple(sub() for _ in range(rng.randint(2, 3))))
+    if kind == "cond":
+        clauses = [(gen_surface_guard(rng, scope, 2), sub()) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.4:
+            clauses.append((TRUE_GUARD, sub()))
+        return Cond(tuple(clauses))
+    if kind == "import":
+        names = _surface_vars(rng)
+        return Import(names, sub(names))
+    if kind == "choose":
+        names = _surface_vars(rng)
+        qualifier = None
+        if rng.random() < 0.5:
+            qualifier = gen_surface_bool_term(rng, scope + list(names))
+        return Choose(names, "U", qualifier, sub(names))
+    if kind in ("decl", "let"):
+        var = rng.choice(SURFACE_BINDERS)
+        if kind == "decl":
+            rng_node = UniverseRange("U")
+        else:
+            rng_node = TermRange(gen_surface_term(rng, scope, 2))
+        return Decl(var, rng_node, sub([var]))
+    if kind == "duplicate":
+        var = rng.choice(SURFACE_BINDERS)
+        return Duplicate(gen_surface_term(rng, scope, 1), var, sub([var]))
+    if kind == "extend":
+        names = _surface_vars(rng)
+        return Extend("U", names, sub(names))
+    branches = tuple(
+        (tuple(gen_surface_term(rng, scope, 1) for _ in range(rng.randint(1, 2))), sub())
+        for _ in range(rng.randint(1, 2))
+    )
+    else_rule = sub() if rng.random() < 0.5 else None
+    return Case(gen_surface_term(rng, scope, 1), branches, else_rule)

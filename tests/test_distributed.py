@@ -471,3 +471,23 @@ def test_generated_run_orders_a_move_after_its_agent_is_created():
     pr = generate_partial_run(spec, initial, [E("a"), E("b")])
     assert pr.edges == frozenset({("m1", "m2")})
     assert check_partial_run(spec, pr, initial_state=initial).valid
+
+
+def test_certificate_of_a_spec_with_external_functions_checks():
+    # Certificates record no oracle answers, so checking reads externals as
+    # undef, as a move without an oracle does when the run is generated.
+    spec = parse_program(
+        "vocabulary:\n"
+        "  dynamic X/1\n"
+        "  external e/0\n"
+        "constants a\n"
+        "module A:\n"
+        "  X(Self) := e\n"
+    )
+    initial = parse_state("Mod(a) = A", spec.vocabulary, constants=spec.constants)
+    pr = generate_partial_run(spec, initial, [E("a")])
+    assert check_partial_run(spec, pr).valid
+    after = segment_states(spec, pr)[frozenset({"m1"})]
+    assert after.read(Location("X", (E("a"),))) == UNDEF
+    report = linearizations(spec, pr)
+    assert [trace.final_state for trace in report.traces] == [after]

@@ -34,7 +34,19 @@ from ealgebra import (
     successor_states,
     updates,
 )
-from ealgebra.syntax import Block, Cond, desugar, format_rule
+from ealgebra.syntax import (
+    App,
+    Block,
+    Cond,
+    Decl,
+    Extend,
+    Import,
+    UniverseRange,
+    UpdateInstr,
+    Var,
+    desugar,
+    format_rule,
+)
 
 from genrules import (
     BASIC_VOCAB,
@@ -223,6 +235,44 @@ def test_updates_rejects_non_perspicuous_input():
     )
     with pytest.raises(ContractViolation):
         updates(rule, s)
+
+
+def test_contract_check_reads_the_state_on_every_call():
+    # The rule-only facts are kept on the rule; the names the state, the
+    # environment and the declarations bring are checked on every call.
+    names = [FunctionName("U", 1, is_relation=True, is_static=True),
+             FunctionName("F", 1, is_relation=True)]
+    plain = State(make_vocabulary(names))
+    with_x = State(make_vocabulary(names + [FunctionName("x", 0)]))
+    rule = Decl("x", UniverseRange("U"), UpdateInstr("F", (Var("x"),), App("true")))
+    for entry in (updates, nupdates):
+        assert entry(rule, plain) is not None
+        with pytest.raises(ContractViolation):
+            entry(rule, with_x)
+        with pytest.raises(ContractViolation):
+            entry(rule, plain, {"x": A})
+        with pytest.raises(ContractViolation):
+            entry(rule, plain, decls=("x",))
+        assert entry(rule, plain) is not None
+    free_too = Block((rule, UpdateInstr("F", (App("true"),), Var("x"))))
+    with pytest.raises(ContractViolation):
+        updates(free_too, plain)
+
+
+def test_entry_points_reject_surface_and_non_perspicuous_rules():
+    v = make_vocabulary([FunctionName("F", 1, is_relation=True)], with_reserve=True)
+    s = State(v)
+    enrol = UpdateInstr("F", (Var("y"),), App("true"))
+    surface = Extend("F", ("y",), Block(()))
+    twice = Block((Import(("y",), enrol), Import(("y",), enrol)))
+    for entry in (updates, nupdates):
+        with pytest.raises(ModeError):
+            entry(surface, s)
+        with pytest.raises(ModeError):
+            entry(Import(("y", "z"), enrol), s)
+        with pytest.raises(ContractViolation):
+            entry(twice, s)
+        assert entry(Import(("y",), enrol), s) is not None
 
 
 def test_perspicuity_stipulation_fires_isomorphically():
