@@ -9,6 +9,7 @@ verification of partially ordered runs.
 """
 
 from .errors import (
+    BudgetError,
     CertificateError,
     ContractViolation,
     DeclarationError,

@@ -11,7 +11,8 @@ Subcommands: ``run``, ``enumerate``, ``normalize``, ``check-run``,
       assertion guard, or a program outside the needed fragment)
 4     state-validity or schedule error
 5     oracle failure
-6     budget exhausted / partial result
+6     budget exhausted / partial result (``enumerate`` past
+      ``--budget`` states, ``check-run`` past the segment budget)
 7     property violation or certificate verdict: violation
 ====  ==========================================================
 
@@ -30,6 +31,7 @@ from . import distributed as dist
 from . import runner, syntax
 from .certificate import load_certificate
 from .errors import (
+    BudgetError,
     CertificateError,
     DeclarationError,
     EalgebraError,
@@ -312,6 +314,9 @@ def main(argv=None) -> int:
     except OracleError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_ORACLE
+    except BudgetError as exc:
+        print(f"budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from . import syntax
 from .errors import (
+    BudgetError,
     CertificateError,
     ModeError,
     ScheduleError,
@@ -26,11 +27,9 @@ from .errors import (
 )
 from .evaluator import Footprint, updates  # noqa: F401 (perfbench traces it here)
 from .runner import (
-    OracleView,
     RunTrace,
     SeededChooser,
     StepRecord,
-    UndefOracle,
     fire_and_record,
     move,
     resolutions,
@@ -51,12 +50,13 @@ def module_elements(spec: DistributedSpec, state: State) -> dict[str, Element]:
     return {name: state.read(Location(name)) for name in spec.module_names}
 
 
-def validate_spec_state(spec: DistributedSpec, state: State) -> None:
+def validate_spec_state(spec: DistributedSpec, state: State) -> dict[Element, str]:
     """The two state conditions: distinct module elements, finitely many agents.
 
     Finiteness is structural (tables are finite), but a module name
     interpreted as undef would make every unmentioned element an agent, so
-    that is rejected along with colliding module elements.
+    that is rejected along with colliding module elements.  Returns the
+    module name of each module element.
     """
     elements = module_elements(spec, state)
     from .state import UNDEF
@@ -71,12 +71,12 @@ def validate_spec_state(spec: DistributedSpec, state: State) -> None:
                 f"{format_element(el)}"
             )
         seen[el] = name
+    return seen
 
 
 def agents_of(spec: DistributedSpec, state: State) -> list[Agent]:
     """All elements a with Mod(a) equal to some module name's element."""
-    validate_spec_state(spec, state)
-    by_element = {el: name for name, el in module_elements(spec, state).items()}
+    by_element = validate_spec_state(spec, state)
     agents = []
     for _, args, value in state.facts("Mod"):
         module = by_element.get(value)
@@ -87,7 +87,9 @@ def agents_of(spec: DistributedSpec, state: State) -> list[Agent]:
 
 
 def agent_at(spec: DistributedSpec, state: State, element: Element) -> Agent | None:
-    return next((a for a in agents_of(spec, state) if a.element == element), None)
+    """The agent ``element`` is at the state, or None: one read of Mod."""
+    module = validate_spec_state(spec, state).get(state.read(Location("Mod", (element,))))
+    return None if module is None else Agent(element, module, spec.modules[module])
 
 
 def view(spec: DistributedSpec, state: State, agent: Agent) -> State:
@@ -238,54 +240,97 @@ class Verdict:
         return self.valid
 
 
+# Initial segments past this many stop a check with ``BudgetError`` before
+# any rule is evaluated.  2^14 covers every order on at most 14 moves.
+SEGMENT_BUDGET = 1 << 14
+
+
+def _direct_predecessors(
+    moves: Sequence[str], edges: Iterable[tuple[str, str]]
+) -> dict[str, set[str]]:
+    direct: dict[str, set[str]] = {m: set() for m in moves}
+    for earlier, later in edges:
+        direct[later].add(earlier)
+    return direct
+
+
+def _direct_successors(direct: Mapping[str, set[str]]) -> dict[str, list[str]]:
+    later: dict[str, list[str]] = {m: [] for m in direct}
+    for m, preds in direct.items():
+        for p in preds:
+            later[p].append(m)
+    return later
+
+
+def _kahn_order(direct: Mapping[str, set[str]]) -> Optional[list[str]]:
+    """The moves in a topological order of the direct edges, or None on a cycle."""
+    later = _direct_successors(direct)
+    waiting = {m: len(preds) for m, preds in direct.items()}
+    ready = [m for m, n in waiting.items() if not n]
+    order = []
+    while ready:
+        m = ready.pop()
+        order.append(m)
+        for x in later[m]:
+            waiting[x] -= 1
+            if not waiting[x]:
+                ready.append(x)
+    return order if len(order) == len(direct) else None
+
+
 def _predecessor_closure(
     moves: Sequence[str], edges: Iterable[tuple[str, str]]
 ) -> Optional[dict[str, frozenset[str]]]:
     """Strict predecessors per move, or None if the edges contain a cycle."""
-    direct: dict[str, set[str]] = {m: set() for m in moves}
-    for earlier, later in edges:
-        direct[later].add(earlier)
+    direct = _direct_predecessors(moves, edges)
+    order = _kahn_order(direct)
+    if order is None:
+        return None
     closed: dict[str, frozenset[str]] = {}
-    visiting: set[str] = set()
-
-    def walk(m: str) -> Optional[frozenset[str]]:
-        if m in closed:
-            return closed[m]
-        if m in visiting:
-            return None
-        visiting.add(m)
-        acc: set[str] = set()
-        for p in direct[m]:
-            acc.add(p)
-            below = walk(p)
-            if below is None:
-                return None
-            acc |= below
-        visiting.discard(m)
-        closed[m] = frozenset(acc)
-        return closed[m]
-
-    for m in moves:
-        if walk(m) is None:
-            return None
+    for m in order:
+        closed[m] = frozenset(direct[m]).union(*(closed[p] for p in direct[m]))
     return closed
 
 
-def _initial_segments(moves: Sequence[str], preds: dict[str, frozenset[str]]):
-    if len(moves) > 14:
-        raise CertificateError("partial-run verification capped at 14 moves")
-    out = []
-    n = len(moves)
-    for mask in range(1 << n):
-        segment = frozenset(moves[i] for i in range(n) if mask >> i & 1)
-        if all(preds[m] <= segment for m in segment):
-            out.append(segment)
-    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
+def _initial_segments(
+    moves: Sequence[str], direct: Mapping[str, set[str]]
+) -> list[tuple[frozenset[str], tuple[str, ...]]]:
+    """Every initial segment (down-set) of an acyclic order with its sorted
+    maximal moves, by size, then by sorted ids.
+
+    Level k+1 extends each level-k segment by each move it enables, one
+    whose direct predecessors all lie in the segment.  What the grown
+    segment enables and its maximal moves follow from its parent's: it
+    enables the parent's moves but the one added, plus the added move's
+    direct successors now enabled; its maximal moves (those with no direct
+    successor in it) are the added move and the parent's maximal moves
+    that are not direct predecessors of it.  So the work follows the number
+    of segments, not of subsets.  Past ``SEGMENT_BUDGET`` segments this
+    raises ``BudgetError``.
+    """
+    later = _direct_successors(direct)
+    out: list[tuple[frozenset[str], tuple[str, ...]]] = [(frozenset(), ())]
+    level = {frozenset(): ([m for m in moves if not direct[m]], ())}
+    while level:
+        grown: dict[frozenset[str], tuple[list[str], tuple[str, ...]]] = {}
+        for segment, (enabled, maximal) in level.items():
+            for m in enabled:
+                bigger = segment | {m}
+                if bigger in grown:
+                    continue
+                if len(out) + len(grown) >= SEGMENT_BUDGET:
+                    raise BudgetError(
+                        f"the move order has more than {SEGMENT_BUDGET} initial segments"
+                    )
+                grown[bigger] = (
+                    [x for x in enabled if x != m]
+                    + [x for x in later[m] if direct[x] <= bigger],
+                    tuple(sorted([m, *(x for x in maximal if x not in direct[m])])),
+                )
+        order = sorted(grown, key=sorted) if len(grown) > 1 else grown
+        out.extend((segment, grown[segment][1]) for segment in order)
+        level = grown
     return out
-
-
-def _maximal(segment: frozenset, preds: dict[str, frozenset[str]]) -> list[str]:
-    return sorted(m for m in segment if not any(m in preds[x] for x in segment))
 
 
 def _move_update_set(
@@ -309,9 +354,7 @@ def _move_update_set(
         )
     # Certificates record no oracle answers: externals read as undef, as in
     # a generated run's moves.
-    members, _ = resolutions(
-        agent.program, view(spec, at, agent), OracleView(UndefOracle(), 1)
-    )
+    members, _ = resolutions(agent.program, view(spec, at, agent))
     if recorded is None:
         return members[0], None
     if recorded not in members:
@@ -326,8 +369,8 @@ def _sigma(
     spec: DistributedSpec, pr: PartialRun
 ) -> tuple[dict[frozenset, State], Optional[Verdict]]:
     """Recompute the state function on every segment, checking coherence."""
-    preds = _predecessor_closure(pr.moves, pr.edges)
-    if preds is None:
+    direct = _direct_predecessors(pr.moves, pr.edges)
+    if _kahn_order(direct) is None:
         return {}, Verdict(
             False, "1", "the move order is ill-founded (cycle in the edges)"
         )
@@ -335,12 +378,10 @@ def _sigma(
     if base is None:
         return {}, Verdict(False, "certificate", "sigma of the empty segment is missing")
     computed: dict[frozenset, State] = {frozenset(): base}
-    for segment in _initial_segments(pr.moves, preds):
-        if not segment:
-            continue
+    for segment, maximal in _initial_segments(pr.moves, direct)[1:]:
         candidate = None
         via = None
-        for x in _maximal(segment, preds):
+        for x in maximal:
             before = computed[segment - {x}]
             beta, verdict = _move_update_set(spec, pr, x, before)
             if verdict is not None:
@@ -375,7 +416,11 @@ def check_partial_run(
     *,
     initial_state: State | None = None,
 ) -> Verdict:
-    """Verify the four partially-ordered-run conditions on a certificate."""
+    """Verify the four partially-ordered-run conditions on a certificate.
+
+    Raises ``BudgetError`` when the order has more than ``SEGMENT_BUDGET``
+    initial segments.
+    """
     # Certificate shape.
     if len(set(pr.moves)) != len(pr.moves):
         return Verdict(False, "certificate", "duplicate move ids")
@@ -403,6 +448,11 @@ def check_partial_run(
     for move in pr.moves:
         by_agent.setdefault(pr.agent_of[move], []).append(move)
     for element, moves in by_agent.items():
+        # A chain, listed by number of predecessors, has each move below the
+        # next; otherwise report the first incomparable pair in id order.
+        moves.sort(key=lambda m: len(preds[m]))
+        if all(a in preds[b] for a, b in zip(moves, moves[1:])):
+            continue
         for a, b in combinations(sorted(moves), 2):
             if a not in preds[b] and b not in preds[a]:
                 return Verdict(
@@ -560,10 +610,9 @@ def generate_partial_run(
     read/write footprints interfere; all other pairs become incomparable.
     The state function is recomputed on every initial segment, so the
     result is a valid run by construction (and checked by the verifier in
-    the tests).
+    the tests).  Raises ``BudgetError`` when the order has more than
+    ``SEGMENT_BUDGET`` initial segments.
     """
-    if len(schedule) > 12:
-        raise CertificateError("partial-run generation capped at 12 moves")
     validate_spec_state(spec, initial)
     if chooser is None:
         chooser = SeededChooser(0)
@@ -585,13 +634,13 @@ def generate_partial_run(
     moves = tuple(e[0] for e in entries)
     agent_of = {e[0]: e[1] for e in entries}
     recorded = {e[0]: e[2] for e in entries}
-    preds = _predecessor_closure(moves, edges)
-    assert preds is not None
-    states: dict[frozenset, State] = {}
-    for segment in _initial_segments(moves, preds):
-        s = initial
-        for move in moves:  # original schedule order linearizes every segment
-            if move in segment:
-                s, _ = s.fire_update_set(recorded[move])
-        states[segment] = s
+    # Every edge runs forward in the schedule, so a segment's latest move in
+    # schedule order is maximal: its state is that move fired at the state
+    # of the rest, which comes earlier in the segment order.
+    position = {m: i for i, m in enumerate(moves)}
+    segments = _initial_segments(moves, _direct_predecessors(moves, edges))
+    states: dict[frozenset, State] = {frozenset(): initial}
+    for segment, maximal in segments[1:]:
+        latest = max(maximal, key=position.__getitem__)
+        states[segment], _ = states[segment - {latest}].fire_update_set(recorded[latest])
     return PartialRun(moves, agent_of, frozenset(edges), states, recorded)

@@ -62,3 +62,7 @@ class ScheduleError(EalgebraError):
 
 class CertificateError(EalgebraError):
     """A run certificate file is malformed."""
+
+
+class BudgetError(EalgebraError):
+    """A fixed work budget ran out before the answer was complete."""

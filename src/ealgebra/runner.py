@@ -211,8 +211,11 @@ def resolutions(
 
     A choice-free program has exactly one and no family size (None); a
     program with choose has its family's members, in their deterministic
-    order, and their number.  The family never holds bottom.
+    order, and their number.  The family never holds bottom.  With no
+    oracle, external functions read as undef.
     """
+    if oracle is None and program.externals:
+        oracle = OracleView(UndefOracle(), 1)
     kwargs = {"oracle": oracle, "externals": program.externals, "footprint": footprint}
     if program.has_choose:
         members = nupdates(program.prepared, local, **kwargs).sorted_members()

@@ -309,8 +309,17 @@ def parts(node) -> tuple[tuple[str, ...], tuple, tuple]:
 
 
 def rebuild(node, binders, outside, inside):
-    """The node of the same kind as ``node`` with the given parts."""
-    return _shape(node)[1](node, tuple(binders), tuple(outside), tuple(inside))
+    """The node of the same kind as ``node`` with the given parts; ``node``
+    itself when the parts are its own."""
+    binders, outside, inside = tuple(binders), tuple(outside), tuple(inside)
+    old = parts(node)
+    if old[0] == binders and _same(old[1], outside) and _same(old[2], inside):
+        return node
+    return _shape(node)[1](node, binders, outside, inside)
+
+
+def _same(xs: tuple, ys: tuple) -> bool:
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
 
 
 def nodes(node):
@@ -420,6 +429,8 @@ def make_perspicuous(rule: Rule, avoid=frozenset()) -> Rule:
     used = set(avoid) | free_vars(rule)
 
     def walk(node):
+        if isinstance(node, (Var, App)):
+            return node  # terms bind nothing
         binders, outside, inside = parts(node)
         names = []
         for var in binders:
@@ -501,6 +512,8 @@ def desugar(rule: Rule, *, active: bool = False) -> Rule:
     """
 
     def walk(node):
+        if not active and isinstance(node, (Var, App)):
+            return node  # only the Active notation is sugar inside a term
         binders, outside, inside = parts(node)
         return _expand(rebuild(node, binders, _map(walk, outside), _map(walk, inside)), active)
 

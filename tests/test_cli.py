@@ -130,6 +130,14 @@ def test_enumerate_grow_past_eight_reserve_elements(capsys):
     assert "depth 10: 1" in out
 
 
+def test_enumerate_reads_external_functions_as_undef(capsys):
+    code = run_cli(
+        "enumerate", program("echo.ea"), "--state", program("echo.east"), "--depth", "2",
+    )
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.startswith("reachable states: 1 (depth 2, budget ok)")
+
+
 def test_normalize_round_trip(capsys, tmp_path):
     out_path = tmp_path / "tree_normal.ea"
     code = run_cli("normalize", program("tree.ea"), "-o", str(out_path))
@@ -239,6 +247,61 @@ def test_check_run_valid_and_mutated(capsys, tmp_path):
     verdict = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert verdict["condition"] == "4"
     assert verdict["witness"] == ["m1"]  # the segment whose sigma was mutated
+
+
+def _chains(*chains) -> list[str]:
+    """``move``/``order`` lines of one move chain per (prefix, length, agent)."""
+    lines = []
+    for prefix, length, agent in chains:
+        lines += [f"move {prefix}{i} by {agent}" for i in range(1, length + 1)]
+        lines += [f"order {prefix}{i} < {prefix}{i + 1}" for i in range(1, length)]
+    return lines
+
+
+def test_check_run_two_chains_of_fifteen_moves(capsys, tmp_path):
+    # Philosophers 0 and 2 share no fork: 8 * 9 = 72 initial segments.
+    cert = tmp_path / "two_chains.cert"
+    cert.write_text("\n".join(_chains(("a", 8, 0), ("b", 7, 2))) + "\n")
+    code = run_cli(
+        "check-run", program("philosophers4.ea"), str(cert), "--state", program("ring4.east"),
+    )
+    assert code == EXIT_OK
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict == {
+        "condition": None, "message": "all run conditions hold", "valid": True,
+        "witness": None,
+    }
+
+
+def test_check_run_long_reverse_listed_chain(capsys, tmp_path):
+    lines = _chains(("m", 1200, 0))
+    cert = tmp_path / "chain.cert"
+    cert.write_text("\n".join(lines[1199::-1] + lines[1200:]) + "\n")
+    code = run_cli(
+        "check-run", program("philosophers4.ea"), str(cert), "--state", program("ring4.east"),
+    )
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+def test_check_run_antichain_past_the_segment_budget(capsys, tmp_path):
+    # Fifteen agents and no order: 2^15 initial segments, over the 2^14 budget.
+    spec = tmp_path / "ring16.ea"
+    spec.write_text(
+        (PROGRAMS / "philosophers4.ea").read_text().replace("mod 4", "mod 16")
+    )
+    state = tmp_path / "ring16.east"
+    state.write_text("".join(
+        f"Mod({i}) = Phil\nMode({i}) = think\nFork({i}) = down\nP({i}) = true\n"
+        for i in range(16)
+    ))
+    cert = tmp_path / "antichain.cert"
+    cert.write_text("".join(f"move m{i} by {i}\n" for i in range(15)))
+    code = run_cli("check-run", str(spec), str(cert), "--state", str(state))
+    assert code == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "more than 16384 initial segments" in captured.err
 
 
 def test_check_run_malformed_certificate(tmp_path):

@@ -9,7 +9,8 @@ by the canonical form that tried every permutation of the reserve
 elements; the ``run`` files by the engine before its sequential steps and
 agent moves shared one move function (only the ``pick`` traces differ
 from that engine, which dropped the family size and choice index of
-distributed choose moves).  Regenerate them with
+distributed choose moves).  ``enumerate_echo`` was written once
+enumeration read external functions as undef.  Regenerate them with
 ``PYTHONPATH=src python tests/test_golden_enumerate.py`` only when an
 output is meant to change.
 """
@@ -62,6 +63,9 @@ CASES = {
     "enumerate_growtree_violation": [
         "enumerate", "growtree.ea", "--state", "growtree.east", "--depth", "3",
         "--assert", "not (exists x in Node) (Parent(Parent(x)) != undef)",
+    ],
+    "enumerate_echo": [
+        "enumerate", "echo.ea", "--state", "echo.east", "--depth", "2",
     ],
     "enumerate_parallelgrow": [
         "enumerate", "parallelgrow.ea", "--state", "parallelgrow4.east", "--depth", "2",

@@ -108,6 +108,19 @@ def test_walkers_match_golden(hash_seed):
     assert done.stdout == GOLDEN.read_text(encoding="utf-8")
 
 
+def test_unchanged_nodes_are_not_copied():
+    from ealgebra.syntax import nodes, parts, rebuild
+
+    for rule in surface_rules():
+        for node in nodes(rule):
+            assert rebuild(node, *parts(node)) is node
+        core = desugar(rule)
+        assert desugar(core) is core
+        renamed = make_perspicuous(core, AVOID)
+        assert make_perspicuous(renamed, AVOID) is renamed
+        assert subst(renamed, {"unused": App("d")}) is renamed
+
+
 def test_surface_generator_covers_the_language():
     from ealgebra.syntax import (
         Atom, Block, BoolGuard, Case, Choose, Cond, Decl, Duplicate, Extend, Import,
