@@ -169,6 +169,13 @@ def _cmd_enumerate(args) -> int:
     by_depth: dict[int, int] = {}
     for _, level in report.states:
         by_depth[level] = by_depth.get(level, 0) + 1
+    programs = (
+        target.modules.values() if isinstance(target, DistributedSpec) else [target]
+    )
+    externals = sorted(frozenset().union(*(p.externals for p in programs)))
+    if externals:
+        # No oracle is given, so these states cover only the undef answers.
+        print(f"external functions read as undef: {', '.join(externals)}")
     print(f"reachable states: {len(report.states)} (depth {args.depth}, "
           f"budget {'exceeded' if report.partial else 'ok'})")
     for level in sorted(by_depth):

@@ -240,61 +240,78 @@ class Verdict:
         return self.valid
 
 
-# Initial segments past this many stop a check with ``BudgetError`` before
-# any rule is evaluated.  2^14 covers every order on at most 14 moves.
-SEGMENT_BUDGET = 1 << 14
+# The most moves that the initial segments of one order may hold in all,
+# counted once per segment a move is in.  Listing the segments, and the
+# rule evaluations and state copies of a check, grow with this sum, so
+# past it a check stops with ``BudgetError`` before any rule is evaluated.
+# 2^20 covers every order on at most 16 moves and a chain of 1,447.
+SEGMENT_BUDGET = 1 << 20
+_CYCLE = "the move order is ill-founded (cycle in the edges)"
 
 
-def _direct_predecessors(
-    moves: Sequence[str], edges: Iterable[tuple[str, str]]
-) -> dict[str, set[str]]:
+def _over_budget() -> BudgetError:
+    return BudgetError(
+        f"the initial segments of the move order hold more than "
+        f"{SEGMENT_BUDGET} moves in all"
+    )
+
+
+@dataclass(frozen=True)
+class _Order:
+    """The direct edges of a move order, both ways, and its moves in a
+    topological order, which is None when the edges contain a cycle."""
+
+    direct: dict[str, set[str]]  # move -> its direct predecessors
+    later: dict[str, list[str]]  # move -> its direct successors
+    topological: Optional[list[str]]
+
+
+def _order(moves: Sequence[str], edges: Iterable[tuple[str, str]]) -> _Order:
     direct: dict[str, set[str]] = {m: set() for m in moves}
-    for earlier, later in edges:
-        direct[later].add(earlier)
-    return direct
-
-
-def _direct_successors(direct: Mapping[str, set[str]]) -> dict[str, list[str]]:
-    later: dict[str, list[str]] = {m: [] for m in direct}
+    for earlier, after in edges:
+        direct[after].add(earlier)
+    later: dict[str, list[str]] = {m: [] for m in moves}
     for m, preds in direct.items():
         for p in preds:
             later[p].append(m)
-    return later
-
-
-def _kahn_order(direct: Mapping[str, set[str]]) -> Optional[list[str]]:
-    """The moves in a topological order of the direct edges, or None on a cycle."""
-    later = _direct_successors(direct)
+    # Kahn's algorithm: a move is placed once all its predecessors are.
     waiting = {m: len(preds) for m, preds in direct.items()}
     ready = [m for m, n in waiting.items() if not n]
-    order = []
+    placed = []
     while ready:
         m = ready.pop()
-        order.append(m)
+        placed.append(m)
         for x in later[m]:
             waiting[x] -= 1
             if not waiting[x]:
                 ready.append(x)
-    return order if len(order) == len(direct) else None
+    return _Order(direct, later, placed if len(placed) == len(direct) else None)
 
 
-def _predecessor_closure(
-    moves: Sequence[str], edges: Iterable[tuple[str, str]]
-) -> Optional[dict[str, frozenset[str]]]:
-    """Strict predecessors per move, or None if the edges contain a cycle."""
-    direct = _direct_predecessors(moves, edges)
-    order = _kahn_order(direct)
-    if order is None:
-        return None
+def _predecessor_closure(order: _Order) -> dict[str, frozenset[str]]:
+    """Strict predecessors per move of an acyclic order.
+
+    A move with its predecessors is an initial segment, so past
+    ``SEGMENT_BUDGET`` moves in all this raises ``BudgetError``, as listing
+    the segments would.
+    """
     closed: dict[str, frozenset[str]] = {}
-    for m in order:
-        closed[m] = frozenset(direct[m]).union(*(closed[p] for p in direct[m]))
+    held = 0
+    for m in order.topological:
+        closed[m] = frozenset(order.direct[m]).union(
+            *(closed[p] for p in order.direct[m])
+        )
+        held += len(closed[m]) + 1
+        if held > SEGMENT_BUDGET:
+            raise _over_budget()
     return closed
 
 
-def _initial_segments(
-    moves: Sequence[str], direct: Mapping[str, set[str]]
-) -> list[tuple[frozenset[str], tuple[str, ...]]]:
+def _is_down_set(order: _Order, moves: frozenset) -> bool:
+    return all(order.direct[m] <= moves for m in moves)
+
+
+def _initial_segments(order: _Order) -> list[tuple[frozenset[str], tuple[str, ...]]]:
     """Every initial segment (down-set) of an acyclic order with its sorted
     maximal moves, by size, then by sorted ids.
 
@@ -304,13 +321,14 @@ def _initial_segments(
     enables the parent's moves but the one added, plus the added move's
     direct successors now enabled; its maximal moves (those with no direct
     successor in it) are the added move and the parent's maximal moves
-    that are not direct predecessors of it.  So the work follows the number
-    of segments, not of subsets.  Past ``SEGMENT_BUDGET`` segments this
-    raises ``BudgetError``.
+    that are not direct predecessors of it.  So the work follows the size
+    of the segments, not the number of subsets.  Past ``SEGMENT_BUDGET``
+    moves in all this raises ``BudgetError``.
     """
-    later = _direct_successors(direct)
+    direct, later = order.direct, order.later
     out: list[tuple[frozenset[str], tuple[str, ...]]] = [(frozenset(), ())]
-    level = {frozenset(): ([m for m in moves if not direct[m]], ())}
+    level = {frozenset(): ([m for m, preds in direct.items() if not preds], ())}
+    held = 0
     while level:
         grown: dict[frozenset[str], tuple[list[str], tuple[str, ...]]] = {}
         for segment, (enabled, maximal) in level.items():
@@ -318,17 +336,16 @@ def _initial_segments(
                 bigger = segment | {m}
                 if bigger in grown:
                     continue
-                if len(out) + len(grown) >= SEGMENT_BUDGET:
-                    raise BudgetError(
-                        f"the move order has more than {SEGMENT_BUDGET} initial segments"
-                    )
+                held += len(bigger)
+                if held > SEGMENT_BUDGET:
+                    raise _over_budget()
                 grown[bigger] = (
                     [x for x in enabled if x != m]
                     + [x for x in later[m] if direct[x] <= bigger],
                     tuple(sorted([m, *(x for x in maximal if x not in direct[m])])),
                 )
-        order = sorted(grown, key=sorted) if len(grown) > 1 else grown
-        out.extend((segment, grown[segment][1]) for segment in order)
+        ordered = sorted(grown, key=sorted) if len(grown) > 1 else grown
+        out.extend((segment, grown[segment][1]) for segment in ordered)
         level = grown
     return out
 
@@ -366,19 +383,15 @@ def _move_update_set(
 
 
 def _sigma(
-    spec: DistributedSpec, pr: PartialRun
+    spec: DistributedSpec, pr: PartialRun, order: _Order
 ) -> tuple[dict[frozenset, State], Optional[Verdict]]:
-    """Recompute the state function on every segment, checking coherence."""
-    direct = _direct_predecessors(pr.moves, pr.edges)
-    if _kahn_order(direct) is None:
-        return {}, Verdict(
-            False, "1", "the move order is ill-founded (cycle in the edges)"
-        )
+    """Recompute the state function on every segment of the acyclic order,
+    checking coherence."""
     base = pr.states.get(frozenset())
     if base is None:
         return {}, Verdict(False, "certificate", "sigma of the empty segment is missing")
     computed: dict[frozenset, State] = {frozenset(): base}
-    for segment, maximal in _initial_segments(pr.moves, direct)[1:]:
+    for segment, maximal in _initial_segments(order)[1:]:
         candidate = None
         via = None
         for x in maximal:
@@ -418,8 +431,8 @@ def check_partial_run(
 ) -> Verdict:
     """Verify the four partially-ordered-run conditions on a certificate.
 
-    Raises ``BudgetError`` when the order has more than ``SEGMENT_BUDGET``
-    initial segments.
+    Raises ``BudgetError`` when the order's initial segments hold more
+    than ``SEGMENT_BUDGET`` moves in all.
     """
     # Certificate shape.
     if len(set(pr.moves)) != len(pr.moves):
@@ -431,28 +444,24 @@ def check_partial_run(
     for earlier, later in pr.edges:
         if earlier not in known or later not in known:
             return Verdict(False, "certificate", f"edge ({earlier}, {later}) names unknown moves")
-    preds = _predecessor_closure(pr.moves, pr.edges)
-    if preds is None:
-        return Verdict(False, "1", "the move order is ill-founded (cycle in the edges)")
+    order = _order(pr.moves, pr.edges)
+    if order.topological is None:
+        return Verdict(False, "1", _CYCLE)
     for key in pr.states:
         if not key <= known:
             return Verdict(False, "certificate", "sigma key names unknown moves")
-        if not all(preds[m] <= key for m in key):
+        if not _is_down_set(order, key):
             return Verdict(
                 False, "certificate",
                 f"sigma key {{{', '.join(sorted(key))}}} is not an initial segment",
             )
 
     # Condition 2: moves of any single agent are linearly ordered.
+    preds = _predecessor_closure(order)
     by_agent: dict[Element, list[str]] = {}
     for move in pr.moves:
         by_agent.setdefault(pr.agent_of[move], []).append(move)
     for element, moves in by_agent.items():
-        # A chain, listed by number of predecessors, has each move below the
-        # next; otherwise report the first incomparable pair in id order.
-        moves.sort(key=lambda m: len(preds[m]))
-        if all(a in preds[b] for a, b in zip(moves, moves[1:])):
-            continue
         for a, b in combinations(sorted(moves), 2):
             if a not in preds[b] and b not in preds[a]:
                 return Verdict(
@@ -477,14 +486,17 @@ def check_partial_run(
         )
 
     # Condition 4 (and 1 via the closure): coherence over every segment.
-    _, verdict = _sigma(spec, pr)
+    _, verdict = _sigma(spec, pr, order)
     if verdict is not None:
         return verdict
     return Verdict(True, None, "all run conditions hold")
 
 
 def segment_states(spec: DistributedSpec, pr: PartialRun) -> dict[frozenset, State]:
-    sigma, verdict = _sigma(spec, pr)
+    order = _order(pr.moves, pr.edges)
+    if order.topological is None:
+        raise CertificateError(_CYCLE)
+    sigma, verdict = _sigma(spec, pr, order)
     if verdict is not None:
         raise CertificateError(verdict.message)
     return sigma
@@ -508,11 +520,11 @@ def linearizations(
     budget: int = 10000,
 ) -> LinearizationReport:
     """All topological orders of a finite initial segment, as sequential runs."""
-    preds = _predecessor_closure(pr.moves, pr.edges)
-    if preds is None:
+    order = _order(pr.moves, pr.edges)
+    if order.topological is None:
         raise CertificateError("the move order is ill-founded")
     segment = frozenset(pr.moves) if segment is None else frozenset(segment)
-    if not all(preds[m] <= segment for m in segment):
+    if not _is_down_set(order, segment):
         raise CertificateError("not an initial segment")
     base = pr.states.get(frozenset())
     if base is None:
@@ -531,7 +543,7 @@ def linearizations(
             return
         done = frozenset(placed)
         for m in sorted(left):
-            if preds[m] <= done:
+            if order.direct[m] <= done:
                 placed.append(m)
                 extend(placed, left - {m})
                 placed.pop()
@@ -610,8 +622,8 @@ def generate_partial_run(
     read/write footprints interfere; all other pairs become incomparable.
     The state function is recomputed on every initial segment, so the
     result is a valid run by construction (and checked by the verifier in
-    the tests).  Raises ``BudgetError`` when the order has more than
-    ``SEGMENT_BUDGET`` initial segments.
+    the tests).  Raises ``BudgetError`` when the order's initial segments
+    hold more than ``SEGMENT_BUDGET`` moves in all.
     """
     validate_spec_state(spec, initial)
     if chooser is None:
@@ -638,7 +650,7 @@ def generate_partial_run(
     # schedule order is maximal: its state is that move fired at the state
     # of the rest, which comes earlier in the segment order.
     position = {m: i for i, m in enumerate(moves)}
-    segments = _initial_segments(moves, _direct_predecessors(moves, edges))
+    segments = _initial_segments(_order(moves, edges))
     states: dict[frozenset, State] = {frozenset(): initial}
     for segment, maximal in segments[1:]:
         latest = max(maximal, key=position.__getitem__)

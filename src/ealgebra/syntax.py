@@ -429,8 +429,6 @@ def make_perspicuous(rule: Rule, avoid=frozenset()) -> Rule:
     used = set(avoid) | free_vars(rule)
 
     def walk(node):
-        if isinstance(node, (Var, App)):
-            return node  # terms bind nothing
         binders, outside, inside = parts(node)
         names = []
         for var in binders:
@@ -512,8 +510,6 @@ def desugar(rule: Rule, *, active: bool = False) -> Rule:
     """
 
     def walk(node):
-        if not active and isinstance(node, (Var, App)):
-            return node  # only the Active notation is sugar inside a term
         binders, outside, inside = parts(node)
         return _expand(rebuild(node, binders, _map(walk, outside), _map(walk, inside)), active)
 

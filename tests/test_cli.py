@@ -135,7 +135,9 @@ def test_enumerate_reads_external_functions_as_undef(capsys):
         "enumerate", program("echo.ea"), "--state", program("echo.east"), "--depth", "2",
     )
     assert code == EXIT_OK
-    assert capsys.readouterr().out.startswith("reachable states: 1 (depth 2, budget ok)")
+    assert capsys.readouterr().out.startswith(
+        "external functions read as undef: input\nreachable states: 1 (depth 2, budget ok)"
+    )
 
 
 def test_normalize_round_trip(capsys, tmp_path):
@@ -285,23 +287,37 @@ def test_check_run_long_reverse_listed_chain(capsys, tmp_path):
 
 
 def test_check_run_antichain_past_the_segment_budget(capsys, tmp_path):
-    # Fifteen agents and no order: 2^15 initial segments, over the 2^14 budget.
-    spec = tmp_path / "ring16.ea"
+    # Seventeen agents and no order: 2^17 initial segments holding
+    # 17 * 2^16 moves, over the 2^20 budget.
+    spec = tmp_path / "ring18.ea"
     spec.write_text(
-        (PROGRAMS / "philosophers4.ea").read_text().replace("mod 4", "mod 16")
+        (PROGRAMS / "philosophers4.ea").read_text().replace("mod 4", "mod 18")
     )
-    state = tmp_path / "ring16.east"
+    state = tmp_path / "ring18.east"
     state.write_text("".join(
         f"Mod({i}) = Phil\nMode({i}) = think\nFork({i}) = down\nP({i}) = true\n"
-        for i in range(16)
+        for i in range(18)
     ))
     cert = tmp_path / "antichain.cert"
-    cert.write_text("".join(f"move m{i} by {i}\n" for i in range(15)))
+    cert.write_text("".join(f"move m{i} by {i}\n" for i in range(17)))
     code = run_cli("check-run", str(spec), str(cert), "--state", str(state))
     assert code == EXIT_BUDGET
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "more than 16384 initial segments" in captured.err
+    assert "hold more than 1048576 moves in all" in captured.err
+
+
+def test_check_run_chain_past_the_segment_budget(capsys, tmp_path):
+    # 1,500 moves in a chain: 1,501 segments holding 1,500 * 1,501 / 2 moves.
+    cert = tmp_path / "chain.cert"
+    cert.write_text("\n".join(_chains(("m", 1500, 0))) + "\n")
+    code = run_cli(
+        "check-run", program("philosophers4.ea"), str(cert), "--state", program("ring4.east"),
+    )
+    assert code == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "hold more than 1048576 moves in all" in captured.err
 
 
 def test_check_run_malformed_certificate(tmp_path):

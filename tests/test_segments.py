@@ -22,8 +22,8 @@ from ealgebra import distributed
 from ealgebra.distributed import (
     SEGMENT_BUDGET,
     PartialRun,
-    _direct_predecessors,
     _initial_segments,
+    _order,
     _predecessor_closure,
 )
 
@@ -49,8 +49,9 @@ def dags(draw, max_moves=12):
 @given(dags())
 def test_down_sets_match_the_subset_scan(dag):
     moves, edges = dag
-    preds = _predecessor_closure(moves, edges)
-    got = _initial_segments(moves, _direct_predecessors(moves, edges))
+    order = _order(moves, edges)
+    preds = _predecessor_closure(order)
+    got = _initial_segments(order)
     assert [segment for segment, _ in got] == initial_segments(moves, preds)
     assert all(top == maximal(segment, preds) for segment, top in got)
 
@@ -81,7 +82,9 @@ def digraphs(draw, max_moves=8):
 @given(digraphs())
 def test_closure_matches_a_fixpoint_and_is_none_on_cycles(graph):
     moves, edges = graph
-    assert _predecessor_closure(moves, edges) == _naive_closure(moves, edges)
+    order = _order(moves, edges)
+    closure = None if order.topological is None else _predecessor_closure(order)
+    assert closure == _naive_closure(moves, edges)
 
 
 def chain_certificate(n: int) -> str:
@@ -98,14 +101,32 @@ def test_long_reverse_listed_chain_checks_valid(philosophers4, ring4):
     assert verdict.valid, verdict.message
 
 
-def test_budget_admits_every_order_on_fourteen_moves():
-    moves = tuple(f"m{i}" for i in range(14))
-    direct = _direct_predecessors(moves, ())
-    assert len(_initial_segments(moves, direct)) == SEGMENT_BUDGET == 2**14
-    # One more move above all fourteen adds exactly one segment.
-    top = _direct_predecessors(moves + ("top",), {(m, "top") for m in moves})
+def test_budget_admits_every_order_on_sixteen_moves():
+    # Every order's segments are subsets, so sixteen moves with no order
+    # between them hold the most: 16 * 2^15 moves in all.
+    moves = tuple(f"m{i}" for i in range(16))
+    assert len(_initial_segments(_order(moves, ()))) == 2**16
+    assert 16 * 2**15 <= SEGMENT_BUDGET
+    assert 17 * 2**16 > SEGMENT_BUDGET
+
+
+def test_budget_counts_the_moves_the_segments_hold(monkeypatch):
+    # Three moves with no order: eight segments holding 12 moves in all.
+    order = _order(("a", "b", "c"), ())
+    monkeypatch.setattr(distributed, "SEGMENT_BUDGET", 12)
+    assert len(_initial_segments(order)) == 8
+    monkeypatch.setattr(distributed, "SEGMENT_BUDGET", 11)
     with pytest.raises(BudgetError):
-        _initial_segments(moves + ("top",), top)
+        _initial_segments(order)
+    # A chain of three: principal segments of 1 + 2 + 3 moves.
+    chain = _order(("a", "b", "c"), {("a", "b"), ("b", "c")})
+    monkeypatch.setattr(distributed, "SEGMENT_BUDGET", 6)
+    assert _predecessor_closure(chain) == {
+        "a": frozenset(), "b": {"a"}, "c": {"a", "b"},
+    }
+    monkeypatch.setattr(distributed, "SEGMENT_BUDGET", 5)
+    with pytest.raises(BudgetError):
+        _predecessor_closure(chain)
 
 
 def ring(n: int):
@@ -119,24 +140,35 @@ def ring(n: int):
     return spec, parse_state(facts, spec.vocabulary, constants=spec.constants)
 
 
+def no_rules(*args, **kwargs):
+    raise AssertionError("a rule was evaluated")
+
+
 def test_antichain_past_the_budget_stops_before_any_rule(monkeypatch):
-    spec, state = ring(16)
-    moves = tuple(f"m{i}" for i in range(15))
+    spec, state = ring(18)
+    moves = tuple(f"m{i}" for i in range(17))
     pr = PartialRun(moves, {m: I(i) for i, m in enumerate(moves)}, frozenset(),
                     {frozenset(): state})
-
-    def no_rules(*args, **kwargs):
-        raise AssertionError("a rule was evaluated")
-
     monkeypatch.setattr(distributed, "resolutions", no_rules)
     with pytest.raises(BudgetError):
         check_partial_run(spec, pr, initial_state=state)
 
 
+def test_chain_past_the_budget_stops_before_any_rule(
+    monkeypatch, philosophers4, ring4
+):
+    # 1,500 moves: their principal segments alone hold 1,500 * 1,501 / 2.
+    pr = parse_certificate(chain_certificate(1500), philosophers4)
+    pr.states = {frozenset(): ring4}
+    monkeypatch.setattr(distributed, "resolutions", no_rules)
+    with pytest.raises(BudgetError):
+        check_partial_run(philosophers4, pr, initial_state=ring4)
+
+
 def test_generation_past_the_budget_raises_budget_error():
-    spec, state = ring(30)
-    with pytest.raises(BudgetError):  # 15 philosophers, no two neighbours
-        generate_partial_run(spec, state, [I(2 * i) for i in range(15)])
+    spec, state = ring(34)
+    with pytest.raises(BudgetError):  # 17 philosophers, no two neighbours
+        generate_partial_run(spec, state, [I(2 * i) for i in range(17)])
 
 
 @settings(max_examples=30, deadline=None)
