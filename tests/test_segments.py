@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ealgebra import (
     BudgetError,
+    CertificateError,
     Element,
     check_partial_run,
     corollary1_holds,
@@ -154,13 +155,14 @@ def test_antichain_past_the_budget_stops_before_any_rule(monkeypatch):
         check_partial_run(spec, pr, initial_state=state)
 
 
-def test_chain_past_the_budget_stops_before_any_rule(
+def test_chain_past_the_budget_stops_while_its_closure_is_built(
     monkeypatch, philosophers4, ring4
 ):
     # 1,500 moves: their principal segments alone hold 1,500 * 1,501 / 2.
     pr = parse_certificate(chain_certificate(1500), philosophers4)
     pr.states = {frozenset(): ring4}
     monkeypatch.setattr(distributed, "resolutions", no_rules)
+    monkeypatch.setattr(distributed, "_initial_segments", no_rules)
     with pytest.raises(BudgetError):
         check_partial_run(philosophers4, pr, initial_state=ring4)
 
@@ -196,3 +198,14 @@ def test_generated_certificates_past_twelve_moves_round_trip(philosophers4, ring
     again = parse_certificate(format_certificate(pr), philosophers4)
     assert dict(again.states) == dict(pr.states)
     assert check_partial_run(philosophers4, again, initial_state=ring4).valid
+
+
+def test_sigma_keys_and_linearized_segments_must_be_down_sets(philosophers4, ring4):
+    pr = parse_certificate(chain_certificate(3), philosophers4)
+    pr.states = {frozenset(): ring4, frozenset({"m1", "m3"}): ring4}
+    verdict = check_partial_run(philosophers4, pr, initial_state=ring4)
+    assert (verdict.condition, verdict.message) == (
+        "certificate", "sigma key {m1, m3} is not an initial segment"
+    )
+    with pytest.raises(CertificateError, match="not an initial segment"):
+        linearizations(philosophers4, pr, {"m1", "m3"})
