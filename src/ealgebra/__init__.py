@@ -29,7 +29,6 @@ from .evaluator import (
     Environment,
     Footprint,
     ReserveAllocator,
-    duplicate_exec,
     eval_guard,
     eval_term,
     normalize_guarded,

@@ -23,7 +23,7 @@ import re
 from .distributed import PartialRun
 from .errors import CertificateError, ParseError
 from .state import Element, Location, State, StaticMirror, Update, UpdateSet, format_element
-from .stateio import format_state, load_state, parse_element, parse_state
+from .stateio import format_state, is_name, load_state, parse_element, parse_state, split_fact
 from .syntax import DistributedSpec
 
 _MOVE_RE = re.compile(r"^move\s+(\w+)\s+by\s+(\S+)$")
@@ -31,9 +31,6 @@ _ORDER_RE = re.compile(r"^order\s+(\w+)\s*<\s*(\w+)$")
 _UPDATES_RE = re.compile(r"^updates\s+(\w+)\s*:\s*(.*)$")
 _SIGMA_RE = re.compile(r"^sigma\s*([\w\s,]*):$")
 _INITIAL_RE = re.compile(r"^initial\s+from\s+(\S+)$")
-_ENTRY_RE = re.compile(
-    r"^(~?)([A-Za-z_][A-Za-z0-9_]*'*)\s*(?:\(([^()]*)\))?\s*:=\s*(\S+)$"
-)
 
 
 def _split_entries(text: str) -> list[str]:
@@ -52,16 +49,12 @@ def _split_entries(text: str) -> list[str]:
 
 
 def _parse_update_entry(entry: str, spec: DistributedSpec) -> Update:
-    m = _ENTRY_RE.match(entry)
-    if m is None:
+    mirror = entry.startswith("~")
+    fact = split_fact(entry[mirror:], ":=")
+    if fact is None or not is_name(fact[0]):
         raise CertificateError(f"bad update entry: {entry!r}")
-    mirror, fname, raw_args, raw_value = m.groups()
-    args = ()
-    if raw_args is not None and raw_args.strip():
-        args = tuple(
-            parse_element(p, spec.vocabulary) for p in raw_args.split(",")
-        )
-    location = Location(fname, args)
+    fname, raw_args, raw_value = fact
+    location = Location(fname, tuple(parse_element(p, spec.vocabulary) for p in raw_args))
     value = parse_element(raw_value, spec.vocabulary)
     return StaticMirror(location, value) if mirror else Update(location, value)
 
@@ -148,18 +141,6 @@ def load_certificate(path, spec: DistributedSpec) -> PartialRun:
         return parse_certificate(fh.read(), spec, base_dir=os.path.dirname(path) or ".")
 
 
-def _format_update_entry(u: Update) -> str:
-    mirror = "~" if isinstance(u, StaticMirror) else ""
-    if u.location.args:
-        loc = (
-            f"{u.location.fname}"
-            f"({', '.join(format_element(a) for a in u.location.args)})"
-        )
-    else:
-        loc = u.location.fname
-    return f"{mirror}{loc} := {format_element(u.value)}"
-
-
 def format_certificate(pr: PartialRun) -> str:
     lines = []
     for move in pr.moves:
@@ -171,9 +152,7 @@ def format_certificate(pr: PartialRun) -> str:
             beta = pr.recorded.get(move)
             if beta is None:
                 continue
-            entries = ", ".join(
-                _format_update_entry(u) for u in beta.sorted_updates()
-            )
+            entries = ", ".join(map(repr, beta.sorted_updates()))
             lines.append(f"updates {move}: {entries}".rstrip())
     for key in sorted(pr.states, key=lambda k: (len(k), tuple(sorted(k)))):
         ids = ", ".join(sorted(key))

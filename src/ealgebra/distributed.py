@@ -512,6 +512,30 @@ class LinearizationReport:
     complete: bool
 
 
+def _topological_orders(
+    order: _Order, segment: frozenset, budget: int
+) -> tuple[list[list[str]], bool]:
+    """The segment's topological orders, depth first with the smallest id
+    placed first, and whether all were listed before ``budget`` ran out."""
+    orders: list[list[str]] = []
+    placed: list[str] = []
+    # stack[i] yields the moves that may go at position i after placed[:i].
+    stack = []
+    while True:
+        if len(orders) >= budget:
+            return orders, False
+        if len(placed) == len(segment):
+            orders.append(list(placed))
+        done = frozenset(placed)
+        stack.append(iter([m for m in sorted(segment - done) if order.direct[m] <= done]))
+        while (m := next(stack[-1], None)) is None:
+            stack.pop()
+            if not stack:
+                return orders, True
+            placed.pop()
+        placed.append(m)
+
+
 def linearizations(
     spec: DistributedSpec,
     pr: PartialRun,
@@ -530,28 +554,7 @@ def linearizations(
     if base is None:
         raise CertificateError("sigma of the empty segment is missing")
 
-    orders: list[list[str]] = []
-    complete = True
-
-    def extend(placed: list[str], left: frozenset):
-        nonlocal complete
-        if len(orders) >= budget:
-            complete = False
-            return
-        if not left:
-            orders.append(list(placed))
-            return
-        done = frozenset(placed)
-        for m in sorted(left):
-            if order.direct[m] <= done:
-                placed.append(m)
-                extend(placed, left - {m})
-                placed.pop()
-                if not complete:
-                    return
-
-    extend([], segment)
-
+    orders, complete = _topological_orders(order, segment, budget)
     traces = []
     for order in orders:
         state = base

@@ -1,13 +1,13 @@
 """Update-set semantics of transition rules.
 
-``updates`` computes the deterministic update set of a choice-free rule;
 ``nupdates`` computes the family of alternative update sets by direct
 induction over the rule, and ``nupdates_global`` computes the same family
 by enumerating global choice functions, keeping contradictory resolutions
-as a bottom member that fires as a no-op.  Fresh elements for import and
-duplication are drawn by an injective allocator keyed on the binder and
-the values of enclosing declared variables, so one fresh element is
-allocated per such pair.
+as a bottom member that fires as a no-op.  ``updates`` gives the
+deterministic update set of a choice-free rule, which is the single member
+of its direct family.  Fresh elements for import and duplication are drawn
+by an injective allocator keyed on the binder and the values of enclosing
+declared variables, so one fresh element is allocated per such pair.
 
 All entry points expect core (desugared) rules that are perspicuous with
 respect to the caller's name set; the engine wrappers in ``runner`` and
@@ -91,9 +91,6 @@ class ReserveAllocator:
             found = Element.reserve(self.start + offset)
             self._memo[key] = found
         return found
-
-    def allocated(self) -> list[Element]:
-        return list(self._memo.values())
 
 
 class Footprint:
@@ -208,7 +205,7 @@ def eval_guard(state: State, env, g: syntax.Guard, *, oracle=None, externals=())
 # Shared pieces
 
 
-def _check_input(rule: syntax.Rule, state: State, env: Environment, decls) -> None:
+def _check_input(rule: syntax.Rule, state: State, env: Environment, decls) -> syntax.RuleFacts:
     facts = syntax.rule_facts(rule)
     if not facts.core:
         raise ModeError("rule contains surface sugar; desugar it first")
@@ -219,6 +216,7 @@ def _check_input(rule: syntax.Rule, state: State, env: Environment, decls) -> No
         raise ContractViolation(
             "rule is not perspicuous for this state; apply make_perspicuous"
         )
+    return facts
 
 
 def _instr_update(ctx: _Ctx, node: syntax.UpdateInstr) -> Update:
@@ -240,7 +238,11 @@ def _range_values(ctx: _Ctx, rng: syntax.Range) -> tuple[Element, ...]:
 
 
 def _duplicate_prelude(ctx: _Ctx, node: syntax.Duplicate) -> tuple[Element, frozenset[Update]]:
-    """Withdraw a fresh copy and mirror all stored tables mentioning the original."""
+    """Withdraw a fresh copy and mirror all stored tables mentioning the original.
+
+    The scan reads every table of the state's vocabulary, empty ones too,
+    so all of them join the footprint's whole-table reads.
+    """
     original = _eval(ctx, node.term)
     if original == UNDEF:
         raise DuplicateError("duplicate: term evaluates to undef")
@@ -249,6 +251,10 @@ def _duplicate_prelude(ctx: _Ctx, node: syntax.Duplicate) -> tuple[Element, froz
     context = tuple(ctx.env.lookup(u) for u in ctx.decls)
     copy = ctx.alloc.fresh(node.var, context)
     out: set[Update] = {Update(Location("Reserve", (copy,)), FALSE)}
+    if ctx.footprint is not None:
+        ctx.footprint.names.update(
+            fn.name for fn in ctx.state.vocabulary.names if fn.name not in COMPUTED_NAMES
+        )
     for fname, args, value in ctx.state.facts():
         if original not in args:
             continue
@@ -266,59 +272,7 @@ def _duplicate_prelude(ctx: _Ctx, node: syntax.Duplicate) -> tuple[Element, froz
 
 
 # ---------------------------------------------------------------------------
-# Deterministic semantics
-
-
-def _updates(ctx: _Ctx, rule: syntax.Rule) -> frozenset[Update]:
-    if isinstance(rule, syntax.UpdateInstr):
-        return frozenset({_instr_update(ctx, rule)})
-    if isinstance(rule, syntax.Block):
-        out: frozenset[Update] = frozenset()
-        for r in rule.rules:
-            out |= _updates(ctx, r)
-        return out
-    if isinstance(rule, syntax.Cond):
-        for g, r in rule.clauses:
-            if _eval_guard(ctx, g):
-                return _updates(ctx, r)
-        return frozenset()
-    if isinstance(rule, syntax.Import):
-        a, withdrawal = _import_element(ctx, rule.vars[0])
-        return frozenset({withdrawal}) | _updates(ctx.bind(rule.vars[0], a), rule.body)
-    if isinstance(rule, syntax.Choose):
-        raise ModeError("choose rules have no deterministic update set; use nupdates")
-    if isinstance(rule, syntax.Decl):
-        out = frozenset()
-        for a in _range_values(ctx, rule.range):
-            out |= _updates(ctx.bind(rule.var, a, declared=True), rule.body)
-        return out
-    if isinstance(rule, syntax.Duplicate):
-        copy, prelude = _duplicate_prelude(ctx, rule)
-        return prelude | _updates(ctx.bind(rule.var, copy), rule.body)
-    raise TypeError(f"unsupported rule {type(rule).__name__}")
-
-
-def updates(
-    rule: syntax.Rule,
-    state: State,
-    env=None,
-    alloc: ReserveAllocator | None = None,
-    *,
-    decls: tuple[str, ...] = (),
-    oracle=None,
-    externals=(),
-    footprint: Footprint | None = None,
-) -> UpdateSet:
-    """The update set of a choice-free core rule at a state."""
-    ctx = _make_ctx(state, env, alloc, oracle, externals, decls, footprint)
-    _check_input(rule, state, ctx.env, decls)
-    return UpdateSet(_updates(ctx, rule))
-
-
-# ---------------------------------------------------------------------------
 # Family semantics, direct induction (no bottom)
-
-_Members = frozenset  # of frozenset[Update]
 
 
 def _cross(acc: set[frozenset], fam: Iterable[frozenset]) -> set[frozenset]:
@@ -389,6 +343,30 @@ def nupdates(
     _check_input(rule, state, ctx.env, decls)
     members = _direct(ctx, rule)
     return UpdateFamily.of(UpdateSet(m) for m in members)
+
+
+def updates(
+    rule: syntax.Rule,
+    state: State,
+    env=None,
+    alloc: ReserveAllocator | None = None,
+    *,
+    decls: tuple[str, ...] = (),
+    oracle=None,
+    externals=(),
+    footprint: Footprint | None = None,
+) -> UpdateSet:
+    """The update set of a choice-free core rule at a state: the single
+    member of its direct family.
+
+    A rule with a choose anywhere, even in a branch not taken here, has no
+    deterministic update set and raises ``ModeError``.
+    """
+    ctx = _make_ctx(state, env, alloc, oracle, externals, decls, footprint)
+    if _check_input(rule, state, ctx.env, decls).choose:
+        raise ModeError("choose rules have no deterministic update set; use nupdates")
+    (member,) = _direct(ctx, rule)
+    return UpdateSet(member)
 
 
 # ---------------------------------------------------------------------------
@@ -464,32 +442,6 @@ def nupdates_global(
     _check_input(rule, state, ctx.env, decls)
     members, bottom = _global(ctx, rule)
     return UpdateFamily.of((UpdateSet(m) for m in members), contains_bottom=bottom)
-
-
-# ---------------------------------------------------------------------------
-# Duplication, exposed per the module contract
-
-
-def duplicate_exec(
-    state: State,
-    term: syntax.Term,
-    var: str,
-    body: syntax.Rule,
-    env=None,
-    alloc: ReserveAllocator | None = None,
-    *,
-    decls: tuple[str, ...] = (),
-) -> UpdateSet:
-    """Update set of ``duplicate term as var: body`` at a state.
-
-    Contains the reserve withdrawal of the copy, one update per mixture
-    location of every stored table entry mentioning the original (static
-    tables mirrored through StaticMirror entries), and the body's updates
-    with the variable bound to the copy.
-    """
-    return updates(
-        syntax.Duplicate(term, var, body), state, env, alloc, decls=decls
-    )
 
 
 # ---------------------------------------------------------------------------

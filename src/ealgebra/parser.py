@@ -170,6 +170,16 @@ class _RuleParser:
         while self.peek().kind == "newline":
             self.next()
 
+    def parse_whole(self, parse):
+        """Run ``parse`` over the whole input: only newlines may surround it."""
+        self.skip_newlines()
+        result = parse()
+        self.skip_newlines()
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
+        return result
+
     def at_kw(self, *words: str) -> bool:
         tok = self.peek()
         return tok.kind == "kw" and tok.text in words
@@ -737,11 +747,7 @@ def _parse_rule_section(
         allow_self=allow_self,
         active=header.active,
     )
-    rule = parser.parse_rule(frozenset())
-    parser.skip_newlines()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
+    rule = parser.parse_whole(lambda: parser.parse_rule(frozenset()))
     free = syntax.free_vars(rule)
     if free:
         raise ParseError(f"undeclared variables: {', '.join(sorted(free))}")
@@ -750,6 +756,15 @@ def _parse_rule_section(
                               and "Mod'" in {f.name for f in header.declared}):
         raise DeclarationError("pragma active needs Mod/1 and Mod'/1 declared")
     return rule
+
+
+_MODULE_RE = re.compile(r"module\s+(\S+)\s*:")
+
+
+def _module_name(line: str) -> str | None:
+    """The module a ``module Name:`` line opens; None for any other line."""
+    m = _MODULE_RE.fullmatch(line)
+    return m.group(1) if m and _IDENT_RE.fullmatch(m.group(1)) else None
 
 
 def parse_program(text: str) -> Program | DistributedSpec:
@@ -767,10 +782,10 @@ def parse_program(text: str) -> Program | DistributedSpec:
             mode = "program"
             body_start = idx + 1
             break
-        m = re.fullmatch(r"module\s+([A-Za-z_][A-Za-z0-9_]*'*)\s*:", line)
-        if m:
+        name = _module_name(line)
+        if name:
             mode = "modules"
-            modules.append((m.group(1), idx + 1))
+            modules.append((name, idx + 1))
             break
         _parse_header_line(line, idx + 1, header)
     if mode is None:
@@ -796,9 +811,9 @@ def parse_program(text: str) -> Program | DistributedSpec:
     # Distributed: scan out the remaining module sections.
     for idx in range(modules[0][1], len(lines)):
         line = lines[idx].split("#", 1)[0].strip()
-        m = re.fullmatch(r"module\s+([A-Za-z_][A-Za-z0-9_]*'*)\s*:", line)
-        if m:
-            modules.append((m.group(1), idx + 1))
+        name = _module_name(line)
+        if name:
+            modules.append((name, idx + 1))
     seen = set()
     for name, _ in modules:
         if name in seen:
@@ -815,8 +830,10 @@ def parse_program(text: str) -> Program | DistributedSpec:
     sections = []
     bounds = [start for _, start in modules] + [len(lines) + 1]
     for (name, start), end in zip(modules, bounds[1:]):
+        # A header-shaped line whose name is no identifier opens no module
+        # and is dropped.
         chunk = [
-            "" if re.fullmatch(r"module\s+\S+\s*:", ln.split("#", 1)[0].strip()) else ln
+            "" if _MODULE_RE.fullmatch(ln.split("#", 1)[0].strip()) else ln
             for ln in lines[start:end - 1]
         ]
         sections.append((name, start, "\n".join(chunk)))
@@ -891,12 +908,7 @@ def parse_rule_text(
         allow_free=allow_free,
         scope=scope,
     )
-    rule = parser.parse_rule(frozenset())
-    parser.skip_newlines()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
-    return rule
+    return parser.parse_whole(lambda: parser.parse_rule(frozenset()))
 
 
 def parse_guard_text(
@@ -907,13 +919,7 @@ def parse_guard_text(
     scope: tuple[str, ...] = (),
 ) -> syntax.Guard:
     parser = _RuleParser(_scan(text), vocabulary, allow_self=allow_self, scope=scope)
-    parser.skip_newlines()
-    guard = parser.parse_guard()
-    parser.skip_newlines()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
-    return guard
+    return parser.parse_whole(parser.parse_guard)
 
 
 def parse_term_text(
@@ -924,13 +930,7 @@ def parse_term_text(
     scope: tuple[str, ...] = (),
 ) -> syntax.Term:
     parser = _RuleParser(_scan(text), vocabulary, allow_self=allow_self, scope=scope)
-    parser.skip_newlines()
-    term = parser.parse_term()
-    parser.skip_newlines()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
-    return term
+    return parser.parse_whole(parser.parse_term)
 
 
 # ---------------------------------------------------------------------------
@@ -968,23 +968,4 @@ def format_program(program: Program) -> str:
         lines.append("pragma active")
     lines.append("program:")
     lines.append(syntax.format_rule(program.rule, indent=1))
-    return "\n".join(lines) + "\n"
-
-
-def format_distributed(spec: DistributedSpec) -> str:
-    module_names = set(spec.module_names)
-    constants = [c for c in spec.constants if c not in module_names]
-    visible = {
-        fn.name
-        for fn in spec.vocabulary.user_names()
-        if fn.name not in module_names and fn.name != "Mod"
-    }
-    vocab = spec.vocabulary.subvocabulary(visible)
-    externals = set()
-    for _, prog in spec.module_list:
-        externals |= prog.externals
-    lines = _format_header(vocab, externals, constants)
-    for name, prog in spec.module_list:
-        lines.append(f"module {name}:")
-        lines.append(syntax.format_rule(prog.rule, indent=1))
     return "\n".join(lines) + "\n"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -37,7 +38,7 @@ from .state import (
     UpdateSet,
     format_element,
 )
-from .stateio import parse_element
+from .stateio import is_name, parse_element, split_fact
 from .syntax import DistributedSpec, Program
 from .vocabulary import Vocabulary
 
@@ -94,6 +95,9 @@ class UndefOracle(Oracle):
         return UNDEF
 
 
+_STEP_RE = re.compile(r"step\s+(\d+)\s*:\s*(.*)")
+
+
 class ScriptedOracle(Oracle):
     """Answers from a script of ``step k: e(args) = value`` lines."""
 
@@ -102,27 +106,18 @@ class ScriptedOracle(Oracle):
 
     @classmethod
     def parse(cls, text: str, vocabulary: Vocabulary | None = None) -> "ScriptedOracle":
-        import re
-
         answers = {}
-        pattern = re.compile(
-            r"^step\s+(\d+)\s*:\s*([A-Za-z_][A-Za-z0-9_]*'*)\s*"
-            r"(?:\(([^()]*)\))?\s*=\s*(\S+)$"
-        )
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            m = pattern.match(line)
-            if m is None:
+            m = _STEP_RE.fullmatch(line)
+            fact = m and split_fact(m.group(2))
+            if not fact or not is_name(fact[0]):
                 raise OracleError(f"oracle script line {lineno}: bad entry {line!r}")
-            step = int(m.group(1))
-            fname = m.group(2)
-            raw_args = m.group(3)
-            args = ()
-            if raw_args is not None and raw_args.strip():
-                args = tuple(parse_element(p, vocabulary) for p in raw_args.split(","))
-            answers[(step, fname, args)] = parse_element(m.group(4), vocabulary)
+            fname, raw_args, raw_value = fact
+            args = tuple(parse_element(p, vocabulary) for p in raw_args)
+            answers[(int(m.group(1)), fname, args)] = parse_element(raw_value, vocabulary)
         return cls(answers)
 
     @classmethod

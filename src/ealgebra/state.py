@@ -121,8 +121,11 @@ class StaticMirror(Update):
     The only update kind allowed to target a static name: duplication must
     redefine every basic function so original and copy become
     indistinguishable as arguments, and that includes static background
-    tables.
+    tables.  Printed with a leading ``~``, as certificates record it.
     """
+
+    def __repr__(self):
+        return f"~{super().__repr__()}"
 
 
 @dataclass(frozen=True)
@@ -147,9 +150,6 @@ class UpdateSet:
 
     def locations(self) -> frozenset[Location]:
         return frozenset(u.location for u in self.updates)
-
-    def values_at(self, location: Location) -> frozenset[Element]:
-        return frozenset(u.value for u in self.updates if u.location == location)
 
     def conflicts(self) -> dict[Location, frozenset[Element]]:
         """Locations with more than one candidate value."""
@@ -394,24 +394,6 @@ class State:
     def reserve_withdraw(self) -> tuple["State", Element]:
         element = Element.reserve(self.reserve_next)
         return State._raw(self.vocabulary, self._tables, self.reserve_next + 1), element
-
-    def patch_static(self, patches: Iterable[tuple[Location, Element]]) -> "State":
-        """Directly rewrite static tables (duplication mirroring only)."""
-        tables = dict(self._tables)
-        touched: set[str] = set()
-        for loc, value in patches:
-            fn = self.vocabulary.require(loc.fname)
-            if loc.fname not in touched:
-                tables[loc.fname] = dict(tables.get(loc.fname, {}))
-                touched.add(loc.fname)
-            if _is_default(fn, value):
-                tables[loc.fname].pop(loc.args, None)
-            else:
-                tables[loc.fname][loc.args] = value
-        for name in touched:
-            if not tables[name]:
-                del tables[name]
-        return State._raw(self.vocabulary, tables, self.reserve_next)
 
     # -- reducts, expansions, views --------------------------------------------
 

@@ -7,6 +7,10 @@ identifiers denote named elements, digit strings denote integers,
 drawn from the reserve (serial ``n``).  Lines starting with ``#`` are
 comments; omitted locations keep their default value.  A ``reserve: n``
 directive sets the first unallocated reserve serial explicitly.
+
+The ``name(args) = value`` shape is split here for every reader of fact
+lines: state files, the update entries of certificates (``:=``) and
+oracle scripts.
 """
 
 from __future__ import annotations
@@ -14,14 +18,40 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError, StateValidityError
-from .state import Element, State, format_element
+from .state import Element, Location, State, format_element
 from .vocabulary import Vocabulary
 
-_FACT_RE = re.compile(
-    r"^(?P<name>[A-Za-z_+<=][A-Za-z0-9_']*|\+|<|=|mod)\s*"
-    r"(?:\((?P<args>[^()]*)\))?\s*=\s*(?P<value>\S+)$"
-)
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*")
+_FACT_RES = {
+    sep: re.compile(
+        r"(?P<name>[A-Za-z_+<=][A-Za-z0-9_']*)\s*(?:\((?P<args>[^()]*)\))?"
+        rf"\s*{re.escape(sep)}\s*(?P<value>\S+)"
+    )
+    for sep in ("=", ":=")
+}
 _LOGIC_LITERALS = {"true", "false", "undef"}
+
+
+def split_fact(line: str, sep: str = "=") -> tuple[str, tuple[str, ...], str] | None:
+    """Split ``name[(a1, ..., ak)] <sep> value`` into the name, the argument
+    literals and the value literal; None for a line of another shape.
+
+    ``sep`` is ``=`` (state files, oracle scripts) or ``:=`` (certificate
+    update entries).  Only the shape is checked: the literals are not
+    parsed, and the name may be an operator (``+``, ``<``, ``=``), which
+    :func:`is_name` tells apart.
+    """
+    m = _FACT_RES[sep].fullmatch(line)
+    if m is None:
+        return None
+    raw_args = m.group("args")
+    args = tuple(raw_args.split(",")) if raw_args and raw_args.strip() else ()
+    return m.group("name"), args, m.group("value")
+
+
+def is_name(name: str) -> bool:
+    """An identifier, the form of every declared function name."""
+    return _NAME_RE.fullmatch(name) is not None
 
 
 def parse_element(token: str, vocabulary: Vocabulary | None = None) -> Element:
@@ -40,7 +70,7 @@ def parse_element(token: str, vocabulary: Vocabulary | None = None) -> Element:
         if vocabulary is not None and vocabulary.modulus:
             value %= vocabulary.modulus
         return Element.integer(value)
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*'*", token):
+    if is_name(token):
         return Element.named(token)
     raise ParseError(f"bad element literal: {token}")
 
@@ -73,24 +103,19 @@ def parse_state(
                 raise ParseError("reserve: expects a nonnegative integer", lineno, 1)
             explicit_reserve = int(value)
             continue
-        m = _FACT_RE.match(line)
-        if m is None:
+        fact = split_fact(line)
+        if fact is None:
             raise ParseError(f"not a fact line: {line!r}", lineno, 1)
-        fname = m.group("name")
+        fname, raw_args, raw_value = fact
         fn = vocabulary.lookup(fname)
         if fn is None:
             raise ParseError(f"unknown function name: {fname}", lineno, 1)
-        raw_args = m.group("args")
-        if raw_args is None:
-            args: tuple[Element, ...] = ()
-        else:
-            parts = [p for p in raw_args.split(",")] if raw_args.strip() else []
-            args = tuple(parse_element(p, vocabulary) for p in parts)
+        args = tuple(parse_element(p, vocabulary) for p in raw_args)
         if len(args) != fn.arity:
             raise ParseError(
                 f"{fname}: expected {fn.arity} arguments, got {len(args)}", lineno, 1
             )
-        value = parse_element(m.group("value"), vocabulary)
+        value = parse_element(raw_value, vocabulary)
         for e in (*args, value):
             if e.kind == "reserve":
                 reserve_next = max(reserve_next, e.value + 1)
@@ -117,9 +142,5 @@ def format_state(state: State) -> str:
     if state.reserve_next:
         lines.append(f"reserve: {state.reserve_next}")
     for fname, args, value in state.stored_items():
-        if args:
-            loc = f"{fname}({', '.join(format_element(a) for a in args)})"
-        else:
-            loc = fname
-        lines.append(f"{loc} = {format_element(value)}")
+        lines.append(f"{Location(fname, args)!r} = {format_element(value)}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -370,6 +370,7 @@ class RuleFacts(NamedTuple):
     core: bool
     binders: Optional[frozenset[str]]  # None when a binder is declared twice
     free: frozenset[str]
+    choose: bool
 
 
 def rule_facts(rule: Rule) -> RuleFacts:
@@ -383,7 +384,10 @@ def rule_facts(rule: Rule) -> RuleFacts:
         binders = binder_occurrences(rule)
         unique = frozenset(binders)
         facts = RuleFacts(
-            is_core(rule), unique if len(unique) == len(binders) else None, free_vars(rule)
+            is_core(rule),
+            unique if len(unique) == len(binders) else None,
+            free_vars(rule),
+            has_choose(rule),
         )
         rule.__dict__["_facts"] = facts
     return facts

@@ -94,14 +94,6 @@ class Vocabulary:
             raise DeclarationError(f"unknown function name: {name}")
         return fn
 
-    @property
-    def has_reserve(self) -> bool:
-        return "Reserve" in self._index
-
-    @property
-    def has_self(self) -> bool:
-        return "Self" in self._index
-
     def is_universe_name(self, name: str) -> bool:
         """Unary relation usable as a quantifier or binder range (never Reserve)."""
         fn = self.lookup(name)

@@ -8,6 +8,7 @@ from ealgebra import (
     SeededChooser,
     State,
     StateValidityError,
+    StaticMirror,
     TRUE,
     UNDEF,
     UpdateSet,
@@ -73,9 +74,10 @@ def test_team_state_agents(sendrecv, sendrecv_state):
 
 
 def test_module_name_collision_is_rejected(sendrecv, sendrecv_state):
-    tampered = sendrecv_state.patch_static(
-        [(Location("Team"), sendrecv_state.read(Location("Sender")))]
+    tampered, fired = sendrecv_state.fire_update_set(
+        UpdateSet.of([StaticMirror(Location("Team"), sendrecv_state.read(Location("Sender")))])
     )
+    assert fired
     with pytest.raises(StateValidityError):
         validate_spec_state(sendrecv, tampered)
 
@@ -491,3 +493,25 @@ def test_certificate_of_a_spec_with_external_functions_checks():
     assert after.read(Location("X", (E("a"),))) == UNDEF
     report = linearizations(spec, pr)
     assert [trace.final_state for trace in report.traces] == [after]
+
+
+def test_generated_run_orders_a_write_before_a_duplicate_that_scans_it():
+    # The copy mirrors every fact that mentions a, so the duplicate reads
+    # all of f's table, which Writer then changes.
+    spec = parse_program(
+        "vocabulary:\n"
+        "  dynamic f/1, Tag/1\n"
+        "constants a, b, mark\n"
+        "module Dup:\n"
+        "  duplicate a as v\n"
+        "    Tag(v) := f(mark)\n"
+        "  endduplicate\n"
+        "module Writer:\n"
+        "  f(a) := b\n"
+    )
+    initial = parse_state(
+        "Mod(x) = Dup\nMod(y) = Writer\nf(a) = a", spec.vocabulary, constants=spec.constants
+    )
+    pr = generate_partial_run(spec, initial, [E("y"), E("x")])
+    assert pr.edges == frozenset({("m1", "m2")})
+    assert check_partial_run(spec, pr, initial_state=initial).valid

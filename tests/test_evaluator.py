@@ -18,7 +18,6 @@ from ealgebra import (
     StaticMirror,
     Update,
     UpdateSet,
-    duplicate_exec,
     eval_guard,
     eval_term,
     free_vars,
@@ -39,6 +38,7 @@ from ealgebra.syntax import (
     Block,
     Cond,
     Decl,
+    Duplicate,
     Extend,
     Import,
     UniverseRange,
@@ -506,7 +506,7 @@ def dup_vocab():
 def test_duplicate_mirrors_all_mixtures():
     v = dup_vocab()
     s = State(v, {"a": {(): A}, "b": {(): B}, "f": {(A, A): C}})
-    beta = duplicate_exec(s, parse_term_text("a", v), "v", parse_rule_text("Tag(v) := b", v, allow_free=True, scope=("v",)))
+    beta = updates(Duplicate(parse_term_text("a", v), "v", parse_rule_text("Tag(v) := b", v, allow_free=True, scope=("v",))), s)
     copy = next(u.location.args[0] for u in beta if u.location.fname == "Reserve")
     mixtures = {
         u.location.args: u.value for u in beta if u.location.fname == "f"

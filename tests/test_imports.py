@@ -1,17 +1,27 @@
-"""No engine module keeps a module-level import it never uses.
+"""No engine module keeps a module-level import it never uses, and no
+definition that nothing refers to.
 
-A static check with the standard library's ``ast``: every name bound by a
-top-level ``import`` or ``from ... import`` in ``src/ealgebra/`` (the
-package ``__init__``, which re-exports, aside) must occur as a name
-somewhere else in its module.
+Static checks with the standard library's ``ast``:
+
+- every name bound by a top-level ``import`` or ``from ... import`` in
+  ``src/ealgebra/`` (the package ``__init__``, which re-exports, aside)
+  must occur as a name somewhere else in its module;
+- every top-level function or class and every public method in
+  ``src/ealgebra/`` must be referred to outside its own body: as a name,
+  an attribute or an imported name in the Python files of ``src/``,
+  ``tests/`` or ``perfbench/``, or as a word in ``README.md`` or the
+  benchmark's JSON files.  The check goes by name only, so a method whose
+  name some other object also uses passes.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ealgebra"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ealgebra"
 
 # Imports kept on purpose, as (module, name).
 KEPT = {
@@ -46,3 +56,78 @@ def test_the_check_sees_an_unused_import(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text("import os\nfrom typing import Callable, Mapping\nx: Mapping = {}\n")
     assert unused_imports(module) == ["os", "Callable"]
+
+
+# Definitions kept though nothing refers to them, as (module, name): reason.
+KEPT_DEFINITIONS: dict[tuple[str, str], str] = {}
+
+
+def _definitions(tree: ast.Module):
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt
+        if isinstance(stmt, ast.ClassDef):
+            yield from (
+                m for m in stmt.body
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+            )
+
+
+def _references(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+
+
+def dead_definitions(modules: list[Path], sources: list[Path], texts: list[Path]) -> list[str]:
+    """``module.name`` of each definition in ``modules`` that no Python file
+    of ``sources`` refers to outside the definition itself and no word of
+    ``texts`` names."""
+    where: dict[str, list[tuple[Path, int]]] = {}
+    for path in sources:
+        for name, line in _references(ast.parse(path.read_text(encoding="utf-8"))):
+            where.setdefault(name, []).append((path, line))
+    words = {
+        w for path in texts for w in re.findall(r"\w+", path.read_text(encoding="utf-8"))
+    }
+    dead = []
+    for path in modules:
+        for node in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            outside = any(
+                p != path or not node.lineno <= line <= node.end_lineno
+                for p, line in where.get(node.name, ())
+            )
+            kept = (path.stem, node.name) in KEPT_DEFINITIONS
+            if not (outside or node.name in words or kept):
+                dead.append(f"{path.stem}.{node.name}")
+    return dead
+
+
+def test_every_definition_is_referred_to():
+    sources = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    texts = [ROOT / "README.md", *sorted((ROOT / "perfbench").glob("*.json"))]
+    assert dead_definitions(sorted(PACKAGE.glob("*.py")), sources, texts) == []
+
+
+def test_the_check_sees_a_dead_definition(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "def documented():\n    pass\n\n"
+        "class Box:\n"
+        "    def opened(self):\n        return used()\n\n"
+        "    def closed(self):\n        pass\n\n"
+        "    def _private(self):\n        pass\n"
+    )
+    caller = tmp_path / "caller.py"
+    caller.write_text("from sample import Box\nBox().opened()\n")
+    readme = tmp_path / "README.md"
+    readme.write_text("Call `documented()` first.\n")
+    assert dead_definitions([module], [module, caller], [readme]) == [
+        "sample.recursive", "sample.closed",
+    ]

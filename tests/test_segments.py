@@ -26,10 +26,11 @@ from ealgebra.distributed import (
     _initial_segments,
     _order,
     _predecessor_closure,
+    _topological_orders,
 )
 
 from conftest import PROGRAMS
-from segmentoracle import initial_segments, maximal
+from segmentoracle import initial_segments, maximal, topological_orders
 
 I = Element.integer
 
@@ -100,6 +101,25 @@ def test_long_reverse_listed_chain_checks_valid(philosophers4, ring4):
     pr.states = {frozenset(): ring4}
     verdict = check_partial_run(philosophers4, pr, initial_state=ring4)
     assert verdict.valid, verdict.message
+
+
+def test_long_chain_has_one_linearization(philosophers4, ring4):
+    pr = parse_certificate(chain_certificate(1200), philosophers4)
+    pr.states = {frozenset(): ring4}
+    report = linearizations(philosophers4, pr)
+    assert report.complete and len(report.traces) == 1
+    assert len(report.traces[0].records) == 1200
+
+
+@settings(max_examples=200, deadline=None)
+@given(dags(max_moves=8), st.integers(0, 50))
+def test_topological_orders_match_the_recursive_listing(dag, budget):
+    moves, edges = dag
+    order = _order(moves, edges)
+    segment = frozenset(moves)
+    assert _topological_orders(order, segment, budget) == topological_orders(
+        segment, order.direct, budget
+    )
 
 
 def test_budget_admits_every_order_on_sixteen_moves():
