@@ -515,3 +515,83 @@ def test_generated_run_orders_a_write_before_a_duplicate_that_scans_it():
     pr = generate_partial_run(spec, initial, [E("y"), E("x")])
     assert pr.edges == frozenset({("m1", "m2")})
     assert check_partial_run(spec, pr, initial_state=initial).valid
+
+
+def test_duplicate_mirrors_only_the_tables_of_its_module():
+    # Other is a table of the spec that Dup never names: the copy of a does
+    # not mirror it, so Writer's write to Other is independent of the move.
+    spec = parse_program(
+        "vocabulary:\n"
+        "  dynamic f/1, Tag/1, Other/1\n"
+        "constants a, mark\n"
+        "module Dup:\n"
+        "  duplicate a as v\n"
+        "    Tag(v) := f(mark)\n"
+        "  endduplicate\n"
+        "module Writer:\n"
+        "  Other(a) := mark\n"
+    )
+    initial = parse_state(
+        "Mod(x) = Dup\nMod(y) = Writer\nOther(a) = mark",
+        spec.vocabulary, constants=spec.constants,
+    )
+    pr = generate_partial_run(spec, initial, [E("y"), E("x")])
+    assert pr.edges == frozenset()
+    assert all(u.location.fname != "Other" for u in pr.recorded["m2"])
+    assert check_partial_run(spec, pr, initial_state=initial).valid
+
+
+def test_binder_named_like_another_modules_function():
+    # h is a function only B uses, so A may bind a variable of that name.
+    spec = parse_program(
+        "vocabulary:\n"
+        "  dynamic g/1, h/0\n"
+        "  static relation U/1\n"
+        "constants u\n"
+        "module A:\n"
+        "  choose h in U\n"
+        "    g(h) := h\n"
+        "  endchoose\n"
+        "module B:\n"
+        "  h := B\n"
+    )
+    state = parse_state(
+        "Mod(x) = A\nMod(y) = B\nU(u) = true", spec.vocabulary, constants=spec.constants
+    )
+    _, record = agent_move(spec, state, E("x"))
+    assert record.updates == UpdateSet.of([Update(Location("g", (E("u"),)), E("u"))])
+
+
+def _fork_of_arity_two(philosophers, extra=""):
+    from ealgebra import FunctionName, make_vocabulary
+
+    vocab = philosophers.vocabulary
+    names = [
+        FunctionName("Fork", 2) if fn.name == "Fork" else fn for fn in vocab.user_names()
+    ]
+    vocab = make_vocabulary(names, integers=vocab.integers, modulus=vocab.modulus)
+    text = "Mod(0) = Phil\nMode(0) = think\nP(0) = true\n" + extra
+    return parse_state(text, vocab, constants=philosophers.constants)
+
+
+def test_state_must_interpret_module_names_as_declared(philosophers):
+    from ealgebra import VocabularyError
+    from ealgebra.distributed import move_successors
+
+    state = _fork_of_arity_two(philosophers)
+    pr = PartialRun(("m1",), {"m1": I(0)}, frozenset(), {frozenset(): state})
+    with pytest.raises(VocabularyError):
+        agent_move(philosophers, state, I(0))
+    with pytest.raises(VocabularyError):
+        move_successors(philosophers, state)
+    with pytest.raises(VocabularyError):
+        check_partial_run(philosophers, pr)
+
+    # An uninterpreted module name is found first.
+    state = _fork_of_arity_two(philosophers, "Phil = undef")
+    pr = PartialRun(("m1",), {"m1": I(0)}, frozenset(), {frozenset(): state})
+    with pytest.raises(StateValidityError):
+        agent_move(philosophers, state, I(0))
+    with pytest.raises(StateValidityError):
+        move_successors(philosophers, state)
+    assert check_partial_run(philosophers, pr).condition == "3"
