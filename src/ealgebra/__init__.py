@@ -109,7 +109,6 @@ from .distributed import (
     reachable_states,
     sequential_run,
     validate_spec_state,
-    view,
 )
 from .certificate import format_certificate, load_certificate, parse_certificate
 

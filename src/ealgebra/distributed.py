@@ -1,13 +1,13 @@
-"""Distributed evolving algebras: agents, views, moves and runs.
+"""Distributed evolving algebras: agents, moves and runs.
 
 An element is an agent at a state when Mod maps it to a module name's
-element.  An agent moves by firing its module's program against its view
-(the global state reduced to the module's names and expanded with Self)
-and changing the global state accordingly.  That is a sequential step
-with the view as the local state, so moves, their successors and runs go
-through ``runner.move`` and ``runner.successors``, and their records carry
-the family size and choice index needed for replay.  Partially ordered runs are
-verified against the four run conditions: finite down-sets, per-agent
+element.  An agent moves by firing its module's program at the global
+state with Self bound to the agent; the program sees only its module's
+names, and the update set changes the global state.  That is a sequential
+step given the agent, so moves, their successors and runs go through
+``runner.move`` and ``runner.successors``, and their records carry the
+family size and choice index needed for replay.  Partially ordered runs
+are verified against the four run conditions: finite down-sets, per-agent
 linearity, initial-state validity and coherence of the segment states.
 """
 
@@ -30,6 +30,7 @@ from .runner import (
     RunTrace,
     SeededChooser,
     StepRecord,
+    check_appropriate,
     fire_and_record,
     move,
     resolutions,
@@ -37,7 +38,6 @@ from .runner import (
 )
 from .state import Element, Location, State, UpdateSet, format_element
 from .syntax import DistributedSpec, Program
-from .vocabulary import SELF, Vocabulary
 
 @dataclass(frozen=True)
 class Agent:
@@ -55,8 +55,10 @@ def validate_spec_state(spec: DistributedSpec, state: State) -> dict[Element, st
 
     Finiteness is structural (tables are finite), but a module name
     interpreted as undef would make every unmentioned element an agent, so
-    that is rejected along with colliding module elements.  Returns the
-    module name of each module element.
+    that is rejected along with colliding module elements
+    (``StateValidityError``).  Then every module's names must be
+    interpreted as the module declares them (``VocabularyError``).
+    Returns the module name of each module element.
     """
     elements = module_elements(spec, state)
     from .state import UNDEF
@@ -71,6 +73,8 @@ def validate_spec_state(spec: DistributedSpec, state: State) -> dict[Element, st
                 f"{format_element(el)}"
             )
         seen[el] = name
+    for program in spec.modules.values():
+        check_appropriate(program, state)
     return seen
 
 
@@ -92,17 +96,6 @@ def agent_at(spec: DistributedSpec, state: State, element: Element) -> Agent | N
     return None if module is None else Agent(element, module, spec.modules[module])
 
 
-def view(spec: DistributedSpec, state: State, agent: Agent) -> State:
-    """The agent's local state: reduct to its names, Self bound to it."""
-    names = tuple(fn for fn in agent.program.vocabulary.names if fn.name != "Self")
-    sub = Vocabulary(
-        names,
-        integers=agent.program.vocabulary.integers,
-        modulus=agent.program.vocabulary.modulus,
-    )
-    return state.reduct(sub).expand({"Self": agent.element}, {"Self": SELF})
-
-
 def agent_move(
     spec: DistributedSpec,
     state: State,
@@ -113,7 +106,7 @@ def agent_move(
     index: int = 1,
     footprint: Footprint | None = None,
 ) -> tuple[State, StepRecord]:
-    """Fire the agent's program at its view; apply the updates globally.
+    """Fire the agent's module program at the state, Self bound to it.
 
     Being an agent of its module is part of what the move reads, so a
     footprint also gets ``Mod(Self)`` and the module name's location.
@@ -127,7 +120,7 @@ def agent_move(
         footprint.locations.add(Location("Mod", (agent.element,)))
         footprint.locations.add(Location(agent.module))
     return move(
-        agent.program, state, view(spec, state, agent), chooser,
+        agent.program, state, chooser,
         oracle=oracle, index=index, agent=agent.element, footprint=footprint,
     )
 
@@ -137,10 +130,7 @@ def move_successors(spec: DistributedSpec, state: State) -> list[tuple[str, Stat
     return [
         successor
         for agent in agents_of(spec, state)
-        for successor in successors(
-            agent.program, state, view(spec, state, agent),
-            f"agent {format_element(agent.element)}",
-        )
+        for successor in successors(agent.program, state, agent.element)
     ]
 
 
@@ -200,7 +190,7 @@ def quasi_move_updates(
             raise ModeError(
                 f"quasi-sequential steps need deterministic agents ({agent.module})"
             )
-        members, _ = resolutions(agent.program, view(spec, state, agent))
+        members, _ = resolutions(agent.program, state, agent=element)
         union = union.union(members[0])
     return union
 
@@ -371,7 +361,7 @@ def _move_update_set(
         )
     # Certificates record no oracle answers: externals read as undef, as in
     # a generated run's moves.
-    members, _ = resolutions(agent.program, view(spec, at, agent))
+    members, _ = resolutions(agent.program, at, agent=element)
     if recorded is None:
         return members[0], None
     if recorded not in members:

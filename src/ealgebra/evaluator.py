@@ -11,7 +11,10 @@ declared variables, so one fresh element is allocated per such pair.
 
 All entry points expect core (desugared) rules that are perspicuous with
 respect to the caller's name set; the engine wrappers in ``runner`` and
-``distributed`` rename first.
+``distributed`` rename first.  The name set is the state's vocabulary
+unless ``vocabulary`` gives the rule a smaller scope, as an agent's module
+does: the binders must avoid only its names, and a duplicate mirrors only
+its tables.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .state import (
     UpdateFamily,
     UpdateSet,
 )
-from .vocabulary import COMPUTED_NAMES
+from .vocabulary import COMPUTED_NAMES, Vocabulary
 
 
 class Environment:
@@ -104,9 +107,11 @@ class Footprint:
 
 
 class _Ctx:
-    __slots__ = ("state", "env", "alloc", "oracle", "externals", "decls", "footprint")
+    __slots__ = (
+        "state", "env", "alloc", "oracle", "externals", "decls", "footprint", "vocabulary",
+    )
 
-    def __init__(self, state, env, alloc, oracle, externals, decls, footprint):
+    def __init__(self, state, env, alloc, oracle, externals, decls, footprint, vocabulary):
         self.state = state
         self.env = env
         self.alloc = alloc
@@ -114,6 +119,7 @@ class _Ctx:
         self.externals = externals
         self.decls = decls
         self.footprint = footprint
+        self.vocabulary = vocabulary
 
     def bind(self, var: str, value: Element, declared: bool = False) -> "_Ctx":
         return _Ctx(
@@ -124,17 +130,23 @@ class _Ctx:
             self.externals,
             self.decls + (var,) if declared else self.decls,
             self.footprint,
+            self.vocabulary,
         )
 
 
-def _make_ctx(state, env, alloc, oracle, externals, decls, footprint) -> _Ctx:
+def _make_ctx(
+    state, env, alloc, oracle, externals, decls, footprint, vocabulary=None
+) -> _Ctx:
     if env is None:
         env = EMPTY_ENV
     elif isinstance(env, Mapping):
         env = Environment(env)
     if alloc is None:
         alloc = ReserveAllocator(state.reserve_next)
-    return _Ctx(state, env, alloc, oracle, frozenset(externals), tuple(decls), footprint)
+    return _Ctx(
+        state, env, alloc, oracle, frozenset(externals), tuple(decls), footprint,
+        vocabulary or state.vocabulary,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +217,16 @@ def eval_guard(state: State, env, g: syntax.Guard, *, oracle=None, externals=())
 # Shared pieces
 
 
-def _check_input(rule: syntax.Rule, state: State, env: Environment, decls) -> syntax.RuleFacts:
+def _check_input(
+    rule: syntax.Rule, state: State, env: Environment, decls, vocabulary=None
+) -> syntax.RuleFacts:
     facts = syntax.rule_facts(rule)
     if not facts.core:
         raise ModeError("rule contains surface sugar; desugar it first")
     binders = facts.binders
+    names = (vocabulary or state.vocabulary).names
     if binders is None or (binders and not binders.isdisjoint(
-        {fn.name for fn in state.vocabulary.names}.union(facts.free, env.names(), decls)
+        {fn.name for fn in names}.union(facts.free, env.names(), decls)
     )):
         raise ContractViolation(
             "rule is not perspicuous for this state; apply make_perspicuous"
@@ -238,10 +253,11 @@ def _range_values(ctx: _Ctx, rng: syntax.Range) -> tuple[Element, ...]:
 
 
 def _duplicate_prelude(ctx: _Ctx, node: syntax.Duplicate) -> tuple[Element, frozenset[Update]]:
-    """Withdraw a fresh copy and mirror all stored tables mentioning the original.
+    """Withdraw a fresh copy and mirror the stored facts mentioning the
+    original in every table of the rule's scope.
 
-    The scan reads every table of the state's vocabulary, empty ones too,
-    so all of them join the footprint's whole-table reads.
+    The scan reads each of those tables, empty ones too, so all of them
+    join the footprint's whole-table reads.
     """
     original = _eval(ctx, node.term)
     if original == UNDEF:
@@ -253,12 +269,12 @@ def _duplicate_prelude(ctx: _Ctx, node: syntax.Duplicate) -> tuple[Element, froz
     out: set[Update] = {Update(Location("Reserve", (copy,)), FALSE)}
     if ctx.footprint is not None:
         ctx.footprint.names.update(
-            fn.name for fn in ctx.state.vocabulary.names if fn.name not in COMPUTED_NAMES
+            fn.name for fn in ctx.vocabulary.names if fn.name not in COMPUTED_NAMES
         )
     for fname, args, value in ctx.state.facts():
-        if original not in args:
+        if original not in args or fname not in ctx.vocabulary:
             continue
-        fn = ctx.state.vocabulary.require(fname)
+        fn = ctx.vocabulary.require(fname)
         choices = [(arg, copy) if arg == original else (arg,) for arg in args]
         for mixture in product(*choices):
             if mixture == args:
@@ -332,6 +348,7 @@ def nupdates(
     oracle=None,
     externals=(),
     footprint: Footprint | None = None,
+    vocabulary: Vocabulary | None = None,
 ) -> UpdateFamily:
     """Family of update sets by direct induction on the rule.
 
@@ -339,8 +356,8 @@ def nupdates(
     when nothing qualifies (or a plain choose ranges over an empty
     universe) the family is empty, which fires as a no-op.
     """
-    ctx = _make_ctx(state, env, alloc, oracle, externals, decls, footprint)
-    _check_input(rule, state, ctx.env, decls)
+    ctx = _make_ctx(state, env, alloc, oracle, externals, decls, footprint, vocabulary)
+    _check_input(rule, state, ctx.env, decls, vocabulary)
     members = _direct(ctx, rule)
     return UpdateFamily.of(UpdateSet(m) for m in members)
 
@@ -355,6 +372,7 @@ def updates(
     oracle=None,
     externals=(),
     footprint: Footprint | None = None,
+    vocabulary: Vocabulary | None = None,
 ) -> UpdateSet:
     """The update set of a choice-free core rule at a state: the single
     member of its direct family.
@@ -362,8 +380,8 @@ def updates(
     A rule with a choose anywhere, even in a branch not taken here, has no
     deterministic update set and raises ``ModeError``.
     """
-    ctx = _make_ctx(state, env, alloc, oracle, externals, decls, footprint)
-    if _check_input(rule, state, ctx.env, decls).choose:
+    ctx = _make_ctx(state, env, alloc, oracle, externals, decls, footprint, vocabulary)
+    if _check_input(rule, state, ctx.env, decls, vocabulary).choose:
         raise ModeError("choose rules have no deterministic update set; use nupdates")
     (member,) = _direct(ctx, rule)
     return UpdateSet(member)

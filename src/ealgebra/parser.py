@@ -761,10 +761,17 @@ def _parse_rule_section(
 _MODULE_RE = re.compile(r"module\s+(\S+)\s*:")
 
 
-def _module_name(line: str) -> str | None:
-    """The module a ``module Name:`` line opens; None for any other line."""
+def _module_name(line: str, lineno: int) -> str | None:
+    """The module a ``module Name:`` line opens; None for any other line.
+
+    A header whose name is no identifier is a ``ParseError``.
+    """
     m = _MODULE_RE.fullmatch(line)
-    return m.group(1) if m and _IDENT_RE.fullmatch(m.group(1)) else None
+    if m is None:
+        return None
+    if not _IDENT_RE.fullmatch(m.group(1)):
+        raise ParseError(f"bad module name: {m.group(1)!r}", lineno, 1)
+    return m.group(1)
 
 
 def parse_program(text: str) -> Program | DistributedSpec:
@@ -782,7 +789,7 @@ def parse_program(text: str) -> Program | DistributedSpec:
             mode = "program"
             body_start = idx + 1
             break
-        name = _module_name(line)
+        name = _module_name(line, idx + 1)
         if name:
             mode = "modules"
             modules.append((name, idx + 1))
@@ -811,7 +818,7 @@ def parse_program(text: str) -> Program | DistributedSpec:
     # Distributed: scan out the remaining module sections.
     for idx in range(modules[0][1], len(lines)):
         line = lines[idx].split("#", 1)[0].strip()
-        name = _module_name(line)
+        name = _module_name(line, idx + 1)
         if name:
             modules.append((name, idx + 1))
     seen = set()
@@ -830,13 +837,7 @@ def parse_program(text: str) -> Program | DistributedSpec:
     sections = []
     bounds = [start for _, start in modules] + [len(lines) + 1]
     for (name, start), end in zip(modules, bounds[1:]):
-        # A header-shaped line whose name is no identifier opens no module
-        # and is dropped.
-        chunk = [
-            "" if _MODULE_RE.fullmatch(ln.split("#", 1)[0].strip()) else ln
-            for ln in lines[start:end - 1]
-        ]
-        sections.append((name, start, "\n".join(chunk)))
+        sections.append((name, start, "\n".join(lines[start:end - 1])))
 
     programs = []
     any_import = False

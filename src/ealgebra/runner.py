@@ -2,10 +2,12 @@
 
 A sequential step and an agent's move are one act, written once here:
 ``resolutions`` gives the update sets one firing of a program may apply
-at a state (for an agent, its view), ``move`` picks one with the chooser
-and ``fire_and_record`` applies it to the global state and records it;
-``successors`` fires every resolution instead, for reachability.  The
-distributed runs and moves call these.
+at a state, ``move`` picks one with the chooser and ``fire_and_record``
+applies it and records it; ``successors`` fires every resolution instead,
+for reachability.  An agent's move differs from a step only in ``agent``:
+its module's program fires at the global state with Self bound to the
+agent and the module's vocabulary as the rule's scope.  The distributed
+runs and moves call these.
 
 External functions are never written into a state's tables; every step
 reads them through a per-step memoizing oracle view, so a query asked
@@ -191,31 +193,38 @@ def prepare_rule(program: Program) -> syntax.Rule:
     return program.prepared
 
 
-def _check_appropriate(program: Program, state: State):
+def check_appropriate(program: Program, state: State):
+    """Raise ``VocabularyError`` unless the state interprets every name of
+    the program, Self aside, as the program declares it."""
     for fn in program.vocabulary.names:
-        if state.vocabulary.lookup(fn.name) != fn:
+        if fn.name != "Self" and state.vocabulary.lookup(fn.name) != fn:
             raise VocabularyError(
                 f"state does not interpret {fn.name} as the program declares"
             )
 
 
 def resolutions(
-    program: Program, local: State, oracle=None, footprint=None
+    program: Program, state: State, oracle=None, footprint=None,
+    agent: Element | None = None,
 ) -> tuple[list[UpdateSet], Optional[int]]:
-    """The update sets one firing of the program at ``local`` may apply.
+    """The update sets one firing of the program at ``state`` may apply.
 
     A choice-free program has exactly one and no family size (None); a
     program with choose has its family's members, in their deterministic
     order, and their number.  The family never holds bottom.  With no
-    oracle, external functions read as undef.
+    oracle, external functions read as undef.  For an agent's move, the
+    program is its module's: Self is bound to ``agent`` and the program
+    sees only its own names.
     """
     if oracle is None and program.externals:
         oracle = OracleView(UndefOracle(), 1)
     kwargs = {"oracle": oracle, "externals": program.externals, "footprint": footprint}
+    if agent is not None:
+        kwargs.update(env={"Self": agent}, vocabulary=program.vocabulary)
     if program.has_choose:
-        members = nupdates(program.prepared, local, **kwargs).sorted_members()
+        members = nupdates(program.prepared, state, **kwargs).sorted_members()
         return members, len(members)
-    return [updates(program.prepared, local, **kwargs)], None
+    return [updates(program.prepared, state, **kwargs)], None
 
 
 def fire_and_record(
@@ -246,19 +255,18 @@ def fire_and_record(
 
 
 def move(
-    program: Program, state: State, local: State, chooser=None, *,
+    program: Program, state: State, chooser=None, *,
     oracle: Oracle | None = None, index: int = 1, agent: Element | None = None,
     footprint=None,
 ) -> tuple[State, StepRecord]:
-    """Fire one resolution of the program at ``local`` against ``state``.
+    """Fire one resolution of the program at ``state``: a sequential step,
+    or with ``agent`` that agent's move.
 
-    A sequential step passes the state itself as ``local``; an agent passes
-    its view, so its module's program reads the view and the update set
-    changes the global state.  The chooser (``SeededChooser(0)`` if none)
-    picks a member only from a family of more than one.
+    The chooser (``SeededChooser(0)`` if none) picks a member only from a
+    family of more than one.
     """
     view = OracleView(oracle or UndefOracle(), index)
-    members, family_size = resolutions(program, local, view, footprint)
+    members, family_size = resolutions(program, state, view, footprint, agent)
     choice_index = None
     if family_size == 1:
         choice_index = 0
@@ -276,7 +284,7 @@ def step(
     step_index: int = 1,
 ) -> tuple[State, StepRecord]:
     """Fire the program once; inconsistent update sets change nothing."""
-    return move(program, state, state, chooser, oracle=oracle, index=step_index)
+    return move(program, state, chooser, oracle=oracle, index=step_index)
 
 
 def run(
@@ -295,7 +303,7 @@ def run(
         raise ValueError("max_steps must be positive")
     if chooser is None:
         chooser = SeededChooser(0)
-    _check_appropriate(program, initial)
+    check_appropriate(program, initial)
     trace = RunTrace(states=[initial], records=[], stop_reason="max-steps")
     state = initial
     for index in range(1, max_steps + 1):
@@ -339,15 +347,16 @@ class ReachReport:
 
 
 def successors(
-    program: Program, state: State, local: State, tag: str | None = None
+    program: Program, state: State, agent: Element | None = None
 ) -> list[tuple[str, State]]:
-    """Every (move label, successor) of one firing of the program at ``local``.
+    """Every (move label, successor) of one firing of the program at
+    ``state``: a sequential step, or with ``agent`` that agent's move.
 
-    A program's labels are ``step``, ``choice i`` and ``noop`` (empty
-    family); an agent passes its ``tag`` (``agent x``), giving ``agent x``,
-    ``agent x choice i`` and ``agent x (no move)``.
+    A step's labels are ``step``, ``choice i`` and ``noop`` (empty family);
+    agent x's are ``agent x``, ``agent x choice i`` and ``agent x (no move)``.
     """
-    members, family_size = resolutions(program, local)
+    members, family_size = resolutions(program, state, agent=agent)
+    tag = None if agent is None else f"agent {format_element(agent)}"
     if family_size is None:
         return [(tag or "step", state.fire_update_set(members[0])[0])]
     if not members:
@@ -386,7 +395,7 @@ def enumerate_reachable(
     def expand(state):
         if is_dist:
             return distributed.move_successors(target, state)
-        return successors(target, state, state)
+        return successors(target, state)
 
     def check(state) -> bool:
         return predicate is None or eval_guard(state, None, predicate)

@@ -395,38 +395,6 @@ class State:
         element = Element.reserve(self.reserve_next)
         return State._raw(self.vocabulary, self._tables, self.reserve_next + 1), element
 
-    # -- reducts, expansions, views --------------------------------------------
-
-    def reduct(self, sub: Vocabulary) -> "State":
-        for fn in sub.names:
-            if self.vocabulary.lookup(fn.name) != fn:
-                raise VocabularyError(f"{fn.name}: not a subvocabulary entry")
-        tables = {
-            fname: table for fname, table in self._tables.items() if fname in sub
-        }
-        return State._raw(sub, tables, self.reserve_next)
-
-    def expand(
-        self,
-        extra: Mapping[str, Element],
-        signatures: Mapping[str, FunctionName] | None = None,
-    ) -> "State":
-        adds = []
-        for name in extra:
-            if name in self.vocabulary:
-                raise VocabularyError(f"{name}: already interpreted, cannot expand")
-            fn = (signatures or {}).get(name) or FunctionName(name, 0, is_static=True)
-            adds.append(fn)
-        vocab = self.vocabulary.extended(adds)
-        tables = dict(self._tables)
-        for name, element in extra.items():
-            tables[name] = {(): element}
-        return State._raw(vocab, tables, self.reserve_next)
-
-    def carrier(self) -> "State":
-        static = [fn.name for fn in self.vocabulary.names if fn.is_static]
-        return self.reduct(self.vocabulary.subvocabulary(static))
-
     # -- equality, isomorphism, audit -------------------------------------------
 
     def __eq__(self, other):

@@ -201,9 +201,14 @@ class Program:
 
     @cached_property
     def prepared(self) -> Rule:
-        """The core rule alpha-renamed so the evaluator's preconditions hold."""
+        """The core rule alpha-renamed so the evaluator's preconditions hold.
+
+        In a module, Self reads as a variable, which a move binds to the
+        agent that makes it.
+        """
         avoid = {fn.name for fn in self.vocabulary.names}
-        return make_perspicuous(self.core_rule, avoid)
+        rule = make_perspicuous(self.core_rule, avoid)
+        return _self_as_variable(rule) if "Self" in avoid else rule
 
     @cached_property
     def has_choose(self) -> bool:
@@ -447,6 +452,15 @@ def make_perspicuous(rule: Rule, avoid=frozenset()) -> Rule:
         return rebuild(node, names, _map(walk, outside), _map(walk, inside))
 
     return walk(rule)
+
+
+def _self_as_variable(node):
+    if isinstance(node, App) and node.fname == "Self":
+        return Var("Self")
+    binders, outside, inside = parts(node)
+    return rebuild(
+        node, binders, _map(_self_as_variable, outside), _map(_self_as_variable, inside)
+    )
 
 
 # ---------------------------------------------------------------------------

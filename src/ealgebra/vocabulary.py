@@ -102,27 +102,6 @@ class Vocabulary:
     def user_names(self) -> list[FunctionName]:
         return [fn for fn in self.names if not fn.is_logic]
 
-    def subvocabulary(self, keep: Iterable[str]) -> Vocabulary:
-        keep = set(keep)
-        return Vocabulary(
-            tuple(fn for fn in self.names if fn.name in keep or fn.is_logic),
-            integers=self.integers,
-            modulus=self.modulus,
-        )
-
-    def extended(self, extra: Iterable[FunctionName]) -> Vocabulary:
-        merged = dict(self._index)
-        for fn in extra:
-            old = merged.get(fn.name)
-            if old is not None and old != fn:
-                raise DeclarationError(f"{fn.name}: conflicting redeclaration")
-            merged[fn.name] = fn
-        return Vocabulary(
-            tuple(sorted(merged.values(), key=lambda f: f.name)),
-            integers=self.integers,
-            modulus=self.modulus,
-        )
-
 
 def make_vocabulary(
     user_names: Iterable[FunctionName] = (),

@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import io
-import json
 import os
 import subprocess
 import sys

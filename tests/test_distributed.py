@@ -2,6 +2,7 @@ import pytest
 
 from ealgebra import (
     Element,
+    FunctionName,
     Location,
     ModeError,
     ScheduleError,
@@ -29,7 +30,6 @@ from ealgebra import (
     reachable_states,
     sequential_run,
     validate_spec_state,
-    view,
 )
 from ealgebra.distributed import PartialRun, quasi_move_updates, segment_states
 
@@ -49,7 +49,7 @@ def fork(state, i):
 
 
 # ---------------------------------------------------------------------------
-# Agents and views
+# Agents
 
 
 def test_agents_of_philosophers(philosophers, ring3):
@@ -80,33 +80,6 @@ def test_module_name_collision_is_rejected(sendrecv, sendrecv_state):
     assert fired
     with pytest.raises(StateValidityError):
         validate_spec_state(sendrecv, tampered)
-
-
-def test_view_binds_self(philosophers, ring3):
-    agents = agents_of(philosophers, ring3)
-    local = view(philosophers, ring3, agents[1])
-    assert local.read(Location("Self")) == I(1)
-
-
-def test_view_drops_names_outside_the_module(philosophers, ring3):
-    from ealgebra import VocabularyError
-
-    agents = agents_of(philosophers, ring3)
-    local = view(philosophers, ring3, agents[0])
-    with pytest.raises(VocabularyError):
-        local.read(Location("Mod", (I(0),)))  # Phil's rule never mentions Mod
-    with pytest.raises(VocabularyError):
-        local.read(Location("P", (I(0),)))
-
-
-def test_views_of_two_agents_differ_only_at_self(philosophers, ring3):
-    a0, a1 = agents_of(philosophers, ring3)[:2]
-    v0 = view(philosophers, ring3, a0)
-    v1 = view(philosophers, ring3, a1)
-    t0 = dict((f, dict(t)) for f, t in v0._tables.items())
-    t1 = dict((f, dict(t)) for f, t in v1._tables.items())
-    assert t0.pop("Self") != t1.pop("Self")
-    assert t0 == t1
 
 
 # ---------------------------------------------------------------------------
@@ -562,23 +535,33 @@ def test_binder_named_like_another_modules_function():
     assert record.updates == UpdateSet.of([Update(Location("g", (E("u"),)), E("u"))])
 
 
-def _fork_of_arity_two(philosophers, extra=""):
-    from ealgebra import FunctionName, make_vocabulary
+def _misdeclared(philosophers, declared, facts):
+    from ealgebra import make_vocabulary
 
     vocab = philosophers.vocabulary
-    names = [
-        FunctionName("Fork", 2) if fn.name == "Fork" else fn for fn in vocab.user_names()
-    ]
+    names = [declared if fn.name == declared.name else fn for fn in vocab.user_names()]
     vocab = make_vocabulary(names, integers=vocab.integers, modulus=vocab.modulus)
-    text = "Mod(0) = Phil\nMode(0) = think\nP(0) = true\n" + extra
-    return parse_state(text, vocab, constants=philosophers.constants)
+    return parse_state(f"Mod(0) = Phil\n{facts}", vocab, constants=philosophers.constants)
 
 
-def test_state_must_interpret_module_names_as_declared(philosophers):
+@pytest.mark.parametrize(
+    "declared, facts",
+    [
+        # Reading Fork(Me) at arity 2 would fail on its own.
+        (FunctionName("Fork", 2), "Mode(0) = think"),
+        # A static Mode reads fine: only the declaration check stops the
+        # move before it writes Mode.
+        (
+            FunctionName("Mode", 1, is_static=True),
+            "Mode(0) = think\nFork(0) = down\nFork(1) = down",
+        ),
+    ],
+)
+def test_state_must_interpret_module_names_as_declared(philosophers, declared, facts):
     from ealgebra import VocabularyError
     from ealgebra.distributed import move_successors
 
-    state = _fork_of_arity_two(philosophers)
+    state = _misdeclared(philosophers, declared, facts)
     pr = PartialRun(("m1",), {"m1": I(0)}, frozenset(), {frozenset(): state})
     with pytest.raises(VocabularyError):
         agent_move(philosophers, state, I(0))
@@ -588,7 +571,7 @@ def test_state_must_interpret_module_names_as_declared(philosophers):
         check_partial_run(philosophers, pr)
 
     # An uninterpreted module name is found first.
-    state = _fork_of_arity_two(philosophers, "Phil = undef")
+    state = _misdeclared(philosophers, declared, facts + "\nPhil = undef")
     pr = PartialRun(("m1",), {"m1": I(0)}, frozenset(), {frozenset(): state})
     with pytest.raises(StateValidityError):
         agent_move(philosophers, state, I(0))

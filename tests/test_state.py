@@ -162,7 +162,7 @@ def fire_family(universe, chooser):
     program = parse_program(CHOOSE_PROGRAM)
     facts = "\n".join(f"U({name}) = true" for name in universe)
     s = parse_state(facts, program.vocabulary, constants=program.constants)
-    return s, move(program, s, s, chooser)
+    return s, move(program, s, chooser)
 
 
 class NoDraw:
@@ -216,33 +216,6 @@ def test_unallocated_reserve_permutation_is_an_automorphism():
     s1, _ = s.reserve_withdraw()
     assert s.isomorphic(all_down_state())
     assert s1._tables == s._tables
-
-
-def test_reduct_to_static_names_is_the_carrier():
-    s = all_down_state()
-    carrier = s.carrier()
-    assert "Fork" not in carrier.vocabulary
-    with pytest.raises(VocabularyError):
-        carrier.read(Location("Fork", (P0,)))
-
-
-def test_expand_then_reduct_round_trip():
-    s = all_down_state()
-    expanded = s.expand({"v": P1})
-    assert expanded.read(Location("v", ())) == P1
-    assert expanded.reduct(s.vocabulary) == s
-
-
-def test_expand_rejects_existing_names():
-    with pytest.raises(VocabularyError):
-        all_down_state().expand({"Fork": P0})
-
-
-def test_reduct_requires_subvocabulary():
-    s = all_down_state()
-    other = make_vocabulary([FunctionName("Fork", 2)])
-    with pytest.raises(VocabularyError):
-        s.reduct(other)
 
 
 def test_isomorphic_identity_and_named_difference():

@@ -304,3 +304,14 @@ def test_undeclared_variable_in_program_is_rejected():
 def test_integer_literals_need_the_pragma():
     with pytest.raises(ParseError):
         parse_program("vocabulary:\n  dynamic f/0\nprogram:\n  f := 1\n")
+
+
+@pytest.mark.parametrize("name", ["1x", "a-b"])
+def test_module_header_without_an_identifier_is_rejected(name):
+    text = (
+        "vocabulary:\n  dynamic X/0\n"
+        f"module A:\n  X := A\nmodule {name}:\n  X := undef\n"
+    )
+    with pytest.raises(ParseError) as caught:
+        parse_program(text)
+    assert caught.value.line == 5
