@@ -92,7 +92,16 @@ def agents_of(spec: DistributedSpec, state: State) -> list[Agent]:
 
 def agent_at(spec: DistributedSpec, state: State, element: Element) -> Agent | None:
     """The agent ``element`` is at the state, or None: one read of Mod."""
-    module = validate_spec_state(spec, state).get(state.read(Location("Mod", (element,))))
+    return _agent(spec, validate_spec_state(spec, state), state, element)
+
+
+def _agent(
+    spec: DistributedSpec, by_element: Mapping[Element, str], state: State, element: Element
+) -> Agent | None:
+    """``agent_at`` given the module-element map ``validate_spec_state``
+    returned for the state, or for any state fired from it: module names
+    are static and nullary, so no update or mirror changes the map."""
+    module = by_element.get(state.read(Location("Mod", (element,))))
     return None if module is None else Agent(element, module, spec.modules[module])
 
 
@@ -341,11 +350,13 @@ def _initial_segments(order: _Order) -> list[tuple[frozenset[str], tuple[str, ..
 
 
 def _move_update_set(
-    spec: DistributedSpec, pr: PartialRun, move: str, at: State
+    spec: DistributedSpec, pr: PartialRun, move: str, at: State,
+    by_element: Mapping[Element, str],
 ) -> tuple[UpdateSet | None, Verdict | None]:
-    """The update set of a move at a state, checked against its module."""
+    """The update set of a move at a state fired from the base whose
+    module-element map is ``by_element``, checked against its module."""
     element = pr.agent_of[move]
-    agent = agent_at(spec, at, element)
+    agent = _agent(spec, by_element, at, element)
     if agent is None:
         return None, Verdict(
             False, "4", f"{format_element(element)} is not an agent before {move}",
@@ -373,20 +384,25 @@ def _move_update_set(
 
 
 def _sigma(
-    spec: DistributedSpec, pr: PartialRun, order: _Order
+    spec: DistributedSpec, pr: PartialRun, order: _Order,
+    by_element: Mapping[Element, str] | None = None,
 ) -> tuple[dict[frozenset, State], Optional[Verdict]]:
     """Recompute the state function on every segment of the acyclic order,
-    checking coherence."""
+    checking coherence.  The base is validated once, before the first move
+    is evaluated, unless its module-element map is given."""
     base = pr.states.get(frozenset())
     if base is None:
         return {}, Verdict(False, "certificate", "sigma of the empty segment is missing")
     computed: dict[frozenset, State] = {frozenset(): base}
-    for segment, maximal in _initial_segments(order)[1:]:
+    segments = _initial_segments(order)[1:]
+    if segments and by_element is None:
+        by_element = validate_spec_state(spec, base)
+    for segment, maximal in segments:
         candidate = None
         via = None
         for x in maximal:
             before = computed[segment - {x}]
-            beta, verdict = _move_update_set(spec, pr, x, before)
+            beta, verdict = _move_update_set(spec, pr, x, before, by_element)
             if verdict is not None:
                 return computed, verdict
             after, _ = before.fire_update_set(beta)
@@ -467,7 +483,7 @@ def check_partial_run(
     if base is None:
         return Verdict(False, "certificate", "sigma of the empty segment is missing")
     try:
-        validate_spec_state(spec, base)
+        by_element = validate_spec_state(spec, base)
     except StateValidityError as exc:
         return Verdict(False, "3", f"sigma of the empty segment: {exc}")
     if initial_state is not None and base != initial_state:
@@ -476,7 +492,7 @@ def check_partial_run(
         )
 
     # Condition 4 (and 1 via the closure): coherence over every segment.
-    _, verdict = _sigma(spec, pr, order)
+    _, verdict = _sigma(spec, pr, order, by_element)
     if verdict is not None:
         return verdict
     return Verdict(True, None, "all run conditions hold")
@@ -545,13 +561,14 @@ def linearizations(
         raise CertificateError("sigma of the empty segment is missing")
 
     orders, complete = _topological_orders(order, segment, budget)
+    by_element = validate_spec_state(spec, base) if segment else {}
     traces = []
     for order in orders:
         state = base
         states = [state]
         records = []
         for index, move in enumerate(order, start=1):
-            beta, verdict = _move_update_set(spec, pr, move, state)
+            beta, verdict = _move_update_set(spec, pr, move, state, by_element)
             if verdict is not None:
                 raise CertificateError(verdict.message)
             state, record = fire_and_record(

@@ -1,4 +1,4 @@
-"""Update-set semantics of transition rules.
+"""Update-set semantics of transition rules, compiled into closures.
 
 ``nupdates`` computes the family of alternative update sets by direct
 induction over the rule, and ``nupdates_global`` computes the same family
@@ -8,6 +8,26 @@ deterministic update set of a choice-free rule, which is the single member
 of its direct family.  Fresh elements for import and duplication are drawn
 by an injective allocator keyed on the binder and the values of enclosing
 declared variables, so one fresh element is allocated per such pair.
+
+Rules, guards and terms are compiled into Python closures (closure
+compilation, Feeley & Lapalme 1987) on first evaluation.  Every function
+name is resolved once, at compile time, by ``state.resolve``, the same
+dispatch ``State.read`` uses: a constant becomes its element, a tabled
+read one dict lookup, and an unknown name or a wrong arity a closure that
+evaluates its arguments and then raises ``VocabularyError``, so the error
+fires only on a branch that is taken.  A choice-free part of a rule adds
+its updates to one list; only parts that can choose build families.  The
+closure is kept on the node it was compiled from (as ``syntax.rule_facts``
+keeps a rule's facts), keyed by the identity of the state's vocabulary and
+by the set of external names, and compiled again for any other pair.
+``nupdates_global`` walks the rule's shape itself and calls the compiled
+guards, terms and update instructions.
+
+Compilation changes nothing observable.  Guard operands are evaluated
+without short-circuiting, so a read footprint does not depend on truth
+values; the input contract is checked on every call; errors, their
+messages and their order, the family order and the reads recorded in a
+footprint are those of a walk over the tree.
 
 All entry points expect core (desugared) rules that are perspicuous with
 respect to the caller's name set; the engine wrappers in ``runner`` and
@@ -40,6 +60,7 @@ from .state import (
     Update,
     UpdateFamily,
     UpdateSet,
+    resolve,
 )
 from .vocabulary import COMPUTED_NAMES, Vocabulary
 
@@ -66,9 +87,6 @@ class Environment:
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.bindings.items()))
         return f"Environment({inner})"
-
-
-EMPTY_ENV = Environment()
 
 
 class ReserveAllocator:
@@ -106,175 +124,362 @@ class Footprint:
         self.names: set[str] = set()
 
 
-class _Ctx:
-    __slots__ = (
-        "state", "env", "alloc", "oracle", "externals", "decls", "footprint", "vocabulary",
-    )
+class _Run:
+    """One evaluation: what every closure reads besides the variables."""
 
-    def __init__(self, state, env, alloc, oracle, externals, decls, footprint, vocabulary):
+    __slots__ = ("state", "env", "alloc", "oracle", "footprint", "decls", "scope")
+
+    def __init__(self, state, env, alloc, oracle, footprint, decls, scope):
         self.state = state
         self.env = env
         self.alloc = alloc
         self.oracle = oracle
-        self.externals = externals
-        self.decls = decls
         self.footprint = footprint
-        self.vocabulary = vocabulary
+        self.decls = decls  # the enclosing declared variables
+        self.scope = scope
 
-    def bind(self, var: str, value: Element, declared: bool = False) -> "_Ctx":
-        return _Ctx(
-            self.state,
-            self.env.bind(var, value),
-            self.alloc,
-            self.oracle,
-            self.externals,
-            self.decls + (var,) if declared else self.decls,
-            self.footprint,
-            self.vocabulary,
+    def bind(self, var: str, value: Element, declared: bool = False) -> "_Run":
+        return _Run(
+            self.state, {**self.env, var: value}, self.alloc, self.oracle, self.footprint,
+            self.decls + (var,) if declared else self.decls, self.scope,
         )
 
 
-def _make_ctx(
-    state, env, alloc, oracle, externals, decls, footprint, vocabulary=None
-) -> _Ctx:
-    if env is None:
-        env = EMPTY_ENV
-    elif isinstance(env, Mapping):
-        env = Environment(env)
+def _start(state, env, alloc, oracle, decls, footprint, vocabulary) -> _Run:
+    if isinstance(env, Environment):
+        env = env.bindings
     if alloc is None:
         alloc = ReserveAllocator(state.reserve_next)
-    return _Ctx(
-        state, env, alloc, oracle, frozenset(externals), tuple(decls), footprint,
+    return _Run(
+        state, dict(env or {}), alloc, oracle, footprint, tuple(decls),
         vocabulary or state.vocabulary,
     )
 
 
 # ---------------------------------------------------------------------------
-# Terms and guards
+# The compiler
 
 
-def _eval(ctx: _Ctx, t: syntax.Term) -> Element:
-    if isinstance(t, syntax.Var):
-        value = ctx.env.lookup(t.name)
-        if value is None:
-            raise EvaluationError(f"unbound variable: {t.name}")
-        return value
-    args = tuple(_eval(ctx, a) for a in t.args)
-    if t.fname in ctx.externals:
-        if ctx.oracle is None:
-            raise EvaluationError(f"{t.fname}: external function without an oracle")
-        return ctx.oracle(t.fname, args)
-    if ctx.footprint is not None and t.fname not in COMPUTED_NAMES and not t.fname.isdigit():
-        ctx.footprint.locations.add(Location(t.fname, args))
-    return ctx.state.read(Location(t.fname, args))
+def _compiled(node, vocabulary: Vocabulary, externals: frozenset[str], build):
+    """``build(compiler, node)`` for the vocabulary and the external names:
+    the closure of a rule (``_Compiler.family``), guard or term, compiled
+    once per vocabulary object and set of external names and kept on the
+    node."""
+    cache = node.__dict__.setdefault("_compiled", {})
+    key = (build, id(vocabulary), externals)
+    hit = cache.get(key)
+    if hit is None:
+        # The entry keeps the vocabulary alive, so no other object gets its id.
+        hit = cache[key] = (build(_Compiler(vocabulary, externals), node), vocabulary)
+    return hit[0]
 
 
-def _eval_guard(ctx: _Ctx, g: syntax.Guard) -> bool:
-    # Operands are evaluated without short-circuiting so the read footprint
-    # of a rule does not depend on intermediate truth values.
-    if isinstance(g, syntax.Atom):
-        value = _eval(ctx, g.term)
-        if value == TRUE:
-            return True
-        if value == FALSE:
-            return False
-        raise EvaluationError(
-            f"guard evaluated to non-Boolean {value!r}: {syntax.format_term(g.term)}"
-        )
-    if isinstance(g, syntax.BoolGuard):
-        vals = [_eval_guard(ctx, sub) for sub in g.operands]
-        if g.op == "and":
-            return vals[0] and vals[1]
-        if g.op == "or":
-            return vals[0] or vals[1]
-        if g.op == "not":
-            return not vals[0]
-        return (not vals[0]) or vals[1]  # implies
-    if isinstance(g, syntax.QuantGuard):
-        members = _extent(ctx, g.universe)
-        results = [_eval_guard(ctx.bind(g.var, a), g.body) for a in members]
-        return any(results) if g.kind == "exists" else all(results)
-    raise TypeError(f"unsupported guard {type(g).__name__}")
+class _Compiler:
+    """Closures over a ``_Run`` for states of one vocabulary, with one set
+    of external names."""
+
+    def __init__(self, vocabulary: Vocabulary, externals: frozenset[str]):
+        self.vocabulary = vocabulary
+        self.externals = externals
+
+    # -- terms ---------------------------------------------------------------
+
+    def term(self, t: syntax.Term):
+        if isinstance(t, syntax.Var):
+            name = t.name
+
+            def variable(run):
+                value = run.env.get(name)
+                if value is None:
+                    raise EvaluationError(f"unbound variable: {name}")
+                return value
+
+            return variable
+        fname, fs = t.fname, [self.term(a) for a in t.args]
+        args = _tuple(fs)
+        if fname in self.externals:
+            def external(run):
+                values = args(run)
+                if run.oracle is None:
+                    raise EvaluationError(f"{fname}: external function without an oracle")
+                return run.oracle(fname, values)
+
+            return external
+        how = resolve(self.vocabulary, fname, len(t.args))
+        if how.kind == "constant":
+            value = how.value
+            return lambda run: value
+        if how.kind == "=":
+            a, b = fs
+            return lambda run: TRUE if a(run) == b(run) else FALSE
+        read = how.read
+        if fname in COMPUTED_NAMES or fname.isdigit():  # never in a footprint
+            return lambda run: read(run.state, args(run))
+        if how.kind != "table":
+            def tracked(run):
+                values = args(run)
+                if run.footprint is not None:
+                    run.footprint.locations.add(Location(fname, values))
+                return read(run.state, values)
+
+            return tracked
+        default = how.value
+
+        def tabled(run):
+            values = args(run)
+            if run.footprint is not None:
+                run.footprint.locations.add(Location(fname, values))
+            table = run.state._tables.get(fname)
+            return default if table is None else table.get(values, default)
+
+        return tabled
+
+    # -- guards --------------------------------------------------------------
+
+    def guard(self, g: syntax.Guard):
+        if isinstance(g, syntax.Atom):
+            t = g.term
+            if isinstance(t, syntax.App) and t.fname not in self.externals \
+                    and resolve(self.vocabulary, t.fname, len(t.args)).kind == "=":
+                a, b = map(self.term, t.args)
+                return lambda run: a(run) == b(run)
+            term = self.term(t)
+
+            def atom(run):
+                value = term(run)
+                if value is TRUE or value == TRUE:
+                    return True
+                if value == FALSE:
+                    return False
+                raise EvaluationError(
+                    f"guard evaluated to non-Boolean {value!r}: {syntax.format_term(t)}"
+                )
+
+            return atom
+        if isinstance(g, syntax.QuantGuard):
+            body, var, universe = self.guard(g.body), g.var, g.universe
+            holds = any if g.kind == "exists" else all
+            return lambda run: holds(
+                [body(run.bind(var, a)) for a in _extent(run, universe)]
+            )
+        if not isinstance(g, syntax.BoolGuard):
+            message = f"unsupported guard {type(g).__name__}"
+
+            def unsupported(run):
+                raise TypeError(message)
+
+            return unsupported
+        # Every operand is evaluated, so that the footprint does not depend
+        # on the operands' truth values.
+        op, subs = g.op, [self.guard(sub) for sub in g.operands]
+        if op == "not" and len(subs) == 1:
+            (a,) = subs
+            return lambda run: not a(run)
+        if len(subs) == 2 and op in ("and", "or", "implies"):
+            a, b = subs
+            if op == "and":
+                return lambda run: a(run) & b(run)
+            if op == "or":
+                return lambda run: a(run) | b(run)
+            return lambda run: (not a(run)) | b(run)
+
+        def other(run):
+            vals = [sub(run) for sub in subs]
+            if op == "and":
+                return vals[0] and vals[1]
+            if op == "or":
+                return vals[0] or vals[1]
+            if op == "not":
+                return not vals[0]
+            return (not vals[0]) or vals[1]  # implies
+
+        return other
+
+    # -- rules ---------------------------------------------------------------
+
+    def family(self, rule: syntax.Rule):
+        """``run -> set of frozensets``, the rule's direct family."""
+        return _family(*self.rule(rule))
+
+    def rule(self, rule: syntax.Rule):
+        """``(True, emit)`` for a rule that cannot choose, where
+        ``emit(run, out)`` appends its update set to the list ``out``, or
+        ``(False, family)`` with ``family(run)`` its direct family."""
+        if isinstance(rule, syntax.UpdateInstr):
+            fname, rhs = rule.fname, self.term(rule.rhs)
+            args = _tuple([self.term(a) for a in rule.args])
+            return True, lambda run, out: out.append(
+                Update(Location(fname, args(run)), rhs(run))
+            )
+        if isinstance(rule, syntax.Block):
+            subs = [self.rule(r) for r in rule.rules]
+            if all(free for free, _ in subs):
+                emits = [code for _, code in subs]
+
+                def block(run, out):
+                    for emit in emits:
+                        emit(run, out)
+
+                return True, block
+            families = [_family(*sub) for sub in subs]
+            return False, lambda run: _product(family(run) for family in families)
+        if isinstance(rule, syntax.Cond):
+            guards = [self.guard(g) for g, _ in rule.clauses]
+            subs = [self.rule(r) for _, r in rule.clauses]
+            if all(free for free, _ in subs):
+                clauses = [(g, code) for g, (_, code) in zip(guards, subs)]
+
+                def cond(run, out):
+                    for guard, emit in clauses:
+                        if guard(run):
+                            return emit(run, out)
+
+                return True, cond
+            clauses = [(g, _family(*sub)) for g, sub in zip(guards, subs)]
+
+            def cond_family(run):
+                for guard, family in clauses:
+                    if guard(run):
+                        return family(run)
+                return {frozenset()}
+
+            return False, cond_family
+        if isinstance(rule, syntax.Import):
+            return self.binder(rule.vars[0], rule.body, _withdraw)
+        if isinstance(rule, syntax.Duplicate):
+            term = self.term(rule.term)
+            return self.binder(rule.var, rule.body, lambda run, var: _duplicate(run, term, var))
+        if isinstance(rule, syntax.Choose):
+            var, universe, body = rule.vars[0], rule.universe, self.family(rule.body)
+            qualifier = None if rule.qualifier is None else self.term(rule.qualifier)
+
+            def choose(run):
+                out: set[frozenset] = set()
+                for a in _extent(run, universe):
+                    bound = run.bind(var, a)
+                    if qualifier is None or qualifier(bound) == TRUE:
+                        out |= body(bound)
+                return out
+
+            return False, choose
+        if isinstance(rule, syntax.Decl):
+            var, values = rule.var, self.range(rule.range)
+            free, code = self.rule(rule.body)
+            if free:
+                def decl(run, out):
+                    for a in values(run):
+                        code(run.bind(var, a, declared=True), out)
+
+                return True, decl
+            return False, lambda run: _product(
+                code(run.bind(var, a, declared=True)) for a in values(run)
+            )
+        raise TypeError(f"unsupported rule {type(rule).__name__}")
+
+    def binder(self, var: str, body: syntax.Rule, prelude):
+        """Import and duplicate: ``prelude(run, var)`` gives the element
+        bound to ``var`` and the updates added to every member."""
+        free, code = self.rule(body)
+        if free:
+            def emit(run, out):
+                a, extra = prelude(run, var)
+                out.extend(extra)
+                code(run.bind(var, a), out)
+
+            return True, emit
+
+        def family(run):
+            a, extra = prelude(run, var)
+            return {member.union(extra) for member in code(run.bind(var, a))}
+
+        return False, family
+
+    def range(self, rng: syntax.Range):
+        if isinstance(rng, syntax.UniverseRange):
+            universe = rng.universe
+            return lambda run: _extent(run, universe)
+        term = self.term(rng.term)
+        return lambda run: (term(run),)
 
 
-def _extent(ctx: _Ctx, universe: str) -> tuple[Element, ...]:
-    if ctx.footprint is not None:
-        ctx.footprint.names.add(universe)
-    return ctx.state.extent(universe)
+def _tuple(fs: list):
+    """A closure giving the tuple of the compiled terms' values, left to
+    right."""
+    if not fs:
+        return lambda run: ()
+    if len(fs) == 1:
+        (a,) = fs
+        return lambda run: (a(run),)
+    if len(fs) == 2:
+        a, b = fs
+        return lambda run: (a(run), b(run))
+    return lambda run: tuple([f(run) for f in fs])
 
 
-def eval_term(state: State, env, t: syntax.Term, *, oracle=None, externals=()) -> Element:
-    ctx = _make_ctx(state, env, None, oracle, externals, (), None)
-    return _eval(ctx, t)
+def _family(free: bool, code):
+    """The family closure of a compiled rule (see ``_Compiler.rule``)."""
+    if not free:
+        return code
+
+    def singleton(run):
+        out = []
+        code(run, out)
+        return {frozenset(out)}
+
+    return singleton
 
 
-def eval_guard(state: State, env, g: syntax.Guard, *, oracle=None, externals=()) -> bool:
-    ctx = _make_ctx(state, env, None, oracle, externals, (), None)
-    return _eval_guard(ctx, g)
+def _product(families: Iterable[set[frozenset]]) -> set[frozenset]:
+    """Unions of one member from each family, taken in turn; empty as soon
+    as one family is, and then the rest are not evaluated."""
+    acc = {frozenset()}
+    for fam in families:
+        if not fam:
+            return set()
+        acc = _cross(acc, fam)
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # Shared pieces
 
 
-def _check_input(
-    rule: syntax.Rule, state: State, env: Environment, decls, vocabulary=None
-) -> syntax.RuleFacts:
-    facts = syntax.rule_facts(rule)
-    if not facts.core:
-        raise ModeError("rule contains surface sugar; desugar it first")
-    binders = facts.binders
-    names = (vocabulary or state.vocabulary).names
-    if binders is None or (binders and not binders.isdisjoint(
-        {fn.name for fn in names}.union(facts.free, env.names(), decls)
-    )):
-        raise ContractViolation(
-            "rule is not perspicuous for this state; apply make_perspicuous"
-        )
-    return facts
+def _extent(run: _Run, universe: str) -> tuple[Element, ...]:
+    if run.footprint is not None:
+        run.footprint.names.add(universe)
+    return run.state.extent(universe)
 
 
-def _instr_update(ctx: _Ctx, node: syntax.UpdateInstr) -> Update:
-    args = tuple(_eval(ctx, a) for a in node.args)
-    value = _eval(ctx, node.rhs)
-    return Update(Location(node.fname, args), value)
+def _fresh(run: _Run, var: str) -> Element:
+    return run.alloc.fresh(var, tuple([run.env.get(u) for u in run.decls]))
 
 
-def _import_element(ctx: _Ctx, var: str) -> tuple[Element, Update]:
-    context = tuple(ctx.env.lookup(u) for u in ctx.decls)
-    a = ctx.alloc.fresh(var, context)
-    return a, Update(Location("Reserve", (a,)), FALSE)
+def _withdraw(run: _Run, var: str) -> tuple[Element, tuple[Update]]:
+    a = _fresh(run, var)
+    return a, (Update(Location("Reserve", (a,)), FALSE),)
 
 
-def _range_values(ctx: _Ctx, rng: syntax.Range) -> tuple[Element, ...]:
-    if isinstance(rng, syntax.UniverseRange):
-        return _extent(ctx, rng.universe)
-    return (_eval(ctx, rng.term),)
-
-
-def _duplicate_prelude(ctx: _Ctx, node: syntax.Duplicate) -> tuple[Element, frozenset[Update]]:
+def _duplicate(run: _Run, term, var: str) -> tuple[Element, frozenset[Update]]:
     """Withdraw a fresh copy and mirror the stored facts mentioning the
     original in every table of the rule's scope.
 
     The scan reads each of those tables, empty ones too, so all of them
     join the footprint's whole-table reads.
     """
-    original = _eval(ctx, node.term)
+    original = term(run)
     if original == UNDEF:
         raise DuplicateError("duplicate: term evaluates to undef")
-    if original.kind == "reserve" and original.value >= ctx.state.reserve_next:
+    if original.kind == "reserve" and original.value >= run.state.reserve_next:
         raise DuplicateError("duplicate: term evaluates to a reserve element")
-    context = tuple(ctx.env.lookup(u) for u in ctx.decls)
-    copy = ctx.alloc.fresh(node.var, context)
+    copy = _fresh(run, var)
     out: set[Update] = {Update(Location("Reserve", (copy,)), FALSE)}
-    if ctx.footprint is not None:
-        ctx.footprint.names.update(
-            fn.name for fn in ctx.vocabulary.names if fn.name not in COMPUTED_NAMES
-        )
-    for fname, args, value in ctx.state.facts():
-        if original not in args or fname not in ctx.vocabulary:
+    scope = run.scope
+    if run.footprint is not None:
+        run.footprint.names.update(fn.name for fn in scope.names if fn.name not in COMPUTED_NAMES)
+    for fname, args, value in run.state.facts():
+        if original not in args or fname not in scope:
             continue
-        fn = ctx.vocabulary.require(fname)
+        fn = scope.require(fname)
         choices = [(arg, copy) if arg == original else (arg,) for arg in args]
         for mixture in product(*choices):
             if mixture == args:
@@ -287,55 +492,41 @@ def _duplicate_prelude(ctx: _Ctx, node: syntax.Duplicate) -> tuple[Element, froz
     return copy, frozenset(out)
 
 
-# ---------------------------------------------------------------------------
-# Family semantics, direct induction (no bottom)
-
-
 def _cross(acc: set[frozenset], fam: Iterable[frozenset]) -> set[frozenset]:
     return {x | y for x in acc for y in fam}
 
 
-def _direct(ctx: _Ctx, rule: syntax.Rule) -> set[frozenset]:
-    if isinstance(rule, syntax.UpdateInstr):
-        return {frozenset({_instr_update(ctx, rule)})}
-    if isinstance(rule, syntax.Block):
-        acc: set[frozenset] = {frozenset()}
-        for r in rule.rules:
-            fam = _direct(ctx, r)
-            if not fam:
-                return set()
-            acc = _cross(acc, fam)
-        return acc
-    if isinstance(rule, syntax.Cond):
-        for g, r in rule.clauses:
-            if _eval_guard(ctx, g):
-                return _direct(ctx, r)
-        return {frozenset()}
-    if isinstance(rule, syntax.Import):
-        a, withdrawal = _import_element(ctx, rule.vars[0])
-        inner = _direct(ctx.bind(rule.vars[0], a), rule.body)
-        return {member | {withdrawal} for member in inner}
-    if isinstance(rule, syntax.Choose):
-        out: set[frozenset] = set()
-        for a in _extent(ctx, rule.universe):
-            bound = ctx.bind(rule.vars[0], a)
-            if rule.qualifier is not None and _eval(bound, rule.qualifier) != TRUE:
-                continue
-            out |= _direct(bound, rule.body)
-        return out
-    if isinstance(rule, syntax.Decl):
-        acc = {frozenset()}
-        for a in _range_values(ctx, rule.range):
-            fam = _direct(ctx.bind(rule.var, a, declared=True), rule.body)
-            if not fam:
-                return set()
-            acc = _cross(acc, fam)
-        return acc
-    if isinstance(rule, syntax.Duplicate):
-        copy, prelude = _duplicate_prelude(ctx, rule)
-        inner = _direct(ctx.bind(rule.var, copy), rule.body)
-        return {member | prelude for member in inner}
-    raise TypeError(f"unsupported rule {type(rule).__name__}")
+def _check_input(
+    rule: syntax.Rule, state: State, env: dict, decls, vocabulary=None
+) -> syntax.RuleFacts:
+    facts = syntax.rule_facts(rule)
+    if not facts.core:
+        raise ModeError("rule contains surface sugar; desugar it first")
+    binders = facts.binders
+    if binders is None or (binders and not (
+        binders.isdisjoint((vocabulary or state.vocabulary).name_set)
+        and binders.isdisjoint(facts.free)
+        and binders.isdisjoint(env)
+        and binders.isdisjoint(decls)
+    )):
+        raise ContractViolation(
+            "rule is not perspicuous for this state; apply make_perspicuous"
+        )
+    return facts
+
+
+# ---------------------------------------------------------------------------
+# Entry points
+
+
+def eval_term(state: State, env, t: syntax.Term, *, oracle=None, externals=()) -> Element:
+    run = _start(state, env, None, oracle, (), None, None)
+    return _compiled(t, state.vocabulary, frozenset(externals), _Compiler.term)(run)
+
+
+def eval_guard(state: State, env, g: syntax.Guard, *, oracle=None, externals=()) -> bool:
+    run = _start(state, env, None, oracle, (), None, None)
+    return _compiled(g, state.vocabulary, frozenset(externals), _Compiler.guard)(run)
 
 
 def nupdates(
@@ -356,9 +547,9 @@ def nupdates(
     when nothing qualifies (or a plain choose ranges over an empty
     universe) the family is empty, which fires as a no-op.
     """
-    ctx = _make_ctx(state, env, alloc, oracle, externals, decls, footprint, vocabulary)
-    _check_input(rule, state, ctx.env, decls, vocabulary)
-    members = _direct(ctx, rule)
+    run = _start(state, env, alloc, oracle, decls, footprint, vocabulary)
+    _check_input(rule, state, run.env, decls, vocabulary)
+    members = _compiled(rule, state.vocabulary, frozenset(externals), _Compiler.family)(run)
     return UpdateFamily.of(UpdateSet(m) for m in members)
 
 
@@ -380,10 +571,10 @@ def updates(
     A rule with a choose anywhere, even in a branch not taken here, has no
     deterministic update set and raises ``ModeError``.
     """
-    ctx = _make_ctx(state, env, alloc, oracle, externals, decls, footprint, vocabulary)
-    if _check_input(rule, state, ctx.env, decls, vocabulary).choose:
+    run = _start(state, env, alloc, oracle, decls, footprint, vocabulary)
+    if _check_input(rule, state, run.env, decls, vocabulary).choose:
         raise ModeError("choose rules have no deterministic update set; use nupdates")
-    (member,) = _direct(ctx, rule)
+    (member,) = _compiled(rule, state.vocabulary, frozenset(externals), _Compiler.family)(run)
     return UpdateSet(member)
 
 
@@ -391,52 +582,58 @@ def updates(
 # Family semantics via global choice functions (with bottom)
 
 
-def _global(ctx: _Ctx, rule: syntax.Rule) -> tuple[set[frozenset], bool]:
+def _global(run: _Run, code, rule: syntax.Rule) -> tuple[set[frozenset], bool]:
+    """The family of ``rule`` and whether it holds bottom;
+    ``code(node, build)`` is the compiled closure of a guard, term or
+    update instruction (see ``_compiled``)."""
     if isinstance(rule, syntax.UpdateInstr):
-        return {frozenset({_instr_update(ctx, rule)})}, False
+        return code(rule, _Compiler.family)(run), False
     if isinstance(rule, (syntax.Block, syntax.Decl)):
         if isinstance(rule, syntax.Block):
-            parts = [(ctx, r) for r in rule.rules]
+            parts = [(run, r) for r in rule.rules]
         else:
-            parts = [
-                (ctx.bind(rule.var, a, declared=True), rule.body)
-                for a in _range_values(ctx, rule.range)
-            ]
+            rng = rule.range
+            values = (
+                _extent(run, rng.universe) if isinstance(rng, syntax.UniverseRange)
+                else (code(rng.term, _Compiler.term)(run),)
+            )
+            parts = [(run.bind(rule.var, a, declared=True), rule.body) for a in values]
         acc: set[frozenset] = {frozenset()}
         bottom = False
-        for sub_ctx, r in parts:
-            fam, bot = _global(sub_ctx, r)
+        for sub_run, r in parts:
+            fam, bot = _global(sub_run, code, r)
             bottom = bottom or bot
             acc = _cross(acc, fam)
         return acc, bottom
     if isinstance(rule, syntax.Cond):
         for g, r in rule.clauses:
-            if _eval_guard(ctx, g):
-                return _global(ctx, r)
+            if code(g, _Compiler.guard)(run):
+                return _global(run, code, r)
         return {frozenset()}, False
-    if isinstance(rule, syntax.Import):
-        a, withdrawal = _import_element(ctx, rule.vars[0])
-        fam, bottom = _global(ctx.bind(rule.vars[0], a), rule.body)
-        return {member | {withdrawal} for member in fam}, bottom
+    if isinstance(rule, (syntax.Import, syntax.Duplicate)):
+        if isinstance(rule, syntax.Import):
+            var = rule.vars[0]
+            a, extra = _withdraw(run, var)
+        else:
+            var = rule.var
+            a, extra = _duplicate(run, code(rule.term, _Compiler.term), var)
+        fam, bottom = _global(run.bind(var, a), code, rule.body)
+        return {member.union(extra) for member in fam}, bottom
     if isinstance(rule, syntax.Choose):
-        members = _extent(ctx, rule.universe)
+        members = _extent(run, rule.universe)
         if not members:
             return set(), True
         out: set[frozenset] = set()
         bottom = False
         for a in members:
-            bound = ctx.bind(rule.vars[0], a)
-            if rule.qualifier is not None and _eval(bound, rule.qualifier) != TRUE:
+            bound = run.bind(rule.vars[0], a)
+            if rule.qualifier is not None and code(rule.qualifier, _Compiler.term)(bound) != TRUE:
                 bottom = True
                 continue
-            fam, bot = _global(bound, rule.body)
+            fam, bot = _global(bound, code, rule.body)
             bottom = bottom or bot
             out |= fam
         return out, bottom
-    if isinstance(rule, syntax.Duplicate):
-        copy, prelude = _duplicate_prelude(ctx, rule)
-        fam, bottom = _global(ctx.bind(rule.var, copy), rule.body)
-        return {member | prelude for member in fam}, bottom
     raise TypeError(f"unsupported rule {type(rule).__name__}")
 
 
@@ -456,9 +653,12 @@ def nupdates_global(
     Contradictory resolutions (empty ranges, failed qualifiers) are kept
     as the family's bottom member and fire as no-ops.
     """
-    ctx = _make_ctx(state, env, alloc, oracle, externals, decls, footprint)
-    _check_input(rule, state, ctx.env, decls)
-    members, bottom = _global(ctx, rule)
+    run = _start(state, env, alloc, oracle, decls, footprint, None)
+    _check_input(rule, state, run.env, decls)
+    externals = frozenset(externals)
+    members, bottom = _global(
+        run, lambda node, build: _compiled(node, state.vocabulary, externals, build), rule
+    )
     return UpdateFamily.of((UpdateSet(m) for m in members), contains_bottom=bottom)
 
 

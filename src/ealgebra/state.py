@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import (
     IllegalUpdateError,
@@ -258,52 +258,9 @@ class State:
 
     def read(self, location: Location) -> Element:
         """Value at a location, computing logic names and applying defaults."""
-        fname, args = location.fname, location.args
-        fn = self.vocabulary.lookup(fname)
-        if fn is None:
-            raise VocabularyError(f"unknown function name: {fname}")
-        if len(args) != fn.arity:
-            raise VocabularyError(
-                f"{fname}: expected {fn.arity} arguments, got {len(args)}"
-            )
-        if fname == "true":
-            return TRUE
-        if fname == "false":
-            return FALSE
-        if fname == "undef":
-            return UNDEF
-        if fname == "=":
-            return boolean(args[0] == args[1])
-        if fname in ("and", "or", "not", "implies"):
-            return _bool_op(fname, args)
-        if fname in ("+", "mod", "<"):
-            return self._int_op(fname, args)
-        if self.vocabulary.integers and fname.isdigit():
-            return self.make_integer(int(fname))
-        if fname == "Reserve":
-            a = args[0]
-            return boolean(a.kind == "reserve" and a.value >= self.reserve_next)
-        stored = self._tables.get(fname, {}).get(args)
-        if stored is not None:
-            return stored
-        return FALSE if fn.is_relation else UNDEF
-
-    def make_integer(self, value: int) -> Element:
-        if self.vocabulary.modulus:
-            value %= self.vocabulary.modulus
-        return Element.integer(value)
-
-    def _int_op(self, fname: str, args: tuple[Element, ...]) -> Element:
-        a, b = args
-        if a.kind != "int" or b.kind != "int":
-            return FALSE if fname == "<" else UNDEF
-        if fname == "+":
-            return self.make_integer(a.value + b.value)
-        if fname == "<":
-            return boolean(a.value < b.value)
-        if b.value == 0:
-            return UNDEF
-        return self.make_integer(a.value % b.value)
+        return resolve(self.vocabulary, location.fname, len(location.args)).read(
+            self, location.args
+        )
 
     def extent(self, universe: str) -> tuple[Element, ...]:
         """Elements of a unary relation's finite extent, canonically ordered."""
@@ -471,6 +428,102 @@ class State:
             f"{Location(f, a)!r}={format_element(v)}" for f, a, v in self.stored_items()
         )
         return f"State({facts or 'all default'}; reserve@{self.reserve_next})"
+
+
+# -- name resolution ---------------------------------------------------------
+
+
+class Resolved(NamedTuple):
+    """How a name applied to ``arity`` arguments reads at the states of one
+    vocabulary.
+
+    ``kind`` is ``constant`` (``value`` is the element), ``=``, ``bool``,
+    ``int`` (``value`` is the modulus), ``reserve``, ``table`` (``value``
+    is the default of an absent location) or ``error`` (``value`` is the
+    ``VocabularyError`` message, raised on reading).  ``read(state, args)``
+    gives the value at a state.
+    """
+
+    kind: str
+    value: object
+    read: Callable[["State", tuple], Element]
+
+
+def resolve(vocabulary: Vocabulary, fname: str, arity: int) -> Resolved:
+    """The one dispatch on a name's kind, shared by ``State.read`` and the
+    evaluator's compiler."""
+    fn = vocabulary.lookup(fname)
+    if fn is None:
+        return _failing(f"unknown function name: {fname}")
+    if arity != fn.arity:
+        return _failing(f"{fname}: expected {fn.arity} arguments, got {arity}")
+    if fname in _CONSTANTS:
+        return _constant(_CONSTANTS[fname])
+    if fname == "=":
+        return Resolved("=", None, lambda state, args: boolean(args[0] == args[1]))
+    if fname in ("and", "or", "not", "implies"):
+        return Resolved("bool", None, lambda state, args: _bool_op(fname, args))
+    modulus = vocabulary.modulus
+    if fname in ("+", "mod", "<"):
+        return Resolved("int", modulus, lambda state, args: _int_op(fname, args, modulus))
+    if vocabulary.integers and fname.isdigit():
+        return _constant(_integer(int(fname), modulus))
+    if fname == "Reserve":
+        return Resolved("reserve", None, lambda state, args: boolean(
+            args[0].kind == "reserve" and args[0].value >= state.reserve_next
+        ))
+    default = FALSE if fn.is_relation else UNDEF
+
+    def read(state, args):
+        table = state._tables.get(fname)
+        return default if table is None else table.get(args, default)
+
+    return Resolved("table", default, read)
+
+
+_CONSTANTS = {"true": TRUE, "false": FALSE, "undef": UNDEF}
+
+
+def _constant(value: Element) -> Resolved:
+    return Resolved("constant", value, lambda state, args: value)
+
+
+def _failing(message: str) -> Resolved:
+    def read(state, args):
+        raise VocabularyError(message)
+
+    return Resolved("error", message, read)
+
+
+def _integer(value: int, modulus: int | None) -> Element:
+    return Element.integer(value % modulus if modulus else value)
+
+
+def _int_op(fname: str, args: tuple[Element, ...], modulus: int | None) -> Element:
+    a, b = args
+    if a.kind != "int" or b.kind != "int":
+        return FALSE if fname == "<" else UNDEF
+    if fname == "+":
+        return _integer(a.value + b.value, modulus)
+    if fname == "<":
+        return boolean(a.value < b.value)
+    if b.value == 0:
+        return UNDEF
+    return _integer(a.value % b.value, modulus)
+
+
+def _bool_op(fname: str, args: tuple[Element, ...]) -> Element:
+    """Boolean operations: usual on Booleans, undef on anything else."""
+    if any(a not in _BOOLEANS for a in args):
+        return UNDEF
+    vals = [a == TRUE for a in args]
+    if fname == "and":
+        return boolean(vals[0] and vals[1])
+    if fname == "or":
+        return boolean(vals[0] or vals[1])
+    if fname == "not":
+        return boolean(not vals[0])
+    return boolean((not vals[0]) or vals[1])  # implies
 
 
 # -- canonical form ----------------------------------------------------------
@@ -670,17 +723,3 @@ def _in_orbit(x: int, explored: list[int], prefix, twin, automorphisms) -> bool:
                     parent[max(ry, rz)] = min(ry, rz)
     target = root(x)
     return any(root(y) == target for y in explored)
-
-
-def _bool_op(fname: str, args: tuple[Element, ...]) -> Element:
-    """Boolean operations: usual on Booleans, undef on anything else."""
-    if any(a not in _BOOLEANS for a in args):
-        return UNDEF
-    vals = [a == TRUE for a in args]
-    if fname == "and":
-        return boolean(vals[0] and vals[1])
-    if fname == "or":
-        return boolean(vals[0] or vals[1])
-    if fname == "not":
-        return boolean(not vals[0])
-    return boolean((not vals[0]) or vals[1])  # implies

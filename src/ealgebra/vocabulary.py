@@ -78,6 +78,11 @@ class Vocabulary:
     def _index(self) -> dict[str, FunctionName]:
         return {fn.name: fn for fn in self.names}
 
+    @cached_property
+    def name_set(self) -> frozenset[str]:
+        """The declared names, numeric literals aside."""
+        return frozenset(self._index)
+
     def lookup(self, name: str) -> FunctionName | None:
         fn = self._index.get(name)
         if fn is None and self.integers and name.isdigit():

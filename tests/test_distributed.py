@@ -302,6 +302,30 @@ def test_wrong_initial_state_violates_condition_three(philosophers4, ring4):
     assert not verdict.valid and verdict.condition == "3"
 
 
+def test_a_check_validates_its_base_state_once(philosophers4, ring4, monkeypatch):
+    # Every segment state is fired from the base, and module names are
+    # static, so the base's module-element map serves every move.
+    from ealgebra import distributed
+
+    pr = generate_partial_run(philosophers4, ring4, [I(0), I(2), I(0), I(2), I(1)])
+    calls = []
+    original = distributed.validate_spec_state
+
+    def counting(spec, state):
+        calls.append(state)
+        return original(spec, state)
+
+    monkeypatch.setattr(distributed, "validate_spec_state", counting)
+    assert check_partial_run(philosophers4, pr, initial_state=ring4).valid
+    assert calls == [ring4]
+    calls.clear()
+    segment_states(philosophers4, pr)
+    assert calls == [ring4]
+    calls.clear()
+    assert len(linearizations(philosophers4, pr).traces) > 1
+    assert calls == [ring4]
+
+
 def test_linearizations_of_an_antichain(philosophers4, ring4):
     pr = generate_partial_run(philosophers4, ring4, [I(0), I(2)])
     report = linearizations(philosophers4, pr)

@@ -1,8 +1,10 @@
-"""``updates`` against the deterministic walker it replaced.
+"""``updates`` and ``nupdates`` against the walkers they replaced.
 
-``tests/interporacle.py`` keeps the old induction; on random choice-free
-core rules at random states both give the same update set, read the same
-footprint, and fail with the same exception type and message.
+``tests/interporacle.py`` keeps the old inductions: the deterministic
+walker and the tree-walking family walker.  On random core rules at random
+states the compiled rule gives the same update set (choice-free rules) or
+the same family (rules with choose), reads the same footprint, and fails
+with the same exception type and message.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from ealgebra import (
     State,
     format_element,
     make_vocabulary,
+    nupdates,
     updates,
 )
 from ealgebra.syntax import (
@@ -72,6 +75,7 @@ def core_rule(seed: int):
 
 
 choice_free = st.integers(0, 10**6).map(core_rule).filter(lambda r: not has_choose(r))
+choosing = st.integers(0, 10**6).map(core_rule).filter(has_choose)
 values = st.sampled_from(STORED + (UNDEF,))
 
 
@@ -107,6 +111,12 @@ def outcome(entry, rule, state, w):
 @given(choice_free, states(), st.sampled_from(STORED))
 def test_updates_match_the_old_walker(rule, state, w):
     assert outcome(updates, rule, state, w) == outcome(interporacle.updates, rule, state, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(choosing, states(), st.sampled_from(STORED))
+def test_nupdates_matches_the_tree_walker(rule, state, w):
+    assert outcome(nupdates, rule, state, w) == outcome(interporacle.nupdates, rule, state, w)
 
 
 def test_a_choose_in_a_branch_not_taken_still_raises():
