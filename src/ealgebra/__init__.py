@@ -26,7 +26,6 @@ from .errors import (
     VocabularyError,
 )
 from .evaluator import (
-    Environment,
     Footprint,
     ReserveAllocator,
     eval_guard,

@@ -160,6 +160,8 @@ def sequential_run(
     (``SeededChooser(0)`` if none) draws the agent first, then a member of
     the agent's family when it has more than one.
     """
+    if max_steps is not None and max_steps < 0:
+        raise ScheduleError("max_steps must not be negative")
     validate_spec_state(spec, initial)
     if chooser is None:
         chooser = SeededChooser(0)
@@ -450,6 +452,9 @@ def check_partial_run(
     for earlier, later in pr.edges:
         if earlier not in known or later not in known:
             return Verdict(False, "certificate", f"edge ({earlier}, {later}) names unknown moves")
+    for move in pr.recorded or ():
+        if move not in known:
+            return Verdict(False, "certificate", f"updates line names unknown move {move}")
     order = _order(pr.moves, pr.edges)
     if order.topological is None:
         return Verdict(False, "1", _CYCLE)

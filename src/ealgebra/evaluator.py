@@ -15,11 +15,14 @@ name is resolved once, at compile time, by ``state.resolve``, the same
 dispatch ``State.read`` uses: a constant becomes its element, a tabled
 read one dict lookup, and an unknown name or a wrong arity a closure that
 evaluates its arguments and then raises ``VocabularyError``, so the error
-fires only on a branch that is taken.  A choice-free part of a rule adds
-its updates to one list; only parts that can choose build families.  The
-closure is kept on the node it was compiled from (as ``syntax.rule_facts``
-keeps a rule's facts), keyed by the identity of the state's vocabulary and
-by the set of external names, and compiled again for any other pair.
+fires only on a branch that is taken.  A rule compiles to one closure
+that extends a running family, a list of members, each a list of
+updates: an update instruction appends to every member and only a choose
+copies them, once per qualifying element, so a choice-free rule builds
+its single member on one list.  The closure is kept on the node it was
+compiled from (as ``syntax.rule_facts`` keeps a rule's facts), keyed by
+the identity of the state's vocabulary and by the set of external names,
+and compiled again for any other pair.
 ``nupdates_global`` walks the rule's shape itself and calls the compiled
 guards, terms and update instructions.
 
@@ -40,7 +43,7 @@ its tables.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from . import syntax
 from .errors import (
@@ -63,30 +66,6 @@ from .state import (
     resolve,
 )
 from .vocabulary import COMPUTED_NAMES, Vocabulary
-
-
-class Environment:
-    """Finite map from variables to elements; extension shadows."""
-
-    __slots__ = ("bindings",)
-
-    def __init__(self, bindings: Mapping[str, Element] | None = None):
-        self.bindings = dict(bindings or {})
-
-    def bind(self, var: str, value: Element) -> "Environment":
-        child = Environment(self.bindings)
-        child.bindings[var] = value
-        return child
-
-    def lookup(self, var: str) -> Element | None:
-        return self.bindings.get(var)
-
-    def names(self):
-        return self.bindings.keys()
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.bindings.items()))
-        return f"Environment({inner})"
 
 
 class ReserveAllocator:
@@ -146,8 +125,6 @@ class _Run:
 
 
 def _start(state, env, alloc, oracle, decls, footprint, vocabulary) -> _Run:
-    if isinstance(env, Environment):
-        env = env.bindings
     if alloc is None:
         alloc = ReserveAllocator(state.reserve_next)
     return _Run(
@@ -299,100 +276,95 @@ class _Compiler:
 
     def family(self, rule: syntax.Rule):
         """``run -> set of frozensets``, the rule's direct family."""
-        return _family(*self.rule(rule))
+        code = self.rule(rule)
+        return lambda run: {frozenset(m) for m in code(run, [[]])}
 
     def rule(self, rule: syntax.Rule):
-        """``(True, emit)`` for a rule that cannot choose, where
-        ``emit(run, out)`` appends its update set to the list ``out``, or
-        ``(False, family)`` with ``family(run)`` its direct family."""
+        """``code(run, acc)``: ``acc`` is a list of family members, each a
+        list of updates the call owns; ``code`` adds every member of the
+        rule's direct family to every member of ``acc`` and returns the
+        result, ``[]`` once the family is empty.  A rule that cannot choose
+        extends the members in place."""
         if isinstance(rule, syntax.UpdateInstr):
             fname, rhs = rule.fname, self.term(rule.rhs)
             args = _tuple([self.term(a) for a in rule.args])
-            return True, lambda run, out: out.append(
-                Update(Location(fname, args(run)), rhs(run))
-            )
+
+            def update(run, acc):
+                u = Update(Location(fname, args(run)), rhs(run))
+                for m in acc:
+                    m.append(u)
+                return acc
+
+            return update
         if isinstance(rule, syntax.Block):
-            subs = [self.rule(r) for r in rule.rules]
-            if all(free for free, _ in subs):
-                emits = [code for _, code in subs]
+            codes = [self.rule(r) for r in rule.rules]
 
-                def block(run, out):
-                    for emit in emits:
-                        emit(run, out)
+            def block(run, acc):
+                for code in codes:
+                    if not acc:  # later parts are not evaluated
+                        break
+                    acc = code(run, acc)
+                return acc
 
-                return True, block
-            families = [_family(*sub) for sub in subs]
-            return False, lambda run: _product(family(run) for family in families)
+            return block
         if isinstance(rule, syntax.Cond):
-            guards = [self.guard(g) for g, _ in rule.clauses]
-            subs = [self.rule(r) for _, r in rule.clauses]
-            if all(free for free, _ in subs):
-                clauses = [(g, code) for g, (_, code) in zip(guards, subs)]
+            clauses = [(self.guard(g), self.rule(r)) for g, r in rule.clauses]
 
-                def cond(run, out):
-                    for guard, emit in clauses:
-                        if guard(run):
-                            return emit(run, out)
-
-                return True, cond
-            clauses = [(g, _family(*sub)) for g, sub in zip(guards, subs)]
-
-            def cond_family(run):
-                for guard, family in clauses:
+            def cond(run, acc):
+                for guard, code in clauses:
                     if guard(run):
-                        return family(run)
-                return {frozenset()}
+                        return code(run, acc)
+                return acc
 
-            return False, cond_family
+            return cond
         if isinstance(rule, syntax.Import):
             return self.binder(rule.vars[0], rule.body, _withdraw)
         if isinstance(rule, syntax.Duplicate):
             term = self.term(rule.term)
             return self.binder(rule.var, rule.body, lambda run, var: _duplicate(run, term, var))
         if isinstance(rule, syntax.Choose):
-            var, universe, body = rule.vars[0], rule.universe, self.family(rule.body)
+            var, universe, body = rule.vars[0], rule.universe, self.rule(rule.body)
             qualifier = None if rule.qualifier is None else self.term(rule.qualifier)
 
-            def choose(run):
-                out: set[frozenset] = set()
+            def choose(run, acc):
+                # Members are kept once per update set: sibling chooses
+                # multiply the members, and many of them coincide (a block
+                # of k chooses whose bodies skip would hold n^k copies of
+                # one member).
+                out: dict[frozenset, list] = {}
                 for a in _extent(run, universe):
                     bound = run.bind(var, a)
                     if qualifier is None or qualifier(bound) == TRUE:
-                        out |= body(bound)
-                return out
+                        for m in body(bound, [list(m) for m in acc]):
+                            out.setdefault(frozenset(m), m)
+                return list(out.values())
 
-            return False, choose
+            return choose
         if isinstance(rule, syntax.Decl):
-            var, values = rule.var, self.range(rule.range)
-            free, code = self.rule(rule.body)
-            if free:
-                def decl(run, out):
-                    for a in values(run):
-                        code(run.bind(var, a, declared=True), out)
+            var, values, code = rule.var, self.range(rule.range), self.rule(rule.body)
 
-                return True, decl
-            return False, lambda run: _product(
-                code(run.bind(var, a, declared=True)) for a in values(run)
-            )
+            def decl(run, acc):
+                for a in values(run):
+                    if not acc:
+                        break
+                    acc = code(run.bind(var, a, declared=True), acc)
+                return acc
+
+            return decl
         raise TypeError(f"unsupported rule {type(rule).__name__}")
 
     def binder(self, var: str, body: syntax.Rule, prelude):
         """Import and duplicate: ``prelude(run, var)`` gives the element
         bound to ``var`` and the updates added to every member."""
-        free, code = self.rule(body)
-        if free:
-            def emit(run, out):
-                a, extra = prelude(run, var)
-                out.extend(extra)
-                code(run.bind(var, a), out)
+        code = self.rule(body)
 
-            return True, emit
-
-        def family(run):
+        def bind(run, acc):
             a, extra = prelude(run, var)
-            return {member.union(extra) for member in code(run.bind(var, a))}
+            for m in acc:
+                m.extend(extra)
+            return code(run.bind(var, a), acc)
 
-        return False, family
+        return bind
 
     def range(self, rng: syntax.Range):
         if isinstance(rng, syntax.UniverseRange):
@@ -414,30 +386,6 @@ def _tuple(fs: list):
         a, b = fs
         return lambda run: (a(run), b(run))
     return lambda run: tuple([f(run) for f in fs])
-
-
-def _family(free: bool, code):
-    """The family closure of a compiled rule (see ``_Compiler.rule``)."""
-    if not free:
-        return code
-
-    def singleton(run):
-        out = []
-        code(run, out)
-        return {frozenset(out)}
-
-    return singleton
-
-
-def _product(families: Iterable[set[frozenset]]) -> set[frozenset]:
-    """Unions of one member from each family, taken in turn; empty as soon
-    as one family is, and then the rest are not evaluated."""
-    acc = {frozenset()}
-    for fam in families:
-        if not fam:
-            return set()
-        acc = _cross(acc, fam)
-    return acc
 
 
 # ---------------------------------------------------------------------------

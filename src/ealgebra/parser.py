@@ -119,7 +119,6 @@ def _scan(text: str, first_line: int = 1) -> list[_Tok]:
     return toks
 
 
-_PREC = {"implies": 1, "or": 2, "and": 3}
 _CMP_OPS = {"=", "!=", "<"}
 
 
@@ -280,16 +279,10 @@ class _RuleParser:
                 part = App("not", (App("=", (left, right)),))
             parts.append(part)
             left = right
-        if mode == "guard":
-            guards = [syntax.guard_from_term(p) for p in parts]
-            out = guards[0]
-            for g in guards[1:]:
-                out = BoolGuard("and", (out, g))
-            return out
         out = parts[0]
         for p in parts[1:]:
             out = App("and", (out, p))
-        return out
+        return syntax.guard_from_term(out) if mode == "guard" else out
 
     def _additive(self) -> syntax.Term:
         left = self._multiplicative()
@@ -372,12 +365,16 @@ class _RuleParser:
 
     # -- rules
 
-    def parse_rule(self, stop: frozenset[str]) -> syntax.Rule:
+    def parse_rule(self, stop: frozenset[str], case: bool = False) -> syntax.Rule:
+        """Statements up to a keyword of ``stop``; in a ``case`` body, also
+        up to the line that labels the next branch."""
         stmts: list[syntax.Rule] = []
         while True:
             self.skip_newlines()
             tok = self.peek()
             if tok.kind == "eof" or (tok.kind == "kw" and tok.text in stop):
+                break
+            if case and self._looks_like_label():
                 break
             if tok.kind == "op" and tok.text == ",":
                 self.next()
@@ -392,10 +389,7 @@ class _RuleParser:
 
     def _parse_decl(self, stop: frozenset[str]) -> syntax.Rule:
         self.expect("kw", "Var")
-        names = [self.expect_ident().text]
-        while self.peek().kind == "op" and self.peek().text == ",":
-            self.next()
-            names.append(self.expect_ident().text)
+        names = self._parse_var_list()
         if self.at_kw("ranges", "range"):
             self.next()
         else:
@@ -569,38 +563,18 @@ class _RuleParser:
                 break
             if self.at_kw("else"):
                 self.next()
-                else_rule = self._parse_case_body(stop)
+                else_rule = self.parse_rule(stop, case=True)
                 break
             labels = [self.parse_term()]
             while self.peek().kind == "op" and self.peek().text == ",":
                 self.next()
                 labels.append(self.parse_term())
             self.expect("op", ":")
-            branches.append((tuple(labels), self._parse_case_body(stop)))
+            branches.append((tuple(labels), self.parse_rule(stop, case=True)))
         self.expect("kw", "endcase")
         if not branches:
             raise self.fail("case needs at least one branch")
         return Case(subject, tuple(branches), else_rule)
-
-    def _parse_case_body(self, stop: frozenset[str]) -> syntax.Rule:
-        stmts: list[syntax.Rule] = []
-        while True:
-            self.skip_newlines()
-            tok = self.peek()
-            if tok.kind == "eof" or (tok.kind == "kw" and tok.text in stop):
-                break
-            if self._looks_like_label():
-                break
-            if tok.kind == "op" and tok.text == ",":
-                self.next()
-                continue
-            if self.at_kw("Var"):
-                stmts.append(self._parse_decl(stop))
-                break
-            stmts.append(self._parse_statement(stop))
-        if len(stmts) == 1:
-            return stmts[0]
-        return Block(tuple(stmts))
 
 
 def is_boolean_term(t: syntax.Term, vocabulary: Vocabulary, *, active: bool = False) -> bool:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import syntax
-from .errors import EalgebraError, OracleError, VocabularyError
+from .errors import EalgebraError, OracleError, ScheduleError, VocabularyError
 from .evaluator import eval_guard, nupdates, updates
 from .parser import parse_guard_text
 from .state import (
@@ -300,7 +300,7 @@ def run(
     CLI's default ``--seed 0``.
     """
     if max_steps < 1:
-        raise ValueError("max_steps must be positive")
+        raise ScheduleError("max_steps must be positive")
     if chooser is None:
         chooser = SeededChooser(0)
     check_appropriate(program, initial)

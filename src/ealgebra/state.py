@@ -33,7 +33,6 @@ from .errors import (
 )
 from .vocabulary import COMPUTED_NAMES, FunctionName, Vocabulary
 
-_KIND_RANK = {"logic": 0, "named": 1, "int": 2, "reserve": 3}
 _LOGIC_RANK = {"true": 0, "false": 1, "undef": 2}
 
 

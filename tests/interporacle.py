@@ -7,9 +7,10 @@ that, these walkers interpreted the syntax tree on every call: ``_eval``
 and ``_eval_guard`` for terms and guards, ``_direct`` for the family of a
 rule by direct induction, and ``_updates``, the deterministic walker that
 ``updates`` used before it returned the single member of the direct
-family.  They are kept here unchanged, with the helpers they call and the
-name dispatch ``State.read`` made on every read (``_read``), so the
-compiled code can be compared with them rule by rule and term by term.
+family.  They are kept here unchanged, with the helpers they call, the
+variable map ``Environment`` they bind through and the name dispatch
+``State.read`` made on every read (``_read``), so the compiled code can
+be compared with them rule by rule and term by term.
 Only the package's public API is imported.
 """
 
@@ -25,7 +26,6 @@ from ealgebra import (
     ContractViolation,
     DuplicateError,
     Element,
-    Environment,
     EvaluationError,
     Location,
     ModeError,
@@ -39,6 +39,27 @@ from ealgebra import (
     syntax,
 )
 from ealgebra.vocabulary import COMPUTED_NAMES
+
+
+class Environment:
+    """Finite map from variables to elements; extension shadows."""
+
+    __slots__ = ("bindings",)
+
+    def __init__(self, bindings: Mapping[str, Element] | None = None):
+        self.bindings = dict(bindings or {})
+
+    def bind(self, var: str, value: Element) -> "Environment":
+        child = Environment(self.bindings)
+        child.bindings[var] = value
+        return child
+
+    def lookup(self, var: str) -> Element | None:
+        return self.bindings.get(var)
+
+    def names(self):
+        return self.bindings.keys()
+
 
 EMPTY_ENV = Environment()
 _BOOLEANS = (TRUE, FALSE)

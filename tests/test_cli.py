@@ -7,6 +7,7 @@ from ealgebra.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_STATE,
+    EXIT_USAGE,
     EXIT_VIOLATION,
     main,
 )
@@ -320,6 +321,24 @@ def test_check_run_chain_past_the_segment_budget(capsys, tmp_path):
     assert "hold more than 1048576 moves in all" in captured.err
 
 
+def test_check_run_refuses_updates_for_an_undeclared_move(capsys, tmp_path):
+    from ealgebra import Element, format_certificate, generate_partial_run, load_state
+    from ealgebra import parse_program_file
+
+    spec = parse_program_file(program("sendrecv.ea"))
+    initial = load_state(program("sendrecv.east"), spec.vocabulary, constants=spec.constants)
+    N = Element.named
+    pr = generate_partial_run(spec, initial, [N("s"), N("r"), N("t1")])
+    cert = tmp_path / "extra.cert"
+    cert.write_text(format_certificate(pr) + "updates m9: Mode(s) := idle\n")
+    code = run_cli("check-run", program("sendrecv.ea"), str(cert))
+    assert code == EXIT_PARSE
+    assert json.loads(capsys.readouterr().out) == {
+        "condition": "certificate", "message": "updates line names unknown move m9",
+        "valid": False, "witness": None,
+    }
+
+
 def test_check_run_malformed_certificate(tmp_path):
     bad = tmp_path / "broken.cert"
     bad.write_text("this is not a certificate\n")
@@ -331,3 +350,35 @@ def test_validate_program_and_state():
     assert run_cli("validate", program("philosophers.ea"), "--state", program("ring3.east")) == EXIT_OK
     assert run_cli("validate", program("tree.ea")) == EXIT_OK
     assert run_cli("validate", program("bad_reserve.ea")) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "choosedemo.ea", "--state", "choosedemo.east", "--steps", "0"),
+    ("run", "choosedemo.ea", "--state", "choosedemo.east", "--steps", "-1"),
+    ("run", "sendrecv.ea", "--state", "sendrecv.east", "--schedule", "s,r,t1", "--steps", "-1"),
+    ("enumerate", "philosophers.ea", "--state", "ring3.east", "--depth", "-3"),
+])
+def test_out_of_range_steps_and_depth_are_usage_errors(capsys, argv):
+    command, prog, flag, state, *rest = argv
+    assert run_cli(command, program(prog), flag, program(state), *rest) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --")
+
+
+def test_library_runs_refuse_out_of_range_step_counts():
+    from ealgebra import Element, ScheduleError, load_state, parse_program_file, run
+    from ealgebra import sequential_run
+
+    prog = parse_program_file(program("choosedemo.ea"))
+    initial = load_state(program("choosedemo.east"), prog.vocabulary, constants=prog.constants)
+    for steps in (0, -1):
+        with pytest.raises(ScheduleError, match="max_steps must be positive"):
+            run(prog, initial, max_steps=steps)
+    spec = parse_program_file(program("sendrecv.ea"))
+    initial = load_state(program("sendrecv.east"), spec.vocabulary, constants=spec.constants)
+    schedule = [Element.named(a) for a in ("s", "r", "t1")]
+    for agents in (schedule, None):
+        with pytest.raises(ScheduleError, match="max_steps must not be negative"):
+            sequential_run(spec, initial, agents, max_steps=-1)
+    assert len(sequential_run(spec, initial, schedule, max_steps=0).records) == 0

@@ -37,7 +37,9 @@ from ealgebra import (
     updates,
 )
 from ealgebra import evaluator
-from ealgebra.syntax import App, Atom, BoolGuard, Cond, QuantGuard, UpdateInstr, Var
+from ealgebra.syntax import (
+    SKIP, App, Atom, Block, BoolGuard, Choose, Cond, QuantGuard, UpdateInstr, Var,
+)
 
 USER_NAMES = [
     FunctionName("f", 1),
@@ -218,3 +220,15 @@ def test_a_rule_is_compiled_once_per_vocabulary(monkeypatch):
     for vocabulary in (one, one, two, two, one):
         updates(rule, State(vocabulary))
     assert compiled == [rule, rule]
+
+
+def test_sibling_chooses_keep_one_member_per_update_set():
+    # Each choose joins its results by update set: without that, nine
+    # sibling chooses over four elements would carry 4^9 = 262,144 copies
+    # of the one empty member.
+    vocabulary = make_vocabulary([FunctionName("U", 1, is_relation=True)])
+    state = State(vocabulary, {"U": {(Element.named(n),): TRUE for n in "abcd"}})
+    rule = Block(tuple(Choose((f"x{i}",), "U", None, SKIP) for i in range(9)))
+    code = evaluator._Compiler(vocabulary, frozenset()).rule(rule)
+    run = evaluator._start(state, None, None, None, (), None, None)
+    assert code(run, [[]]) == [[]]

@@ -6,12 +6,14 @@ Static checks with the standard library's ``ast``:
 - every name bound by a top-level ``import`` or ``from ... import`` in
   ``src/ealgebra/`` (the package ``__init__``, which re-exports, aside)
   must occur as a name somewhere else in its module;
-- every top-level function or class and every public method in
-  ``src/ealgebra/`` must be referred to outside its own body: as a name,
-  an attribute or an imported name in the Python files of ``src/``,
-  ``tests/`` or ``perfbench/``, or as a word in ``README.md`` or the
-  benchmark's JSON files.  The check goes by name only, so a method whose
-  name some other object also uses passes.
+- every top-level function or class, every public method and every
+  public name a top-level assignment binds in ``src/ealgebra/`` must be
+  referred to outside its own body: as a name, an attribute or an
+  imported name in the Python files of ``src/``, ``tests/`` or
+  ``perfbench/``, or as a word in ``README.md`` or the benchmark's JSON
+  files.  A private name that a top-level assignment binds must be read
+  in its own module.  The check goes by name only, so a method whose name
+  some other object also uses passes.
 """
 
 from __future__ import annotations
@@ -63,12 +65,19 @@ KEPT_DEFINITIONS: dict[tuple[str, str], str] = {}
 
 
 def _definitions(tree: ast.Module):
+    """``(name, node, local)`` per definition; ``local`` when only its own
+    module may refer to it (a private name bound by an assignment)."""
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-            yield stmt
+            yield stmt.name, stmt, False
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and not t.id.startswith("__"):
+                    yield t.id, stmt, t.id.startswith("_")
         if isinstance(stmt, ast.ClassDef):
             yield from (
-                m for m in stmt.body
+                (m.name, m, False) for m in stmt.body
                 if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
             )
 
@@ -86,7 +95,8 @@ def _references(tree: ast.Module):
 def dead_definitions(modules: list[Path], sources: list[Path], texts: list[Path]) -> list[str]:
     """``module.name`` of each definition in ``modules`` that no Python file
     of ``sources`` refers to outside the definition itself and no word of
-    ``texts`` names."""
+    ``texts`` names; a private name bound by an assignment counts as
+    referred to only by its own module."""
     where: dict[str, list[tuple[Path, int]]] = {}
     for path in sources:
         for name, line in _references(ast.parse(path.read_text(encoding="utf-8"))):
@@ -96,14 +106,14 @@ def dead_definitions(modules: list[Path], sources: list[Path], texts: list[Path]
     }
     dead = []
     for path in modules:
-        for node in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
+        for name, node, local in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            refs = [(p, line) for p, line in where.get(name, ()) if p == path or not local]
             outside = any(
-                p != path or not node.lineno <= line <= node.end_lineno
-                for p, line in where.get(node.name, ())
+                p != path or not node.lineno <= line <= node.end_lineno for p, line in refs
             )
-            kept = (path.stem, node.name) in KEPT_DEFINITIONS
-            if not (outside or node.name in words or kept):
-                dead.append(f"{path.stem}.{node.name}")
+            documented = name in words and not local
+            if not (outside or documented or (path.stem, name) in KEPT_DEFINITIONS):
+                dead.append(f"{path.stem}.{name}")
     return dead
 
 
@@ -130,4 +140,20 @@ def test_the_check_sees_a_dead_definition(tmp_path):
     readme.write_text("Call `documented()` first.\n")
     assert dead_definitions([module], [module, caller], [readme]) == [
         "sample.recursive", "sample.closed",
+    ]
+
+
+def test_the_check_sees_a_dead_constant(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "_USED = 1\n_DEAD = 2\n_EXPORTED = 3\nPUBLIC = 4\nDOCUMENTED = 5\n"
+        "LONELY: int = 6\n__all__ = []\n\n"
+        "def read():\n    return _USED\n"
+    )
+    caller = tmp_path / "caller.py"
+    caller.write_text("from sample import _EXPORTED, PUBLIC, read\n")
+    readme = tmp_path / "README.md"
+    readme.write_text("Set `DOCUMENTED` and `_DEAD` first.\n")
+    assert dead_definitions([module], [module, caller], [readme]) == [
+        "sample._DEAD", "sample._EXPORTED", "sample.LONELY",
     ]

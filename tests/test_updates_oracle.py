@@ -37,7 +37,10 @@ from ealgebra.syntax import (
     Block,
     Choose,
     Cond,
+    Decl,
+    UniverseRange,
     UpdateInstr,
+    Var,
     desugar,
     has_choose,
     make_perspicuous,
@@ -126,3 +129,15 @@ def test_a_choose_in_a_branch_not_taken_still_raises():
     assert interporacle.updates(rule, s) is not None  # the old walk never met it
     with pytest.raises(ModeError, match="no deterministic update set"):
         updates(rule, s)
+
+
+def test_a_declaration_stops_at_its_first_empty_family():
+    # The body chooses from the empty U, so the family is empty after the
+    # first value of x and the guard is never read at the second one.
+    pick = Choose(("y",), "U", None, UpdateInstr("g", (), Var("y")))
+    rule = Decl("x", UniverseRange("r"), Cond(((Atom(App("r", (Var("x"),))), pick),)))
+    s = State(VOCAB, {"r": {(A,): TRUE, (B,): TRUE}}, 0)
+    got = outcome(nupdates, rule, s, A)
+    assert got == outcome(interporacle.nupdates, rule, s, A)
+    family, locations, names = got
+    assert family.is_empty and len(locations) == 1 and names == {"r", "U"}
