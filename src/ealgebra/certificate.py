@@ -5,9 +5,9 @@ Text format, one declaration per line::
     move m1 by 0                 # move id and the agent's element
     move m2 by 1
     order m1 < m2                # ordering edges (earlier < later)
-    updates m1: Fork(0) := up, Mode(0) := eat    # optional recorded sets
+    updates m1: Fork(0) := up, Mode(0) := eat    # optional, once per move
     initial from ring3.east      # sigma of the empty segment, by reference
-    sigma m1, m2:                # or inline, one fact per line
+    sigma m1, m2:                # or inline, once per segment, one fact a line
       Fork(0) = up
     endsigma
 
@@ -90,11 +90,15 @@ def parse_certificate(
         m = _UPDATES_RE.match(line)
         if m:
             move, rest = m.groups()
+            if move in recorded:
+                raise CertificateError(f"second updates line for move {move}")
             entries = [_parse_update_entry(e, spec) for e in _split_entries(rest)]
             recorded[move] = UpdateSet(frozenset(entries))
             continue
         m = _INITIAL_RE.match(line)
         if m:
+            if frozenset() in states:
+                raise CertificateError("second sigma of segment {}")
             if base_dir is None:
                 raise CertificateError("initial-from needs a base directory")
             path = os.path.join(base_dir, m.group(1))
@@ -108,6 +112,8 @@ def parse_certificate(
         m = _SIGMA_RE.match(line)
         if m:
             ids = frozenset(x.strip() for x in m.group(1).split(",") if x.strip())
+            if ids in states:
+                raise CertificateError(f"second sigma of segment {{{', '.join(sorted(ids))}}}")
             block: list[str] = []
             while i < len(lines):
                 inner = lines[i].split("#", 1)[0].strip()

@@ -6,7 +6,7 @@ Subcommands: ``run``, ``enumerate``, ``normalize``, ``check-run``,
 ====  ==========================================================
 0     success (run completed, property holds, certificate valid)
 1     internal error
-2     usage error (bad flags, ``--steps`` below 1, ``--depth`` below 0)
+2     usage error (bad flags, ``--steps``/``--budget`` below 1, ``--depth`` below 0)
 3     parse or format error (program, state, oracle, certificate,
       assertion guard, or a program outside the needed fragment)
 4     state-validity or schedule error
@@ -158,6 +158,8 @@ def _cmd_run(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.depth < 0:
         raise _Usage("--depth must not be negative")
+    if args.budget < 1:
+        raise _Usage("--budget must be at least 1")
     target = parse_program_file(args.program)
     if not args.state:
         raise _Usage("enumerate needs --state")

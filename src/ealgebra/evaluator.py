@@ -224,7 +224,7 @@ class _Compiler:
 
             def atom(run):
                 value = term(run)
-                if value is TRUE or value == TRUE:
+                if value == TRUE:
                     return True
                 if value == FALSE:
                     return False

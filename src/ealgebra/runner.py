@@ -385,6 +385,8 @@ def enumerate_reachable(
     """
     from . import distributed  # cycle: distributed builds on runner
 
+    if budget < 1 or depth < 0:
+        raise ScheduleError("budget must be positive and depth not negative")
     if isinstance(predicate, str):
         predicate = parse_guard_text(predicate, initial.vocabulary)
 

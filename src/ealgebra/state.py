@@ -18,6 +18,10 @@ reserve elements by the facts they occur in, refine by the colours of
 their neighbours until stable, and individualise only on ties, pruned by
 known automorphisms.  It has no limit on the number of reserve elements,
 and its value depends neither on iteration order nor on the hash seed.
+A state none of whose facts mentions a reserve element (a kept count
+tells) is keyed by its cached fact set; firing a state whose fact set is
+cached derives the successor's set and count from it and the facts that
+changed, so such keys cost O(|changes|) and runs that ask none pay nothing.
 """
 
 from __future__ import annotations
@@ -36,8 +40,7 @@ from .vocabulary import COMPUTED_NAMES, FunctionName, Vocabulary
 _LOGIC_RANK = {"true": 0, "false": 1, "undef": 2}
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     """A member of the superuniverse, compared by tag and payload."""
 
     kind: str  # "logic" | "named" | "int" | "reserve"
@@ -80,15 +83,10 @@ def boolean(flag: bool) -> Element:
 
 
 def format_element(e: Element) -> str:
-    if e.kind in ("logic", "named"):
-        return str(e.value)
-    if e.kind == "int":
-        return str(e.value)
-    return f"@{e.value}"
+    return f"@{e.value}" if e.kind == "reserve" else str(e.value)
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(NamedTuple):
     fname: str
     args: tuple[Element, ...] = ()
 
@@ -101,8 +99,7 @@ class Location:
         return f"{self.fname}({', '.join(format_element(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
-class Update:
+class Update(NamedTuple):
     location: Location
     value: Element
 
@@ -113,7 +110,6 @@ class Update:
         return f"{self.location!r} := {format_element(self.value)}"
 
 
-@dataclass(frozen=True)
 class StaticMirror(Update):
     """Duplication's mirroring of a static table entry.
 
@@ -121,7 +117,19 @@ class StaticMirror(Update):
     redefine every basic function so original and copy become
     indistinguishable as arguments, and that includes static background
     tables.  Printed with a leading ``~``, as certificates record it.
+    Unequal to, and hashed apart from, the plain update it mirrors.
     """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is StaticMirror and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(("~", *self))
 
     def __repr__(self):
         return f"~{super().__repr__()}"
@@ -207,6 +215,11 @@ class UpdateFamily:
 
 def _is_default(fn: FunctionName, value: Element) -> bool:
     return value == (FALSE if fn.is_relation else UNDEF)
+
+
+def _mentions_reserve(fact: tuple[str, tuple[Element, ...], Element]) -> bool:
+    _, args, value = fact
+    return value.kind == "reserve" or "reserve" in [a.kind for a in args]
 
 
 class State:
@@ -320,21 +333,36 @@ class State:
         tables = dict(self._tables)
         touched: set[str] = set()
         reserve_next = self.reserve_next
+        known = self.__dict__.get("_fact_set")
+        gone, new = [], []  # the facts replaced and written, kept once known
         for u, fn in pairs:
-            if fn.name == "Reserve":
-                reserve_next = max(reserve_next, u.location.args[0].value + 1)
+            name, args, value = fn.name, u.location.args, u.value
+            if name == "Reserve":
+                reserve_next = max(reserve_next, args[0].value + 1)
                 continue
-            if fn.name not in touched:
-                tables[fn.name] = dict(tables.get(fn.name, {}))
-                touched.add(fn.name)
-            if _is_default(fn, u.value):
-                tables[fn.name].pop(u.location.args, None)
+            if name not in touched:
+                tables[name] = dict(tables.get(name, {}))
+                touched.add(name)
+            table = tables[name]
+            if _is_default(fn, value):
+                old, value = table.pop(args, None), None
             else:
-                tables[fn.name][u.location.args] = u.value
+                old = table.get(args)
+                table[args] = value
+            if known is not None and old != value:
+                if old is not None:
+                    gone.append((name, args, old))
+                if value is not None:
+                    new.append((name, args, value))
         for name in touched:
             if not tables[name]:
                 del tables[name]
-        return State._raw(self.vocabulary, tables, reserve_next)
+        child = State._raw(self.vocabulary, tables, reserve_next)
+        if known is not None:
+            child._fact_set = known.symmetric_difference(gone + new)
+            moved = sum(map(_mentions_reserve, new)) - sum(map(_mentions_reserve, gone))
+            child._reserve_facts = self._reserve_facts + moved
+        return child
 
     def fire_update(self, u: Update) -> "State":
         fn = self._validate_update(u)
@@ -366,6 +394,10 @@ class State:
     def _fact_set(self) -> frozenset:
         return frozenset(self.facts())
 
+    @cached_property
+    def _reserve_facts(self) -> int:
+        return sum(map(_mentions_reserve, self.facts()))
+
     def __hash__(self):
         return hash((self._fact_set, self.reserve_next))
 
@@ -390,21 +422,11 @@ class State:
         order and of the hash seed; there is no limit on the number of
         reserve elements.
         """
-        plain, moving = [], []
-        for fact in self.facts():
-            _, args, value = fact
-            if value.kind == "reserve":
-                moving.append(fact)
-                continue
-            for a in args:
-                if a.kind == "reserve":
-                    moving.append(fact)
-                    break
-            else:
-                plain.append(fact)
-        if not moving:
-            return frozenset(plain)
-        return frozenset(plain), _canonical_form(moving)
+        facts = self._fact_set
+        if not self._reserve_facts:
+            return facts
+        moving = list(filter(_mentions_reserve, facts))
+        return facts.difference(moving), _canonical_form(moving)
 
     def audit_proviso(self) -> list[str]:
         """Check the reserve proviso over all stored locations."""
@@ -543,14 +565,12 @@ class _Coded:
     """
 
     def __init__(self, facts):
-        # Elements are looked up by (kind, value): hashing that tuple is
-        # cheaper than calling Element.__hash__.
         serials = sorted(
             {e.value for _, args, value in facts for e in (*args, value) if e.kind == "reserve"}
         )
         self.size = k = len(serials)
         reserve_at = {serial: i for i, serial in enumerate(serials)}
-        other_at: dict[tuple, int] = {}
+        other_at: dict[Element, int] = {}
         self.palette: list = [None] * k
         self.facts = []
         # Where each reserve element occurs: slot positions and fact rows.
@@ -564,9 +584,9 @@ class _Coded:
                     self.positions[at].append(p)
                     self.rows[at].append(j)
                 else:
-                    at = other_at.get((e.kind, e.value))
+                    at = other_at.get(e)
                     if at is None:
-                        at = other_at[e.kind, e.value] = len(self.palette)
+                        at = other_at[e] = len(self.palette)
                         self.palette.append(e.sort_key())
                 slots.append(at)
             self.facts.append((fname, tuple(slots)))

@@ -346,6 +346,23 @@ def test_check_run_malformed_certificate(tmp_path):
     assert code == EXIT_PARSE
 
 
+def test_check_run_refuses_a_second_updates_line_for_a_move(capsys, tmp_path):
+    from ealgebra import Element, format_certificate, generate_partial_run, load_state
+    from ealgebra import parse_program_file
+
+    spec = parse_program_file(program("sendrecv.ea"))
+    initial = load_state(program("sendrecv.east"), spec.vocabulary, constants=spec.constants)
+    N = Element.named
+    text = format_certificate(generate_partial_run(spec, initial, [N("s"), N("r"), N("t1")]))
+    true_line = "updates m1: Mode(s) := ready\n"
+    cert = tmp_path / "doubled.cert"
+    cert.write_text(text.replace(true_line, "updates m1: Mode(s) := idle\n" + true_line))
+    assert run_cli("check-run", program("sendrecv.ea"), str(cert)) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: second updates line for move m1\n"
+
+
 def test_validate_program_and_state():
     assert run_cli("validate", program("philosophers.ea"), "--state", program("ring3.east")) == EXIT_OK
     assert run_cli("validate", program("tree.ea")) == EXIT_OK
@@ -364,6 +381,30 @@ def test_out_of_range_steps_and_depth_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: --")
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_out_of_range_budget_is_a_usage_error(capsys, budget):
+    code = run_cli(
+        "enumerate", program("philosophers.ea"), "--state", program("ring3.east"),
+        "--depth", "2", "--budget", budget,
+    )
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --budget must be at least 1\n"
+
+
+def test_library_enumerate_refuses_out_of_range_budget_and_depth():
+    from ealgebra import ScheduleError, enumerate_reachable, load_state, parse_program_file
+
+    prog = parse_program_file(program("philosophers.ea"))
+    initial = load_state(program("ring3.east"), prog.vocabulary, constants=prog.constants)
+    for depth, budget in ((2, 0), (2, -5), (-1, 20000)):
+        with pytest.raises(ScheduleError, match="budget must be positive and depth not negative"):
+            enumerate_reachable(prog, initial, depth, budget=budget)
+    report = enumerate_reachable(prog, initial, 0, budget=1)
+    assert len(report.states) == 1 and not report.partial
 
 
 def test_library_runs_refuse_out_of_range_step_counts():

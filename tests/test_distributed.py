@@ -1,6 +1,7 @@
 import pytest
 
 from ealgebra import (
+    CertificateError,
     Element,
     FunctionName,
     Location,
@@ -33,7 +34,7 @@ from ealgebra import (
 )
 from ealgebra.distributed import PartialRun, quasi_move_updates, segment_states
 
-from conftest import load_initial, load_program
+from conftest import PROGRAMS, load_initial, load_program
 
 I = Element.integer
 E = Element.named
@@ -394,6 +395,28 @@ def test_partial_runs_over_the_team_spec(sendrecv, sendrecv_state):
     report = linearizations(sendrecv, pr)
     assert len(report.traces) == 2
     assert corollary1_holds(report)
+
+
+def test_certificate_lines_given_twice_are_refused(sendrecv, sendrecv_state):
+    text = format_certificate(generate_partial_run(sendrecv, sendrecv_state, [E("s"), E("r"), E("t1")]))
+    true_line = "updates m1: Mode(s) := ready\n"
+    wrong_line = "updates m1: Mode(s) := idle\n"
+    # Alone, the wrong line is a condition-4 violation; placed before the
+    # true one it is refused, not silently overridden.
+    verdict = check_partial_run(sendrecv, parse_certificate(text.replace(true_line, wrong_line), sendrecv))
+    assert not verdict.valid and verdict.condition == "4"
+    with pytest.raises(CertificateError, match="second updates line for move m1"):
+        parse_certificate(text.replace(true_line, wrong_line + true_line), sendrecv)
+    block = text[text.index("sigma m1:\n"):text.index("sigma m2:\n")]
+    with pytest.raises(CertificateError, match=r"second sigma of segment \{m1\}"):
+        parse_certificate(text + block, sendrecv)
+    initial = "initial from sendrecv.east\n"
+    for doubled in (initial + text, text + initial):
+        with pytest.raises(CertificateError, match=r"second sigma of segment \{\}"):
+            parse_certificate(doubled, sendrecv, base_dir=str(PROGRAMS))
+    first_sigma = text[text.index("sigma:\n"):text.index("sigma m1:\n")]
+    by_reference = parse_certificate(text.replace(first_sigma, initial), sendrecv, base_dir=str(PROGRAMS))
+    assert check_partial_run(sendrecv, by_reference).valid
 
 
 def test_nondeterministic_moves_need_recorded_sets():
