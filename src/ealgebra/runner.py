@@ -241,9 +241,9 @@ def fire_and_record(
         new_state, fired, conflicts, beta = state, False, {}, EMPTY_UPDATE_SET
         consistent, fixpoint = False, not oracle_qa
     else:
-        conflicts = beta.conflicts()
         new_state, fired = state.fire_update_set(beta)
-        consistent = not conflicts
+        conflicts = {} if fired else beta.conflicts()  # a fired set is consistent
+        consistent = fired
         fixpoint = (
             not (oracle_qa or beta.updates) and fired and family_size in (None, 1)
         )

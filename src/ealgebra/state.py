@@ -9,7 +9,14 @@ still in the reserve, and no stored value may point into it (audited by
 :meth:`State.audit_proviso`).
 
 States are immutable values: every firing operation returns a new state,
-so sharing states across concurrent explorations is safe.
+so sharing states across concurrent explorations is safe.  Tables are
+shared between a state and the states fired from it.  A table of at most
+``LEAF_SIZE`` facts is one plain dict, which a firing that writes it
+copies whole.  A larger table is a persistent hash trie (:class:`_Trie`):
+a firing copies only the nodes on each written key's path and the leaf
+at its end, and the child shares every other node with its parent.
+Equality, hashes, fact sets and canonical keys depend on the facts only,
+never on a trie's shape, and every output sorts its facts.
 
 Reachability counts states up to renaming of reserve-origin elements.
 :meth:`State.canonical_key` gives an exact key for that equivalence by
@@ -26,6 +33,7 @@ changed, so such keys cost O(|changes|) and runs that ask none pay nothing.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
@@ -222,6 +230,97 @@ def _mentions_reserve(fact: tuple[str, tuple[Element, ...], Element]) -> bool:
     return value.kind == "reserve" or "reserve" in [a.kind for a in args]
 
 
+LEAF_SIZE = 32  # facts in a trie leaf; a table of no more is one plain dict
+_HASH_BITS = sys.hash_info.width
+
+
+class _Trie:
+    """A table of more than ``LEAF_SIZE`` facts as a persistent hash trie
+    (Bagwell, *Ideal Hash Trees*, 2001).
+
+    An inner node is a 32-tuple indexed by five bits of the key's hash per
+    level, lowest bits first.  A slot holds None, an inner node or a leaf:
+    a dict of at most ``LEAF_SIZE`` facts, or more once keys agree on every
+    hash bit.  No node changes once built, so tries share every node that
+    an update does not rebuild.  The shape depends on the history of
+    updates (removals never merge leaves), so equality compares facts.
+    """
+
+    __slots__ = ("root", "size")
+
+    def __init__(self, root, size: int):
+        self.root, self.size = root, size
+
+    @staticmethod
+    def of(items) -> "_Trie":
+        items = list(items)
+        return _Trie(_node(items, 0), len(items))
+
+    def __len__(self):
+        return self.size
+
+    def copy(self) -> "_Trie":
+        """The trie itself: it never changes, so it needs no copy."""
+        return self
+
+    def get(self, key, default=None):
+        node, h = self.root, hash(key)
+        while type(node) is tuple:
+            node = node[h & 31]
+            h >>= 5
+        return default if node is None else node.get(key, default)
+
+    def items(self):
+        """The facts, in an order the keys' hashes set."""
+        nodes = [self.root]
+        while nodes:
+            node = nodes.pop()
+            if type(node) is tuple:
+                nodes.extend(node)
+            elif node is not None:
+                yield from node.items()
+
+    def __eq__(self, other):
+        if type(other) is not _Trie or self.size != other.size:
+            return False
+        return dict(self.items()) == dict(other.items())
+
+    def set(self, key, value) -> tuple["_Trie", object]:
+        """This table with ``key`` bound to ``value`` (unbound when it is
+        None), and the value it had.  Only the nodes on the key's path and
+        its leaf are new."""
+        h, path, node = hash(key), [], self.root
+        while type(node) is tuple:
+            path.append((node, h & 31))
+            node = node[h & 31]
+            h >>= 5
+        old = None if node is None else node.get(key)
+        if old == value:
+            return self, old
+        leaf = {} if node is None else node.copy()
+        if value is None:
+            del leaf[key]
+        else:
+            leaf[key] = value
+        node = _node(list(leaf.items()), 5 * len(path)) if len(leaf) > LEAF_SIZE else leaf or None
+        for parent, i in reversed(path):
+            if node is not None or parent.count(None) < 31:
+                node = (*parent[:i], node, *parent[i + 1:])
+        size = self.size + (value is not None) - (old is not None)
+        return _Trie(node, size), old
+
+
+def _node(items: list, shift: int):
+    """A trie node holding ``items``, facts whose keys' hashes agree on
+    the bits below ``shift``."""
+    if len(items) <= LEAF_SIZE or shift >= _HASH_BITS:
+        return dict(items)
+    slots: list[list] = [[] for _ in range(32)]
+    for item in items:
+        slots[hash(item[0]) >> shift & 31].append(item)
+    return tuple(_node(slot, shift + 5) if slot else None for slot in slots)
+
+
 class State:
     """A static algebra: vocabulary plus finite interpretation tables."""
 
@@ -252,7 +351,7 @@ class State:
                 if not _is_default(fn, value):
                     inner[tuple(args)] = value
             if inner:
-                normalized[fname] = inner
+                normalized[fname] = _Trie.of(inner.items()) if len(inner) > LEAF_SIZE else inner
         self._tables = normalized
         self.reserve_next = reserve_next
 
@@ -297,9 +396,9 @@ class State:
     def stored_items(self):
         """Stored facts in canonical order, for output."""
         for fname in sorted(self._tables):
-            table = self._tables[fname]
-            for args in sorted(table, key=lambda t: tuple(a.sort_key() for a in t)):
-                yield fname, args, table[args]
+            items = self._tables[fname].items()
+            for args, value in sorted(items, key=lambda i: tuple(a.sort_key() for a in i[0])):
+                yield fname, args, value
 
     # -- firing ---------------------------------------------------------------
 
@@ -341,11 +440,15 @@ class State:
                 reserve_next = max(reserve_next, args[0].value + 1)
                 continue
             if name not in touched:
-                tables[name] = dict(tables.get(name, {}))
+                tables[name] = tables.get(name, {}).copy()
                 touched.add(name)
             table = tables[name]
             if _is_default(fn, value):
-                old, value = table.pop(args, None), None
+                value = None
+            if type(table) is not dict:
+                tables[name], old = table.set(args, value)
+            elif value is None:
+                old = table.pop(args, None)
             else:
                 old = table.get(args)
                 table[args] = value
@@ -354,9 +457,15 @@ class State:
                     gone.append((name, args, old))
                 if value is not None:
                     new.append((name, args, value))
-        for name in touched:
-            if not tables[name]:
+        for name in touched:  # a table is one dict up to LEAF_SIZE facts
+            table = tables[name]
+            if not table:
                 del tables[name]
+            elif type(table) is dict:
+                if len(table) > LEAF_SIZE:
+                    tables[name] = _Trie.of(table.items())
+            elif len(table) <= LEAF_SIZE:
+                tables[name] = dict(table.items())
         child = State._raw(self.vocabulary, tables, reserve_next)
         if known is not None:
             child._fact_set = known.symmetric_difference(gone + new)
@@ -364,20 +473,12 @@ class State:
             child._reserve_facts = self._reserve_facts + moved
         return child
 
-    def fire_update(self, u: Update) -> "State":
-        fn = self._validate_update(u)
-        return self._apply([(u, fn)])
-
     def fire_update_set(self, beta: UpdateSet) -> tuple["State", bool]:
         """Fire all members simultaneously; an inconsistent set changes nothing."""
         pairs = [(u, self._validate_update(u)) for u in beta]
         if beta.conflicts():
             return self, False
         return self._apply(pairs), True
-
-    def reserve_withdraw(self) -> tuple["State", Element]:
-        element = Element.reserve(self.reserve_next)
-        return State._raw(self.vocabulary, self._tables, self.reserve_next + 1), element
 
     # -- equality, isomorphism, audit -------------------------------------------
 

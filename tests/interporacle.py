@@ -138,9 +138,9 @@ def _read(state, location: Location) -> Element:
     if fname == "Reserve":
         a = args[0]
         return boolean(a.kind == "reserve" and a.value >= state.reserve_next)
-    stored = state._tables.get(fname, {}).get(args)
-    if stored is not None:
-        return stored
+    for _, stored_args, stored in state.facts(fname):
+        if stored_args == args:
+            return stored
     return FALSE if fn.is_relation else UNDEF
 
 

@@ -35,6 +35,7 @@ from ealgebra import (
 from ealgebra.distributed import PartialRun, quasi_move_updates, segment_states
 
 from conftest import PROGRAMS, load_initial, load_program
+from firing import fire_one
 
 I = Element.integer
 E = Element.named
@@ -259,7 +260,7 @@ def test_independent_moves_form_an_antichain(philosophers4, ring4):
 def test_corrupted_sigma_entry_names_coherence(philosophers4, ring4):
     pr = antichain_run(philosophers4, ring4)
     full = frozenset(pr.moves)
-    bad = pr.states[full].fire_update(Update(Location("Mode", (I(3),)), EAT))
+    bad = fire_one(pr.states[full], Update(Location("Mode", (I(3),)), EAT))
     assert bad != pr.states[full]
     states = dict(pr.states)
     states[full] = bad

@@ -226,3 +226,21 @@ def test_step_without_chooser_matches_seed_zero(choosedemo, choosedemo_state):
     plain = step(choosedemo, choosedemo_state)
     assert plain == step(choosedemo, choosedemo_state, chooser=SeededChooser(0))
     assert plain[1].family_size == 2
+
+
+def test_a_step_records_conflicts_only_when_its_set_does_not_fire():
+    from ealgebra import parse_state
+
+    program = parse_program(
+        "vocabulary:\n  dynamic x/0, y/0\nconstants a, b\nprogram:\n"
+        "  if x = undef then x := a, x := b, y := a else y := b endif\n"
+    )
+    a, b = Element.named("a"), Element.named("b")
+    start = parse_state("", program.vocabulary, constants=program.constants)
+    after, record = step(program, start)
+    assert after is start and not record.fired and not record.consistent
+    assert record.conflicts == {Location("x"): frozenset({a, b})}
+    fixed = parse_state("x = a\n", program.vocabulary, constants=program.constants)
+    after, record = step(program, fixed)
+    assert record.fired and record.consistent and record.conflicts == {}
+    assert after.read(Location("y")) == b

@@ -21,6 +21,7 @@ from ealgebra import (
     parse_state,
 )
 from ealgebra.runner import move
+from firing import fire_one, withdraw
 
 P0, P1, P2 = (Element.integer(i) for i in range(3))
 DOWN, UP, THINK, EAT = (Element.named(n) for n in ("down", "up", "think", "eat"))
@@ -70,7 +71,7 @@ def test_read_unknown_name_is_a_vocabulary_error():
 
 def test_fire_update_write_then_read():
     s = all_down_state()
-    s2 = s.fire_update(Update(Location("Mode", (P0,)), EAT))
+    s2 = fire_one(s, Update(Location("Mode", (P0,)), EAT))
     assert s2.read(Location("Mode", (P0,))) == EAT
     assert s.read(Location("Mode", (P0,))) == THINK  # original untouched
 
@@ -78,20 +79,20 @@ def test_fire_update_write_then_read():
 def test_fire_identity_update_gives_equal_state():
     s = all_down_state()
     loc = Location("Mode", (P0,))
-    s2 = s.fire_update(Update(loc, s.read(loc)))
+    s2 = fire_one(s, Update(loc, s.read(loc)))
     assert s2 == s
 
 
 def test_fire_update_on_equality_is_illegal():
     s = all_down_state()
     with pytest.raises(IllegalUpdateError):
-        s.fire_update(Update(Location("=", (P0, P1)), TRUE))
+        fire_one(s, Update(Location("=", (P0, P1)), TRUE))
 
 
 def test_fire_update_relational_needs_boolean():
     s = all_down_state()
     with pytest.raises(UpdateTypeError):
-        s.fire_update(Update(Location("Edge", (P0, P1)), EAT))
+        fire_one(s, Update(Location("Edge", (P0, P1)), EAT))
 
 
 def test_fire_update_set_simultaneous():
@@ -141,7 +142,7 @@ def test_firing_order_irrelevance():
         rng.shuffle(updates)
         one_by_one = s
         for u in updates:
-            one_by_one = one_by_one.fire_update(u)
+            one_by_one = fire_one(one_by_one, u)
         assert one_by_one == simultaneous
 
 
@@ -193,8 +194,8 @@ def test_fire_family_replays_under_the_same_seed():
 
 def test_reserve_withdraw_counts_up():
     s = all_down_state()
-    s1, r0 = s.reserve_withdraw()
-    s2, r1 = s1.reserve_withdraw()
+    s1, r0 = withdraw(s)
+    s2, r1 = withdraw(s1)
     assert r0 != r1
     assert s.read(Location("Reserve", (r0,))) == TRUE
     assert s1.read(Location("Reserve", (r0,))) == FALSE
@@ -213,7 +214,7 @@ def test_unallocated_reserve_permutation_is_an_automorphism():
     # Only the allocator distinguishes unallocated serials: no table can
     # mention them, so states with equal tables are isomorphic.
     s = all_down_state()
-    s1, _ = s.reserve_withdraw()
+    s1, _ = withdraw(s)
     assert s.isomorphic(all_down_state())
     assert s1._tables == s._tables
 
@@ -221,7 +222,7 @@ def test_unallocated_reserve_permutation_is_an_automorphism():
 def test_isomorphic_identity_and_named_difference():
     s = all_down_state()
     assert s.isomorphic(s)
-    s2 = s.fire_update(Update(Location("Mode", (P0,)), EAT))
+    s2 = fire_one(s, Update(Location("Mode", (P0,)), EAT))
     assert not s.isomorphic(s2)
 
 
