@@ -33,7 +33,6 @@ from .evaluator import (
     normalize_guarded,
     nupdates,
     nupdates_global,
-    successor_states,
     updates,
 )
 from .state import (
@@ -104,7 +103,6 @@ from .distributed import (
     corollary2_agrees,
     generate_partial_run,
     linearizations,
-    quasi_sequential_step,
     reachable_states,
     sequential_run,
     validate_spec_state,

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import syntax
 from .errors import (
     BudgetError,
     CertificateError,
-    ModeError,
+    EalgebraError,
     ScheduleError,
     StateValidityError,
 )
@@ -188,33 +188,6 @@ def sequential_run(
     return trace
 
 
-def quasi_move_updates(
-    spec: DistributedSpec, state: State, agents: Iterable[Element]
-) -> UpdateSet:
-    """Union of the agents' update sets at the same state."""
-    union = UpdateSet()
-    for element in agents:
-        agent = agent_at(spec, state, element)
-        if agent is None:
-            raise ScheduleError(f"{format_element(element)} is not an agent here")
-        if agent.program.has_choose:
-            raise ModeError(
-                f"quasi-sequential steps need deterministic agents ({agent.module})"
-            )
-        members, _ = resolutions(agent.program, state, agent=element)
-        union = union.union(members[0])
-    return union
-
-
-def quasi_sequential_step(
-    spec: DistributedSpec, state: State, agents: Iterable[Element]
-) -> State:
-    """Fire a collection of agents as one simultaneous update set."""
-    union = quasi_move_updates(spec, state, agents)
-    new_state, _ = state.fire_update_set(union)
-    return new_state
-
-
 # ---------------------------------------------------------------------------
 # Partially ordered runs
 
@@ -241,11 +214,11 @@ class Verdict:
         return self.valid
 
 
-# The most moves that the initial segments of one order may hold in all,
-# counted once per segment a move is in.  Listing the segments, and the
-# rule evaluations and state copies of a check, grow with this sum, so
-# past it a check stops with ``BudgetError`` before any rule is evaluated.
-# 2^20 covers every order on at most 16 moves and a chain of 1,447.
+# The most moves the initial segments of one order may hold in all, counted
+# once per segment a move is in: the segment scan's work grows with this
+# sum, so past it the scan stops with ``BudgetError`` before any rule runs.
+# 2^20 covers every order on 16 moves, a chain of 1,447 and (as pairs the
+# independence pass tests) an antichain of 1,448.
 SEGMENT_BUDGET = 1 << 20
 _CYCLE = "the move order is ill-founded (cycle in the edges)"
 
@@ -259,8 +232,8 @@ def _over_budget() -> BudgetError:
 
 @dataclass(frozen=True)
 class _Order:
-    """The direct edges of a move order, both ways, and its moves in a
-    topological order, which is None when the edges contain a cycle."""
+    """The direct edges of a move order, both ways, and its moves in level
+    order, which is None when the edges contain a cycle."""
 
     direct: dict[str, set[str]]  # move -> its direct predecessors
     later: dict[str, list[str]]  # move -> its direct successors
@@ -275,17 +248,19 @@ def _order(moves: Sequence[str], edges: Iterable[tuple[str, str]]) -> _Order:
     for m, preds in direct.items():
         for p in preds:
             later[p].append(m)
-    # Kahn's algorithm: a move is placed once all its predecessors are.
+    # Kahn's algorithm by levels: each level sorted, after the one enabling it.
     waiting = {m: len(preds) for m, preds in direct.items()}
-    ready = [m for m, n in waiting.items() if not n]
+    level = sorted(m for m, n in waiting.items() if not n)
     placed = []
-    while ready:
-        m = ready.pop()
-        placed.append(m)
-        for x in later[m]:
-            waiting[x] -= 1
-            if not waiting[x]:
-                ready.append(x)
+    while level:
+        placed += level
+        enabled = []
+        for m in level:
+            for x in later[m]:
+                waiting[x] -= 1
+                if not waiting[x]:
+                    enabled.append(x)
+        level = sorted(enabled)
     return _Order(direct, later, placed if len(placed) == len(direct) else None)
 
 
@@ -353,10 +328,11 @@ def _initial_segments(order: _Order) -> list[tuple[frozenset[str], tuple[str, ..
 
 def _move_update_set(
     spec: DistributedSpec, pr: PartialRun, move: str, at: State,
-    by_element: Mapping[Element, str],
+    by_element: Mapping[Element, str], footprint: Footprint | None = None,
 ) -> tuple[UpdateSet | None, Verdict | None]:
     """The update set of a move at a state fired from the base whose
-    module-element map is ``by_element``, checked against its module."""
+    module-element map is ``by_element``, checked against its module.  A
+    footprint also gets ``Mod(Self)`` and the module name's location."""
     element = pr.agent_of[move]
     agent = _agent(spec, by_element, at, element)
     if agent is None:
@@ -364,6 +340,9 @@ def _move_update_set(
             False, "4", f"{format_element(element)} is not an agent before {move}",
             witness=move,
         )
+    if footprint is not None:
+        footprint.locations.add(Location("Mod", (element,)))
+        footprint.locations.add(Location(agent.module))
     recorded = (pr.recorded or {}).get(move)
     if recorded is None and agent.program.has_choose:
         return None, Verdict(
@@ -374,7 +353,7 @@ def _move_update_set(
         )
     # Certificates record no oracle answers: externals read as undef, as in
     # a generated run's moves.
-    members, _ = resolutions(agent.program, at, agent=element)
+    members, _ = resolutions(agent.program, at, footprint=footprint, agent=element)
     if recorded is None:
         return members[0], None
     if recorded not in members:
@@ -431,6 +410,89 @@ def _sigma(
     return computed, None
 
 
+class _Effect(NamedTuple):
+    """A move's update set, the locations and names it writes, what it read,
+    and whether it reads or writes a ``Reserve`` location."""
+
+    beta: UpdateSet
+    writes: frozenset[Location]
+    names: frozenset[str]
+    footprint: Footprint
+    reserve: bool
+
+    @staticmethod
+    def of(beta: UpdateSet, footprint: Footprint) -> "_Effect":
+        writes = beta.locations()
+        names = frozenset(loc.fname for loc in writes)
+        reads = {loc.fname for loc in footprint.locations}
+        return _Effect(beta, writes, names, footprint, "Reserve" in (names | reads))
+
+
+def _footprints_conflict(a: _Effect, b: _Effect) -> bool:
+    """Whether two moves may fail to commute: one writes a location the
+    other writes or reads, or a table the other reads whole.  A ``Reserve``
+    write moves ``reserve_next``, which no footprint records, so it also
+    conflicts with every move that reads or writes a ``Reserve`` location,
+    as import, duplicate and ``Reserve(x)`` do."""
+    return bool(
+        a.writes & b.writes
+        or a.writes & b.footprint.locations
+        or b.writes & a.footprint.locations
+        or a.names & b.footprint.names
+        or b.names & a.footprint.names
+        or ("Reserve" in a.names and b.reserve)
+        or ("Reserve" in b.names and a.reserve)
+    )
+
+
+def _independent(
+    spec: DistributedSpec, pr: PartialRun, order: _Order,
+    preds: Mapping[str, frozenset[str]], by_element: Mapping[Element, str],
+) -> bool:
+    """Whether the run is valid by footprint independence (Corollary 1).
+
+    Each move is evaluated once, in level order, at the state the moves
+    before it reach.  When no two incomparable moves conflict, the moves of
+    every segment commute, so each has this update set wherever the scan
+    would evaluate it, and a segment's state is its moves fired in level
+    order.  False (a conflict, a move the scan refuses, a sigma that
+    differs, an error, no or more than ``SEGMENT_BUDGET`` incomparable
+    pairs) leaves the verdict to the segment scan, which evaluates each
+    move of a total order once too.
+    """
+    n = len(order.topological)
+    if not 0 < n * (n - 1) // 2 - sum(map(len, preds.values())) <= SEGMENT_BUDGET:
+        return False
+    computed = {frozenset(): pr.states[frozenset()]}
+    state, fired = computed[frozenset()], {}
+    try:
+        for m in order.topological:
+            footprint = Footprint()
+            beta, verdict = _move_update_set(spec, pr, m, state, by_element, footprint)
+            if verdict is not None:
+                return False
+            effect = _Effect.of(beta, footprint)
+            if any(_footprints_conflict(effect, fired[x]) for x in fired.keys() - preds[m]):
+                return False
+            fired[m] = effect
+            state, _ = state.fire_update_set(beta)
+    except EalgebraError:  # the scan raises it again where it meets it
+        return False
+    # A key's state is the key less its latest move, then that move fired.
+    position = {m: i for i, m in enumerate(order.topological)}
+    for key, stored in pr.states.items():
+        below, moves, missing = key, sorted(key, key=position.__getitem__), []
+        while below not in computed:
+            missing.append((below, moves.pop()))
+            below = below - {missing[-1][1]}
+        for segment, latest in reversed(missing):
+            computed[segment], _ = computed[below].fire_update_set(fired[latest].beta)
+            below = segment
+        if computed[key] != stored:
+            return False
+    return True
+
+
 def check_partial_run(
     spec: DistributedSpec,
     pr: PartialRun,
@@ -439,8 +501,10 @@ def check_partial_run(
 ) -> Verdict:
     """Verify the four partially-ordered-run conditions on a certificate.
 
-    Raises ``BudgetError`` when the order's initial segments hold more
-    than ``SEGMENT_BUDGET`` moves in all.
+    Condition 4 holds at once when the moves' footprints are independent
+    (``_independent``); otherwise the segment scan decides it.  Raises
+    ``BudgetError`` when the predecessor sets, or the segments the scan
+    lists, hold more than ``SEGMENT_BUDGET`` moves in all.
     """
     # Certificate shape.
     if len(set(pr.moves)) != len(pr.moves):
@@ -496,7 +560,10 @@ def check_partial_run(
             False, "3", "sigma of the empty segment is not the declared initial state"
         )
 
-    # Condition 4 (and 1 via the closure): coherence over every segment.
+    # Condition 4 (and 1 via the closure): coherence over every segment,
+    # shown by independence, or else segment by segment.
+    if _independent(spec, pr, order, preds, by_element):
+        return Verdict(True, None, "all run conditions hold")
     _, verdict = _sigma(spec, pr, order, by_element)
     if verdict is not None:
         return verdict
@@ -608,22 +675,6 @@ def corollary2_agrees(spec: DistributedSpec, pr: PartialRun, guard: syntax.Guard
 # Generating valid partial runs from sequential executions
 
 
-def _footprints_conflict(
-    w1: frozenset[Location], f1: Footprint, w2: frozenset[Location], f2: Footprint
-) -> bool:
-    names1 = {loc.fname for loc in w1}
-    names2 = {loc.fname for loc in w2}
-    if w1 & w2:
-        return True
-    if "Reserve" in names1 and "Reserve" in names2:
-        return True
-    if w1 & f2.locations or w2 & f1.locations:
-        return True
-    if names1 & f2.names or names2 & f1.names:
-        return True
-    return False
-
-
 def generate_partial_run(
     spec: DistributedSpec,
     initial: State,
@@ -650,17 +701,16 @@ def generate_partial_run(
         state, record = agent_move(
             spec, state, element, chooser, index=i, footprint=footprint
         )
-        entries.append((f"m{i}", element, record.updates, footprint))
+        entries.append((f"m{i}", element, _Effect.of(record.updates, footprint)))
 
     edges = {
         (m1, m2)
-        for (m1, el1, beta1, fp1), (m2, el2, beta2, fp2) in combinations(entries, 2)
-        if el1 == el2
-        or _footprints_conflict(beta1.locations(), fp1, beta2.locations(), fp2)
+        for (m1, el1, e1), (m2, el2, e2) in combinations(entries, 2)
+        if el1 == el2 or _footprints_conflict(e1, e2)
     }
     moves = tuple(e[0] for e in entries)
     agent_of = {e[0]: e[1] for e in entries}
-    recorded = {e[0]: e[2] for e in entries}
+    recorded = {e[0]: e[2].beta for e in entries}
     # Every edge runs forward in the schedule, so a segment's latest move in
     # schedule order is maximal: its state is that move fired at the state
     # of the rest, which comes earlier in the segment order.

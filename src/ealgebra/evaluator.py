@@ -645,23 +645,3 @@ def normalize_guarded(rule: syntax.Rule) -> syntax.Rule:
     if len(guarded) == 1:
         return guarded[0]
     return syntax.Block(tuple(guarded))
-
-
-# ---------------------------------------------------------------------------
-# Firing helpers
-
-
-def successor_states(state: State, family: UpdateFamily) -> set[State]:
-    """Every state reachable by firing one member of the family.
-
-    The empty family and the bottom member both leave the state unchanged.
-    """
-    if family.is_empty:
-        return {state}
-    out: set[State] = set()
-    for member in family.sets:
-        fired, _ = state.fire_update_set(member)
-        out.add(fired)
-    if family.contains_bottom:
-        out.add(state)
-    return out

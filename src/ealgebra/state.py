@@ -8,8 +8,8 @@ elements; all relations are false and all functions undef on elements
 still in the reserve, and no stored value may point into it (audited by
 :meth:`State.audit_proviso`).
 
-States are immutable values: every firing operation returns a new state,
-so sharing states across concurrent explorations is safe.  Tables are
+States are immutable values: no firing changes a state (firing the empty
+set returns it), so sharing states across explorations is safe.  Tables are
 shared between a state and the states fired from it.  A table of at most
 ``LEAF_SIZE`` facts is one plain dict, which a firing that writes it
 copies whole.  A larger table is a persistent hash trie (:class:`_Trie`):
@@ -474,7 +474,9 @@ class State:
         return child
 
     def fire_update_set(self, beta: UpdateSet) -> tuple["State", bool]:
-        """Fire all members simultaneously; an inconsistent set changes nothing."""
+        """Fire all members at once; an empty or inconsistent set changes nothing."""
+        if not beta.updates:
+            return self, True
         pairs = [(u, self._validate_update(u)) for u in beta]
         if beta.conflicts():
             return self, False

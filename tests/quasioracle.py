@@ -1,0 +1,70 @@
+"""Quasi-sequential steps and the successors of a family, kept as test
+oracles.
+
+A quasi-sequential step fires several agents at once, as the union of
+their update sets at one state; ``successor_states`` fires each member of
+a family.  The engine needs neither: agents move one at a time, and
+``runner`` fires the member a chooser picks.  Tests use them to compare
+simultaneous with interleaved moves and the two family semantics.
+Only the package's public API is imported.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from ealgebra import (
+    DistributedSpec,
+    Element,
+    ModeError,
+    ScheduleError,
+    State,
+    UpdateFamily,
+    UpdateSet,
+    format_element,
+)
+from ealgebra.distributed import agent_at
+from ealgebra.runner import resolutions
+
+
+def quasi_move_updates(
+    spec: DistributedSpec, state: State, agents: Iterable[Element]
+) -> UpdateSet:
+    """Union of the agents' update sets at the same state."""
+    union = UpdateSet()
+    for element in agents:
+        agent = agent_at(spec, state, element)
+        if agent is None:
+            raise ScheduleError(f"{format_element(element)} is not an agent here")
+        if agent.program.has_choose:
+            raise ModeError(
+                f"quasi-sequential steps need deterministic agents ({agent.module})"
+            )
+        members, _ = resolutions(agent.program, state, agent=element)
+        union = union.union(members[0])
+    return union
+
+
+def quasi_sequential_step(
+    spec: DistributedSpec, state: State, agents: Iterable[Element]
+) -> State:
+    """Fire a collection of agents as one simultaneous update set."""
+    union = quasi_move_updates(spec, state, agents)
+    new_state, _ = state.fire_update_set(union)
+    return new_state
+
+
+def successor_states(state: State, family: UpdateFamily) -> set[State]:
+    """Every state reachable by firing one member of the family.
+
+    The empty family and the bottom member both leave the state unchanged.
+    """
+    if family.is_empty:
+        return {state}
+    out: set[State] = set()
+    for member in family.sets:
+        fired, _ = state.fire_update_set(member)
+        out.add(fired)
+    if family.contains_bottom:
+        out.add(state)
+    return out

@@ -27,15 +27,15 @@ from ealgebra import (
     parse_guard_text,
     parse_program,
     parse_state,
-    quasi_sequential_step,
     reachable_states,
     sequential_run,
     validate_spec_state,
 )
-from ealgebra.distributed import PartialRun, quasi_move_updates, segment_states
+from ealgebra.distributed import PartialRun, segment_states
 
 from conftest import PROGRAMS, load_initial, load_program
 from firing import fire_one
+from quasioracle import quasi_move_updates, quasi_sequential_step
 
 I = Element.integer
 E = Element.named

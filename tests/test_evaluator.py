@@ -30,7 +30,6 @@ from ealgebra import (
     parse_rule_text,
     parse_state,
     parse_term_text,
-    successor_states,
     updates,
 )
 from ealgebra.syntax import (
@@ -57,6 +56,7 @@ from genrules import (
     gen_choice_rule,
 )
 from ealgebra import fun_of
+from quasioracle import successor_states
 
 A, B, C = Element.named("a"), Element.named("b"), Element.named("c")
 N0, N1, N2 = Element.named("n0"), Element.named("n1"), Element.named("n2")

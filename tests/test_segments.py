@@ -3,6 +3,8 @@ orders past the move counts the subset scan could afford."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -165,14 +167,55 @@ def no_rules(*args, **kwargs):
     raise AssertionError("a rule was evaluated")
 
 
-def test_antichain_past_the_budget_stops_before_any_rule(monkeypatch):
+def antichain(state, seats):
+    """One move by each seat, with no order between them."""
+    moves = tuple(f"m{i}" for i in range(len(seats)))
+    return PartialRun(moves, {m: I(s) for m, s in zip(moves, seats)}, frozenset(),
+                      {frozenset(): state})
+
+
+def count_rules(monkeypatch) -> list:
+    """The moves whose rule ``check_partial_run`` evaluates, one entry each."""
+    calls = []
+    real = distributed.resolutions
+
+    def counted(program, state, **kwargs):
+        calls.append(kwargs["agent"])
+        return real(program, state, **kwargs)
+
+    monkeypatch.setattr(distributed, "resolutions", counted)
+    return calls
+
+
+def test_adjacent_antichain_past_the_budget_stops_after_the_pass(monkeypatch):
+    # Seats 0 and 1 share a fork, so the independence pass stops at its
+    # second move, m1; the segment scan then lists segments until the budget.
     spec, state = ring(18)
-    moves = tuple(f"m{i}" for i in range(17))
-    pr = PartialRun(moves, {m: I(i) for i, m in enumerate(moves)}, frozenset(),
-                    {frozenset(): state})
-    monkeypatch.setattr(distributed, "resolutions", no_rules)
+    calls = count_rules(monkeypatch)
     with pytest.raises(BudgetError):
-        check_partial_run(spec, pr, initial_state=state)
+        check_partial_run(spec, antichain(state, range(17)), initial_state=state)
+    assert calls == [I(0), I(1)]
+
+
+@pytest.mark.parametrize("k", [17, 64])
+def test_antichains_of_non_neighbours_check_valid(monkeypatch, k):
+    # The even seats of a ring of 2k share no fork: each move is evaluated
+    # once, where the segment scan would go past its budget.
+    spec, state = ring(2 * k)
+    calls = count_rules(monkeypatch)
+    verdict = check_partial_run(
+        spec, antichain(state, range(0, 2 * k, 2)), initial_state=state
+    )
+    assert verdict.valid, verdict.message
+    assert len(calls) == k
+
+
+def test_sixteen_move_antichain_checks_in_half_a_second():
+    spec, state = ring(32)
+    pr = antichain(state, range(0, 32, 2))
+    start = time.perf_counter()
+    assert check_partial_run(spec, pr, initial_state=state).valid
+    assert time.perf_counter() - start < 0.5
 
 
 def test_chain_past_the_budget_stops_while_its_closure_is_built(

@@ -19,7 +19,7 @@ from ealgebra import (
     UpdateSet,
     make_vocabulary,
 )
-from ealgebra.state import LEAF_SIZE, _canonical_form
+from ealgebra.state import EMPTY_UPDATE_SET, LEAF_SIZE, _canonical_form
 
 VOCAB = make_vocabulary(
     [
@@ -278,6 +278,13 @@ def test_firing_copies_only_the_changed_path():
         assert child == table_state({j: I(0) for j in range(5000)} | {k: v})
     assert parent.read(Location("F", (I(42),))) == I(0)
     assert len(old) == 5000 and old.get((I(5000),)) is None
+
+
+def test_firing_the_empty_set_gives_back_the_state():
+    for state in (table_state({}), table_state({k: I(0) for k in range(100)})):
+        state.canonical_key()  # a keyed state, whose facts are cached
+        assert state.fire_update_set(EMPTY_UPDATE_SET) == (state, True)
+        assert state.fire_update_set(EMPTY_UPDATE_SET)[0] is state
 
 
 def test_keys_whose_hashes_agree_stay_apart():
