@@ -45,6 +45,12 @@ class Agent:
     module: str
     program: Program
 
+    @property
+    def reads(self) -> tuple[Location, Location]:
+        """What being an agent of its module reads: ``Mod(Self)`` and the
+        module name's location."""
+        return Location("Mod", (self.element,)), Location(self.module)
+
 
 def module_elements(spec: DistributedSpec, state: State) -> dict[str, Element]:
     return {name: state.read(Location(name)) for name in spec.module_names}
@@ -78,9 +84,16 @@ def validate_spec_state(spec: DistributedSpec, state: State) -> dict[Element, st
     return seen
 
 
-def agents_of(spec: DistributedSpec, state: State) -> list[Agent]:
-    """All elements a with Mod(a) equal to some module name's element."""
-    by_element = validate_spec_state(spec, state)
+def agents_of(
+    spec: DistributedSpec, state: State, by_element: Mapping[Element, str] | None = None
+) -> list[Agent]:
+    """All elements a with Mod(a) equal to some module name's element.
+
+    ``by_element`` is the map ``validate_spec_state`` returned for the
+    state or one fired from it (see ``_agent``); without it the state is
+    validated here."""
+    if by_element is None:
+        by_element = validate_spec_state(spec, state)
     agents = []
     for _, args, value in state.facts("Mod"):
         module = by_element.get(value)
@@ -126,20 +139,23 @@ def agent_move(
             raise ScheduleError(f"{format_element(agent)} is not an agent here")
         agent = found
     if footprint is not None:
-        footprint.locations.add(Location("Mod", (agent.element,)))
-        footprint.locations.add(Location(agent.module))
+        footprint.locations.update(agent.reads)
     return move(
         agent.program, state, chooser,
         oracle=oracle, index=index, agent=agent.element, footprint=footprint,
     )
 
 
-def move_successors(spec: DistributedSpec, state: State) -> list[tuple[str, State]]:
-    """Every (move description, successor) over all agents and resolutions."""
+def move_successors(
+    spec: DistributedSpec, state: State,
+    by_element: Mapping[Element, str] | None = None, memo: dict | None = None,
+) -> list[tuple[str, State]]:
+    """Every (move description, successor) over all agents and resolutions;
+    ``by_element`` as for ``agents_of``, ``memo`` as for ``successors``."""
     return [
         successor
-        for agent in agents_of(spec, state)
-        for successor in successors(agent.program, state, agent.element)
+        for agent in agents_of(spec, state, by_element)
+        for successor in successors(agent.program, state, agent.element, memo, agent.reads)
     ]
 
 
@@ -162,7 +178,7 @@ def sequential_run(
     """
     if max_steps is not None and max_steps < 0:
         raise ScheduleError("max_steps must not be negative")
-    validate_spec_state(spec, initial)
+    by_element = validate_spec_state(spec, initial)
     if chooser is None:
         chooser = SeededChooser(0)
     if schedule is not None:
@@ -176,7 +192,7 @@ def sequential_run(
         if schedule is not None:
             agent = schedule[index - 1]
         else:
-            agents = agents_of(spec, state)
+            agents = agents_of(spec, state, by_element)
             if not agents:
                 break
             agent = agents[chooser.choose(len(agents))]
@@ -341,8 +357,7 @@ def _move_update_set(
             witness=move,
         )
     if footprint is not None:
-        footprint.locations.add(Location("Mod", (element,)))
-        footprint.locations.add(Location(agent.module))
+        footprint.locations.update(agent.reads)
     recorded = (pr.recorded or {}).get(move)
     if recorded is None and agent.program.has_choose:
         return None, Verdict(

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional
 
 from . import syntax
 from .errors import EalgebraError, OracleError, ScheduleError, VocabularyError
-from .evaluator import eval_guard, nupdates, updates
+from .evaluator import Footprint, eval_guard, nupdates, updates
 from .parser import parse_guard_text
 from .state import (
     EMPTY_UPDATE_SET,
@@ -39,6 +39,7 @@ from .state import (
     Update,
     UpdateSet,
     format_element,
+    resolve,
 )
 from .stateio import is_name, parse_element, split_fact
 from .syntax import DistributedSpec, Program
@@ -347,25 +348,68 @@ class ReachReport:
 
 
 def successors(
-    program: Program, state: State, agent: Element | None = None
+    program: Program, state: State, agent: Element | None = None,
+    memo: dict | None = None, reads: Iterable[Location] = (),
 ) -> list[tuple[str, State]]:
     """Every (move label, successor) of one firing of the program at
     ``state``: a sequential step, or with ``agent`` that agent's move.
 
     A step's labels are ``step``, ``choice i`` and ``noop`` (empty family);
     agent x's are ``agent x``, ``agent x choice i`` and ``agent x (no move)``.
+    With ``memo`` the checked members may be reused (``_members``); an
+    agent's ``reads`` are what being an agent of its module reads.
     """
-    members, family_size = resolutions(program, state, agent=agent)
+    members, family_size = _members(program, state, agent, memo, reads)
+    fired = [state._apply(pairs) if pairs else state for pairs in members]
     tag = None if agent is None else f"agent {format_element(agent)}"
     if family_size is None:
-        return [(tag or "step", state.fire_update_set(members[0])[0])]
-    if not members:
+        return [(tag or "step", fired[0])]
+    if not fired:
         return [(f"{tag} (no move)" if tag else "noop", state)]
     prefix = f"{tag} " if tag else ""
-    return [
-        (f"{prefix}choice {i}", state.fire_update_set(member)[0])
-        for i, member in enumerate(members)
+    return [(f"{prefix}choice {i}", nxt) for i, nxt in enumerate(fired)]
+
+
+def _members(program, state, agent, memo, reads) -> tuple[list, Optional[int]]:
+    """The resolutions of the program at ``state`` checked for firing
+    (``State.checked``), and the family size.
+
+    ``memo``, a dict one enumeration owns, keeps them per agent (None for
+    a step) under the values the state holds at the locations the
+    evaluation read, ``reads`` among them, and under ``reserve_next`` when
+    a member withdraws from Reserve.  A rule reads nothing outside its
+    footprint, so a state that holds the same values reuses them.  Not
+    kept: an evaluation that reads a table whole or a location outside the
+    tables (as ``Reserve(x)``), and any of a program with externals.
+    """
+    shapes = None if memo is None or program.externals else memo.setdefault(agent, {})
+    for (at, reserve), kept in (shapes or {}).items():
+        found = kept.get(_held(state, at, reserve))
+        if found is not None:
+            return found
+    footprint = None if shapes is None else Footprint()
+    members, family_size = resolutions(program, state, footprint=footprint, agent=agent)
+    found = [state.checked(member) for member in members], family_size
+    if footprint is not None and not footprint.names:
+        locations = sorted(footprint.locations.union(reads), key=Location.sort_key)
+        how = [resolve(state.vocabulary, loc.fname, len(loc.args)) for loc in locations]
+        if all(h.kind == "table" for h in how):
+            at = tuple((loc.fname, loc.args, h.value) for loc, h in zip(locations, how))
+            reserve = any(u.location.fname == "Reserve" for m in members for u in m)
+            shapes.setdefault((at, reserve), {})[_held(state, at, reserve)] = found
+    return found
+
+
+def _held(state: State, at, reserve: bool) -> tuple:
+    """The values ``state`` holds at the ``(name, args, default)`` tabled
+    locations ``at``, read as a compiled tabled read reads them, and its
+    ``reserve_next`` when ``reserve``."""
+    tables = state._tables
+    held = [
+        default if (table := tables.get(fname)) is None else table.get(args, default)
+        for fname, args, default in at
     ]
+    return (*held, state.reserve_next) if reserve else tuple(held)
 
 
 def enumerate_reachable(
@@ -380,8 +424,9 @@ def enumerate_reachable(
 
     For a distributed spec the branching is over single-agent moves
     (sequential interleavings) plus each agent's choice resolutions.
-    States are deduplicated up to isomorphism (reserve renaming).
-    Violations of the safety predicate are reported with witness traces.
+    States are deduplicated up to isomorphism (reserve renaming), and
+    move results are reused across them (``_members``).  Violations of
+    the safety predicate are reported with witness traces.
     """
     from . import distributed  # cycle: distributed builds on runner
 
@@ -390,14 +435,15 @@ def enumerate_reachable(
     if isinstance(predicate, str):
         predicate = parse_guard_text(predicate, initial.vocabulary)
 
+    memo: dict = {}  # move results, reused within this call only
     is_dist = isinstance(target, DistributedSpec)
     if is_dist:
-        distributed.validate_spec_state(target, initial)
+        by_element = distributed.validate_spec_state(target, initial)
 
     def expand(state):
         if is_dist:
-            return distributed.move_successors(target, state)
-        return successors(target, state)
+            return distributed.move_successors(target, state, by_element, memo)
+        return successors(target, state, memo=memo)
 
     def check(state) -> bool:
         return predicate is None or eval_guard(state, None, predicate)

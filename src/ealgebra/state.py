@@ -473,14 +473,17 @@ class State:
             child._reserve_facts = self._reserve_facts + moved
         return child
 
+    def checked(self, beta: UpdateSet) -> Optional[list[tuple[Update, FunctionName]]]:
+        """The members of ``beta`` with their names, as ``_apply`` fires
+        them, or None when ``beta`` is inconsistent.  Raises as firing
+        would; the result holds at every state of this vocabulary."""
+        pairs = [(u, self._validate_update(u)) for u in beta]
+        return None if beta.conflicts() else pairs
+
     def fire_update_set(self, beta: UpdateSet) -> tuple["State", bool]:
         """Fire all members at once; an empty or inconsistent set changes nothing."""
-        if not beta.updates:
-            return self, True
-        pairs = [(u, self._validate_update(u)) for u in beta]
-        if beta.conflicts():
-            return self, False
-        return self._apply(pairs), True
+        pairs = self.checked(beta)
+        return self._apply(pairs) if pairs else self, pairs is not None
 
     # -- equality, isomorphism, audit -------------------------------------------
 

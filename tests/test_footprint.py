@@ -30,17 +30,23 @@ from test_updates_oracle import STORED, VOCAB as SURFACE_VOCAB, core_rule, oracl
 
 from ealgebra import (
     FALSE,
+    DistributedSpec,
+    FunctionName,
+    Program,
     TRUE,
     UNDEF,
     EalgebraError,
     Footprint,
     Location,
     State,
+    make_vocabulary,
     nupdates,
     updates,
 )
+from ealgebra.distributed import _agent
+from ealgebra.runner import resolutions
 from ealgebra.state import resolve
-from ealgebra.syntax import has_choose
+from ealgebra.syntax import App, _map, has_choose, parts, rebuild
 
 
 def tabled(vocabulary):
@@ -56,13 +62,15 @@ def values(fn, pool):
 
 
 @st.composite
-def states(draw, vocabulary, pool, reserve_next=0):
-    """Any interpretation of the tabled names over ``pool``."""
+def states(draw, vocabulary, pool, reserve_next=0, fixed=None):
+    """Any interpretation of the tabled names over ``pool``; a location in
+    ``fixed`` draws its value from the strategy given there."""
     tables = {}
     for fn in tabled(vocabulary):
         choices = st.sampled_from(values(fn, pool))
         tables[fn.name] = {
-            args: draw(choices) for args in product(pool, repeat=fn.arity)
+            args: draw((fixed or {}).get(Location(fn.name, args), choices))
+            for args in product(pool, repeat=fn.arity)
         }
     return State(vocabulary, tables, reserve_next)
 
@@ -129,3 +137,78 @@ def test_surface_rules_read_only_their_footprint(seed, state, shift, w):
         core_rule(seed), state, STORED, shift,
         env={"w": w}, oracle=oracle, externals=SURFACE_EXTERNALS,
     )
+
+
+# -- agent moves ---------------------------------------------------------------
+
+
+def as_self(node, name: str):
+    """``node`` with the constant ``name`` read as Self."""
+    if isinstance(node, App) and node.fname == name and not node.args:
+        return App("Self")
+    binders, outside, inside = parts(node)
+    return rebuild(
+        node, binders, _map(lambda c: as_self(c, name), outside),
+        _map(lambda c: as_self(c, name), inside),
+    )
+
+
+def agent_spec(vocabulary, rules, self_name: str) -> DistributedSpec:
+    """Modules M and N running ``rules``, which read ``self_name`` as Self."""
+    user = [fn for fn in vocabulary.names if not fn.is_logic]
+    module = make_vocabulary(user, with_self=True)
+    shared = make_vocabulary(
+        user + [FunctionName("Mod", 1)]
+        + [FunctionName(name, 0, is_static=True) for name in "MN"]
+    )
+    return DistributedSpec(
+        tuple((name, Program(module, as_self(rule, self_name))) for name, rule in zip("MN", rules)),
+        shared,
+    )
+
+
+def agent_outcome(spec, pool, state):
+    """The move of ``pool[0]`` as ``enumerate`` evaluates it, given the
+    module-element map, which is fixed: module names are static."""
+    agent = _agent(spec, {pool[1]: "M", pool[2]: "N"}, state, pool[0])
+    footprint = Footprint()
+    try:
+        result = resolutions(agent.program, state, footprint=footprint, agent=pool[0])
+    except EalgebraError as exc:
+        result = (type(exc), str(exc))
+    footprint.locations.update(agent.reads)
+    return agent.module, result, footprint.locations, footprint.names
+
+
+def assert_agent_complete(spec, state, pool, shift):
+    first = agent_outcome(spec, pool, state)
+    _, _, locations, names = first
+    assert {Location("Mod", (pool[0],)), Location(first[0])} <= locations
+    other = elsewhere(state, locations, names | {"M", "N"}, pool, shift)
+    assert agent_outcome(spec, pool, other) == first
+
+
+def agent_states(vocabulary, pool):
+    """States where M and N name ``pool[1]`` and ``pool[2]`` and ``pool[0]``
+    is an agent of either."""
+    agent, m, n = pool
+    return states(agent_spec(vocabulary, (), "").vocabulary, pool, fixed={
+        Location("M"): st.just(m), Location("N"): st.just(n),
+        Location("Mod", (agent,)): st.sampled_from((m, n)),
+    })
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, agent_states(BASIC_VOCAB, ELEMS), shifts)
+def test_basic_agent_moves_read_only_their_footprint(seed, state, shift):
+    rng = random.Random(seed)
+    rules = [gen_basic_rule(rng, 1 + seed % 3) for _ in "MN"]
+    assert_agent_complete(agent_spec(BASIC_VOCAB, rules, "z"), state, ELEMS, shift)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, agent_states(CHOICE_VOCAB, (A, B, C)), shifts)
+def test_choice_agent_moves_read_only_their_footprint(seed, state, shift):
+    rng = random.Random(seed)
+    rules = [gen_choice_rule(rng, 3, 2) for _ in "MN"]
+    assert_agent_complete(agent_spec(CHOICE_VOCAB, rules, "c"), state, (A, B, C), shift)

@@ -1,0 +1,271 @@
+"""Move results reused across the states of one enumeration.
+
+``enumerate_reachable`` keeps each move's checked members under the
+values its state holds at the move's footprint and reuses them at any
+later state that holds the same values.  The properties compare it with
+``enumoracle.enumerate_reference``, which evaluates every move afresh:
+on the ``genrules`` basic and choice rules, on rings of three to six
+philosophers, and on the enumerate pairings of ``programs/``, with
+budgets small enough to stop early.  The edge cases pin what a reuse
+must keep apart (``reserve_next``, the module an agent belongs to) and
+what is never kept.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import PROGRAMS, load_initial, load_program
+from enumoracle import enumerate_reference, reference_successors, summary
+from genrules import BASIC_VOCAB, CHOICE_VOCAB, ELEMS, gen_basic_rule, gen_choice_rule, gen_guard
+from genrules import A, B, C
+from test_footprint import states
+from test_independence import reserve_spec
+from test_golden_enumerate import CASES
+
+from ealgebra import (
+    Element,
+    Location,
+    State,
+    enumerate_reachable,
+    parse_program,
+    parse_state,
+    runner,
+)
+from ealgebra.distributed import move_successors
+from ealgebra.syntax import Program
+
+seeds = st.integers(0, 10**6)
+depths = st.integers(0, 6)
+budgets = st.integers(1, 12)
+
+
+def assert_same(target, initial, depth, budget, predicate=None):
+    got = enumerate_reachable(target, initial, depth, budget=budget, predicate=predicate)
+    want = enumerate_reference(target, initial, depth, budget=budget, predicate=predicate)
+    assert summary(got) == summary(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, states(BASIC_VOCAB, ELEMS), depths, budgets)
+def test_basic_rules_enumerate_as_the_reference(seed, state, depth, budget):
+    rng = random.Random(seed)
+    program = Program(BASIC_VOCAB, gen_basic_rule(rng, 1 + seed % 3))
+    assert_same(program, state, depth, budget, gen_guard(rng, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, states(CHOICE_VOCAB, (A, B, C)), depths, budgets)
+def test_choice_rules_enumerate_as_the_reference(seed, state, depth, budget):
+    program = Program(CHOICE_VOCAB, gen_choice_rule(random.Random(seed), 3, 2))
+    assert_same(program, state, depth, budget)
+
+
+RING_PROGRAMS = {
+    name: (PROGRAMS / f"{name}.ea").read_text() for name in ("philosophers", "phil_steps")
+}
+
+
+@st.composite
+def rings(draw):
+    """A ring program on 3-6 seats, some of them agents, in any mode."""
+    n = draw(st.integers(3, 6))
+    spec = parse_program(RING_PROGRAMS[draw(st.sampled_from(sorted(RING_PROGRAMS)))]
+                         .replace("mod 3", f"mod {n}"))
+    modes = [c for c in spec.constants if c not in ("up", "down", "Phil")]
+    facts = []
+    for i in range(n):
+        if draw(st.integers(0, 4)):
+            facts.append(f"Mod({i}) = Phil")
+        facts += [
+            f"Mode({i}) = {draw(st.sampled_from(modes))}",
+            f"Fork({i}) = {draw(st.sampled_from(('up', 'down')))}",
+            f"P({i}) = true",
+        ]
+    return spec, parse_state("\n".join(facts), spec.vocabulary, constants=spec.constants)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rings(), st.integers(0, 8), st.integers(1, 200))
+def test_rings_enumerate_as_the_reference(ring, depth, budget):
+    spec, state = ring
+    assert_same(
+        spec, state, depth, budget, "not (exists i in P) (Mode(i) = eat and Mode(i + 1) = eat)"
+    )
+
+
+def enumerate_case(argv):
+    """Program, state, depth and assertion of a golden ``enumerate`` case."""
+    flags = dict(zip(argv[2::2], argv[3::2]))
+    target = load_program(argv[1])
+    return (
+        target, load_initial(flags["--state"], target), int(flags["--depth"]),
+        flags.get("--assert"),
+    )
+
+
+ENUMERATE_CASES = sorted(name for name, argv in CASES.items() if argv[0] == "enumerate")
+
+
+@pytest.mark.parametrize("name", ENUMERATE_CASES)
+@settings(max_examples=8, deadline=None)
+@given(budget=st.integers(1, 60))
+def test_program_pairings_enumerate_as_the_reference(name, budget):
+    target, initial, depth, assertion = enumerate_case(CASES[name])
+    assert_same(target, initial, depth, budget, assertion)
+    assert_same(target, initial, depth, 20000, assertion)
+
+
+# ---------------------------------------------------------------------------
+# Edge cases of a reuse
+
+
+def count_updates(monkeypatch) -> list:
+    """The states at which ``runner`` evaluates a rule, one entry each."""
+    calls = []
+    for name in ("updates", "nupdates"):
+        real = getattr(runner, name)
+
+        def counted(rule, state, *args, _real=real, **kwargs):
+            calls.append(state)
+            return _real(rule, state, *args, **kwargs)
+
+        monkeypatch.setattr(runner, name, counted)
+    return calls
+
+
+IMPORTER = parse_program("""\
+vocabulary:
+  relation Node/1
+  dynamic Seen/0, Other/0
+constants done
+program:
+  if Seen = undef then
+    import v
+      Node(v) := true
+    endimport
+  endif
+""")
+
+
+def importer_state(text: str) -> State:
+    return parse_state(text, IMPORTER.vocabulary, constants=IMPORTER.constants)
+
+
+def test_an_import_reuses_only_at_the_same_reserve_next(monkeypatch):
+    first, later = importer_state(""), importer_state("reserve: 3")
+    unread = importer_state("Other = done")  # as first, off the footprint
+    want = [reference_successors(IMPORTER, s) for s in (first, later, unread)]
+    calls = count_updates(monkeypatch)
+    memo: dict = {}
+    assert [runner.successors(IMPORTER, s, memo=memo) for s in (first, later, unread)] == want
+    assert calls == [first, later]
+    fresh = {
+        args for state in (first, later)
+        for _, args, _ in runner.successors(IMPORTER, state, memo=memo)[0][1].facts("Node")
+    }
+    assert fresh == {(Element.reserve(0),), (Element.reserve(3),)}
+
+
+MOVERS = parse_program("""\
+# A walker becomes a sitter; a sitter that has walked spawns a walker.
+vocabulary:
+  dynamic Step/1
+constants one, two, w, s
+module Walker:
+  if Step(Self) = undef then
+    Step(Self) := one
+  elseif Step(Self) = one then
+    Mod(Self) := Sitter
+  endif
+module Sitter:
+  if Step(Self) = one then
+    Step(Self) := two
+    import x
+      Mod(x) := Walker
+    endimport
+  endif
+""")
+
+
+def test_moves_that_write_mod_create_and_rehome_agents():
+    state = parse_state("Mod(w) = Walker\nMod(s) = Sitter", MOVERS.vocabulary,
+                        constants=MOVERS.constants)
+    assert_same(MOVERS, state, 6, 20000)
+    walker, sitter, w = (state.read(Location(name)) for name in ("Walker", "Sitter", "w"))
+    reached = [s for s, _ in enumerate_reachable(MOVERS, state, 6).states]
+    assert any(s.read(Location("Mod", (w,))) == sitter for s in reached)
+    assert any(
+        args[0].kind == "reserve" and value == walker
+        for s in reached for _, args, value in s.facts("Mod")
+    )
+
+
+def test_a_reserve_read_is_never_kept():
+    spec, state = reserve_spec()
+    memo: dict = {}
+    move_successors(spec, state, memo=memo)
+    assert [bool(memo[Element.named(a)]) for a in ("g1", "g2", "p1", "p2")] == [
+        True, True, False, False
+    ]
+    assert_same(spec, state, 4, 20000)
+
+
+CLASH = parse_program("""\
+vocabulary:
+  dynamic g/0, h/0, Other/0
+constants a, b
+program:
+  if g = undef then h := a, h := b endif
+""")
+
+
+def test_a_reused_inconsistent_set_changes_nothing(monkeypatch):
+    first = parse_state("", CLASH.vocabulary, constants=CLASH.constants)
+    other = parse_state("Other = a", CLASH.vocabulary, constants=CLASH.constants)
+    assert reference_successors(CLASH, other) == [("step", other)]
+    calls = count_updates(monkeypatch)
+    memo: dict = {}
+    assert runner.successors(CLASH, first, memo=memo) == [("step", first)]
+    assert runner.successors(CLASH, other, memo=memo) == [("step", other)]
+    assert calls == [first]
+
+
+@pytest.mark.parametrize("source", [
+    # an external function
+    "vocabulary:\n  dynamic g/0, Other/0\n  external e/0\nconstants a\n"
+    "program:\n  g := e\n",
+    # a universe read whole by choose, by a quantifier, by duplicate
+    "vocabulary:\n  dynamic g/0, Other/0\n  static relation U/1\nconstants a\n"
+    "program:\n  choose v in U\n    g := v\n  endchoose\n",
+    "vocabulary:\n  dynamic g/0, Other/0\n  static relation U/1\nconstants a\n"
+    "program:\n  if (forall v in U) v = a then g := a endif\n",
+    "vocabulary:\n  dynamic g/0, Other/0\nconstants a\n"
+    "program:\n  duplicate a as v\n    g := v\n  endduplicate\n",
+])
+def test_externals_and_whole_table_reads_are_never_kept(monkeypatch, source):
+    program = parse_program(source)
+    first = parse_state("U(a) = true" if "U/1" in source else "", program.vocabulary,
+                        constants=program.constants)
+    want = reference_successors(program, first)
+    calls = count_updates(monkeypatch)
+    memo: dict = {}
+    assert [runner.successors(program, first, memo=memo) for _ in "ab"] == [want, want]
+    assert calls == [first, first]
+    assert not any(memo.values())
+
+
+def test_a_ring_of_six_evaluates_fewer_moves_than_it_expands(monkeypatch):
+    spec = parse_program(RING_PROGRAMS["philosophers"].replace("mod 3", "mod 6"))
+    facts = "".join(
+        f"Mod({i}) = Phil\nMode({i}) = think\nFork({i}) = down\nP({i}) = true\n"
+        for i in range(6)
+    )
+    state = parse_state(facts, spec.vocabulary, constants=spec.constants)
+    calls = count_updates(monkeypatch)
+    report = enumerate_reachable(spec, state, 20)
+    assert not report.partial
+    assert len(calls) < 6 * len(report.states)
