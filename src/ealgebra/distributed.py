@@ -14,7 +14,7 @@ linearity, initial-state validity and coherence of the segment states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import syntax
@@ -36,7 +36,7 @@ from .runner import (
     resolutions,
     successors,
 )
-from .state import Element, Location, State, UpdateSet, format_element
+from .state import UNDEF, Element, Location, State, UpdateSet, format_element
 from .syntax import DistributedSpec, Program
 
 @dataclass(frozen=True)
@@ -52,10 +52,6 @@ class Agent:
         return Location("Mod", (self.element,)), Location(self.module)
 
 
-def module_elements(spec: DistributedSpec, state: State) -> dict[str, Element]:
-    return {name: state.read(Location(name)) for name in spec.module_names}
-
-
 def validate_spec_state(spec: DistributedSpec, state: State) -> dict[Element, str]:
     """The two state conditions: distinct module elements, finitely many agents.
 
@@ -66,11 +62,9 @@ def validate_spec_state(spec: DistributedSpec, state: State) -> dict[Element, st
     interpreted as the module declares them (``VocabularyError``).
     Returns the module name of each module element.
     """
-    elements = module_elements(spec, state)
-    from .state import UNDEF
-
     seen: dict[Element, str] = {}
-    for name, el in elements.items():
+    for name in spec.module_names:
+        el = state.read(Location(name))
         if el == UNDEF:
             raise StateValidityError(f"module name {name} is uninterpreted (undef)")
         if el in seen:
@@ -103,19 +97,24 @@ def agents_of(
     return agents
 
 
-def agent_at(spec: DistributedSpec, state: State, element: Element) -> Agent | None:
-    """The agent ``element`` is at the state, or None: one read of Mod."""
-    return _agent(spec, validate_spec_state(spec, state), state, element)
-
-
 def _agent(
     spec: DistributedSpec, by_element: Mapping[Element, str], state: State, element: Element
 ) -> Agent | None:
-    """``agent_at`` given the module-element map ``validate_spec_state``
-    returned for the state, or for any state fired from it: module names
-    are static and nullary, so no update or mirror changes the map."""
+    """The agent ``element`` is at the state, or None, given the map
+    ``validate_spec_state`` returned for the state or any state fired from
+    it: module names are static and nullary, so no update changes it."""
     module = by_element.get(state.read(Location("Mod", (element,))))
     return None if module is None else Agent(element, module, spec.modules[module])
+
+
+def scheduled_agent(
+    spec: DistributedSpec, by_element: Mapping[Element, str], state: State, element: Element
+) -> Agent:
+    """``_agent``, raising ``ScheduleError`` when the element is no agent."""
+    agent = _agent(spec, by_element, state, element)
+    if agent is None:
+        raise ScheduleError(f"{format_element(element)} is not an agent here")
+    return agent
 
 
 def agent_move(
@@ -134,10 +133,7 @@ def agent_move(
     footprint also gets ``Mod(Self)`` and the module name's location.
     """
     if isinstance(agent, Element):
-        found = agent_at(spec, state, agent)
-        if found is None:
-            raise ScheduleError(f"{format_element(agent)} is not an agent here")
-        agent = found
+        agent = scheduled_agent(spec, validate_spec_state(spec, state), state, agent)
     if footprint is not None:
         footprint.locations.update(agent.reads)
     return move(
@@ -190,7 +186,7 @@ def sequential_run(
     state = initial
     for index in range(1, max_steps + 1):
         if schedule is not None:
-            agent = schedule[index - 1]
+            agent = scheduled_agent(spec, by_element, state, schedule[index - 1])
         else:
             agents = agents_of(spec, state, by_element)
             if not agents:
@@ -210,7 +206,8 @@ def sequential_run(
 
 @dataclass
 class PartialRun:
-    """A move poset with agent labels and a state function on segments."""
+    """A move poset with agent labels, recorded update sets and sigma on
+    some segments, the empty one at least (``segment_states`` gives all)."""
 
     moves: tuple[str, ...]
     agent_of: Mapping[str, Element]
@@ -300,7 +297,36 @@ def _predecessor_closure(order: _Order) -> dict[str, frozenset[str]]:
 
 
 def _is_down_set(order: _Order, moves: frozenset) -> bool:
-    return all(order.direct[m] <= moves for m in moves)
+    return all(m in order.direct and order.direct[m] <= moves for m in moves)
+
+
+def _shape(pr: PartialRun) -> _Order | Verdict:
+    """The certificate's move order, or the verdict on its shape: move ids
+    given once, each with an agent label, edges and ``updates`` lines that
+    name given moves, an acyclic order, and sigma keys that are initial
+    segments of it, checked in that order."""
+    known = set(pr.moves)
+    problems = chain(
+        ["duplicate move ids"] if len(known) != len(pr.moves) else [],
+        (f"move {m} has no agent label" for m in pr.moves if m not in pr.agent_of),
+        (f"edge ({a}, {b}) names unknown moves" for a, b in pr.edges if not known >= {a, b}),
+        (f"updates line names unknown move {m}" for m in pr.recorded or () if m not in known),
+    )
+    problem = next(problems, None)
+    if problem is not None:
+        return Verdict(False, "certificate", problem)
+    order = _order(pr.moves, pr.edges)
+    if order.topological is None:
+        return Verdict(False, "1", _CYCLE)
+    for key in pr.states:
+        if not key <= known:
+            return Verdict(False, "certificate", "sigma key names unknown moves")
+        if not _is_down_set(order, key):
+            return Verdict(
+                False, "certificate",
+                f"sigma key {{{', '.join(sorted(key))}}} is not an initial segment",
+            )
+    return order
 
 
 def _initial_segments(order: _Order) -> list[tuple[frozenset[str], tuple[str, ...]]]:
@@ -394,8 +420,7 @@ def _sigma(
     if segments and by_element is None:
         by_element = validate_spec_state(spec, base)
     for segment, maximal in segments:
-        candidate = None
-        via = None
+        candidate = via = None
         for x in maximal:
             before = computed[segment - {x}]
             beta, verdict = _move_update_set(spec, pr, x, before, by_element)
@@ -521,30 +546,10 @@ def check_partial_run(
     ``BudgetError`` when the predecessor sets, or the segments the scan
     lists, hold more than ``SEGMENT_BUDGET`` moves in all.
     """
-    # Certificate shape.
-    if len(set(pr.moves)) != len(pr.moves):
-        return Verdict(False, "certificate", "duplicate move ids")
-    known = set(pr.moves)
-    for move in pr.moves:
-        if move not in pr.agent_of:
-            return Verdict(False, "certificate", f"move {move} has no agent label")
-    for earlier, later in pr.edges:
-        if earlier not in known or later not in known:
-            return Verdict(False, "certificate", f"edge ({earlier}, {later}) names unknown moves")
-    for move in pr.recorded or ():
-        if move not in known:
-            return Verdict(False, "certificate", f"updates line names unknown move {move}")
-    order = _order(pr.moves, pr.edges)
-    if order.topological is None:
-        return Verdict(False, "1", _CYCLE)
-    for key in pr.states:
-        if not key <= known:
-            return Verdict(False, "certificate", "sigma key names unknown moves")
-        if not _is_down_set(order, key):
-            return Verdict(
-                False, "certificate",
-                f"sigma key {{{', '.join(sorted(key))}}} is not an initial segment",
-            )
+    # Certificate shape, and the acyclic order of condition 1.
+    order = _shape(pr)
+    if isinstance(order, Verdict):
+        return order
 
     # Condition 2: moves of any single agent are linearly ordered.
     preds = _predecessor_closure(order)
@@ -577,18 +582,18 @@ def check_partial_run(
 
     # Condition 4 (and 1 via the closure): coherence over every segment,
     # shown by independence, or else segment by segment.
-    if _independent(spec, pr, order, preds, by_element):
-        return Verdict(True, None, "all run conditions hold")
-    _, verdict = _sigma(spec, pr, order, by_element)
-    if verdict is not None:
-        return verdict
+    if not _independent(spec, pr, order, preds, by_element):
+        _, verdict = _sigma(spec, pr, order, by_element)
+        if verdict is not None:
+            return verdict
     return Verdict(True, None, "all run conditions hold")
 
 
 def segment_states(spec: DistributedSpec, pr: PartialRun) -> dict[frozenset, State]:
-    order = _order(pr.moves, pr.edges)
-    if order.topological is None:
-        raise CertificateError(_CYCLE)
+    """The state of every initial segment, checked for coherence."""
+    order = _shape(pr)
+    if isinstance(order, Verdict):
+        raise CertificateError(order.message)
     sigma, verdict = _sigma(spec, pr, order)
     if verdict is not None:
         raise CertificateError(verdict.message)
@@ -636,10 +641,13 @@ def linearizations(
     *,
     budget: int = 10000,
 ) -> LinearizationReport:
-    """All topological orders of a finite initial segment, as sequential runs."""
-    order = _order(pr.moves, pr.edges)
-    if order.topological is None:
-        raise CertificateError("the move order is ill-founded")
+    """All topological orders of a finite initial segment, as sequential
+    runs, up to ``budget`` of them."""
+    if budget < 1:
+        raise ScheduleError("budget must be positive")
+    order = _shape(pr)
+    if isinstance(order, Verdict):
+        raise CertificateError(order.message)
     segment = frozenset(pr.moves) if segment is None else frozenset(segment)
     if not _is_down_set(order, segment):
         raise CertificateError("not an initial segment")
@@ -651,9 +659,7 @@ def linearizations(
     by_element = validate_spec_state(spec, base) if segment else {}
     traces = []
     for order in orders:
-        state = base
-        states = [state]
-        records = []
+        state, states, records = base, [base], []
         for index, move in enumerate(order, start=1):
             beta, verdict = _move_update_set(spec, pr, move, state, by_element)
             if verdict is not None:
@@ -701,38 +707,26 @@ def generate_partial_run(
 
     Two moves stay ordered when the same agent makes them or their
     read/write footprints interfere; all other pairs become incomparable.
-    The state function is recomputed on every initial segment, so the
-    result is a valid run by construction (and checked by the verifier in
-    the tests).  Raises ``BudgetError`` when the order's initial segments
-    hold more than ``SEGMENT_BUDGET`` moves in all.
+    The run carries sigma of the empty segment and every move's update
+    set, which give the state of every initial segment because independent
+    moves commute (Corollary 1); ``segment_states`` lists them.  The result
+    is a valid run by construction.
     """
-    validate_spec_state(spec, initial)
+    by_element = validate_spec_state(spec, initial)
     if chooser is None:
         chooser = SeededChooser(0)
-    state = initial
-    entries = []
+    state, effects, schedule = initial, [], list(schedule)
     for i, element in enumerate(schedule, start=1):
-        footprint = Footprint()
-        state, record = agent_move(
-            spec, state, element, chooser, index=i, footprint=footprint
-        )
-        entries.append((f"m{i}", element, _Effect.of(record.updates, footprint)))
-
-    edges = {
-        (m1, m2)
-        for (m1, el1, e1), (m2, el2, e2) in combinations(entries, 2)
-        if el1 == el2 or _footprints_conflict(e1, e2)
-    }
-    moves = tuple(e[0] for e in entries)
-    agent_of = {e[0]: e[1] for e in entries}
-    recorded = {e[0]: e[2].beta for e in entries}
-    # Every edge runs forward in the schedule, so a segment's latest move in
-    # schedule order is maximal: its state is that move fired at the state
-    # of the rest, which comes earlier in the segment order.
-    position = {m: i for i, m in enumerate(moves)}
-    segments = _initial_segments(_order(moves, edges))
-    states: dict[frozenset, State] = {frozenset(): initial}
-    for segment, maximal in segments[1:]:
-        latest = max(maximal, key=position.__getitem__)
-        states[segment], _ = states[segment - {latest}].fire_update_set(recorded[latest])
-    return PartialRun(moves, agent_of, frozenset(edges), states, recorded)
+        footprint, agent = Footprint(), scheduled_agent(spec, by_element, state, element)
+        state, record = agent_move(spec, state, agent, chooser, index=i, footprint=footprint)
+        effects.append(_Effect.of(record.updates, footprint))
+    moves = tuple(f"m{i}" for i in range(1, len(effects) + 1))
+    edges = frozenset(
+        (moves[i], moves[j])
+        for i, j in combinations(range(len(moves)), 2)
+        if schedule[i] == schedule[j] or _footprints_conflict(effects[i], effects[j])
+    )
+    return PartialRun(
+        moves, dict(zip(moves, schedule)), edges, {frozenset(): initial},
+        {m: effect.beta for m, effect in zip(moves, effects)},
+    )

@@ -17,13 +17,12 @@ from ealgebra import (
     DistributedSpec,
     Element,
     ModeError,
-    ScheduleError,
     State,
     UpdateFamily,
     UpdateSet,
-    format_element,
+    validate_spec_state,
 )
-from ealgebra.distributed import agent_at
+from ealgebra.distributed import scheduled_agent
 from ealgebra.runner import resolutions
 
 
@@ -32,10 +31,9 @@ def quasi_move_updates(
 ) -> UpdateSet:
     """Union of the agents' update sets at the same state."""
     union = UpdateSet()
+    by_element = validate_spec_state(spec, state)
     for element in agents:
-        agent = agent_at(spec, state, element)
-        if agent is None:
-            raise ScheduleError(f"{format_element(element)} is not an agent here")
+        agent = scheduled_agent(spec, by_element, state, element)
         if agent.program.has_choose:
             raise ModeError(
                 f"quasi-sequential steps need deterministic agents ({agent.module})"

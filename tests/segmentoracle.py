@@ -1,10 +1,17 @@
 """The subset scan that listed initial segments before down-sets were
-enumerated, the reference for ``distributed._initial_segments``.
+enumerated, the reference for ``distributed._initial_segments``, and the
+every-segment loop that generated runs used to store sigma, the
+reference for ``distributed.segment_states`` on them.
 
-Tries all 2^n subsets of the moves, so it is only usable for a handful.
+The subset scan tries all 2^n subsets of the moves, so it is only usable
+for a handful.
 """
 
 from __future__ import annotations
+
+import dataclasses
+
+from ealgebra.distributed import _initial_segments, _order, segment_states
 
 
 def initial_segments(moves, preds) -> list[frozenset]:
@@ -50,3 +57,24 @@ def topological_orders(segment, direct, budget) -> tuple[list[list[str]], bool]:
 
     extend([], frozenset(segment))
     return orders, complete
+
+
+def generated_sigma(pr) -> dict:
+    """Sigma on every initial segment of a run ``generate_partial_run``
+    made, as it computed them when it stored them all.
+
+    Every edge runs forward in the schedule, so a segment's latest move in
+    schedule order is maximal: its state is that move fired at the state
+    of the rest, which comes earlier in the segment order.
+    """
+    position = {m: i for i, m in enumerate(pr.moves)}
+    states = {frozenset(): pr.states[frozenset()]}
+    for segment, top in _initial_segments(_order(pr.moves, pr.edges))[1:]:
+        latest = max(top, key=position.__getitem__)
+        states[segment], _ = states[segment - {latest}].fire_update_set(pr.recorded[latest])
+    return states
+
+
+def with_every_sigma(spec, pr):
+    """The run with sigma stored on every initial segment."""
+    return dataclasses.replace(pr, states=segment_states(spec, pr))

@@ -1,7 +1,8 @@
 """Golden ``check-run`` verdicts, compared byte for byte.
 
 ``render`` writes the certificate that ``generate_partial_run`` makes for
-each sample run, and four tampered copies of it, and prints the JSON
+each sample run, with sigma stored on every initial segment, and four
+tampered copies of it, and prints the JSON
 verdict and exit code that ``check-run`` gives each one.  Every case runs
 through the CLI in a fresh interpreter, once under each of two hash seeds,
 so a verdict that depends on set or dict iteration order fails here.
@@ -71,6 +72,7 @@ def render() -> str:
     from ealgebra import Element, format_certificate, generate_partial_run, load_state
     from ealgebra import parse_program_file
     from ealgebra.cli import main
+    from segmentoracle import with_every_sigma
 
     out = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -83,7 +85,7 @@ def render() -> str:
                 Element.integer(int(a)) if a.isdigit() else Element.named(a)
                 for a in schedule
             ]
-            pr = generate_partial_run(spec, initial, agents)
+            pr = with_every_sigma(spec, generate_partial_run(spec, initial, agents))
             for name, tamper in TAMPERS:
                 cert = Path(tmp) / "run.cert"
                 cert.write_text(format_certificate(tamper(pr)), encoding="utf-8")

@@ -13,6 +13,7 @@ from ealgebra.cli import (
 )
 
 from conftest import PROGRAMS
+from segmentoracle import with_every_sigma
 
 
 def program(name):
@@ -228,7 +229,7 @@ def test_check_run_valid_and_mutated(capsys, tmp_path):
         program("ring4.east"), spec.vocabulary, constants=spec.constants
     )
     I = Element.integer
-    pr = generate_partial_run(spec, initial, [I(0), I(2)])
+    pr = with_every_sigma(spec, generate_partial_run(spec, initial, [I(0), I(2)]))
     good = tmp_path / "good.cert"
     good.write_text(format_certificate(pr))
     code = run_cli(

@@ -36,6 +36,7 @@ from ealgebra.distributed import PartialRun, segment_states
 from conftest import PROGRAMS, load_initial, load_program
 from firing import fire_one
 from quasioracle import quasi_move_updates, quasi_sequential_step
+from segmentoracle import with_every_sigma
 
 I = Element.integer
 E = Element.named
@@ -258,7 +259,7 @@ def test_independent_moves_form_an_antichain(philosophers4, ring4):
 
 
 def test_corrupted_sigma_entry_names_coherence(philosophers4, ring4):
-    pr = antichain_run(philosophers4, ring4)
+    pr = with_every_sigma(philosophers4, antichain_run(philosophers4, ring4))
     full = frozenset(pr.moves)
     bad = fire_one(pr.states[full], Update(Location("Mode", (I(3),)), EAT))
     assert bad != pr.states[full]
@@ -328,6 +329,32 @@ def test_a_check_validates_its_base_state_once(philosophers4, ring4, monkeypatch
     assert calls == [ring4]
 
 
+def test_a_scheduled_run_validates_its_initial_state_once(philosophers4, ring4, monkeypatch):
+    # Agents are resolved through the initial state's module-element map.
+    from ealgebra import distributed
+
+    calls = []
+    original = distributed.validate_spec_state
+
+    def counting(spec, state):
+        calls.append(state)
+        return original(spec, state)
+
+    monkeypatch.setattr(distributed, "validate_spec_state", counting)
+    schedule = [I(0), I(2), I(0), I(2), I(1)] * 4
+    assert len(sequential_run(philosophers4, ring4, schedule).records) == 20
+    assert calls == [ring4]
+    calls.clear()
+    assert len(generate_partial_run(philosophers4, ring4, schedule).moves) == 20
+    assert calls == [ring4]
+
+
+def test_a_scheduled_element_that_is_no_agent_is_refused(philosophers4, ring4):
+    for call in (sequential_run, generate_partial_run):
+        with pytest.raises(ScheduleError, match="^7 is not an agent here$"):
+            call(philosophers4, ring4, [I(0), I(7)])
+
+
 def test_linearizations_of_an_antichain(philosophers4, ring4):
     pr = generate_partial_run(philosophers4, ring4, [I(0), I(2)])
     report = linearizations(philosophers4, pr)
@@ -373,7 +400,9 @@ def test_corollary_two_on_generated_runs(philosophers4, ring4):
 
 
 def test_certificate_round_trip(philosophers4, ring4):
-    pr = generate_partial_run(philosophers4, ring4, [I(0), I(2), I(1)])
+    pr = with_every_sigma(
+        philosophers4, generate_partial_run(philosophers4, ring4, [I(0), I(2), I(1)])
+    )
     text = format_certificate(pr)
     again = parse_certificate(text, philosophers4)
     assert again.moves == pr.moves
@@ -399,7 +428,8 @@ def test_partial_runs_over_the_team_spec(sendrecv, sendrecv_state):
 
 
 def test_certificate_lines_given_twice_are_refused(sendrecv, sendrecv_state):
-    text = format_certificate(generate_partial_run(sendrecv, sendrecv_state, [E("s"), E("r"), E("t1")]))
+    pr = generate_partial_run(sendrecv, sendrecv_state, [E("s"), E("r"), E("t1")])
+    text = format_certificate(with_every_sigma(sendrecv, pr))
     true_line = "updates m1: Mode(s) := ready\n"
     wrong_line = "updates m1: Mode(s) := idle\n"
     # Alone, the wrong line is a condition-4 violation; placed before the

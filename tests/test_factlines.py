@@ -5,16 +5,17 @@ lines of oracle scripts, read and written.
 ``render`` feeds each reader good and malformed lines (operator names
 among them) and prints what it made of each, then prints ``format_state``
 of every sample state and ``format_certificate`` of generated runs of the
-sample specs.  The output is compared byte for byte with
-``tests/golden/factlines.txt``; regenerate it with
-``PYTHONPATH=src python tests/test_factlines.py`` only when an output is
-meant to change.
+sample specs, with sigma stored on every initial segment.  The output is
+compared byte for byte with ``tests/golden/factlines.txt``; regenerate it
+with ``PYTHONPATH=src python tests/test_factlines.py`` only when an
+output is meant to change.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+from segmentoracle import with_every_sigma
 from test_golden_enumerate import RUN_PAIRS
 
 from ealgebra import (
@@ -190,7 +191,7 @@ def render() -> str:
         runs.append((spec, load_state(PROGRAMS / state, spec.vocabulary, constants=spec.constants), schedule))
     for spec, initial, schedule in runs:
         agents = [Element.integer(int(a)) if a.isdigit() else Element.named(a) for a in schedule]
-        pr = generate_partial_run(spec, initial, agents)
+        pr = with_every_sigma(spec, generate_partial_run(spec, initial, agents))
         out.append(f"## {spec.module_names} schedule {' '.join(schedule)}")
         out.append(format_certificate(pr).rstrip("\n"))
     return "\n".join(out) + "\n"

@@ -38,6 +38,7 @@ from ealgebra.distributed import PartialRun
 from ealgebra.syntax import App, Atom
 
 from conftest import PROGRAMS
+from segmentoracle import with_every_sigma
 from test_checkrun_golden import RUNS, TAMPERS
 
 VALID = Verdict(True, None, "all run conditions hold")
@@ -104,7 +105,7 @@ def test_golden_runs_and_tampered_copies_agree(run, tmp_path):
     spec = parse_program_file(PROGRAMS / program)
     initial = load_state(PROGRAMS / state_file, spec.vocabulary, constants=spec.constants)
     agents = [Element.integer(int(a)) if a.isdigit() else Element.named(a) for a in schedule]
-    pr = generate_partial_run(spec, initial, agents)
+    pr = with_every_sigma(spec, generate_partial_run(spec, initial, agents))
     for name, tamper in TAMPERS:
         changed = tamper(pr)
         verdict, answers = check_both_ways(spec, changed)
@@ -207,7 +208,9 @@ def reserve_spec():
 ])
 def test_reserve_runs_and_tampered_copies_agree(schedule, accepted):
     spec, state = reserve_spec()
-    pr = generate_partial_run(spec, state, [Element.named(a) for a in schedule.split()])
+    pr = with_every_sigma(
+        spec, generate_partial_run(spec, state, [Element.named(a) for a in schedule.split()])
+    )
     for name, tamper in TAMPERS:
         verdict, answers = check_both_ways(spec, tamper(pr), state)
         if name == "generated":

@@ -12,6 +12,7 @@ from ealgebra import (
     BudgetError,
     CertificateError,
     Element,
+    ScheduleError,
     check_partial_run,
     corollary1_holds,
     format_certificate,
@@ -29,10 +30,17 @@ from ealgebra.distributed import (
     _order,
     _predecessor_closure,
     _topological_orders,
+    segment_states,
 )
 
 from conftest import PROGRAMS
-from segmentoracle import initial_segments, maximal, topological_orders
+from segmentoracle import (
+    generated_sigma,
+    initial_segments,
+    maximal,
+    topological_orders,
+    with_every_sigma,
+)
 
 I = Element.integer
 
@@ -230,10 +238,34 @@ def test_chain_past_the_budget_stops_while_its_closure_is_built(
         check_partial_run(philosophers4, pr, initial_state=ring4)
 
 
-def test_generation_past_the_budget_raises_budget_error():
-    spec, state = ring(34)
-    with pytest.raises(BudgetError):  # 17 philosophers, no two neighbours
-        generate_partial_run(spec, state, [I(2 * i) for i in range(17)])
+@pytest.mark.parametrize("k", [14, 17, 64])
+def test_non_neighbours_generate_one_sigma_block(monkeypatch, k):
+    # The even seats of a ring of 2k: 2^k initial segments, none of whose
+    # states the certificate stores but the empty segment's.
+    spec, state = ring(2 * k)
+    pr = generate_partial_run(spec, state, [I(s) for s in range(0, 2 * k, 2)])
+    assert pr.edges == frozenset() and pr.states == {frozenset(): state}
+    text = format_certificate(pr)
+    assert text.count("endsigma") == 1
+    again = parse_certificate(text, spec)
+    assert (again.moves, again.agent_of, again.edges) == (pr.moves, pr.agent_of, pr.edges)
+    assert (dict(again.recorded), again.states) == (pr.recorded, pr.states)
+    calls = count_rules(monkeypatch)
+    verdict = check_partial_run(spec, again, initial_state=state)
+    assert verdict.valid, verdict.message
+    assert len(calls) == k
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=12))
+))
+def test_segment_states_of_generated_runs_match_every_segment_loop(case):
+    n, agents = case
+    spec, state = ring(n)
+    pr = generate_partial_run(spec, state, [I(a) for a in agents])
+    assert pr.states == {frozenset(): state}
+    assert segment_states(spec, pr) == generated_sigma(pr)
 
 
 @settings(max_examples=30, deadline=None)
@@ -248,7 +280,7 @@ def test_generated_ring_runs_past_twelve_moves_check_valid(case):
     pr = generate_partial_run(spec, state, [I(a) for a in agents])
     verdict = check_partial_run(spec, pr, initial_state=state)
     assert verdict.valid, verdict.message
-    for segment, sigma in pr.states.items():
+    for segment, sigma in segment_states(spec, pr).items():
         if len(segment) <= 3:
             report = linearizations(spec, pr, segment)
             assert corollary1_holds(report)
@@ -256,7 +288,9 @@ def test_generated_ring_runs_past_twelve_moves_check_valid(case):
 
 
 def test_generated_certificates_past_twelve_moves_round_trip(philosophers4, ring4):
-    pr = generate_partial_run(philosophers4, ring4, [I(0), I(2)] * 8)
+    pr = with_every_sigma(
+        philosophers4, generate_partial_run(philosophers4, ring4, [I(0), I(2)] * 8)
+    )
     assert len(pr.moves) == 16 and len(pr.states) == 9 * 9  # two 8-move chains
     again = parse_certificate(format_certificate(pr), philosophers4)
     assert dict(again.states) == dict(pr.states)
@@ -272,3 +306,45 @@ def test_sigma_keys_and_linearized_segments_must_be_down_sets(philosophers4, rin
     )
     with pytest.raises(CertificateError, match="not an initial segment"):
         linearizations(philosophers4, pr, {"m1", "m3"})
+
+
+def test_an_edge_to_an_unknown_move_is_a_certificate_error(philosophers4, ring4):
+    pr = parse_certificate(chain_certificate(2) + "order m2 < zz\n", philosophers4)
+    pr.states = {frozenset(): ring4}
+    for call in (segment_states, linearizations):
+        with pytest.raises(CertificateError, match=r"edge \(m2, zz\) names unknown moves"):
+            call(philosophers4, pr)
+
+
+def test_linearizing_a_segment_of_unknown_moves_is_a_certificate_error(philosophers4, ring4):
+    pr = parse_certificate(chain_certificate(2), philosophers4)
+    pr.states = {frozenset(): ring4}
+    with pytest.raises(CertificateError, match="not an initial segment"):
+        linearizations(philosophers4, pr, {"zz"})
+
+
+def test_a_move_without_an_agent_label_is_a_certificate_error(philosophers4, ring4):
+    pr = PartialRun(("m1", "m2"), {"m1": I(0)}, frozenset({("m1", "m2")}),
+                    {frozenset(): ring4})
+    for call in (segment_states, linearizations):
+        with pytest.raises(CertificateError, match="move m2 has no agent label"):
+            call(philosophers4, pr)
+
+
+def test_a_cycle_is_named_alike_by_every_entry_point(philosophers4, ring4):
+    pr = parse_certificate(chain_certificate(2) + "order m2 < m1\n", philosophers4)
+    pr.states = {frozenset(): ring4}
+    message = check_partial_run(philosophers4, pr).message
+    assert message == distributed._CYCLE
+    for call in (segment_states, linearizations):
+        with pytest.raises(CertificateError) as raised:
+            call(philosophers4, pr)
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_linearizations_need_a_positive_budget(philosophers4, ring4, budget):
+    pr = parse_certificate(chain_certificate(2), philosophers4)
+    pr.states = {frozenset(): ring4}
+    with pytest.raises(ScheduleError, match="budget must be positive"):
+        linearizations(philosophers4, pr, budget=budget)
