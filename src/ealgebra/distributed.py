@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from . import syntax
 from .errors import (
@@ -30,6 +30,8 @@ from .runner import (
     RunTrace,
     SeededChooser,
     StepRecord,
+    _Effect,
+    _footprints_conflict,
     check_appropriate,
     fire_and_record,
     move,
@@ -145,12 +147,26 @@ def agent_move(
 def move_successors(
     spec: DistributedSpec, state: State,
     by_element: Mapping[Element, str] | None = None, memo: dict | None = None,
-) -> list[tuple[str, State]]:
-    """Every (move description, successor) over all agents and resolutions;
-    ``by_element`` as for ``agents_of``, ``memo`` as for ``successors``."""
+    asleep: Container[Element] = (),
+) -> list[tuple[str, State, Element, Optional[_Effect]]]:
+    """Every (move description, successor, agent, effect) over the agents
+    not ``asleep`` and their resolutions; ``by_element`` as for
+    ``agents_of``, ``memo`` as for ``successors``.
+
+    The memo also keeps the agents of the last ``Mod`` table listed, with
+    the table itself so that its identity stays valid: firing copies only
+    the tables it writes, so a state shares its parent's table, and its
+    agents, unless a move wrote a ``Mod`` location.
+    """
+    table = state._tables.get("Mod")
+    listed = None if memo is None else memo.get("Mod")
+    if listed is None or listed[0] is not table:
+        listed = table, agents_of(spec, state, by_element)
+        if memo is not None:
+            memo["Mod"] = listed
     return [
         successor
-        for agent in agents_of(spec, state, by_element)
+        for agent in listed[1] if agent.element not in asleep
         for successor in successors(agent.program, state, agent.element, memo, agent.reads)
     ]
 
@@ -450,41 +466,6 @@ def _sigma(
     return computed, None
 
 
-class _Effect(NamedTuple):
-    """A move's update set, the locations and names it writes, what it read,
-    and whether it reads or writes a ``Reserve`` location."""
-
-    beta: UpdateSet
-    writes: frozenset[Location]
-    names: frozenset[str]
-    footprint: Footprint
-    reserve: bool
-
-    @staticmethod
-    def of(beta: UpdateSet, footprint: Footprint) -> "_Effect":
-        writes = beta.locations()
-        names = frozenset(loc.fname for loc in writes)
-        reads = {loc.fname for loc in footprint.locations}
-        return _Effect(beta, writes, names, footprint, "Reserve" in (names | reads))
-
-
-def _footprints_conflict(a: _Effect, b: _Effect) -> bool:
-    """Whether two moves may fail to commute: one writes a location the
-    other writes or reads, or a table the other reads whole.  A ``Reserve``
-    write moves ``reserve_next``, which no footprint records, so it also
-    conflicts with every move that reads or writes a ``Reserve`` location,
-    as import, duplicate and ``Reserve(x)`` do."""
-    return bool(
-        a.writes & b.writes
-        or a.writes & b.footprint.locations
-        or b.writes & a.footprint.locations
-        or a.names & b.footprint.names
-        or b.names & a.footprint.names
-        or ("Reserve" in a.names and b.reserve)
-        or ("Reserve" in b.names and a.reserve)
-    )
-
-
 def _independent(
     spec: DistributedSpec, pr: PartialRun, order: _Order,
     preds: Mapping[str, frozenset[str]], by_element: Mapping[Element, str],
@@ -504,17 +485,17 @@ def _independent(
     if not 0 < n * (n - 1) // 2 - sum(map(len, preds.values())) <= SEGMENT_BUDGET:
         return False
     computed = {frozenset(): pr.states[frozenset()]}
-    state, fired = computed[frozenset()], {}
+    state, fired, effects = computed[frozenset()], {}, {}
     try:
         for m in order.topological:
             footprint = Footprint()
             beta, verdict = _move_update_set(spec, pr, m, state, by_element, footprint)
             if verdict is not None:
                 return False
-            effect = _Effect.of(beta, footprint)
-            if any(_footprints_conflict(effect, fired[x]) for x in fired.keys() - preds[m]):
+            effect = _Effect.of([beta], footprint)
+            if any(_footprints_conflict(effect, effects[x]) for x in effects.keys() - preds[m]):
                 return False
-            fired[m] = effect
+            fired[m], effects[m] = beta, effect
             state, _ = state.fire_update_set(beta)
     except EalgebraError:  # the scan raises it again where it meets it
         return False
@@ -526,7 +507,7 @@ def _independent(
             missing.append((below, moves.pop()))
             below = below - {missing[-1][1]}
         for segment, latest in reversed(missing):
-            computed[segment], _ = computed[below].fire_update_set(fired[latest].beta)
+            computed[segment], _ = computed[below].fire_update_set(fired[latest])
             below = segment
         if computed[key] != stored:
             return False
@@ -715,11 +696,12 @@ def generate_partial_run(
     by_element = validate_spec_state(spec, initial)
     if chooser is None:
         chooser = SeededChooser(0)
-    state, effects, schedule = initial, [], list(schedule)
+    state, betas, effects, schedule = initial, [], [], list(schedule)
     for i, element in enumerate(schedule, start=1):
         footprint, agent = Footprint(), scheduled_agent(spec, by_element, state, element)
         state, record = agent_move(spec, state, agent, chooser, index=i, footprint=footprint)
-        effects.append(_Effect.of(record.updates, footprint))
+        betas.append(record.updates)
+        effects.append(_Effect.of([record.updates], footprint))
     moves = tuple(f"m{i}" for i in range(1, len(effects) + 1))
     edges = frozenset(
         (moves[i], moves[j])
@@ -728,5 +710,5 @@ def generate_partial_run(
     )
     return PartialRun(
         moves, dict(zip(moves, schedule)), edges, {frozenset(): initial},
-        {m: effect.beta for m, effect in zip(moves, effects)},
+        dict(zip(moves, betas)),
     )

@@ -23,7 +23,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import syntax
 from .errors import EalgebraError, OracleError, ScheduleError, VocabularyError
@@ -347,32 +347,73 @@ class ReachReport:
     explored: int = 0
 
 
+class _Effect(NamedTuple):
+    """What a move may write and what it read: the locations and table
+    names its update sets write (all members of a family), its footprint,
+    and whether it reads or writes a ``Reserve`` location."""
+
+    writes: frozenset[Location]
+    names: frozenset[str]
+    footprint: Footprint
+    reserve: bool
+
+    @staticmethod
+    def of(betas: Iterable[UpdateSet], footprint: Footprint) -> "_Effect":
+        writes = frozenset().union(*(beta.locations() for beta in betas))
+        names = frozenset(loc.fname for loc in writes)
+        reads = {loc.fname for loc in footprint.locations}
+        return _Effect(writes, names, footprint, "Reserve" in (names | reads))
+
+
+def _footprints_conflict(a: _Effect, b: _Effect) -> bool:
+    """Whether two moves may fail to commute: one writes a location the
+    other writes or reads, or a table the other reads whole.  A ``Reserve``
+    write moves ``reserve_next``, which no footprint records, so it also
+    conflicts with every move that reads or writes a ``Reserve`` location,
+    as import, duplicate and ``Reserve(x)`` do."""
+    return not (
+        a.writes.isdisjoint(b.writes)
+        and a.writes.isdisjoint(b.footprint.locations)
+        and b.writes.isdisjoint(a.footprint.locations)
+        and a.names.isdisjoint(b.footprint.names)
+        and b.names.isdisjoint(a.footprint.names)
+        and not ("Reserve" in a.names and b.reserve)
+        and not ("Reserve" in b.names and a.reserve)
+    )
+
+
 def successors(
     program: Program, state: State, agent: Element | None = None,
     memo: dict | None = None, reads: Iterable[Location] = (),
-) -> list[tuple[str, State]]:
-    """Every (move label, successor) of one firing of the program at
-    ``state``: a sequential step, or with ``agent`` that agent's move.
+) -> list[tuple[str, State, Optional[Element], Optional[_Effect]]]:
+    """Every (move label, successor, agent, effect) of one firing of the
+    program at ``state``: a sequential step, or with ``agent`` that agent's
+    move.
 
     A step's labels are ``step``, ``choice i`` and ``noop`` (empty family);
     agent x's are ``agent x``, ``agent x choice i`` and ``agent x (no move)``.
     With ``memo`` the checked members may be reused (``_members``); an
-    agent's ``reads`` are what being an agent of its module reads.
+    agent's ``reads`` are what being an agent of its module reads.  The
+    effect, one for all members, is None for a step and for a move
+    evaluated without a footprint.
     """
-    members, family_size = _members(program, state, agent, memo, reads)
+    members, family_size, effect = _members(program, state, agent, memo, reads)
     fired = [state._apply(pairs) if pairs else state for pairs in members]
     tag = None if agent is None else f"agent {format_element(agent)}"
     if family_size is None:
-        return [(tag or "step", fired[0])]
-    if not fired:
-        return [(f"{tag} (no move)" if tag else "noop", state)]
-    prefix = f"{tag} " if tag else ""
-    return [(f"{prefix}choice {i}", nxt) for i, nxt in enumerate(fired)]
+        labels = [tag or "step"]
+    elif not fired:
+        labels, fired = [f"{tag} (no move)" if tag else "noop"], [state]
+    else:
+        prefix = f"{tag} " if tag else ""
+        labels = [f"{prefix}choice {i}" for i in range(len(fired))]
+    return [(label, nxt, agent, effect) for label, nxt in zip(labels, fired)]
 
 
-def _members(program, state, agent, memo, reads) -> tuple[list, Optional[int]]:
+def _members(program, state, agent, memo, reads) -> tuple[list, Optional[int], Optional[_Effect]]:
     """The resolutions of the program at ``state`` checked for firing
-    (``State.checked``), and the family size.
+    (``State.checked``), the family size, and for an agent's move
+    evaluated with a footprint its effect, whose footprint holds ``reads``.
 
     ``memo``, a dict one enumeration owns, keeps them per agent (None for
     a step) under the values the state holds at the locations the
@@ -389,9 +430,12 @@ def _members(program, state, agent, memo, reads) -> tuple[list, Optional[int]]:
             return found
     footprint = None if shapes is None else Footprint()
     members, family_size = resolutions(program, state, footprint=footprint, agent=agent)
-    found = [state.checked(member) for member in members], family_size
+    if footprint is not None:
+        footprint.locations.update(reads)
+    effect = None if footprint is None or agent is None else _Effect.of(members, footprint)
+    found = [state.checked(member) for member in members], family_size, effect
     if footprint is not None and not footprint.names:
-        locations = sorted(footprint.locations.union(reads), key=Location.sort_key)
+        locations = sorted(footprint.locations, key=Location.sort_key)
         how = [resolve(state.vocabulary, loc.fname, len(loc.args)) for loc in locations]
         if all(h.kind == "table" for h in how):
             at = tuple((loc.fname, loc.args, h.value) for loc, h in zip(locations, how))
@@ -427,6 +471,14 @@ def enumerate_reachable(
     States are deduplicated up to isomorphism (reserve renaming), and
     move results are reused across them (``_members``).  Violations of
     the safety predicate are reported with witness traces.
+
+    A state a move discovers gets a sleep set (Godefroid, LNCS 1032,
+    1996): the agents asleep at its parent or expanded there before that
+    move whose effects do not conflict with it (``_footprints_conflict``).
+    Their moves are not evaluated when the state is expanded.  Such a move
+    commutes with the discovering one (Corollary 1), so it reaches a state
+    the other order reached from a state expanded earlier; breadth first,
+    that state is already seen, and the report is the one every move gives.
     """
     from . import distributed  # cycle: distributed builds on runner
 
@@ -440,16 +492,17 @@ def enumerate_reachable(
     if is_dist:
         by_element = distributed.validate_spec_state(target, initial)
 
-    def expand(state):
+    def expand(state, asleep):
         if is_dist:
-            return distributed.move_successors(target, state, by_element, memo)
+            return distributed.move_successors(target, state, by_element, memo, asleep)
         return successors(target, state, memo=memo)
 
     def check(state) -> bool:
         return predicate is None or eval_guard(state, None, predicate)
 
     key0 = initial.canonical_key()
-    seen = {key0: (initial, 0, None, None)}  # key -> (state, depth, parent, move)
+    # key -> (state, depth, parent, move, sleep set: agent -> effect)
+    seen = {key0: (initial, 0, None, None, {})}
     order = [key0]
     violations: list[Witness] = []
     partial = False
@@ -469,21 +522,27 @@ def enumerate_reachable(
     while frontier:
         next_frontier = []
         for key in frontier:
-            state, level = seen[key][0], seen[key][1]
+            state, level, _, _, asleep = seen[key]
             if level >= depth:
                 continue
-            for label, nxt in expand(state):
+            done = dict(asleep)  # asleep here, or an agent expanded before
+            for label, nxt, agent, effect in expand(state, asleep):
                 nkey = nxt.canonical_key()
-                if nkey in seen:
-                    continue
-                if len(seen) >= budget:
-                    partial = True
-                    break
-                seen[nkey] = (nxt, level + 1, key, label)
-                order.append(nkey)
-                if not check(nxt):
-                    violations.append(witness(nkey))
-                next_frontier.append(nkey)
+                if nkey not in seen:
+                    if len(seen) >= budget:
+                        partial = True
+                        break
+                    sleep = {} if effect is None else {
+                        other: e for other, e in done.items()
+                        if other != agent and not _footprints_conflict(e, effect)
+                    }
+                    seen[nkey] = (nxt, level + 1, key, label, sleep)
+                    order.append(nkey)
+                    if not check(nxt):
+                        violations.append(witness(nkey))
+                    next_frontier.append(nkey)
+                if effect is not None:
+                    done[agent] = effect
             if partial:
                 break
         if partial:

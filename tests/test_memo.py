@@ -4,11 +4,14 @@
 values its state holds at the move's footprint and reuses them at any
 later state that holds the same values.  The properties compare it with
 ``enumoracle.enumerate_reference``, which evaluates every move afresh:
-on the ``genrules`` basic and choice rules, on rings of three to six
-philosophers, and on the enumerate pairings of ``programs/``, with
-budgets small enough to stop early.  The edge cases pin what a reuse
-must keep apart (``reserve_next``, the module an agent belongs to) and
-what is never kept.
+on the ``genrules`` basic and choice rules, alone and as the modules of
+a spec, on rings of three to eight philosophers, and on the enumerate
+pairings of ``programs/``, with budgets small enough to stop early.  The
+edge cases pin what a reuse must keep apart (``reserve_next``, the
+module an agent belongs to) and what is never kept.  The last part pins
+the sleep sets: pairs of moves that conflict by one clause of
+``runner._footprints_conflict`` each, a move without a footprint, and
+the moves and agent listings an enumeration of a ring saves.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from conftest import PROGRAMS, load_initial, load_program
 from enumoracle import enumerate_reference, reference_successors, summary
 from genrules import BASIC_VOCAB, CHOICE_VOCAB, ELEMS, gen_basic_rule, gen_choice_rule, gen_guard
 from genrules import A, B, C
-from test_footprint import states
+from test_footprint import agent_spec, agent_states, states
 from test_independence import reserve_spec
 from test_golden_enumerate import CASES
 
@@ -30,6 +33,7 @@ from ealgebra import (
     Element,
     Location,
     State,
+    distributed,
     enumerate_reachable,
     parse_program,
     parse_state,
@@ -69,10 +73,20 @@ RING_PROGRAMS = {
 }
 
 
+def thinking_ring(n: int):
+    """A ring of n philosophers, every one thinking, every fork down."""
+    spec = parse_program(RING_PROGRAMS["philosophers"].replace("mod 3", f"mod {n}"))
+    facts = "".join(
+        f"Mod({i}) = Phil\nMode({i}) = think\nFork({i}) = down\nP({i}) = true\n"
+        for i in range(n)
+    )
+    return spec, parse_state(facts, spec.vocabulary, constants=spec.constants)
+
+
 @st.composite
 def rings(draw):
-    """A ring program on 3-6 seats, some of them agents, in any mode."""
-    n = draw(st.integers(3, 6))
+    """A ring program on 3-8 seats, some of them agents, in any mode."""
+    n = draw(st.integers(3, 8))
     spec = parse_program(RING_PROGRAMS[draw(st.sampled_from(sorted(RING_PROGRAMS)))]
                          .replace("mod 3", f"mod {n}"))
     modes = [c for c in spec.constants if c not in ("up", "down", "Phil")]
@@ -123,6 +137,12 @@ def test_program_pairings_enumerate_as_the_reference(name, budget):
 # Edge cases of a reuse
 
 
+def labelled(program, state, memo):
+    """``runner.successors`` as (label, successor) pairs, for comparison
+    with ``reference_successors``."""
+    return [(label, nxt) for label, nxt, _, _ in runner.successors(program, state, memo=memo)]
+
+
 def count_updates(monkeypatch) -> list:
     """The states at which ``runner`` evaluates a rule, one entry each."""
     calls = []
@@ -161,7 +181,7 @@ def test_an_import_reuses_only_at_the_same_reserve_next(monkeypatch):
     want = [reference_successors(IMPORTER, s) for s in (first, later, unread)]
     calls = count_updates(monkeypatch)
     memo: dict = {}
-    assert [runner.successors(IMPORTER, s, memo=memo) for s in (first, later, unread)] == want
+    assert [labelled(IMPORTER, s, memo) for s in (first, later, unread)] == want
     assert calls == [first, later]
     fresh = {
         args for state in (first, later)
@@ -204,6 +224,28 @@ def test_moves_that_write_mod_create_and_rehome_agents():
     )
 
 
+SWAPPERS = parse_program("""\
+# Every move writes Mod: agents change module, then leave.
+vocabulary:
+  dynamic Turned/1
+constants one, a, b
+module Left:
+  Mod(Self) := Right, Turned(Self) := one
+module Right:
+  if Turned(Self) = one then Mod(Self) := undef else Mod(Self) := Left endif
+""")
+
+
+def test_moves_that_write_mod_list_the_agents_again():
+    state = parse_state("Mod(a) = Left\nMod(b) = Right", SWAPPERS.vocabulary,
+                        constants=SWAPPERS.constants)
+    assert_same(SWAPPERS, state, 6, 20000)
+    reached = [s for s, _ in enumerate_reachable(SWAPPERS, state, 6).states]
+    # Two moves give b's module back: the root's agents, in a table a move wrote.
+    assert sorted(reached[5].facts("Mod")) == sorted(state.facts("Mod"))
+    assert not list(reached[-1].facts("Mod"))  # every agent has left
+
+
 def test_a_reserve_read_is_never_kept():
     spec, state = reserve_spec()
     memo: dict = {}
@@ -229,8 +271,8 @@ def test_a_reused_inconsistent_set_changes_nothing(monkeypatch):
     assert reference_successors(CLASH, other) == [("step", other)]
     calls = count_updates(monkeypatch)
     memo: dict = {}
-    assert runner.successors(CLASH, first, memo=memo) == [("step", first)]
-    assert runner.successors(CLASH, other, memo=memo) == [("step", other)]
+    assert labelled(CLASH, first, memo) == [("step", first)]
+    assert labelled(CLASH, other, memo) == [("step", other)]
     assert calls == [first]
 
 
@@ -253,19 +295,120 @@ def test_externals_and_whole_table_reads_are_never_kept(monkeypatch, source):
     want = reference_successors(program, first)
     calls = count_updates(monkeypatch)
     memo: dict = {}
-    assert [runner.successors(program, first, memo=memo) for _ in "ab"] == [want, want]
+    assert [labelled(program, first, memo) for _ in "ab"] == [want, want]
     assert calls == [first, first]
     assert not any(memo.values())
 
 
 def test_a_ring_of_six_evaluates_fewer_moves_than_it_expands(monkeypatch):
-    spec = parse_program(RING_PROGRAMS["philosophers"].replace("mod 3", "mod 6"))
-    facts = "".join(
-        f"Mod({i}) = Phil\nMode({i}) = think\nFork({i}) = down\nP({i}) = true\n"
-        for i in range(6)
-    )
-    state = parse_state(facts, spec.vocabulary, constants=spec.constants)
+    spec, state = thinking_ring(6)
     calls = count_updates(monkeypatch)
     report = enumerate_reachable(spec, state, 20)
     assert not report.partial
     assert len(calls) < 6 * len(report.states)
+
+
+# ---------------------------------------------------------------------------
+# Sleep sets: a skipped move must commute with the move that found the state
+
+
+def pair_spec(first: str, second: str) -> str:
+    """Two modules, A and B, over the names both may read and write."""
+    return (
+        "vocabulary:\n  dynamic x/0, y/0, z/0, pa/0, pb/0\n  relation U/1\n"
+        "constants one, two, c, a, b\n"
+        f"module A:\n  {first}\nmodule B:\n  {second}\n"
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, agent_states(BASIC_VOCAB, ELEMS), depths, budgets)
+def test_basic_agent_moves_enumerate_as_the_reference(seed, state, depth, budget):
+    rng = random.Random(seed)
+    rules = [gen_basic_rule(rng, 1 + seed % 3) for _ in "MN"]
+    assert_same(agent_spec(BASIC_VOCAB, rules, "z"), state, depth, budget)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, agent_states(CHOICE_VOCAB, (A, B, C)), depths, budgets)
+def test_choice_agent_moves_enumerate_as_the_reference(seed, state, depth, budget):
+    rng = random.Random(seed)
+    rules = [gen_choice_rule(rng, 3, 2) for _ in "MN"]
+    assert_same(agent_spec(CHOICE_VOCAB, rules, "c"), state, depth, budget)
+
+
+# Each pair conflicts by one clause of ``_footprints_conflict`` only, and
+# the state behind the move a sleep set would wrongly skip is reached
+# through that move alone (or at a greater depth).
+CONFLICTING_PAIRS = {
+    "write into a read": ("if x = undef then y := one else y := two endif", "x := one"),
+    "write into a write": ("z := one, pa := one", "z := two, pb := one"),
+    "write into a quantified table": (
+        "if (exists v in U) v = c then y := one else y := two endif", "U(c) := true",
+    ),
+    "write into a chosen table": ("choose v in U\n    y := v\n  endchoose", "U(c) := true"),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(CONFLICTING_PAIRS))
+@pytest.mark.parametrize("agents", ["a b", "b a"])  # which of A and B moves first
+def test_conflicting_moves_are_never_asleep(pair, agents):
+    spec = parse_program(pair_spec(*CONFLICTING_PAIRS[pair]))
+    of_a, of_b = agents.split()
+    state = parse_state(f"Mod({of_a}) = A\nMod({of_b}) = B", spec.vocabulary,
+                        constants=spec.constants)
+    for depth in range(1, 5):
+        assert_same(spec, state, depth, 20000)
+
+
+@pytest.mark.parametrize("guard,slept", [("e = undef", False), ("y = undef", True)])
+def test_a_move_without_a_footprint_never_sleeps(monkeypatch, guard, slept):
+    # A move of a program with externals is evaluated without a footprint.
+    spec = parse_program(
+        "vocabulary:\n  dynamic x/0, y/0\n  external e/0\nconstants one, a, b\n"
+        f"module A:\n  if {guard} then y := one endif\nmodule B:\n  x := one\n"
+    )
+    state = parse_state("Mod(a) = A\nMod(b) = B", spec.vocabulary, constants=spec.constants)
+    assert_same(spec, state, 3, 20000)
+    calls = count_keys(monkeypatch)
+    enumerate_reachable(spec, state, 3)
+    keyed = len(calls)
+    calls.clear()
+    enumerate_reference(spec, state, 3)
+    assert (keyed < len(calls)) == slept
+
+
+def count_keys(monkeypatch) -> list:
+    """One entry per ``State.canonical_key`` call."""
+    calls = []
+    real = State.canonical_key
+
+    def counted(state):
+        calls.append(state)
+        return real(state)
+
+    monkeypatch.setattr(State, "canonical_key", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,depth,states,keys", [(4, 3, 7, 25), (10, 6, 123, 509)])
+def test_asleep_moves_are_neither_fired_nor_keyed(monkeypatch, n, depth, states, keys):
+    # Without sleep sets every successor and the root are keyed: 29 and 1,231.
+    spec, state = thinking_ring(n)
+    calls = count_keys(monkeypatch)
+    report = enumerate_reachable(spec, state, depth)
+    assert (len(report.states), len(calls)) == (states, keys)
+
+
+def test_agents_are_listed_once_per_mod_table(monkeypatch):
+    spec, state = thinking_ring(10)
+    listed = []
+    real = distributed.agents_of
+
+    def counted(*args):
+        listed.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(distributed, "agents_of", counted)
+    assert len(enumerate_reachable(spec, state, 6).states) == 123
+    assert listed == [state]
