@@ -32,7 +32,6 @@ from .evaluator import (
     eval_term,
     normalize_guarded,
     nupdates,
-    nupdates_global,
     updates,
 )
 from .state import (
@@ -103,7 +102,6 @@ from .distributed import (
     corollary2_agrees,
     generate_partial_run,
     linearizations,
-    reachable_states,
     sequential_run,
     validate_spec_state,
 )

@@ -581,10 +581,6 @@ def segment_states(spec: DistributedSpec, pr: PartialRun) -> dict[frozenset, Sta
     return sigma
 
 
-def reachable_states(spec: DistributedSpec, pr: PartialRun) -> set[State]:
-    return set(segment_states(spec, pr).values())
-
-
 @dataclass
 class LinearizationReport:
     traces: list[RunTrace]
@@ -665,7 +661,7 @@ def corollary2_agrees(spec: DistributedSpec, pr: PartialRun, guard: syntax.Guard
     linearization states."""
     from .evaluator import eval_guard
 
-    over_run = all(eval_guard(s, None, guard) for s in reachable_states(spec, pr))
+    over_run = all(eval_guard(s, None, guard) for s in segment_states(spec, pr).values())
     report = linearizations(spec, pr)
     over_linear = all(
         eval_guard(s, None, guard) for trace in report.traces for s in trace.states

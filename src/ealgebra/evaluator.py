@@ -1,13 +1,14 @@
 """Update-set semantics of transition rules, compiled into closures.
 
 ``nupdates`` computes the family of alternative update sets by direct
-induction over the rule, and ``nupdates_global`` computes the same family
-by enumerating global choice functions, keeping contradictory resolutions
-as a bottom member that fires as a no-op.  ``updates`` gives the
-deterministic update set of a choice-free rule, which is the single member
-of its direct family.  Fresh elements for import and duplication are drawn
-by an injective allocator keyed on the binder and the values of enclosing
-declared variables, so one fresh element is allocated per such pair.
+induction over the rule; the paper's second characterization, over global
+choice functions with a bottom member, is a test oracle
+(``tests/globaloracle.py``) that the engine never runs.  ``updates`` gives
+the deterministic update set of a choice-free rule, which is the single
+member of its direct family.  Fresh elements for import and duplication
+are drawn by an injective allocator keyed on the binder and the values of
+enclosing declared variables, so one fresh element is allocated per such
+pair.
 
 Rules, guards and terms are compiled into Python closures (closure
 compilation, Feeley & Lapalme 1987) on first evaluation.  Every function
@@ -23,8 +24,6 @@ its single member on one list.  The closure is kept on the node it was
 compiled from (as ``syntax.rule_facts`` keeps a rule's facts), keyed by
 the identity of the state's vocabulary and by the set of external names,
 and compiled again for any other pair.
-``nupdates_global`` walks the rule's shape itself and calls the compiled
-guards, terms and update instructions.
 
 Compilation changes nothing observable.  Guard operands are evaluated
 without short-circuiting, so a read footprint does not depend on truth
@@ -43,7 +42,6 @@ its tables.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Optional
 
 from . import syntax
 from .errors import (
@@ -73,23 +71,19 @@ class ReserveAllocator:
 
     Serials are drawn from ``start`` in encounter order (binder pre-order,
     then the canonical order of the enclosing declared-variable tuples), so
-    evaluation is reproducible.  A custom offset order yields a different
-    but still injective assignment; resulting states are isomorphic.
+    evaluation is reproducible.  Any object with ``fresh(var, context)``
+    may stand in for it.
     """
 
-    def __init__(self, start: int, order: Optional[Iterable[int]] = None):
+    def __init__(self, start: int):
         self.start = start
         self._memo: dict[tuple, Element] = {}
-        self._order = list(order) if order is not None else None
 
     def fresh(self, var: str, context: tuple[Element, ...]) -> Element:
         key = (var, context)
         found = self._memo.get(key)
         if found is None:
-            index = len(self._memo)
-            offset = self._order[index] if self._order is not None else index
-            found = Element.reserve(self.start + offset)
-            self._memo[key] = found
+            found = self._memo[key] = Element.reserve(self.start + len(self._memo))
         return found
 
 
@@ -440,10 +434,6 @@ def _duplicate(run: _Run, term, var: str) -> tuple[Element, frozenset[Update]]:
     return copy, frozenset(out)
 
 
-def _cross(acc: set[frozenset], fam: Iterable[frozenset]) -> set[frozenset]:
-    return {x | y for x in acc for y in fam}
-
-
 def _check_input(
     rule: syntax.Rule, state: State, env: dict, decls, vocabulary=None
 ) -> syntax.RuleFacts:
@@ -524,90 +514,6 @@ def updates(
         raise ModeError("choose rules have no deterministic update set; use nupdates")
     (member,) = _compiled(rule, state.vocabulary, frozenset(externals), _Compiler.family)(run)
     return UpdateSet(member)
-
-
-# ---------------------------------------------------------------------------
-# Family semantics via global choice functions (with bottom)
-
-
-def _global(run: _Run, code, rule: syntax.Rule) -> tuple[set[frozenset], bool]:
-    """The family of ``rule`` and whether it holds bottom;
-    ``code(node, build)`` is the compiled closure of a guard, term or
-    update instruction (see ``_compiled``)."""
-    if isinstance(rule, syntax.UpdateInstr):
-        return code(rule, _Compiler.family)(run), False
-    if isinstance(rule, (syntax.Block, syntax.Decl)):
-        if isinstance(rule, syntax.Block):
-            parts = [(run, r) for r in rule.rules]
-        else:
-            rng = rule.range
-            values = (
-                _extent(run, rng.universe) if isinstance(rng, syntax.UniverseRange)
-                else (code(rng.term, _Compiler.term)(run),)
-            )
-            parts = [(run.bind(rule.var, a, declared=True), rule.body) for a in values]
-        acc: set[frozenset] = {frozenset()}
-        bottom = False
-        for sub_run, r in parts:
-            fam, bot = _global(sub_run, code, r)
-            bottom = bottom or bot
-            acc = _cross(acc, fam)
-        return acc, bottom
-    if isinstance(rule, syntax.Cond):
-        for g, r in rule.clauses:
-            if code(g, _Compiler.guard)(run):
-                return _global(run, code, r)
-        return {frozenset()}, False
-    if isinstance(rule, (syntax.Import, syntax.Duplicate)):
-        if isinstance(rule, syntax.Import):
-            var = rule.vars[0]
-            a, extra = _withdraw(run, var)
-        else:
-            var = rule.var
-            a, extra = _duplicate(run, code(rule.term, _Compiler.term), var)
-        fam, bottom = _global(run.bind(var, a), code, rule.body)
-        return {member.union(extra) for member in fam}, bottom
-    if isinstance(rule, syntax.Choose):
-        members = _extent(run, rule.universe)
-        if not members:
-            return set(), True
-        out: set[frozenset] = set()
-        bottom = False
-        for a in members:
-            bound = run.bind(rule.vars[0], a)
-            if rule.qualifier is not None and code(rule.qualifier, _Compiler.term)(bound) != TRUE:
-                bottom = True
-                continue
-            fam, bot = _global(bound, code, rule.body)
-            bottom = bottom or bot
-            out |= fam
-        return out, bottom
-    raise TypeError(f"unsupported rule {type(rule).__name__}")
-
-
-def nupdates_global(
-    rule: syntax.Rule,
-    state: State,
-    env=None,
-    alloc: ReserveAllocator | None = None,
-    *,
-    decls: tuple[str, ...] = (),
-    oracle=None,
-    externals=(),
-    footprint: Footprint | None = None,
-) -> UpdateFamily:
-    """Family of update sets computed by ranging over choice functions.
-
-    Contradictory resolutions (empty ranges, failed qualifiers) are kept
-    as the family's bottom member and fire as no-ops.
-    """
-    run = _start(state, env, alloc, oracle, decls, footprint, None)
-    _check_input(rule, state, run.env, decls)
-    externals = frozenset(externals)
-    members, bottom = _global(
-        run, lambda node, build: _compiled(node, state.vocabulary, externals, build), rule
-    )
-    return UpdateFamily.of((UpdateSet(m) for m in members), contains_bottom=bottom)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from . import syntax
 from .errors import EalgebraError, OracleError, ScheduleError, VocabularyError
 from .evaluator import Footprint, eval_guard, nupdates, updates
-from .parser import parse_guard_text
 from .state import (
     EMPTY_UPDATE_SET,
     UNDEF,
@@ -212,10 +211,9 @@ def resolutions(
 
     A choice-free program has exactly one and no family size (None); a
     program with choose has its family's members, in their deterministic
-    order, and their number.  The family never holds bottom.  With no
-    oracle, external functions read as undef.  For an agent's move, the
-    program is its module's: Self is bound to ``agent`` and the program
-    sees only its own names.
+    order, and their number.  With no oracle, external functions read as
+    undef.  For an agent's move, the program is its module's: Self is
+    bound to ``agent`` and the program sees only its own names.
     """
     if oracle is None and program.externals:
         oracle = OracleView(UndefOracle(), 1)
@@ -462,7 +460,7 @@ def enumerate_reachable(
     depth: int,
     *,
     budget: int = 20000,
-    predicate: syntax.Guard | str | None = None,
+    predicate: syntax.Guard | None = None,
 ) -> ReachReport:
     """Exhaustively close the step relation up to ``depth``.
 
@@ -484,8 +482,6 @@ def enumerate_reachable(
 
     if budget < 1 or depth < 0:
         raise ScheduleError("budget must be positive and depth not negative")
-    if isinstance(predicate, str):
-        predicate = parse_guard_text(predicate, initial.vocabulary)
 
     memo: dict = {}  # move results, reused within this call only
     is_dist = isinstance(target, DistributedSpec)

@@ -25,10 +25,11 @@ reserve elements by the facts they occur in, refine by the colours of
 their neighbours until stable, and individualise only on ties, pruned by
 known automorphisms.  It has no limit on the number of reserve elements,
 and its value depends neither on iteration order nor on the hash seed.
-A state none of whose facts mentions a reserve element (a kept count
-tells) is keyed by its cached fact set; firing a state whose fact set is
-cached derives the successor's set and count from it and the facts that
-changed, so such keys cost O(|changes|) and runs that ask none pay nothing.
+A state none of whose facts mentions a reserve element is keyed by its
+cached fact set; firing a state whose fact set is cached derives the
+successor's set from it and the facts that changed, so a key of a state
+that has withdrawn no element (``reserve_next`` 0) costs O(|changes|) and
+runs that ask none pay nothing.
 """
 
 from __future__ import annotations
@@ -193,32 +194,26 @@ EMPTY_UPDATE_SET = UpdateSet()
 
 @dataclass(frozen=True)
 class UpdateFamily:
-    """Alternative update sets; the empty family means inconsistency.
-
-    ``contains_bottom`` records that some resolution of the rule's choices
-    was contradictory; such members fire as no-ops.
-    """
+    """The alternative update sets of a rule, by direct induction
+    (``evaluator.nupdates``).  The empty family means inconsistency (a
+    choose had nothing to pick), and nothing fires."""
 
     sets: frozenset[UpdateSet] = frozenset()
-    contains_bottom: bool = False
 
     @staticmethod
-    def of(items: Iterable[UpdateSet], contains_bottom: bool = False) -> "UpdateFamily":
-        return UpdateFamily(frozenset(items), contains_bottom)
+    def of(items: Iterable[UpdateSet]) -> "UpdateFamily":
+        return UpdateFamily(frozenset(items))
 
     @property
     def is_empty(self) -> bool:
-        return not self.sets and not self.contains_bottom
+        return not self.sets
 
     def member_count(self) -> int:
-        return len(self.sets) + (1 if self.contains_bottom else 0)
+        return len(self.sets)
 
-    def sorted_members(self) -> list[Optional[UpdateSet]]:
-        """Deterministic member order; a trailing None stands for bottom."""
-        members: list[Optional[UpdateSet]] = sorted(self.sets, key=UpdateSet.sort_key)
-        if self.contains_bottom:
-            members.append(None)
-        return members
+    def sorted_members(self) -> list[UpdateSet]:
+        """The members in a deterministic order."""
+        return sorted(self.sets, key=UpdateSet.sort_key)
 
 
 def _is_default(fn: FunctionName, value: Element) -> bool:
@@ -469,8 +464,6 @@ class State:
         child = State._raw(self.vocabulary, tables, reserve_next)
         if known is not None:
             child._fact_set = known.symmetric_difference(gone + new)
-            moved = sum(map(_mentions_reserve, new)) - sum(map(_mentions_reserve, gone))
-            child._reserve_facts = self._reserve_facts + moved
         return child
 
     def checked(self, beta: UpdateSet) -> Optional[list[tuple[Update, FunctionName]]]:
@@ -500,10 +493,6 @@ class State:
     def _fact_set(self) -> frozenset:
         return frozenset(self.facts())
 
-    @cached_property
-    def _reserve_facts(self) -> int:
-        return sum(map(_mentions_reserve, self.facts()))
-
     def __hash__(self):
         return hash((self._fact_set, self.reserve_next))
 
@@ -527,11 +516,15 @@ class State:
         The key is a plain value, independent of set and dict iteration
         order and of the hash seed; there is no limit on the number of
         reserve elements.
+
+        The state must meet the reserve proviso (:meth:`audit_proviso`):
+        then it mentions a reserve element only once ``reserve_next`` is
+        positive, so at 0 its facts are not scanned.
         """
         facts = self._fact_set
-        if not self._reserve_facts:
+        moving = list(filter(_mentions_reserve, facts)) if self.reserve_next else None
+        if not moving:
             return facts
-        moving = list(filter(_mentions_reserve, facts))
         return facts.difference(moving), _canonical_form(moving)
 
     def audit_proviso(self) -> list[str]:

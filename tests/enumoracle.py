@@ -10,7 +10,7 @@ sequential program) with ``resolutions``, then fires every member with
 
 from __future__ import annotations
 
-from ealgebra import ReachReport, eval_guard, format_state, parse_guard_text
+from ealgebra import ReachReport, eval_guard, format_state
 from ealgebra.distributed import agents_of, validate_spec_state
 from ealgebra.runner import Witness, resolutions
 from ealgebra.state import format_element
@@ -42,8 +42,6 @@ def expand(target, state):
 
 
 def enumerate_reference(target, initial, depth, *, budget=20000, predicate=None):
-    if isinstance(predicate, str):
-        predicate = parse_guard_text(predicate, initial.vocabulary)
     if isinstance(target, DistributedSpec):
         validate_spec_state(target, initial)
 

@@ -6,7 +6,8 @@ their update sets at one state; ``successor_states`` fires each member of
 a family.  The engine needs neither: agents move one at a time, and
 ``runner`` fires the member a chooser picks.  Tests use them to compare
 simultaneous with interleaved moves and the two family semantics.
-Only the package's public API is imported.
+Besides the package's public API, they import the engine's
+``distributed.scheduled_agent`` and ``runner.resolutions``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from ealgebra import (
 )
 from ealgebra.distributed import scheduled_agent
 from ealgebra.runner import resolutions
+
+from globaloracle import GlobalFamily
 
 
 def quasi_move_updates(
@@ -52,17 +55,13 @@ def quasi_sequential_step(
     return new_state
 
 
-def successor_states(state: State, family: UpdateFamily) -> set[State]:
+def successor_states(state: State, family: UpdateFamily | GlobalFamily) -> set[State]:
     """Every state reachable by firing one member of the family.
 
-    The empty family and the bottom member both leave the state unchanged.
+    The empty family and the bottom member of a global family both leave
+    the state unchanged.
     """
-    if family.is_empty:
-        return {state}
-    out: set[State] = set()
-    for member in family.sets:
-        fired, _ = state.fire_update_set(member)
-        out.add(fired)
-    if family.contains_bottom:
+    out = {state.fire_update_set(member)[0] for member in family.sets}
+    if family.is_empty or (isinstance(family, GlobalFamily) and family.contains_bottom):
         out.add(state)
     return out

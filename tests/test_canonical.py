@@ -140,6 +140,13 @@ def test_key_without_reserve_is_the_fact_set():
     assert state.canonical_key() == frozenset(state.facts())
 
 
+def test_key_with_withdrawn_elements_none_stored_is_the_fact_set():
+    state = build([("Node", (ROOT,), TRUE), ("Parent", (CONSTANTS[0],), ROOT)])
+    withdrawn = State(VOCAB, {"Node": {(ROOT,): TRUE}, "Parent": {(CONSTANTS[0],): ROOT}}, 3)
+    assert withdrawn.canonical_key() == frozenset(withdrawn.facts()) == state.canonical_key()
+    assert withdrawn.isomorphic(state) and state.isomorphic(withdrawn)
+
+
 def test_sibling_chains_are_ties_but_not_twins():
     # The children share a colour after refinement but no transposition of
     # two of them is an automorphism: the search must individualise.

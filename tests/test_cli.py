@@ -102,6 +102,17 @@ def test_enumerate_deadlock_probe_reports_violation(capsys):
     assert "violation" in out
 
 
+def test_enumerate_refuses_an_open_assertion(capsys):
+    code = run_cli(
+        "enumerate", program("philosophers.ea"), "--state", program("ring3.east"),
+        "--depth", "1", "--assert", "Mode(x) = eat",
+    )
+    assert code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1, column 6: unknown identifier: x\n"
+
+
 def test_enumerate_budget_exit(capsys):
     code = run_cli(
         "enumerate", program("phil_steps.ea"), "--state", program("ring3.east"),

@@ -27,7 +27,6 @@ from ealgebra import (
     parse_guard_text,
     parse_program,
     parse_state,
-    reachable_states,
     sequential_run,
     validate_spec_state,
 )

@@ -35,6 +35,7 @@ from ealgebra import (
     State,
     distributed,
     enumerate_reachable,
+    parse_guard_text,
     parse_program,
     parse_state,
     runner,
@@ -106,18 +107,21 @@ def rings(draw):
 @given(rings(), st.integers(0, 8), st.integers(1, 200))
 def test_rings_enumerate_as_the_reference(ring, depth, budget):
     spec, state = ring
-    assert_same(
-        spec, state, depth, budget, "not (exists i in P) (Mode(i) = eat and Mode(i + 1) = eat)"
+    safety = parse_guard_text(
+        "not (exists i in P) (Mode(i) = eat and Mode(i + 1) = eat)", spec.vocabulary
     )
+    assert_same(spec, state, depth, budget, safety)
 
 
 def enumerate_case(argv):
-    """Program, state, depth and assertion of a golden ``enumerate`` case."""
+    """Program, state, depth and parsed assertion of a golden ``enumerate``
+    case."""
     flags = dict(zip(argv[2::2], argv[3::2]))
     target = load_program(argv[1])
+    assertion = flags.get("--assert")
     return (
         target, load_initial(flags["--state"], target), int(flags["--depth"]),
-        flags.get("--assert"),
+        None if assertion is None else parse_guard_text(assertion, target.vocabulary),
     )
 
 

@@ -7,6 +7,7 @@ from ealgebra import (
     SeededChooser,
     UNDEF,
     enumerate_reachable,
+    parse_guard_text,
     parse_program,
     render_trace,
     replay_record,
@@ -159,9 +160,8 @@ def test_enumerate_budget_flagging(philosophers4, ring4):
 
 
 def test_enumerate_violation_witness(philosophers, ring3):
-    report = enumerate_reachable(
-        philosophers, ring3, depth=2, predicate="not (exists i in P) Mode(i) = eat"
-    )
+    safety = parse_guard_text("not (exists i in P) Mode(i) = eat", philosophers.vocabulary)
+    report = enumerate_reachable(philosophers, ring3, depth=2, predicate=safety)
     assert report.violations
     witness = report.violations[0]
     assert len(witness.moves) == 1  # one move into an eating state

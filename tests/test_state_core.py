@@ -1,6 +1,6 @@
 """Property tests of the state core: value-typed elements and updates,
-the kept count of reserve facts, derived fact sets, canonical keys, and
-tables stored as shared hash tries past one leaf."""
+derived fact sets, canonical keys, and tables stored as shared hash
+tries past one leaf."""
 
 from __future__ import annotations
 
@@ -35,15 +35,12 @@ NAMED = (Element.named("a"), Element.named("b"))
 MAX_RESERVE = 5
 
 
-def mentions_reserve(args, value) -> bool:
-    return any(e.kind == "reserve" for e in (*args, value))
-
-
 def scratch_key(state: State):
     """The canonical key by a fresh scan of the stored facts."""
     plain, moving = [], []
     for fact in state.facts():
-        (moving if mentions_reserve(fact[1], fact[2]) else plain).append(fact)
+        _, args, value = fact
+        (moving if any(e.kind == "reserve" for e in (*args, value)) else plain).append(fact)
     return frozenset(plain) if not moving else (frozenset(plain), _canonical_form(moving))
 
 
@@ -106,8 +103,6 @@ def chains(draw):
 
 
 def check_core(state: State):
-    recount = sum(mentions_reserve(args, value) for _, args, value in state.facts())
-    assert state._reserve_facts == recount
     assert state._fact_set == frozenset(state.facts())
     assert state.canonical_key() == scratch_key(state)
     for other in (rebuilt(state), rebuilt(state, reverse=True)):
