@@ -74,11 +74,6 @@ class _Usage(EalgebraError):
 
 def _load_initial(path, target):
     state = load_state(path, target.vocabulary, constants=target.constants)
-    violations = state.audit_proviso()
-    if violations:
-        raise StateValidityError(
-            "initial state violates the reserve proviso: " + "; ".join(violations)
-        )
     if isinstance(target, DistributedSpec):
         dist.validate_spec_state(target, state)
     return state

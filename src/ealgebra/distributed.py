@@ -22,6 +22,7 @@ from .errors import (
     BudgetError,
     CertificateError,
     EalgebraError,
+    ModeError,
     ScheduleError,
     StateValidityError,
 )
@@ -62,8 +63,11 @@ def validate_spec_state(spec: DistributedSpec, state: State) -> dict[Element, st
     that is rejected along with colliding module elements
     (``StateValidityError``).  Then every module's names must be
     interpreted as the module declares them (``VocabularyError``).
-    Returns the module name of each module element.
+    Returns the module name of each module element.  A single-agent
+    ``Program`` raises ``ModeError``.
     """
+    if isinstance(spec, Program):
+        raise ModeError("a single-agent program runs with run, not as a distributed spec")
     seen: dict[Element, str] = {}
     for name in spec.module_names:
         el = state.read(Location(name))
@@ -252,6 +256,14 @@ SEGMENT_BUDGET = 1 << 20
 _CYCLE = "the move order is ill-founded (cycle in the edges)"
 
 
+class _Refuted(CertificateError):
+    """A certificate refuted where the fault is found, carrying its verdict."""
+
+    def __init__(self, condition: str, message: str, witness: object = None):
+        super().__init__(message)
+        self.verdict = Verdict(False, condition, message, witness)
+
+
 def _over_budget() -> BudgetError:
     return BudgetError(
         f"the initial segments of the move order hold more than "
@@ -316,11 +328,11 @@ def _is_down_set(order: _Order, moves: frozenset) -> bool:
     return all(m in order.direct and order.direct[m] <= moves for m in moves)
 
 
-def _shape(pr: PartialRun) -> _Order | Verdict:
-    """The certificate's move order, or the verdict on its shape: move ids
-    given once, each with an agent label, edges and ``updates`` lines that
-    name given moves, an acyclic order, and sigma keys that are initial
-    segments of it, checked in that order."""
+def _shape(pr: PartialRun) -> _Order:
+    """The certificate's move order, checking its shape: move ids given
+    once, each with an agent label, edges and ``updates`` lines that name
+    given moves, an acyclic order, and sigma keys that are initial segments
+    of it, in that order."""
     known = set(pr.moves)
     problems = chain(
         ["duplicate move ids"] if len(known) != len(pr.moves) else [],
@@ -330,19 +342,27 @@ def _shape(pr: PartialRun) -> _Order | Verdict:
     )
     problem = next(problems, None)
     if problem is not None:
-        return Verdict(False, "certificate", problem)
+        raise _Refuted("certificate", problem)
     order = _order(pr.moves, pr.edges)
     if order.topological is None:
-        return Verdict(False, "1", _CYCLE)
+        raise _Refuted("1", _CYCLE)
     for key in pr.states:
         if not key <= known:
-            return Verdict(False, "certificate", "sigma key names unknown moves")
+            raise _Refuted("certificate", "sigma key names unknown moves")
         if not _is_down_set(order, key):
-            return Verdict(
-                False, "certificate",
+            raise _Refuted(
+                "certificate",
                 f"sigma key {{{', '.join(sorted(key))}}} is not an initial segment",
             )
     return order
+
+
+def _base(pr: PartialRun) -> State:
+    """Sigma of the empty segment."""
+    base = pr.states.get(frozenset())
+    if base is None:
+        raise _Refuted("certificate", "sigma of the empty segment is missing")
+    return base
 
 
 def _initial_segments(order: _Order) -> list[tuple[frozenset[str], tuple[str, ...]]]:
@@ -387,83 +407,67 @@ def _initial_segments(order: _Order) -> list[tuple[frozenset[str], tuple[str, ..
 def _move_update_set(
     spec: DistributedSpec, pr: PartialRun, move: str, at: State,
     by_element: Mapping[Element, str], footprint: Footprint | None = None,
-) -> tuple[UpdateSet | None, Verdict | None]:
+) -> UpdateSet:
     """The update set of a move at a state fired from the base whose
     module-element map is ``by_element``, checked against its module.  A
     footprint also gets ``Mod(Self)`` and the module name's location."""
     element = pr.agent_of[move]
     agent = _agent(spec, by_element, at, element)
     if agent is None:
-        return None, Verdict(
-            False, "4", f"{format_element(element)} is not an agent before {move}",
-            witness=move,
-        )
+        raise _Refuted("4", f"{format_element(element)} is not an agent before {move}", move)
     if footprint is not None:
         footprint.locations.update(agent.reads)
     recorded = (pr.recorded or {}).get(move)
     if recorded is None and agent.program.has_choose:
-        return None, Verdict(
-            False,
-            "certificate",
-            f"nondeterministic move {move} has no recorded update set",
-            witness=move,
+        raise _Refuted(
+            "certificate", f"nondeterministic move {move} has no recorded update set", move
         )
     # Certificates record no oracle answers: externals read as undef, as in
     # a generated run's moves.
     members, _ = resolutions(agent.program, at, footprint=footprint, agent=element)
     if recorded is None:
-        return members[0], None
+        return members[0]
     if recorded not in members:
-        return None, Verdict(
-            False, "4", f"recorded update set of {move} is not a move of its agent",
-            witness=move,
-        )
-    return recorded, None
+        raise _Refuted("4", f"recorded update set of {move} is not a move of its agent", move)
+    return recorded
 
 
 def _sigma(
     spec: DistributedSpec, pr: PartialRun, order: _Order,
     by_element: Mapping[Element, str] | None = None,
-) -> tuple[dict[frozenset, State], Optional[Verdict]]:
+) -> dict[frozenset, State]:
     """Recompute the state function on every segment of the acyclic order,
     checking coherence.  The base is validated once, before the first move
     is evaluated, unless its module-element map is given."""
-    base = pr.states.get(frozenset())
-    if base is None:
-        return {}, Verdict(False, "certificate", "sigma of the empty segment is missing")
-    computed: dict[frozenset, State] = {frozenset(): base}
+    computed: dict[frozenset, State] = {frozenset(): _base(pr)}
     segments = _initial_segments(order)[1:]
     if segments and by_element is None:
-        by_element = validate_spec_state(spec, base)
+        by_element = validate_spec_state(spec, computed[frozenset()])
     for segment, maximal in segments:
         candidate = via = None
         for x in maximal:
             before = computed[segment - {x}]
-            beta, verdict = _move_update_set(spec, pr, x, before, by_element)
-            if verdict is not None:
-                return computed, verdict
+            beta = _move_update_set(spec, pr, x, before, by_element)
             after, _ = before.fire_update_set(beta)
             if candidate is None:
                 candidate, via = after, x
             elif after != candidate:
-                return computed, Verdict(
-                    False,
+                raise _Refuted(
                     "4",
                     f"segment {{{', '.join(sorted(segment))}}}: firing {x} and "
                     f"{via} last disagree on the resulting state",
-                    witness=segment,
+                    segment,
                 )
         stored = pr.states.get(segment)
         if stored is not None and stored != candidate:
-            return computed, Verdict(
-                False,
+            raise _Refuted(
                 "4",
                 f"sigma at {{{', '.join(sorted(segment))}}} does not match the "
                 f"recomputed state",
-                witness=segment,
+                segment,
             )
         computed[segment] = candidate
-    return computed, None
+    return computed
 
 
 def _independent(
@@ -489,9 +493,7 @@ def _independent(
     try:
         for m in order.topological:
             footprint = Footprint()
-            beta, verdict = _move_update_set(spec, pr, m, state, by_element, footprint)
-            if verdict is not None:
-                return False
+            beta = _move_update_set(spec, pr, m, state, by_element, footprint)
             effect = _Effect.of([beta], footprint)
             if any(_footprints_conflict(effect, effects[x]) for x in effects.keys() - preds[m]):
                 return False
@@ -522,63 +524,52 @@ def check_partial_run(
 ) -> Verdict:
     """Verify the four partially-ordered-run conditions on a certificate.
 
-    Condition 4 holds at once when the moves' footprints are independent
-    (``_independent``); otherwise the segment scan decides it.  Raises
-    ``BudgetError`` when the predecessor sets, or the segments the scan
-    lists, hold more than ``SEGMENT_BUDGET`` moves in all.
+    The first fault found refutes it: certificate shape, then conditions 1
+    to 4 in order.  Condition 4 holds at once when the moves' footprints
+    are independent (``_independent``); otherwise the segment scan decides
+    it.  Raises ``BudgetError`` when the predecessor sets, or the segments
+    the scan lists, hold more than ``SEGMENT_BUDGET`` moves in all.
     """
-    # Certificate shape, and the acyclic order of condition 1.
-    order = _shape(pr)
-    if isinstance(order, Verdict):
-        return order
-
-    # Condition 2: moves of any single agent are linearly ordered.
-    preds = _predecessor_closure(order)
-    by_agent: dict[Element, list[str]] = {}
-    for move in pr.moves:
-        by_agent.setdefault(pr.agent_of[move], []).append(move)
-    for element, moves in by_agent.items():
-        for a, b in combinations(sorted(moves), 2):
-            if a not in preds[b] and b not in preds[a]:
-                return Verdict(
-                    False,
-                    "2",
-                    f"moves {a} and {b} of agent {format_element(element)} "
-                    f"are incomparable",
-                    witness=(a, b),
-                )
-
-    # Condition 3: sigma of the empty segment is an initial state.
-    base = pr.states.get(frozenset())
-    if base is None:
-        return Verdict(False, "certificate", "sigma of the empty segment is missing")
     try:
-        by_element = validate_spec_state(spec, base)
-    except StateValidityError as exc:
-        return Verdict(False, "3", f"sigma of the empty segment: {exc}")
-    if initial_state is not None and base != initial_state:
-        return Verdict(
-            False, "3", "sigma of the empty segment is not the declared initial state"
-        )
+        # Certificate shape, and the acyclic order of condition 1.
+        order = _shape(pr)
 
-    # Condition 4 (and 1 via the closure): coherence over every segment,
-    # shown by independence, or else segment by segment.
-    if not _independent(spec, pr, order, preds, by_element):
-        _, verdict = _sigma(spec, pr, order, by_element)
-        if verdict is not None:
-            return verdict
+        # Condition 2: moves of any single agent are linearly ordered.
+        preds = _predecessor_closure(order)
+        by_agent: dict[Element, list[str]] = {}
+        for move in pr.moves:
+            by_agent.setdefault(pr.agent_of[move], []).append(move)
+        for element, moves in by_agent.items():
+            for a, b in combinations(sorted(moves), 2):
+                if a not in preds[b] and b not in preds[a]:
+                    raise _Refuted(
+                        "2",
+                        f"moves {a} and {b} of agent {format_element(element)} "
+                        f"are incomparable",
+                        (a, b),
+                    )
+
+        # Condition 3: sigma of the empty segment is an initial state.
+        base = _base(pr)
+        try:
+            by_element = validate_spec_state(spec, base)
+        except StateValidityError as exc:
+            raise _Refuted("3", f"sigma of the empty segment: {exc}") from None
+        if initial_state is not None and base != initial_state:
+            raise _Refuted("3", "sigma of the empty segment is not the declared initial state")
+
+        # Condition 4 (and 1 via the closure): coherence over every segment,
+        # shown by independence, or else segment by segment.
+        if not _independent(spec, pr, order, preds, by_element):
+            _sigma(spec, pr, order, by_element)
+    except _Refuted as refuted:
+        return refuted.verdict
     return Verdict(True, None, "all run conditions hold")
 
 
 def segment_states(spec: DistributedSpec, pr: PartialRun) -> dict[frozenset, State]:
     """The state of every initial segment, checked for coherence."""
-    order = _shape(pr)
-    if isinstance(order, Verdict):
-        raise CertificateError(order.message)
-    sigma, verdict = _sigma(spec, pr, order)
-    if verdict is not None:
-        raise CertificateError(verdict.message)
-    return sigma
+    return _sigma(spec, pr, _shape(pr))
 
 
 @dataclass
@@ -623,14 +614,10 @@ def linearizations(
     if budget < 1:
         raise ScheduleError("budget must be positive")
     order = _shape(pr)
-    if isinstance(order, Verdict):
-        raise CertificateError(order.message)
     segment = frozenset(pr.moves) if segment is None else frozenset(segment)
     if not _is_down_set(order, segment):
         raise CertificateError("not an initial segment")
-    base = pr.states.get(frozenset())
-    if base is None:
-        raise CertificateError("sigma of the empty segment is missing")
+    base = _base(pr)
 
     orders, complete = _topological_orders(order, segment, budget)
     by_element = validate_spec_state(spec, base) if segment else {}
@@ -638,11 +625,9 @@ def linearizations(
     for order in orders:
         state, states, records = base, [base], []
         for index, move in enumerate(order, start=1):
-            beta, verdict = _move_update_set(spec, pr, move, state, by_element)
-            if verdict is not None:
-                raise CertificateError(verdict.message)
             state, record = fire_and_record(
-                state, beta, index=index, agent=pr.agent_of[move]
+                state, _move_update_set(spec, pr, move, state, by_element),
+                index=index, agent=pr.agent_of[move],
             )
             records.append(record)
             states.append(state)

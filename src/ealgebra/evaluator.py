@@ -29,7 +29,9 @@ Compilation changes nothing observable.  Guard operands are evaluated
 without short-circuiting, so a read footprint does not depend on truth
 values; the input contract is checked on every call; errors, their
 messages and their order, the family order and the reads recorded in a
-footprint are those of a walk over the tree.
+footprint are those of a walk over the tree.  A malformed node (a guard
+that is no guard, a Boolean connective with the wrong operand count) is
+refused with ``TypeError`` when it is compiled, not when it is evaluated.
 
 All entry points expect core (desugared) rules that are perspicuous with
 respect to the caller's name set; the engine wrappers in ``runner`` and
@@ -234,37 +236,22 @@ class _Compiler:
                 [body(run.bind(var, a)) for a in _extent(run, universe)]
             )
         if not isinstance(g, syntax.BoolGuard):
-            message = f"unsupported guard {type(g).__name__}"
-
-            def unsupported(run):
-                raise TypeError(message)
-
-            return unsupported
+            raise TypeError(f"unsupported guard {type(g).__name__}")
+        op, n = g.op, len(g.operands)
+        if (op, n) != ("not", 1) and not (n == 2 and op in ("and", "or", "implies")):
+            raise TypeError(f"malformed guard: {op!r} with {n} operands")
         # Every operand is evaluated, so that the footprint does not depend
         # on the operands' truth values.
-        op, subs = g.op, [self.guard(sub) for sub in g.operands]
-        if op == "not" and len(subs) == 1:
+        subs = [self.guard(sub) for sub in g.operands]
+        if op == "not":
             (a,) = subs
             return lambda run: not a(run)
-        if len(subs) == 2 and op in ("and", "or", "implies"):
-            a, b = subs
-            if op == "and":
-                return lambda run: a(run) & b(run)
-            if op == "or":
-                return lambda run: a(run) | b(run)
-            return lambda run: (not a(run)) | b(run)
-
-        def other(run):
-            vals = [sub(run) for sub in subs]
-            if op == "and":
-                return vals[0] and vals[1]
-            if op == "or":
-                return vals[0] or vals[1]
-            if op == "not":
-                return not vals[0]
-            return (not vals[0]) or vals[1]  # implies
-
-        return other
+        a, b = subs
+        if op == "and":
+            return lambda run: a(run) & b(run)
+        if op == "or":
+            return lambda run: a(run) | b(run)
+        return lambda run: (not a(run)) | b(run)
 
     # -- rules ---------------------------------------------------------------
 

@@ -131,7 +131,6 @@ class _RuleParser:
         aliases: dict[str, str] | None = None,
         allow_self: bool = False,
         active: bool = False,
-        allow_free: bool = False,
         scope: tuple[str, ...] = (),
     ):
         self.toks = toks
@@ -140,7 +139,6 @@ class _RuleParser:
         self.aliases = aliases or {}
         self.allow_self = allow_self
         self.active = active
-        self.allow_free = allow_free
         self.scope: list[str] = list(scope)
 
     # -- token plumbing
@@ -324,8 +322,6 @@ class _RuleParser:
                 return Var(name)
             fn = self.vocab.lookup(name)
             if fn is None:
-                if self.allow_free:
-                    return Var(name)
                 raise self.fail(f"unknown identifier: {name}", tok)
             if name == "Self" and not self.allow_self:
                 raise self.fail("Self is only available inside modules", tok)
@@ -754,25 +750,24 @@ def parse_program(text: str) -> Program | DistributedSpec:
     lines = text.splitlines()
     body_start = None
     modules: list[tuple[str, int]] = []  # (name, first body line index)
-    mode = None
     for idx, raw in enumerate(lines):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line == "program:":
-            mode = "program"
-            body_start = idx + 1
-            break
         name = _module_name(line, idx + 1)
         if name:
-            mode = "modules"
             modules.append((name, idx + 1))
+        elif modules:  # rule text of a module section
+            continue
+        elif line == "program:":
+            body_start = idx + 1
             break
-        _parse_header_line(line, idx + 1, header)
-    if mode is None:
+        else:
+            _parse_header_line(line, idx + 1, header)
+    if body_start is None and not modules:
         raise ParseError("missing `program:` or `module Name:` section")
 
-    if mode == "program":
+    if body_start is not None:
         rule_text = "\n".join(lines[body_start:])
         rule = _parse_rule_section(rule_text, body_start + 1, header, allow_self=False)
         vocabulary = make_vocabulary(
@@ -789,12 +784,6 @@ def parse_program(text: str) -> Program | DistributedSpec:
             active_sugar=header.active,
         )
 
-    # Distributed: scan out the remaining module sections.
-    for idx in range(modules[0][1], len(lines)):
-        line = lines[idx].split("#", 1)[0].strip()
-        name = _module_name(line, idx + 1)
-        if name:
-            modules.append((name, idx + 1))
     seen = set()
     for name, _ in modules:
         if name in seen:
@@ -864,47 +853,21 @@ def parse_program_file(path) -> Program | DistributedSpec:
 
 
 def parse_rule_text(
-    text: str,
-    vocabulary: Vocabulary,
-    *,
-    aliases: dict[str, str] | None = None,
-    allow_self: bool = False,
-    active: bool = False,
-    allow_free: bool = False,
-    scope: tuple[str, ...] = (),
+    text: str, vocabulary: Vocabulary, *, scope: tuple[str, ...] = ()
 ) -> syntax.Rule:
-    """Parse rule text against an existing vocabulary (tests, fragments)."""
-    parser = _RuleParser(
-        _scan(text),
-        vocabulary,
-        aliases=aliases,
-        allow_self=allow_self,
-        active=active,
-        allow_free=allow_free,
-        scope=scope,
-    )
+    """Parse rule text against an existing vocabulary (tests, fragments);
+    the names in ``scope`` are variables bound outside the text."""
+    parser = _RuleParser(_scan(text), vocabulary, scope=scope)
     return parser.parse_whole(lambda: parser.parse_rule(frozenset()))
 
 
-def parse_guard_text(
-    text: str,
-    vocabulary: Vocabulary,
-    *,
-    allow_self: bool = False,
-    scope: tuple[str, ...] = (),
-) -> syntax.Guard:
-    parser = _RuleParser(_scan(text), vocabulary, allow_self=allow_self, scope=scope)
+def parse_guard_text(text: str, vocabulary: Vocabulary) -> syntax.Guard:
+    parser = _RuleParser(_scan(text), vocabulary)
     return parser.parse_whole(parser.parse_guard)
 
 
-def parse_term_text(
-    text: str,
-    vocabulary: Vocabulary,
-    *,
-    allow_self: bool = False,
-    scope: tuple[str, ...] = (),
-) -> syntax.Term:
-    parser = _RuleParser(_scan(text), vocabulary, allow_self=allow_self, scope=scope)
+def parse_term_text(text: str, vocabulary: Vocabulary) -> syntax.Term:
+    parser = _RuleParser(_scan(text), vocabulary)
     return parser.parse_whole(parser.parse_term)
 
 

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import syntax
-from .errors import EalgebraError, OracleError, ScheduleError, VocabularyError
+from .errors import (
+    EalgebraError, ModeError, OracleError, ParseError, ScheduleError, VocabularyError,
+)
 from .evaluator import Footprint, eval_guard, nupdates, updates
 from .state import (
     EMPTY_UPDATE_SET,
@@ -283,6 +285,8 @@ def step(
     step_index: int = 1,
 ) -> tuple[State, StepRecord]:
     """Fire the program once; inconsistent update sets change nothing."""
+    if isinstance(program, DistributedSpec):
+        raise ModeError("a distributed spec runs its agents with sequential_run")
     return move(program, state, chooser, oracle=oracle, index=step_index)
 
 
@@ -498,8 +502,7 @@ def enumerate_reachable(
 
     key0 = initial.canonical_key()
     # key -> (state, depth, parent, move, sleep set: agent -> effect)
-    seen = {key0: (initial, 0, None, None, {})}
-    order = [key0]
+    seen = {key0: (initial, 0, None, None, {})}  # in discovery order
     violations: list[Witness] = []
     partial = False
 
@@ -533,7 +536,6 @@ def enumerate_reachable(
                         if other != agent and not _footprints_conflict(e, effect)
                     }
                     seen[nkey] = (nxt, level + 1, key, label, sleep)
-                    order.append(nkey)
                     if not check(nxt):
                         violations.append(witness(nkey))
                     next_frontier.append(nkey)
@@ -545,7 +547,7 @@ def enumerate_reachable(
             break
         frontier = next_frontier
     return ReachReport(
-        states=[(seen[k][0], seen[k][1]) for k in order],
+        states=[(entry[0], entry[1]) for entry in seen.values()],
         partial=partial,
         violations=violations,
         explored=len(seen),
@@ -571,7 +573,7 @@ def _decode_element(text: str) -> Element:
         return Element.integer(int(raw))
     if tag == "r":
         return Element.reserve(int(raw))
-    raise EalgebraError(f"bad element encoding: {text}")
+    raise ParseError(f"bad element encoding: {text}")
 
 
 def _encode_update(u: Update) -> dict:
@@ -616,21 +618,26 @@ def record_to_json(record: StepRecord) -> str:
 
 
 def record_from_json(text: str) -> StepRecord:
-    d = json.loads(text)
-    return StepRecord(
-        index=d["step"],
-        updates=UpdateSet(frozenset(_decode_update(u) for u in d["updates"])),
-        consistent=d["consistent"],
-        fired=d["fired"],
-        conflicts={},
-        choice_index=d.get("choice"),
-        family_size=d.get("family"),
-        oracle_qa=tuple(
-            (f, tuple(_decode_element(a) for a in args), _decode_element(v))
-            for f, args, v in d.get("oracle", [])
-        ),
-        agent=_decode_element(d["agent"]) if "agent" in d else None,
-    )
+    """The step record of one line of a records trace (``record_to_json``);
+    ``ParseError`` for a line that is not one."""
+    try:
+        d = json.loads(text)
+        return StepRecord(
+            index=d["step"],
+            updates=UpdateSet(frozenset(_decode_update(u) for u in d["updates"])),
+            consistent=d["consistent"],
+            fired=d["fired"],
+            conflicts={},
+            choice_index=d.get("choice"),
+            family_size=d.get("family"),
+            oracle_qa=tuple(
+                (f, tuple(_decode_element(a) for a in args), _decode_element(v))
+                for f, args, v in d.get("oracle", [])
+            ),
+            agent=_decode_element(d["agent"]) if "agent" in d else None,
+        )
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise ParseError(f"bad step record: {type(exc).__name__}: {exc}") from None
 
 
 def render_trace(trace: RunTrace, fmt: str = "text", header: dict | None = None) -> str:

@@ -5,8 +5,9 @@ superuniverse.  Only locations holding non-default values are stored:
 absent relational locations read as false, every other absent location
 reads as undef.  The reserve is a lazily allocated pool of serial-tagged
 elements; all relations are false and all functions undef on elements
-still in the reserve, and no stored value may point into it (audited by
-:meth:`State.audit_proviso`).
+still in the reserve, and no stored value may point into it: a state is
+checked for this reserve proviso when it is built, and firing keeps it
+(:meth:`State.audit_proviso` checks it again).
 
 States are immutable values: no firing changes a state (firing the empty
 set returns it), so sharing states across explorations is safe.  Tables are
@@ -41,6 +42,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import (
     IllegalUpdateError,
+    StateValidityError,
     UpdateTypeError,
     VocabularyError,
 )
@@ -325,10 +327,15 @@ class State:
         self,
         vocabulary: Vocabulary,
         tables: Mapping[str, Mapping[tuple[Element, ...], Element]] | None = None,
-        reserve_next: int = 0,
+        reserve_next: int | None = None,
     ):
+        """``reserve_next`` is the first unallocated reserve serial; by
+        default one past the largest serial in the tables, or 0.  A value
+        at or below a serial there breaks the reserve proviso and raises
+        ``StateValidityError``."""
         self.vocabulary = vocabulary
         normalized: dict[str, dict[tuple[Element, ...], Element]] = {}
+        least = 0
         for fname, table in (tables or {}).items():
             fn = vocabulary.lookup(fname)
             if fn is None:
@@ -343,12 +350,19 @@ class State:
                     )
                 if fn.is_relation and value not in _BOOLEANS:
                     raise UpdateTypeError(f"{fname}: relational value must be Boolean")
+                for e in (*args, value):
+                    if e.kind == "reserve":
+                        least = max(least, e.value + 1)
                 if not _is_default(fn, value):
                     inner[tuple(args)] = value
             if inner:
                 normalized[fname] = _Trie.of(inner.items()) if len(inner) > LEAF_SIZE else inner
+        if reserve_next is not None and reserve_next < least:
+            raise StateValidityError(
+                f"reserve: {reserve_next} conflicts with stored reserve element @{least - 1}"
+            )
         self._tables = normalized
-        self.reserve_next = reserve_next
+        self.reserve_next = least if reserve_next is None else reserve_next
 
     # -- construction helpers ------------------------------------------------
 
@@ -517,9 +531,9 @@ class State:
         order and of the hash seed; there is no limit on the number of
         reserve elements.
 
-        The state must meet the reserve proviso (:meth:`audit_proviso`):
-        then it mentions a reserve element only once ``reserve_next`` is
-        positive, so at 0 its facts are not scanned.
+        Every state meets the reserve proviso, so it mentions a reserve
+        element only once ``reserve_next`` is positive, and at 0 its facts
+        are not scanned.
         """
         facts = self._fact_set
         moving = list(filter(_mentions_reserve, facts)) if self.reserve_next else None

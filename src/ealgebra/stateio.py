@@ -6,7 +6,8 @@ identifiers denote named elements, digit strings denote integers,
 ``true``/``false``/``undef`` the logic constants, and ``@n`` an element
 drawn from the reserve (serial ``n``).  Lines starting with ``#`` are
 comments; omitted locations keep their default value.  A ``reserve: n``
-directive sets the first unallocated reserve serial explicitly.
+directive sets the first unallocated reserve serial explicitly; without
+it the state takes one past the largest serial in its facts.
 
 The ``name(args) = value`` shape is split here for every reader of fact
 lines: state files, the update entries of certificates (``:=``) and
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError, StateValidityError
+from .errors import ParseError
 from .state import Element, Location, State, format_element
 from .vocabulary import Vocabulary
 
@@ -84,15 +85,16 @@ def parse_state(
     """Build a state from fact lines, seeding declared constants first.
 
     Each constant (and distributed module name) is interpreted as the named
-    element spelled like it, unless the file overrides the fact.
+    element spelled like it, unless the file overrides the fact.  A
+    ``reserve:`` directive below a serial the facts mention breaks the
+    reserve proviso, which ``State`` refuses (``StateValidityError``).
     """
     tables: dict[str, dict[tuple[Element, ...], Element]] = {}
     for name in constants:
         vocabulary.require(name)
         tables.setdefault(name, {})[()] = Element.named(name)
 
-    reserve_next = 0
-    explicit_reserve = None
+    reserve_next = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,7 +103,7 @@ def parse_state(
             value = line.split(":", 1)[1].strip()
             if not value.isdigit():
                 raise ParseError("reserve: expects a nonnegative integer", lineno, 1)
-            explicit_reserve = int(value)
+            reserve_next = int(value)
             continue
         fact = split_fact(line)
         if fact is None:
@@ -115,19 +117,7 @@ def parse_state(
             raise ParseError(
                 f"{fname}: expected {fn.arity} arguments, got {len(args)}", lineno, 1
             )
-        value = parse_element(raw_value, vocabulary)
-        for e in (*args, value):
-            if e.kind == "reserve":
-                reserve_next = max(reserve_next, e.value + 1)
-        tables.setdefault(fname, {})[args] = value
-
-    if explicit_reserve is not None:
-        if explicit_reserve < reserve_next:
-            raise StateValidityError(
-                f"reserve: {explicit_reserve} conflicts with stored reserve "
-                f"element @{reserve_next - 1}"
-            )
-        reserve_next = explicit_reserve
+        tables.setdefault(fname, {})[args] = parse_element(raw_value, vocabulary)
     return State(vocabulary, tables, reserve_next)
 
 

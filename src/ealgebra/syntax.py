@@ -564,17 +564,26 @@ _PREC = {"implies": 1, "or": 2, "and": 3, "not": 4}
 _CMP_PREC = 5
 
 
-def format_term(t: Term, prec: int = 0) -> str:
+def format_term(t: Term | Guard, prec: int = 0) -> str:
+    """A term or a guard in concrete syntax, parenthesized as far as the
+    context precedence ``prec`` needs.  An atom prints as its term and a
+    Boolean guard as the application of its connective."""
     if isinstance(t, Var):
         return t.name
-    if t.fname in ("=", "<", "+", "mod") and len(t.args) == 2:
-        op_prec = _CMP_PREC if t.fname in ("=", "<") else (7 if t.fname == "+" else 8)
-        lhs = format_term(t.args[0], op_prec if t.fname in ("=", "<") else op_prec - 1)
-        rhs = format_term(t.args[1], op_prec)
-        s = f"{lhs} {t.fname} {rhs}"
+    if isinstance(t, Atom):
+        return format_term(t.term, prec)
+    if isinstance(t, QuantGuard):
+        s = f"({t.kind} {t.var} in {t.universe}) {format_term(t.body)}"
+        return f"({s})" if prec > 0 else s
+    fname, args = (t.op, t.operands) if isinstance(t, BoolGuard) else (t.fname, t.args)
+    if fname in ("=", "<", "+", "mod") and len(args) == 2:
+        op_prec = _CMP_PREC if fname in ("=", "<") else (7 if fname == "+" else 8)
+        lhs = format_term(args[0], op_prec if fname in ("=", "<") else op_prec - 1)
+        rhs = format_term(args[1], op_prec)
+        s = f"{lhs} {fname} {rhs}"
         return f"({s})" if prec >= op_prec else s
-    if t.fname == "not" and len(t.args) == 1:
-        inner = t.args[0]
+    if fname == "not" and len(args) == 1:
+        inner = args[0].term if isinstance(args[0], Atom) else args[0]
         if isinstance(inner, App) and inner.fname == "=" and len(inner.args) == 2:
             lhs = format_term(inner.args[0], _CMP_PREC)
             rhs = format_term(inner.args[1], _CMP_PREC)
@@ -582,38 +591,15 @@ def format_term(t: Term, prec: int = 0) -> str:
             return f"({s})" if prec >= _CMP_PREC else s
         s = f"not {format_term(inner, _PREC['not'])}"
         return f"({s})" if prec > _PREC["not"] else s
-    if t.fname in ("and", "or", "implies") and len(t.args) == 2:
-        p = _PREC[t.fname]
-        lhs = format_term(t.args[0], p - 1)
-        rhs = format_term(t.args[1], p)
-        s = f"{lhs} {t.fname} {rhs}"
+    if fname in ("and", "or", "implies") and len(args) == 2:
+        p = _PREC[fname]
+        lhs = format_term(args[0], p - 1)
+        rhs = format_term(args[1], p)
+        s = f"{lhs} {fname} {rhs}"
         return f"({s})" if prec >= p else s
-    if not t.args:
-        return t.fname
-    return f"{t.fname}({', '.join(format_term(a) for a in t.args)})"
-
-
-def format_guard(g: Guard, prec: int = 0) -> str:
-    if isinstance(g, Atom):
-        return format_term(g.term, prec)
-    if isinstance(g, QuantGuard):
-        s = f"({g.kind} {g.var} in {g.universe}) {format_guard(g.body)}"
-        return f"({s})" if prec > 0 else s
-    if g.op == "not":
-        inner = g.operands[0]
-        if isinstance(inner, Atom) and isinstance(inner.term, App) \
-                and inner.term.fname == "=" and len(inner.term.args) == 2:
-            lhs = format_term(inner.term.args[0], _CMP_PREC)
-            rhs = format_term(inner.term.args[1], _CMP_PREC)
-            s = f"{lhs} != {rhs}"
-            return f"({s})" if prec >= _CMP_PREC else s
-        s = f"not {format_guard(inner, _PREC['not'])}"
-        return f"({s})" if prec > _PREC["not"] else s
-    p = _PREC[g.op]
-    lhs = format_guard(g.operands[0], p - 1)
-    rhs = format_guard(g.operands[1], p)
-    s = f"{lhs} {g.op} {rhs}"
-    return f"({s})" if prec >= p else s
+    if not args:
+        return fname
+    return f"{fname}({', '.join(format_term(a) for a in args)})"
 
 
 def format_rule(rule: Rule, indent: int = 0) -> str:
@@ -635,11 +621,11 @@ def format_rule(rule: Rule, indent: int = 0) -> str:
         lines = []
         for i, (g, r) in enumerate(rule.clauses):
             if i == 0:
-                lines.append(f"{pad}if {format_guard(g)} then")
+                lines.append(f"{pad}if {format_term(g)} then")
             elif i == len(rule.clauses) - 1 and g == TRUE_GUARD:
                 lines.append(f"{pad}else")
             else:
-                lines.append(f"{pad}elseif {format_guard(g)} then")
+                lines.append(f"{pad}elseif {format_term(g)} then")
             lines.append(body_lines(r, indent + 1))
         lines.append(f"{pad}endif")
         return "\n".join(lines)

@@ -61,6 +61,24 @@ def test_agents_of_philosophers(philosophers, ring3):
     assert all(a.program is philosophers.modules["Phil"] for a in agents)
 
 
+@pytest.mark.parametrize("call", [
+    lambda program, state: validate_spec_state(program, state),
+    lambda program, state: sequential_run(program, state, max_steps=1),
+    lambda program, state: agents_of(program, state),
+    lambda program, state: agent_move(program, state, I(0)),
+    lambda program, state: generate_partial_run(program, state, [I(0)]),
+    lambda program, state: check_partial_run(
+        program, PartialRun((), {}, frozenset(), {frozenset(): state})
+    ),
+    lambda program, state: linearizations(
+        program, PartialRun(("m1",), {"m1": I(0)}, frozenset(), {frozenset(): state})
+    ),
+])
+def test_a_single_agent_program_is_no_distributed_spec(tree_program, ring3, call):
+    with pytest.raises(ModeError, match="single-agent program"):
+        call(tree_program, ring3)
+
+
 def test_agents_of_empty_mod_table(philosophers):
     state = parse_state(
         "Fork(0) = down", philosophers.vocabulary, constants=philosophers.constants

@@ -32,7 +32,9 @@ from ealgebra import (
 )
 from ealgebra.syntax import (
     App,
+    Atom,
     Block,
+    BoolGuard,
     Cond,
     Decl,
     Duplicate,
@@ -138,6 +140,25 @@ def test_existential_over_a_finite_extent():
     s = State(v, {"U": {(N1,): TRUE, (N2,): TRUE}, "Leaf": {(N2,): TRUE}})
     assert eval_guard(s, None, parse_guard_text("(exists v in U) Leaf(v)", v))
     assert not eval_guard(s, None, parse_guard_text("(forall v in U) Leaf(v)", v))
+
+
+TRUE_ATOM, FALSE_ATOM = Atom(App("true")), Atom(App("false"))
+
+
+@pytest.mark.parametrize("guard", [
+    BoolGuard("xor", (TRUE_ATOM, FALSE_ATOM)),
+    BoolGuard("and", (TRUE_ATOM, TRUE_ATOM, FALSE_ATOM)),
+    BoolGuard("and", (FALSE_ATOM,)),
+    App("true"),
+])
+def test_malformed_guards_are_refused_when_compiled(guard):
+    s = State(BASIC_VOCAB)
+    with pytest.raises(TypeError):
+        eval_guard(s, None, guard)
+    # Compiling the rule refuses it, though its clause is never reached.
+    rule = Cond(((TRUE_ATOM, Block(())), (guard, Block(()))))
+    with pytest.raises(TypeError):
+        updates(rule, s)
 
 
 def test_atomic_guard_agrees_with_term_evaluation():
@@ -463,7 +484,7 @@ def test_declaration_semantics_matches_brute_force():
     rule = parse_rule_text("Var u ranges over U\nf(u) := b", v)
     beta = updates(rule, s)
     brute = UpdateSet()
-    body = parse_rule_text("f(u) := b", v, allow_free=True, scope=("u",))
+    body = parse_rule_text("f(u) := b", v, scope=("u",))
     for a in s.extent("U"):
         brute = brute.union(updates(body, s, {"u": a}, decls=("u",)))
     assert beta == brute
@@ -514,7 +535,7 @@ def dup_vocab():
 def test_duplicate_mirrors_all_mixtures():
     v = dup_vocab()
     s = State(v, {"a": {(): A}, "b": {(): B}, "f": {(A, A): C}})
-    beta = updates(Duplicate(parse_term_text("a", v), "v", parse_rule_text("Tag(v) := b", v, allow_free=True, scope=("v",))), s)
+    beta = updates(Duplicate(parse_term_text("a", v), "v", parse_rule_text("Tag(v) := b", v, scope=("v",))), s)
     copy = next(u.location.args[0] for u in beta if u.location.fname == "Reserve")
     mixtures = {
         u.location.args: u.value for u in beta if u.location.fname == "f"

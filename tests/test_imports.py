@@ -157,3 +157,83 @@ def test_the_check_sees_a_dead_constant(tmp_path):
     assert dead_definitions([module], [module, caller], [readme]) == [
         "sample._DEAD", "sample._EXPORTED", "sample.LONELY",
     ]
+
+
+# Keyword options kept though no call in the repository sets them, as
+# (function, parameter): reason.
+KEPT_OPTIONS: dict[tuple[str, str], str] = {
+    ("eval_term", "oracle"): "tests/test_compiler.py passes it as outcome(fn, **call)",
+    ("eval_term", "externals"): "tests/test_compiler.py passes it as outcome(fn, **call)",
+    ("eval_guard", "oracle"): "tests/test_compiler.py passes it as outcome(fn, **call)",
+    ("eval_guard", "externals"): "tests/test_compiler.py passes it as outcome(fn, **call)",
+}
+
+
+def _options(function: ast.FunctionDef):
+    """``(parameter, position)`` per parameter with a default; the
+    position is None for a keyword-only one."""
+    positional = function.args.posonlyargs + function.args.args
+    for i, arg in enumerate(positional[len(positional) - len(function.args.defaults):]):
+        yield arg.arg, len(positional) - len(function.args.defaults) + i
+    for arg, default in zip(function.args.kwonlyargs, function.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _sets(call: ast.Call, parameter: str, position: int | None) -> bool:
+    if any(k.arg is None or k.arg == parameter for k in call.keywords):
+        return True
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return position is not None and (starred or len(call.args) > position)
+
+
+def unset_options(init: Path, sources: list[Path]) -> list[str]:
+    """``name(parameter=)`` for each parameter with a default of each
+    function the package ``init`` exports that no call of that name in
+    ``sources`` sets, by keyword, by position or through ``*``/``**``."""
+    exported = {}
+    for stmt in ast.parse(init.read_text(encoding="utf-8")).body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
+            module = ast.parse((init.parent / f"{stmt.module}.py").read_text(encoding="utf-8"))
+            defined = {f.name: f for f in module.body if isinstance(f, ast.FunctionDef)}
+            exported.update((a.name, defined[a.name]) for a in stmt.names if a.name in defined)
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return [
+        f"{name}({parameter}=)"
+        for name, function in exported.items()
+        for parameter, position in _options(function)
+        if (name, parameter) not in KEPT_OPTIONS
+        and not any(_sets(call, parameter, position) for call in calls.get(name, ()))
+    ]
+
+
+def test_every_keyword_option_is_set():
+    sources = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unset_options(PACKAGE / "__init__.py", sources) == []
+
+
+def test_the_check_sees_an_option_no_call_sets(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .sample import Box, f, g, h\n")
+    (package / "sample.py").write_text(
+        "class Box:\n    def __init__(self, lid=None):\n        pass\n\n"
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+        "def g(a=1, *, b=2):\n    pass\n\n"
+        "def h(a=1, *, b=2):\n    pass\n\n"
+        "def hidden(a=1):\n    pass\n"
+    )
+    caller = tmp_path / "caller.py"
+    caller.write_text(
+        "import pkg\nfrom pkg import f, g\n"
+        "f(0, 1, d=5)\npkg.g(*[2])\nh(**{})\n"
+    )
+    assert unset_options(package / "__init__.py", [caller]) == [
+        "f(c=)", "f(e=)", "g(b=)",
+    ]

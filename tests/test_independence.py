@@ -77,8 +77,12 @@ def check_both_ways(spec, pr, initial=None):
     verdict, answers = both_ways(lambda: check_partial_run(spec, pr, initial_state=initial))
     if answers:
         order = distributed._order(pr.moves, pr.edges)
-        _, direct = distributed._sigma(spec, pr, order)
-        assert (VALID if direct is None else direct) == verdict
+        try:
+            distributed._sigma(spec, pr, order)
+            direct = VALID
+        except distributed._Refuted as refuted:
+            direct = refuted.verdict
+        assert direct == verdict
     return verdict, answers
 
 

@@ -1,8 +1,12 @@
+import re
+
 import pytest
 
 from ealgebra import (
     Element,
     Location,
+    ModeError,
+    ParseError,
     ScriptedOracle,
     SeededChooser,
     UNDEF,
@@ -244,3 +248,22 @@ def test_a_step_records_conflicts_only_when_its_set_does_not_fire():
     after, record = step(program, fixed)
     assert record.fired and record.consistent and record.conflicts == {}
     assert after.read(Location("y")) == b
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{}", "bad step record: KeyError: 'step'"),
+    ("not json", "bad step record: JSONDecodeError: Expecting value"),
+    ('{"step": 1, "updates": [], "consistent": true, "fired": true, "agent": 3}',
+     "bad step record: AttributeError: 'int' object has no attribute"),
+    ('{"step": 1, "updates": [{"f": "X", "args": [], "value": "q:1"}],'
+     ' "consistent": true, "fired": true}', "bad element encoding: q:1"),
+])
+def test_malformed_step_records_raise_parse_error(line, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        record_from_json(line)
+
+
+def test_run_and_step_refuse_a_distributed_spec(philosophers, ring3):
+    for call in (run, step):
+        with pytest.raises(ModeError, match="sequential_run"):
+            call(philosophers, ring3)

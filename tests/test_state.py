@@ -15,6 +15,7 @@ from ealgebra import (
     UpdateSet,
     UpdateTypeError,
     SeededChooser,
+    StateValidityError,
     VocabularyError,
     make_vocabulary,
     parse_program,
@@ -280,20 +281,27 @@ def test_isomorphic_is_an_equivalence_on_samples():
 
 
 def test_proviso_auditor_flags_reserve_leaks():
-    s = all_down_state()
-    assert s.audit_proviso() == []
-    bad = State(
-        phil_vocab(),
-        {"Parent": {(Element.reserve(5),): P0}},
-        reserve_next=0,
-    )
-    assert bad.audit_proviso()
-    bad_value = State(
-        phil_vocab(),
-        {"Parent": {(P0,): Element.reserve(5)}},
-        reserve_next=0,
-    )
-    assert bad_value.audit_proviso()
+    """A reserve leak is flagged when the state is built, so every state
+    meets the proviso and the auditor finds nothing."""
+    assert all_down_state().audit_proviso() == []
+    for table in ({(Element.reserve(5),): P0}, {(P0,): Element.reserve(5)}):
+        with pytest.raises(
+            StateValidityError, match="reserve: 0 conflicts with stored reserve element @5"
+        ):
+            State(phil_vocab(), {"Parent": table}, reserve_next=0)
+
+
+def test_reserve_next_defaults_past_the_stored_reserve_elements():
+    def parent_of(serial):
+        return {"Parent": {(Element.reserve(serial),): P0}}
+
+    with pytest.raises(StateValidityError, match="reserve: 0 conflicts .* @0"):
+        State(phil_vocab(), parent_of(0), 0)
+    first, renamed = State(phil_vocab(), parent_of(0)), State(phil_vocab(), parent_of(1))
+    assert (first.reserve_next, renamed.reserve_next) == (1, 2)
+    assert first.isomorphic(renamed)
+    assert State(phil_vocab(), parent_of(0), 4).isomorphic(State(phil_vocab(), parent_of(1), 4))
+    assert all_down_state().reserve_next == 0
 
 
 def test_boolean_operations_follow_the_undef_rule():

@@ -111,7 +111,7 @@ def test_arity_mismatch_is_a_parse_error(vocab):
 
 def test_free_and_bound_vars(vocab):
     rule = parse_rule_text(
-        "import v\n Parent(v) := u\nendimport", vocab, allow_free=True
+        "import v\n Parent(v) := u\nendimport", vocab, scope=("u",)
     )
     assert free_vars(rule) == {"u"}
     assert bound_vars(rule) == {"v"}
@@ -315,3 +315,24 @@ def test_module_header_without_an_identifier_is_rejected(name):
     with pytest.raises(ParseError) as caught:
         parse_program(text)
     assert caught.value.line == 5
+
+
+SECTION_ERRORS = [
+    ("", "missing `program:` or `module Name:` section"),
+    ("module A:\n  X := A\nmodule A:\n  X := undef\n", "module A declared twice"),
+    ("module 3x:\n  X := undef\n", "line 3, column 1: bad module name: '3x'"),
+    # A bad header is reported before a name declared twice.
+    (
+        "module A:\n  X := A\nmodule A:\n  X := undef\nmodule 3x:\n  X := undef\n",
+        "line 7, column 1: bad module name: '3x'",
+    ),
+    # After `program:` every line is rule text.
+    ("program:\n  X := undef\nmodule A:\n  X := undef\n", "line 5, column 1: unknown identifier: module"),
+]
+
+
+@pytest.mark.parametrize("sections, message", SECTION_ERRORS)
+def test_section_errors_name_the_first_fault(sections, message):
+    with pytest.raises(ParseError) as caught:
+        parse_program("vocabulary:\n  dynamic X/0\n" + sections)
+    assert str(caught.value) == message
