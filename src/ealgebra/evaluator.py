@@ -197,6 +197,16 @@ class _Compiler:
 
             return tracked
         default = how.value
+        if not fs:  # one location, built once: a footprint records it on every read
+            at = Location(fname, ())
+
+            def nullary(run):
+                if run.footprint is not None:
+                    run.footprint.locations.add(at)
+                table = run.state._tables.get(fname)
+                return default if table is None else table.get((), default)
+
+            return nullary
 
         def tabled(run):
             values = args(run)
@@ -421,10 +431,18 @@ def _duplicate(run: _Run, term, var: str) -> tuple[Element, frozenset[Update]]:
     return copy, frozenset(out)
 
 
+def _parsed(node, kind: str):
+    """``node``, refused with ``ContractViolation`` when it is text, which
+    ``parse_<kind>_text`` parses."""
+    if isinstance(node, str):
+        raise ContractViolation(f"expected a parsed {kind}, not text; parse it with parse_{kind}_text")
+    return node
+
+
 def _check_input(
     rule: syntax.Rule, state: State, env: dict, decls, vocabulary=None
 ) -> syntax.RuleFacts:
-    facts = syntax.rule_facts(rule)
+    facts = syntax.rule_facts(_parsed(rule, "rule"))
     if not facts.core:
         raise ModeError("rule contains surface sugar; desugar it first")
     binders = facts.binders
@@ -446,12 +464,19 @@ def _check_input(
 
 def eval_term(state: State, env, t: syntax.Term, *, oracle=None, externals=()) -> Element:
     run = _start(state, env, None, oracle, (), None, None)
-    return _compiled(t, state.vocabulary, frozenset(externals), _Compiler.term)(run)
+    return _compiled(_parsed(t, "term"), state.vocabulary, frozenset(externals), _Compiler.term)(run)
 
 
-def eval_guard(state: State, env, g: syntax.Guard, *, oracle=None, externals=()) -> bool:
-    run = _start(state, env, None, oracle, (), None, None)
-    return _compiled(g, state.vocabulary, frozenset(externals), _Compiler.guard)(run)
+def eval_guard(
+    state: State, env, g: syntax.Guard, *, oracle=None, externals=(),
+    footprint: Footprint | None = None,
+) -> bool:
+    """The truth value of a guard at a state, with ``env`` binding its free
+    variables.  With ``footprint``, the locations and the tables the
+    evaluation read are added to it; every operand is evaluated, so they do
+    not depend on truth values."""
+    run = _start(state, env, None, oracle, (), footprint, None)
+    return _compiled(_parsed(g, "guard"), state.vocabulary, frozenset(externals), _Compiler.guard)(run)
 
 
 def nupdates(

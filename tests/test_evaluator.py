@@ -161,6 +161,17 @@ def test_malformed_guards_are_refused_when_compiled(guard):
         updates(rule, s)
 
 
+@pytest.mark.parametrize("entry,text,parser", [
+    (lambda s, text: eval_guard(s, None, text), "true", "parse_guard_text"),
+    (lambda s, text: eval_term(s, None, text), "g", "parse_term_text"),
+    (lambda s, text: updates(text, s), "g := g", "parse_rule_text"),
+    (lambda s, text: nupdates(text, s), "g := g", "parse_rule_text"),
+], ids=["eval_guard", "eval_term", "updates", "nupdates"])
+def test_text_is_refused_naming_its_parser(entry, text, parser):
+    with pytest.raises(ContractViolation, match=parser):
+        entry(State(BASIC_VOCAB), text)
+
+
 def test_atomic_guard_agrees_with_term_evaluation():
     v = make_vocabulary([FunctionName("r", 1, is_relation=True), FunctionName("a", 0, is_static=True)])
     s = State(v, {"a": {(): A}, "r": {(A,): TRUE}})

@@ -7,7 +7,8 @@ every other location, the rule gives the same update set, family or error
 and records the same footprint.  The independence pass of
 ``check_partial_run`` and the conflict order of ``generate_partial_run``
 are sound only if this holds.  The rules are the ``genrules`` basic, choice
-and surface rules.
+and surface rules, and the ``genrules`` guards, quantified ones among
+them, which ``enumerate`` checks instance by instance.
 """
 
 from __future__ import annotations
@@ -21,9 +22,12 @@ from genrules import (
     BASIC_VOCAB,
     CHOICE_VOCAB,
     ELEMS,
+    SURFACE_BINDERS,
     SURFACE_EXTERNALS,
     gen_basic_rule,
     gen_choice_rule,
+    gen_guard,
+    gen_surface_guard,
 )
 from genrules import A, B, C
 from test_updates_oracle import STORED, VOCAB as SURFACE_VOCAB, core_rule, oracle
@@ -39,6 +43,7 @@ from ealgebra import (
     Footprint,
     Location,
     State,
+    eval_guard,
     make_vocabulary,
     nupdates,
     updates,
@@ -46,7 +51,7 @@ from ealgebra import (
 from ealgebra.distributed import _agent
 from ealgebra.runner import resolutions
 from ealgebra.state import resolve
-from ealgebra.syntax import App, _map, has_choose, parts, rebuild
+from ealgebra.syntax import App, Atom, BoolGuard, QuantGuard, _map, has_choose, parts, rebuild
 
 
 def tabled(vocabulary):
@@ -95,21 +100,26 @@ def elsewhere(state: State, locations, names, pool, shift: int) -> State:
     return State(state.vocabulary, tables, state.reserve_next)
 
 
-def outcome(rule, state, **kwargs):
+def outcome(node, state, **kwargs):
+    """What a rule or a guard gives at ``state``, or its error, with the
+    footprint the evaluation recorded."""
     footprint = Footprint()
-    entry = nupdates if has_choose(rule) else updates
     try:
-        result = entry(rule, state, footprint=footprint, **kwargs)
+        if isinstance(node, (Atom, BoolGuard, QuantGuard)):
+            result = eval_guard(state, kwargs.pop("env", None), node, footprint=footprint, **kwargs)
+        else:
+            entry = nupdates if has_choose(node) else updates
+            result = entry(node, state, footprint=footprint, **kwargs)
     except EalgebraError as exc:
         result = (type(exc), str(exc))
     return result, footprint.locations, footprint.names
 
 
-def assert_complete(rule, state, pool, shift, **kwargs):
-    first = outcome(rule, state, **kwargs)
+def assert_complete(node, state, pool, shift, **kwargs):
+    first = outcome(node, state, **kwargs)
     _, locations, names = first
     other = elsewhere(state, locations, names, pool, shift)
-    assert outcome(rule, other, **kwargs) == first
+    assert outcome(node, other, **kwargs) == first
 
 
 shifts = st.integers(0, 10)
@@ -135,6 +145,34 @@ def test_choice_rules_read_only_their_footprint(seed, state, shift):
 def test_surface_rules_read_only_their_footprint(seed, state, shift, w):
     assert_complete(
         core_rule(seed), state, STORED, shift,
+        env={"w": w}, oracle=oracle, externals=SURFACE_EXTERNALS,
+    )
+
+
+# -- guards ----------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, states(BASIC_VOCAB, ELEMS), shifts)
+def test_basic_guards_read_only_their_footprint(seed, state, shift):
+    assert_complete(gen_guard(random.Random(seed), 1 + seed % 3), state, ELEMS, shift)
+
+
+def surface_guard(seed: int):
+    """A ``genrules`` surface guard; every other one is quantified over U
+    at the top."""
+    rng = random.Random(seed)
+    if seed % 2:
+        return gen_surface_guard(rng, [], 3)
+    var = rng.choice(SURFACE_BINDERS)
+    return QuantGuard(rng.choice(("exists", "forall")), var, "U", gen_surface_guard(rng, [var], 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, states(SURFACE_VOCAB, STORED, reserve_next=1), shifts, st.sampled_from(STORED))
+def test_surface_guards_read_only_their_footprint(seed, state, shift, w):
+    assert_complete(
+        surface_guard(seed), state, STORED, shift,
         env={"w": w}, oracle=oracle, externals=SURFACE_EXTERNALS,
     )
 

@@ -11,7 +11,11 @@ edge cases pin what a reuse must keep apart (``reserve_next``, the
 module an agent belongs to) and what is never kept.  The last part pins
 the sleep sets: pairs of moves that conflict by one clause of
 ``runner._footprints_conflict`` each, a move without a footprint, and
-the moves and agent listings an enumeration of a ring saves.
+the moves and agent listings an enumeration of a ring saves.  The
+properties also check the safety guard, which ``enumerate_reachable``
+evaluates again only where a move touches it; the last tests pin how
+many guard instances that evaluates, a move that writes the quantified
+universe, and an instance whose footprint changes.
 """
 
 from __future__ import annotations
@@ -30,18 +34,20 @@ from test_independence import reserve_spec
 from test_golden_enumerate import CASES
 
 from ealgebra import (
+    EalgebraError,
     Element,
     Location,
     State,
     distributed,
     enumerate_reachable,
+    eval_guard,
     parse_guard_text,
     parse_program,
     parse_state,
     runner,
 )
 from ealgebra.distributed import move_successors
-from ealgebra.syntax import Program
+from ealgebra.syntax import App, Atom, Program, QuantGuard, Var
 
 seeds = st.integers(0, 10**6)
 depths = st.integers(0, 6)
@@ -49,9 +55,20 @@ budgets = st.integers(1, 12)
 
 
 def assert_same(target, initial, depth, budget, predicate=None):
-    got = enumerate_reachable(target, initial, depth, budget=budget, predicate=predicate)
-    want = enumerate_reference(target, initial, depth, budget=budget, predicate=predicate)
-    assert summary(got) == summary(want)
+    """The engine's report is the reference's, and each state's verdict is
+    a fresh evaluation's; or both raise the same error."""
+    kwargs = {"budget": budget, "predicate": predicate}
+    try:
+        got = enumerate_reachable(target, initial, depth, **kwargs)
+    except EalgebraError as exc:
+        with pytest.raises(type(exc)) as want:
+            enumerate_reference(target, initial, depth, **kwargs)
+        assert str(want.value) == str(exc)
+        return
+    assert summary(got) == summary(enumerate_reference(target, initial, depth, **kwargs))
+    if predicate is not None:
+        failing = [state for state, _ in got.states if not eval_guard(state, None, predicate)]
+        assert [w.state for w in got.violations] == failing
 
 
 @settings(max_examples=100, deadline=None)
@@ -85,8 +102,9 @@ def thinking_ring(n: int):
 
 
 @st.composite
-def rings(draw):
-    """A ring program on 3-8 seats, some of them agents, in any mode."""
+def rings(draw, extra: str = ""):
+    """A ring program on 3-8 seats, some of them agents, in any mode;
+    ``extra`` holds more facts."""
     n = draw(st.integers(3, 8))
     spec = parse_program(RING_PROGRAMS[draw(st.sampled_from(sorted(RING_PROGRAMS)))]
                          .replace("mod 3", f"mod {n}"))
@@ -100,17 +118,30 @@ def rings(draw):
             f"Fork({i}) = {draw(st.sampled_from(('up', 'down')))}",
             f"P({i}) = true",
         ]
+    facts.append(extra)
     return spec, parse_state("\n".join(facts), spec.vocabulary, constants=spec.constants)
 
 
-@settings(max_examples=60, deadline=None)
-@given(rings(), st.integers(0, 8), st.integers(1, 200))
-def test_rings_enumerate_as_the_reference(ring, depth, budget):
+RING_GUARDS = (
+    "(forall x in P) not (Mode(x) = eat and Mode(x + 1) = eat)",
+    "not (exists i in P) (Mode(i) = eat and Mode(i + 1) = eat)",
+    "(forall x in P) (Mode(x) = eat implies Fork(x) = up) and (exists y in P) Mode(y) = think",
+    "(exists x in P) (forall y in P) (Mode(y) = eat implies y = x)",
+    "Mode(0) = think or Fork(1) = down",
+    # (forall x in P) Fork(Mode(x)), which the parser refuses: with
+    # Fork(think) = true it raises once a philosopher stops thinking.
+    QuantGuard("forall", "x", "P", Atom(App("Fork", (App("Mode", (Var("x"),)),)))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rings("Fork(think) = true"), st.sampled_from(RING_GUARDS), st.integers(0, 8),
+       st.integers(1, 200))
+def test_rings_enumerate_as_the_reference(ring, guard, depth, budget):
     spec, state = ring
-    safety = parse_guard_text(
-        "not (exists i in P) (Mode(i) = eat and Mode(i + 1) = eat)", spec.vocabulary
-    )
-    assert_same(spec, state, depth, budget, safety)
+    if isinstance(guard, str):
+        guard = parse_guard_text(guard, spec.vocabulary)
+    assert_same(spec, state, depth, budget, guard)
 
 
 def enumerate_case(argv):
@@ -330,7 +361,7 @@ def pair_spec(first: str, second: str) -> str:
 def test_basic_agent_moves_enumerate_as_the_reference(seed, state, depth, budget):
     rng = random.Random(seed)
     rules = [gen_basic_rule(rng, 1 + seed % 3) for _ in "MN"]
-    assert_same(agent_spec(BASIC_VOCAB, rules, "z"), state, depth, budget)
+    assert_same(agent_spec(BASIC_VOCAB, rules, "z"), state, depth, budget, gen_guard(rng, 2))
 
 
 @settings(max_examples=100, deadline=None)
@@ -338,7 +369,11 @@ def test_basic_agent_moves_enumerate_as_the_reference(seed, state, depth, budget
 def test_choice_agent_moves_enumerate_as_the_reference(seed, state, depth, budget):
     rng = random.Random(seed)
     rules = [gen_choice_rule(rng, 3, 2) for _ in "MN"]
-    assert_same(agent_spec(CHOICE_VOCAB, rules, "c"), state, depth, budget)
+    # (forall|exists v in U1|U2) f(s) = t, over v, the constants and g.
+    s, t = (rng.choice((Var("v"), App("a"), App("b"), App("g"))) for _ in "st")
+    guard = QuantGuard(rng.choice(("forall", "exists")), "v", rng.choice(("U1", "U2")),
+                       Atom(App("=", (App("f", (s,)), t))))
+    assert_same(agent_spec(CHOICE_VOCAB, rules, "c"), state, depth, budget, guard)
 
 
 # Each pair conflicts by one clause of ``_footprints_conflict`` only, and
@@ -416,3 +451,82 @@ def test_agents_are_listed_once_per_mod_table(monkeypatch):
     monkeypatch.setattr(distributed, "agents_of", counted)
     assert len(enumerate_reachable(spec, state, 6).states) == 123
     assert listed == [state]
+
+
+# ---------------------------------------------------------------------------
+# The safety guard: a move evaluates again only the instances it touches
+
+
+def count_guards(monkeypatch) -> list:
+    """The guards ``runner`` evaluates, one entry per evaluation."""
+    calls = []
+    real = runner.eval_guard
+
+    def counted(state, env, guard, **kwargs):
+        calls.append(guard)
+        return real(state, env, guard, **kwargs)
+
+    monkeypatch.setattr(runner, "eval_guard", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,depth,states,evaluations", [(4, 3, 7, 17), (10, 6, 123, 255)])
+def test_a_move_evaluates_only_the_guard_instances_it_touches(
+    monkeypatch, n, depth, states, evaluations,
+):
+    # Evaluated whole at every state, the n instances are evaluated 7 * 4 = 28
+    # and 123 * 10 = 1,230 times.  Now the initial state evaluates the guard
+    # whole and then its n instances, and a state a move finds only the two
+    # instances that read the mover's Mode.
+    spec, state = thinking_ring(n)
+    guard = parse_guard_text(RING_GUARDS[0], spec.vocabulary)
+    calls = count_guards(monkeypatch)
+    report = enumerate_reachable(spec, state, depth, predicate=guard)
+    assert (len(report.states), len(calls)) == (states, evaluations)
+    assert evaluations == 1 + n + 2 * (states - 1)
+    assert calls.count(guard) == 1
+
+
+GUESTS = parse_program("""\
+# A guest eats and then leaves: leaving writes Seated, the universe the
+# guard below ranges over.
+vocabulary:
+  dynamic Mode/1
+  relation Seated/1
+constants think, eat, gone, a, b, c
+module Guest:
+  if Mode(Self) = think then
+    Mode(Self) := eat
+  elseif Mode(Self) = eat then
+    Mode(Self) := gone, Seated(Self) := false
+  endif
+""")
+
+
+def test_a_move_that_writes_the_universe_evaluates_the_guard_whole(monkeypatch):
+    state = parse_state(
+        "".join(f"Mod({g}) = Guest\nSeated({g}) = true\nMode({g}) = think\n" for g in "abc"),
+        GUESTS.vocabulary, constants=GUESTS.constants,
+    )
+    guard = parse_guard_text("(exists x in Seated) Mode(x) = think", GUESTS.vocabulary)
+    calls = count_guards(monkeypatch)
+    report = enumerate_reachable(GUESTS, state, 6, predicate=guard)
+    # The initial state, then the 7 states of thinking and eating guests
+    # reuse instances; the other 19, found by a guest's leaving or from
+    # such a state, evaluate the guard whole.
+    assert (len(report.states), len(report.violations), calls.count(guard)) == (27, 8, 20)
+    assert_same(GUESTS, state, 6, 20000, guard)
+
+
+def test_an_instance_evaluated_again_keeps_its_new_footprint():
+    # f(g) = undef reads f(a) at first; once A sets g to b it reads f(b),
+    # which B's move then writes.
+    spec = parse_program(
+        "vocabulary:\n  dynamic g/0, f/1\nconstants a, b, one, p, q\n"
+        "module A:\n  g := b\nmodule B:\n  f(b) := one\n"
+    )
+    state = parse_state("g = a\nMod(p) = A\nMod(q) = B", spec.vocabulary, constants=spec.constants)
+    guard = parse_guard_text("f(g) = undef", spec.vocabulary)
+    report = enumerate_reachable(spec, state, 2, predicate=guard)
+    assert [w.moves for w in report.violations] == [["agent p", "agent q"]]
+    assert_same(spec, state, 2, 20000, guard)

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from ealgebra import (
+    ContractViolation,
     Element,
     Location,
     ModeError,
@@ -19,6 +20,7 @@ from ealgebra import (
     step,
 )
 from ealgebra.runner import record_from_json, record_to_json
+from ealgebra.syntax import App, Atom, BoolGuard, QuantGuard, Var
 
 from conftest import load_initial, load_program
 
@@ -169,6 +171,20 @@ def test_enumerate_violation_witness(philosophers, ring3):
     assert report.violations
     witness = report.violations[0]
     assert len(witness.moves) == 1  # one move into an eating state
+
+
+def test_enumerate_refuses_a_predicate_given_as_text(philosophers, ring3):
+    with pytest.raises(ContractViolation, match="parse_guard_text"):
+        enumerate_reachable(philosophers, ring3, 1, predicate="(forall x in P) true")
+
+
+def test_enumerate_refuses_a_malformed_predicate_before_evaluating_it(philosophers, ring3):
+    # Mode(x) is not Boolean, so the quantifier raises at its first element;
+    # compiling the whole predicate refuses the malformed connective first.
+    raises = QuantGuard("forall", "x", "P", Atom(App("Mode", (Var("x"),))))
+    malformed = BoolGuard("xor", (Atom(App("true")), Atom(App("true"))))
+    with pytest.raises(TypeError, match="malformed guard"):
+        enumerate_reachable(philosophers, ring3, 1, predicate=BoolGuard("and", (raises, malformed)))
 
 
 def test_trace_rendering_is_deterministic(philosophers, ring3):
