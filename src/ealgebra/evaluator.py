@@ -463,7 +463,9 @@ def _check_input(
 
 
 def eval_term(state: State, env, t: syntax.Term, *, oracle=None, externals=()) -> Element:
-    run = _start(state, env, None, oracle, (), None, None)
+    # A term or a guard allocates nothing, and no closure writes ``env``
+    # (``_Run.bind`` copies it): the run needs no allocator and no copy.
+    run = _Run(state, env or {}, None, oracle, None, (), state.vocabulary)
     return _compiled(_parsed(t, "term"), state.vocabulary, frozenset(externals), _Compiler.term)(run)
 
 
@@ -475,7 +477,7 @@ def eval_guard(
     variables.  With ``footprint``, the locations and the tables the
     evaluation read are added to it; every operand is evaluated, so they do
     not depend on truth values."""
-    run = _start(state, env, None, oracle, (), footprint, None)
+    run = _Run(state, env or {}, None, oracle, footprint, (), state.vocabulary)
     return _compiled(_parsed(g, "guard"), state.vocabulary, frozenset(externals), _Compiler.guard)(run)
 
 

@@ -651,9 +651,44 @@ def enumerate_reachable(
 # Trace serialization
 
 
-def _encode_element(e: Element) -> str:
-    tag = {"logic": "l", "named": "n", "int": "i", "reserve": "r"}[e.kind]
-    return f"{tag}:{e.value}"
+_quote = json.encoder.encode_basestring_ascii  # json.dumps's own escaper
+_TAGS = {"logic": "l:", "named": "n:", "int": "i:", "reserve": "r:"}
+
+
+def _element_json(e: Element) -> str:
+    """An element as a quoted ``tag:value`` string."""
+    kind, value = e
+    return _quote(f"{_TAGS[kind]}{value}")
+
+
+def _elements_json(elements) -> str:
+    return "[" + ", ".join(map(_element_json, elements)) + "]"
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _scalar_json(value) -> str:
+    """``json.dumps(value)``, written directly for None, a bool and an int."""
+    if value is None or type(value) is bool:
+        return _LITERALS[value]
+    return repr(value) if type(value) is int else json.dumps(value)
+
+
+def _update_json(u: Update) -> str:
+    (fname, args), value = u
+    mirror = ', "mirror": true' if isinstance(u, StaticMirror) else ""
+    return (
+        f'{{"args": {_elements_json(args)}, "f": {_quote(fname)}{mirror}, '
+        f'"value": {_element_json(value)}}}'
+    )
+
+
+def _conflict_lines(conflicts: dict) -> list[str]:
+    return sorted(
+        f"{loc!r} in {{{', '.join(sorted(format_element(v) for v in vals))}}}"
+        for loc, vals in conflicts.items()
+    )
 
 
 def _decode_element(text: str) -> Element:
@@ -669,62 +704,69 @@ def _decode_element(text: str) -> Element:
     raise ParseError(f"bad element encoding: {text}")
 
 
-def _encode_update(u: Update) -> dict:
-    out = {
-        "f": u.location.fname,
-        "args": [_encode_element(a) for a in u.location.args],
-        "value": _encode_element(u.value),
-    }
-    if isinstance(u, StaticMirror):
-        out["mirror"] = True
-    return out
+def _decode_name(name) -> str:
+    if not isinstance(name, str):
+        raise TypeError(f"function name {name!r} is not a string")
+    return name
 
 
 def _decode_update(d: dict) -> Update:
-    loc = Location(d["f"], tuple(_decode_element(a) for a in d["args"]))
+    loc = Location(_decode_name(d["f"]), tuple(_decode_element(a) for a in d["args"]))
     value = _decode_element(d["value"])
     return StaticMirror(loc, value) if d.get("mirror") else Update(loc, value)
 
 
 def record_to_json(record: StepRecord) -> str:
-    payload = {
-        "step": record.index,
-        "updates": [_encode_update(u) for u in record.updates.sorted_updates()],
-        "consistent": record.consistent,
-        "fired": record.fired,
-        "oracle": [
-            [fname, [_encode_element(a) for a in args], _encode_element(v)]
-            for fname, args, v in record.oracle_qa
-        ],
-    }
-    if record.choice_index is not None or record.family_size is not None:
-        payload["choice"] = record.choice_index
-        payload["family"] = record.family_size
-    if record.agent is not None:
-        payload["agent"] = _encode_element(record.agent)
-    if record.conflicts:
-        payload["conflicts"] = sorted(
-            f"{loc!r} in {{{', '.join(sorted(format_element(v) for v in vals))}}}"
-            for loc, vals in record.conflicts.items()
-        )
-    return json.dumps(payload, sort_keys=True)
+    """One line of a records trace, byte for byte what ``json.dumps(payload,
+    sort_keys=True)`` gives for the record's payload, written directly:
+    the keys in sorted order, ``", "`` and ``": "`` as separators, and
+    every string through ``json``'s ASCII escaper."""
+    r = record
+    agent = "" if r.agent is None else f'"agent": {_element_json(r.agent)}, '
+    choice = conflicts = family = ""
+    if r.choice_index is not None or r.family_size is not None:
+        choice = f'"choice": {_scalar_json(r.choice_index)}, '
+        family = f'"family": {_scalar_json(r.family_size)}, '
+    if r.conflicts:
+        conflicts = f'"conflicts": [{", ".join(map(_quote, _conflict_lines(r.conflicts)))}], '
+    oracle = ", ".join(
+        f"[{_quote(fname)}, {_elements_json(args)}, {_element_json(v)}]"
+        for fname, args, v in r.oracle_qa
+    )
+    updates = ", ".join(map(_update_json, r.updates.sorted_updates()))
+    return (
+        f'{{{agent}{choice}{conflicts}"consistent": {_scalar_json(r.consistent)}, {family}'
+        f'"fired": {_scalar_json(r.fired)}, "oracle": [{oracle}], '
+        f'"step": {_scalar_json(r.index)}, "updates": [{updates}]}}'
+    )
 
 
 def record_from_json(text: str) -> StepRecord:
     """The step record of one line of a records trace (``record_to_json``);
-    ``ParseError`` for a line that is not one."""
+    ``ParseError`` for a line that is not one.  The conflicts of a step
+    that did not fire are those of its update set, as ``fire_and_record``
+    records them, and the line must list exactly these."""
     try:
         d = json.loads(text)
+        index = d["step"]
+        beta = UpdateSet(frozenset(_decode_update(u) for u in d["updates"]))
+        consistent, fired = d["consistent"], d["fired"]
+        conflicts = {} if fired else beta.conflicts()
+        listed, expected = d.get("conflicts", []), _conflict_lines(conflicts)
+        if listed != expected:
+            raise ParseError(
+                f"bad step record: conflicts {listed} are not {expected}, those of its update set"
+            )
         return StepRecord(
-            index=d["step"],
-            updates=UpdateSet(frozenset(_decode_update(u) for u in d["updates"])),
-            consistent=d["consistent"],
-            fired=d["fired"],
-            conflicts={},
+            index=index,
+            updates=beta,
+            consistent=consistent,
+            fired=fired,
+            conflicts=conflicts,
             choice_index=d.get("choice"),
             family_size=d.get("family"),
             oracle_qa=tuple(
-                (f, tuple(_decode_element(a) for a in args), _decode_element(v))
+                (_decode_name(f), tuple(_decode_element(a) for a in args), _decode_element(v))
                 for f, args, v in d.get("oracle", [])
             ),
             agent=_decode_element(d["agent"]) if "agent" in d else None,

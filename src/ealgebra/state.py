@@ -49,6 +49,7 @@ from .errors import (
 from .vocabulary import COMPUTED_NAMES, FunctionName, Vocabulary
 
 _LOGIC_RANK = {"true": 0, "false": 1, "undef": 2}
+_KIND_RANK = {"logic": 0, "named": 1, "int": 2, "reserve": 3}
 
 
 class Element(NamedTuple):
@@ -70,13 +71,12 @@ class Element(NamedTuple):
         return Element("reserve", serial)
 
     def sort_key(self):
-        if self.kind == "logic":
-            return (0, _LOGIC_RANK[self.value], "")
-        if self.kind == "named":
-            return (1, 0, self.value)
-        if self.kind == "int":
-            return (2, self.value, "")
-        return (3, self.value, "")
+        kind, value = self
+        if kind == "logic":
+            return (0, _LOGIC_RANK[value], "")
+        if kind == "named":
+            return (1, 0, value)
+        return (_KIND_RANK[kind], value, "")
 
     def __repr__(self):
         return f"<{format_element(self)}>"
@@ -102,7 +102,8 @@ class Location(NamedTuple):
     args: tuple[Element, ...] = ()
 
     def sort_key(self):
-        return (self.fname, tuple(a.sort_key() for a in self.args))
+        fname, args = self
+        return (fname, tuple([a.sort_key() for a in args]))
 
     def __repr__(self):
         if not self.args:
@@ -113,9 +114,6 @@ class Location(NamedTuple):
 class Update(NamedTuple):
     location: Location
     value: Element
-
-    def sort_key(self):
-        return (*self.location.sort_key(), self.value.sort_key())
 
     def __repr__(self):
         return f"{self.location!r} := {format_element(self.value)}"
@@ -144,6 +142,23 @@ class StaticMirror(Update):
 
     def __repr__(self):
         return f"~{super().__repr__()}"
+
+
+def _flat_key(key: list, elements) -> list:
+    """``key`` extended by two items per element, which compare as the
+    elements' ``sort_key``s do."""
+    for kind, value in elements:
+        key += (_KIND_RANK[kind], _LOGIC_RANK[value] if kind == "logic" else value)
+    return key
+
+
+def _update_key(u: Update) -> list:
+    """Orders updates by location (name, then arguments) and then value;
+    the -1 ends the arguments, so a location with fewer sorts first."""
+    (fname, args), (kind, value) = u
+    key = _flat_key([fname], args)
+    key += (-1, _KIND_RANK[kind], _LOGIC_RANK[value] if kind == "logic" else value)
+    return key
 
 
 @dataclass(frozen=True)
@@ -181,10 +196,8 @@ class UpdateSet:
         return not self.conflicts()
 
     def sorted_updates(self) -> list[Update]:
-        return sorted(self.updates, key=Update.sort_key)
-
-    def sort_key(self):
-        return tuple(u.sort_key() for u in self.sorted_updates())
+        """The updates in the order of ``_update_key``."""
+        return sorted(self.updates, key=_update_key)
 
     def __repr__(self):
         inner = ", ".join(repr(u) for u in self.sorted_updates())
@@ -215,7 +228,7 @@ class UpdateFamily:
 
     def sorted_members(self) -> list[UpdateSet]:
         """The members in a deterministic order."""
-        return sorted(self.sets, key=UpdateSet.sort_key)
+        return sorted(self.sets, key=lambda beta: sorted(map(_update_key, beta.updates)))
 
 
 def _is_default(fn: FunctionName, value: Element) -> bool:
@@ -406,7 +419,7 @@ class State:
         """Stored facts in canonical order, for output."""
         for fname in sorted(self._tables):
             items = self._tables[fname].items()
-            for args, value in sorted(items, key=lambda i: tuple(a.sort_key() for a in i[0])):
+            for args, value in sorted(items, key=lambda item: _flat_key([], item[0])):
                 yield fname, args, value
 
     # -- firing ---------------------------------------------------------------

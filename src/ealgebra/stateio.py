@@ -94,6 +94,15 @@ def parse_state(
         vocabulary.require(name)
         tables.setdefault(name, {})[()] = Element.named(name)
 
+    # A state block repeats a few names and literals: each is looked up or
+    # parsed once per call.
+    names: dict = {}
+    elements: dict[str, Element] = {}
+
+    def element(token: str) -> Element:
+        found = elements[token] = parse_element(token, vocabulary)
+        return found
+
     reserve_next = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -109,15 +118,17 @@ def parse_state(
         if fact is None:
             raise ParseError(f"not a fact line: {line!r}", lineno, 1)
         fname, raw_args, raw_value = fact
-        fn = vocabulary.lookup(fname)
+        fn = names.get(fname)
         if fn is None:
-            raise ParseError(f"unknown function name: {fname}", lineno, 1)
-        args = tuple(parse_element(p, vocabulary) for p in raw_args)
+            fn = names[fname] = vocabulary.lookup(fname)
+            if fn is None:
+                raise ParseError(f"unknown function name: {fname}", lineno, 1)
+        args = tuple([elements.get(p) or element(p) for p in raw_args])
         if len(args) != fn.arity:
             raise ParseError(
                 f"{fname}: expected {fn.arity} arguments, got {len(args)}", lineno, 1
             )
-        tables.setdefault(fname, {})[args] = parse_element(raw_value, vocabulary)
+        tables.setdefault(fname, {})[args] = elements.get(raw_value) or element(raw_value)
     return State(vocabulary, tables, reserve_next)
 
 

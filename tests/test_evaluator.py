@@ -40,6 +40,7 @@ from ealgebra.syntax import (
     Duplicate,
     Extend,
     Import,
+    QuantGuard,
     UniverseRange,
     UpdateInstr,
     Var,
@@ -140,6 +141,23 @@ def test_existential_over_a_finite_extent():
     s = State(v, {"U": {(N1,): TRUE, (N2,): TRUE}, "Leaf": {(N2,): TRUE}})
     assert eval_guard(s, None, parse_guard_text("(exists v in U) Leaf(v)", v))
     assert not eval_guard(s, None, parse_guard_text("(forall v in U) Leaf(v)", v))
+
+
+def test_a_guard_reads_its_environment_and_leaves_it_as_it_was():
+    v = make_vocabulary(
+        [
+            FunctionName("U", 1, is_relation=True, is_static=True),
+            FunctionName("Leaf", 1, is_relation=True),
+        ]
+    )
+    s = State(v, {"U": {(N1,): TRUE, (N2,): TRUE}, "Leaf": {(N2,): TRUE}})
+    # (exists v in U) v = w, with w free: the quantifier binds v over env.
+    g = QuantGuard("exists", "v", "U", Atom(App("=", (Var("v"), Var("w")))))
+    for w, holds in ((N1, True), (A, False)):
+        env = {"w": w}
+        assert eval_guard(s, env, g) is holds
+        assert eval_term(s, env, Var("w")) == w
+        assert env == {"w": w}
 
 
 TRUE_ATOM, FALSE_ATOM = Atom(App("true")), Atom(App("false"))

@@ -273,6 +273,8 @@ def test_a_step_records_conflicts_only_when_its_set_does_not_fire():
      "bad step record: AttributeError: 'int' object has no attribute"),
     ('{"step": 1, "updates": [{"f": "X", "args": [], "value": "q:1"}],'
      ' "consistent": true, "fired": true}', "bad element encoding: q:1"),
+    ('{"step": 1, "updates": [{"f": 3, "args": [], "value": "i:1"}],'
+     ' "consistent": true, "fired": true}', "function name 3 is not a string"),
 ])
 def test_malformed_step_records_raise_parse_error(line, message):
     with pytest.raises(ParseError, match=re.escape(message)):
