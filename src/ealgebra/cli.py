@@ -79,20 +79,27 @@ def _load_initial(path, target):
     return state
 
 
+class _InteractiveOracle(runner.Oracle):
+    """Asks on stderr and reads each answer from a line of stdin."""
+
+    def __init__(self, vocabulary):
+        self.vocabulary = vocabulary
+
+    def resolve(self, fname, args, step_index):
+        rendered = ", ".join(format_element(a) for a in args)
+        sys.stderr.write(f"step {step_index}: {fname}({rendered}) = ")
+        sys.stderr.flush()
+        line = sys.stdin.readline()
+        if not line:
+            raise OracleError(f"no interactive answer for {fname}")
+        return parse_element(line.strip(), self.vocabulary)
+
+
 def _make_oracle(arg, vocabulary):
     if arg is None:
         return runner.UndefOracle()
     if arg == "interactive":
-        def ask(fname, args, step_index):
-            rendered = ", ".join(format_element(a) for a in args)
-            sys.stderr.write(f"step {step_index}: {fname}({rendered}) = ")
-            sys.stderr.flush()
-            line = sys.stdin.readline()
-            if not line:
-                raise OracleError(f"no interactive answer for {fname}")
-            return parse_element(line.strip(), vocabulary)
-
-        return runner.CallableOracle(ask)
+        return _InteractiveOracle(vocabulary)
     return runner.ScriptedOracle.load(arg, vocabulary)
 
 
@@ -218,13 +225,7 @@ def _cmd_check_run(args) -> int:
     if not isinstance(target, DistributedSpec):
         raise ParseError("check-run needs a distributed specification")
     pr = load_certificate(args.certificate, target)
-    initial = None
-    if args.state:
-        initial = _load_initial(args.state, target)
-        if frozenset() not in pr.states:
-            states = dict(pr.states)
-            states[frozenset()] = initial
-            pr.states = states
+    initial = _load_initial(args.state, target) if args.state else None
     verdict = dist.check_partial_run(target, pr, initial_state=initial)
     witness = verdict.witness  # a move id, or a pair or segment of them
     if witness is not None and not isinstance(witness, str):

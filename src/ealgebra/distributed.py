@@ -13,7 +13,7 @@ linearity, initial-state validity and coherence of the segment states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, combinations
 from typing import Container, Iterable, Mapping, Optional, Sequence
 
@@ -202,8 +202,7 @@ def sequential_run(
         max_steps = len(schedule)
     elif max_steps is None:
         raise ScheduleError("a run without a schedule needs max_steps")
-    trace = RunTrace(states=[initial], records=[], stop_reason="schedule-end")
-    state = initial
+    state, records = initial, []
     for index in range(1, max_steps + 1):
         if schedule is not None:
             agent = scheduled_agent(spec, by_element, state, schedule[index - 1])
@@ -215,9 +214,8 @@ def sequential_run(
         state, record = agent_move(
             spec, state, agent, chooser, oracle=oracle, index=index
         )
-        trace.states.append(state)
-        trace.records.append(record)
-    return trace
+        records.append(record)
+    return RunTrace(initial, records, "schedule-end", state)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +520,8 @@ def check_partial_run(
     *,
     initial_state: State | None = None,
 ) -> Verdict:
-    """Verify the four partially-ordered-run conditions on a certificate.
+    """Verify the four partially-ordered-run conditions on a certificate;
+    ``initial_state`` is also sigma of the empty segment when it gives none.
 
     The first fault found refutes it: certificate shape, then conditions 1
     to 4 in order.  Condition 4 holds at once when the moves' footprints
@@ -530,6 +529,8 @@ def check_partial_run(
     it.  Raises ``BudgetError`` when the predecessor sets, or the segments
     the scan lists, hold more than ``SEGMENT_BUDGET`` moves in all.
     """
+    if initial_state is not None and frozenset() not in pr.states:
+        pr = replace(pr, states={**pr.states, frozenset(): initial_state})
     try:
         # Certificate shape, and the acyclic order of condition 1.
         order = _shape(pr)
@@ -623,15 +624,14 @@ def linearizations(
     by_element = validate_spec_state(spec, base) if segment else {}
     traces = []
     for order in orders:
-        state, states, records = base, [base], []
+        state, records = base, []
         for index, move in enumerate(order, start=1):
             state, record = fire_and_record(
                 state, _move_update_set(spec, pr, move, state, by_element),
                 index=index, agent=pr.agent_of[move],
             )
             records.append(record)
-            states.append(state)
-        traces.append(RunTrace(states=states, records=records, stop_reason="schedule-end"))
+        traces.append(RunTrace(base, records, "schedule-end", state))
     return LinearizationReport(traces=traces, complete=complete)
 
 

@@ -12,9 +12,9 @@ runs and moves call these.
 External functions are never written into a state's tables; every step
 reads them through a per-step memoizing oracle view, so a query asked
 twice within one step returns one value while later steps may see fresh
-answers.  Step records capture the fired update set, the consistency
-flag, the oracle transcript and the choice index, which is enough for
-bit-exact replay.
+answers.  Step records capture the update set, whether it fired, the
+oracle transcript and the choice index, which is enough for bit-exact
+replay; a run keeps its initial state and its records.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import syntax
@@ -133,14 +134,6 @@ class ScriptedOracle(Oracle):
         return self.answers.get((step_index, fname, args), UNDEF)
 
 
-class CallableOracle(Oracle):
-    def __init__(self, fn: Callable[[str, tuple[Element, ...], int], Element]):
-        self.fn = fn
-
-    def resolve(self, fname, args, step_index):
-        return self.fn(fname, args, step_index)
-
-
 class OracleView:
     """Per-step memo over an oracle: ask once, save the result, reuse it."""
 
@@ -167,27 +160,46 @@ class OracleView:
 
 @dataclass
 class StepRecord:
+    """One step; ``consistent``, ``conflicts`` and ``fixpoint`` follow from the rest."""
+
     index: int
     updates: UpdateSet
-    consistent: bool
     fired: bool
-    conflicts: dict
     choice_index: Optional[int]
     family_size: Optional[int]
     oracle_qa: tuple[tuple[str, tuple[Element, ...], Element], ...]
     agent: Optional[Element] = None
-    fixpoint: bool = False
+
+    @property
+    def consistent(self) -> bool:
+        return self.fired  # a set fires exactly when it is consistent
+
+    @property
+    def conflicts(self) -> dict:
+        return {} if self.fired else self.updates.conflicts()
+
+    @property
+    def fixpoint(self) -> bool:
+        """Asked no oracle and can change nothing: an empty family, or a
+        forced, consistent, empty set."""
+        return not self.oracle_qa and (self.family_size == 0 or (
+            self.fired and not self.updates.updates and self.family_size in (None, 1)
+        ))
 
 
 @dataclass
 class RunTrace:
-    states: list[State]
+    """A run: its initial state, its step records, why it stopped and where."""
+
+    initial: State
     records: list[StepRecord]
     stop_reason: str
+    final_state: State
 
     @property
-    def final_state(self) -> State:
-        return self.states[-1]
+    def states(self) -> list[State]:
+        """The initial state and the state after each step, replayed."""
+        return list(accumulate(self.records, replay_record, initial=self.initial))
 
 
 def prepare_rule(program: Program) -> syntax.Rule:
@@ -234,24 +246,15 @@ def fire_and_record(
 ) -> tuple[State, StepRecord]:
     """Fire ``beta`` against ``state`` and record the step.
 
-    ``beta`` None stands for an empty family: nothing fires and the step is
-    inconsistent.  A step that asked no oracle is a fixpoint when it can
-    change nothing: an empty family, or a forced, consistent, empty set.
+    ``beta`` None stands for an empty family: nothing fires.
     """
     if beta is None:
-        new_state, fired, conflicts, beta = state, False, {}, EMPTY_UPDATE_SET
-        consistent, fixpoint = False, not oracle_qa
+        new_state, fired, beta = state, False, EMPTY_UPDATE_SET
     else:
         new_state, fired = state.fire_update_set(beta)
-        conflicts = {} if fired else beta.conflicts()  # a fired set is consistent
-        consistent = fired
-        fixpoint = (
-            not (oracle_qa or beta.updates) and fired and family_size in (None, 1)
-        )
     return new_state, StepRecord(
-        index=index, updates=beta, consistent=consistent, fired=fired,
-        conflicts=conflicts, choice_index=choice_index, family_size=family_size,
-        oracle_qa=oracle_qa, agent=agent, fixpoint=fixpoint,
+        index=index, updates=beta, fired=fired, choice_index=choice_index,
+        family_size=family_size, oracle_qa=oracle_qa, agent=agent,
     )
 
 
@@ -307,16 +310,14 @@ def run(
     if chooser is None:
         chooser = SeededChooser(0)
     check_appropriate(program, initial)
-    trace = RunTrace(states=[initial], records=[], stop_reason="max-steps")
-    state = initial
+    state, records, stop_reason = initial, [], "max-steps"
     for index in range(1, max_steps + 1):
         state, record = step(program, state, oracle, chooser, step_index=index)
-        trace.states.append(state)
-        trace.records.append(record)
+        records.append(record)
         if record.fixpoint:
-            trace.stop_reason = "fixpoint"
+            stop_reason = "fixpoint"
             break
-    return trace
+    return RunTrace(initial, records, stop_reason, state)
 
 
 def replay_record(state: State, record: StepRecord) -> State:
@@ -727,8 +728,8 @@ def record_to_json(record: StepRecord) -> str:
     if r.choice_index is not None or r.family_size is not None:
         choice = f'"choice": {_scalar_json(r.choice_index)}, '
         family = f'"family": {_scalar_json(r.family_size)}, '
-    if r.conflicts:
-        conflicts = f'"conflicts": [{", ".join(map(_quote, _conflict_lines(r.conflicts)))}], '
+    if clashes := r.conflicts:
+        conflicts = f'"conflicts": [{", ".join(map(_quote, _conflict_lines(clashes)))}], '
     oracle = ", ".join(
         f"[{_quote(fname)}, {_elements_json(args)}, {_element_json(v)}]"
         for fname, args, v in r.oracle_qa
@@ -743,26 +744,15 @@ def record_to_json(record: StepRecord) -> str:
 
 def record_from_json(text: str) -> StepRecord:
     """The step record of one line of a records trace (``record_to_json``);
-    ``ParseError`` for a line that is not one.  The conflicts of a step
-    that did not fire are those of its update set, as ``fire_and_record``
-    records them, and the line must list exactly these."""
+    ``ParseError`` for a line that is not one.  A step is consistent when
+    it fired, and the conflicts of one that did not fire are those of its
+    update set; the line must say exactly these."""
     try:
         d = json.loads(text)
-        index = d["step"]
-        beta = UpdateSet(frozenset(_decode_update(u) for u in d["updates"]))
-        consistent, fired = d["consistent"], d["fired"]
-        conflicts = {} if fired else beta.conflicts()
-        listed, expected = d.get("conflicts", []), _conflict_lines(conflicts)
-        if listed != expected:
-            raise ParseError(
-                f"bad step record: conflicts {listed} are not {expected}, those of its update set"
-            )
-        return StepRecord(
-            index=index,
-            updates=beta,
-            consistent=consistent,
-            fired=fired,
-            conflicts=conflicts,
+        record = StepRecord(
+            index=d["step"],
+            updates=UpdateSet(frozenset(_decode_update(u) for u in d["updates"])),
+            fired=d["fired"],
             choice_index=d.get("choice"),
             family_size=d.get("family"),
             oracle_qa=tuple(
@@ -771,8 +761,17 @@ def record_from_json(text: str) -> StepRecord:
             ),
             agent=_decode_element(d["agent"]) if "agent" in d else None,
         )
+        listed, consistent = d.get("conflicts", []), d["consistent"]
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ParseError(f"bad step record: {type(exc).__name__}: {exc}") from None
+    expected = _conflict_lines(record.conflicts)
+    if listed != expected:
+        raise ParseError(
+            f"bad step record: conflicts {listed} are not {expected}, those of its update set"
+        )
+    if _scalar_json(consistent) != _scalar_json(record.fired):
+        raise ParseError(f"bad step record: consistent {consistent!r} is not fired {record.fired!r}")
+    return record
 
 
 def render_trace(trace: RunTrace, fmt: str = "text", header: dict | None = None) -> str:

@@ -153,11 +153,15 @@ def _flat_key(key: list, elements) -> list:
 
 
 def _update_key(u: Update) -> list:
-    """Orders updates by location (name, then arguments) and then value;
-    the -1 ends the arguments, so a location with fewer sorts first."""
+    """Orders updates by location (name, then arguments), then value, then
+    a plain update before its ``StaticMirror`` twin; the -1 ends the
+    arguments, so a location with fewer sorts first."""
     (fname, args), (kind, value) = u
     key = _flat_key([fname], args)
-    key += (-1, _KIND_RANK[kind], _LOGIC_RANK[value] if kind == "logic" else value)
+    key += (
+        -1, _KIND_RANK[kind], _LOGIC_RANK[value] if kind == "logic" else value,
+        type(u) is StaticMirror,
+    )
     return key
 
 
@@ -190,10 +194,6 @@ class UpdateSet:
         for u in self.updates:
             seen.setdefault(u.location, set()).add(u.value)
         return {loc: frozenset(vals) for loc, vals in seen.items() if len(vals) > 1}
-
-    @property
-    def is_consistent(self) -> bool:
-        return not self.conflicts()
 
     def sorted_updates(self) -> list[Update]:
         """The updates in the order of ``_update_key``."""

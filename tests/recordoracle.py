@@ -37,7 +37,10 @@ def args_key(args) -> tuple:
 
 
 def update_key(u) -> tuple:
-    return (u.location.fname, args_key(u.location.args), element_key(u.value))
+    return (
+        u.location.fname, args_key(u.location.args), element_key(u.value),
+        isinstance(u, StaticMirror),
+    )
 
 
 def sorted_updates(beta) -> list:

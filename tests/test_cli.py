@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from ealgebra.cli import (
     EXIT_BUDGET,
     EXIT_OK,
+    EXIT_ORACLE,
     EXIT_PARSE,
     EXIT_STATE,
     EXIT_USAGE,
@@ -80,6 +82,18 @@ def test_oracle_script_round(capsys, tmp_path):
     text = trace.read_text()
     assert "oracle input(0) = hello" in text
     assert "oracle input(1) = world" in text
+
+
+def test_interactive_oracle_asks_on_stderr_and_reads_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("hello\nworld\n"))
+    code = run_cli(
+        "run", program("echo.ea"), "--state", program("echo.east"),
+        "--oracle", "interactive", "--steps", "3",
+    )
+    assert code == EXIT_ORACLE  # the third question finds no answer
+    err = capsys.readouterr().err
+    assert err.startswith("step 1: input(0) = step 2: input(1) = step 3: input(2) = ")
+    assert "no interactive answer for input" in err
 
 
 def test_enumerate_safety_holds(capsys):

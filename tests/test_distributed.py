@@ -190,7 +190,7 @@ def test_quasi_sequential_disjoint_agents(philosophers4, ring4):
 
 def test_quasi_sequential_shared_fork_union_is_consistent(philosophers4, ring4):
     union = quasi_move_updates(philosophers4, ring4, [I(0), I(1)])
-    assert union.is_consistent  # Fork(1) := up appears twice with one value
+    assert not union.conflicts()  # Fork(1) := up appears twice with one value
     state = quasi_sequential_step(philosophers4, ring4, [I(0), I(1)])
     assert mode(state, 0) == EAT and mode(state, 1) == EAT
 
@@ -238,6 +238,42 @@ def test_choose_moves_record_family_and_choice(pick, pick_state):
     assert (empty.family_size, empty.choice_index) == (0, None)
     assert not empty.consistent and not empty.fired
     assert trace.states[2] == trace.states[1]
+
+
+MIXED = """\
+vocabulary:
+  dynamic f/1, g/0
+  static relation U/1
+constants a, b, c
+module Picker:
+  choose v in U
+    f(Self) := v
+  endchoose
+module Empty:
+  choose v in U satisfying v = c
+    f(Self) := v
+  endchoose
+module Clash:
+  g := a, g := b
+"""
+
+
+def test_the_states_of_a_run_are_those_of_its_moves_one_at_a_time():
+    spec = parse_program(MIXED)
+    state = parse_state(
+        "Mod(p) = Picker\nMod(e) = Empty\nMod(k) = Clash\nU(a) = true\nU(b) = true",
+        spec.vocabulary, constants=spec.constants,
+    )
+    schedule = [E("p"), E("e"), E("k"), E("p")]
+    trace = sequential_run(spec, state, schedule, chooser=SeededChooser(5))
+    # a choice, an empty family "(no move)", an inconsistent set, a choice
+    assert [(r.family_size, r.fired) for r in trace.records] == [
+        (2, True), (0, False), (None, False), (2, True),
+    ]
+    chooser, stepped = SeededChooser(5), [state]
+    for index, element in enumerate(schedule, start=1):
+        stepped.append(agent_move(spec, stepped[-1], element, chooser, index=index)[0])
+    assert trace.states == stepped and trace.final_state == stepped[-1]
 
 
 def test_sequential_run_without_a_schedule_draws_agents(pick, pick_state):
@@ -383,6 +419,21 @@ def test_linearizations_of_a_chain(philosophers4, ring4):
     pr = generate_partial_run(philosophers4, ring4, [I(0), I(0), I(0)])
     report = linearizations(philosophers4, pr)
     assert len(report.traces) == 1
+
+
+def test_the_states_of_a_linearization_are_its_moves_fired_in_order(philosophers4, ring4):
+    pr = generate_partial_run(philosophers4, ring4, [I(0), I(2), I(0)])
+    for trace in linearizations(philosophers4, pr).traces:
+        stepped = [ring4]
+        for record in trace.records:
+            stepped.append(agent_move(philosophers4, stepped[-1], record.agent)[0])
+        assert trace.states == stepped and trace.final_state == stepped[-1]
+
+
+def test_the_initial_state_stands_in_for_a_missing_empty_sigma(philosophers, ring3):
+    pr = parse_certificate("move m1 by 0\n", philosophers)
+    assert check_partial_run(philosophers, pr, initial_state=ring3).valid
+    assert pr.states == {}
 
 
 def test_three_move_poset_with_one_edge(philosophers4, ring4):

@@ -4,12 +4,16 @@
 to the ``json.dumps`` encoder kept in ``recordoracle``, hold the flat sort
 keys of ``UpdateSet.sorted_updates``, ``UpdateFamily.sorted_members``
 and ``State.stored_items`` to the nested keys, and check that every step line decodes and encodes back to
-itself, conflicts included.
+itself, conflicts included, and to an equal record.  A plain update
+sorts before its ``StaticMirror`` twin under every hash seed.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,19 +72,17 @@ UPDATE_SETS = st.builds(UpdateSet.of, st.lists(updates(), max_size=6))
 
 @st.composite
 def records(draw) -> StepRecord:
-    """A record as ``fire_and_record`` makes them: a set that did not fire
-    records its conflicts, and one that fired has none."""
+    """A record as ``fire_and_record`` makes them: only a consistent set
+    fires."""
     beta = draw(UPDATE_SETS)
-    fired = draw(st.booleans()) and beta.is_consistent
+    fired = draw(st.booleans()) and not beta.conflicts()
     family_size = draw(st.sampled_from([None, 0, 1, 3]))
     choice = draw(st.sampled_from([None, 0, 2]))
     oracle = draw(st.lists(st.tuples(NAMES, st.lists(ELEMENTS, max_size=2).map(tuple), ELEMENTS), max_size=2))
     return StepRecord(
         index=draw(st.integers(1, 10**6)),
         updates=beta,
-        consistent=fired,
         fired=fired,
-        conflicts={} if fired else beta.conflicts(),
         choice_index=choice,
         family_size=family_size,
         oracle_qa=tuple(oracle),
@@ -93,6 +95,7 @@ def records(draw) -> StepRecord:
 def test_records_encode_as_json_dumps_does(record):
     line = record_to_json(record)
     assert line == recordoracle.record_to_json(record)
+    assert record_from_json(line) == record
     assert record_to_json(record_from_json(line)) == line
 
 
@@ -196,8 +199,45 @@ def test_a_long_counter_run_renders_as_the_oracles():
 
 def test_scalars_of_other_types_encode_as_json_dumps_does():
     line = (
-        '{"choice": "x", "consistent": 1, "family": 2.5, "fired": true,'
+        '{"choice": "x", "consistent": 1, "family": 2.5, "fired": 1,'
         ' "oracle": [], "step": -0.0, "updates": []}'
     )
     record = record_from_json(line)
     assert record_to_json(record) == recordoracle.record_to_json(record) == line
+
+
+TWINS = """\
+from ealgebra import (
+    Element, FunctionName, Location, State, StaticMirror, StepRecord, Update,
+    UpdateSet, format_certificate, make_vocabulary,
+)
+from ealgebra.distributed import PartialRun
+from ealgebra.runner import record_to_json
+
+a, b = Element.named("a"), Element.named("b")
+loc = Location("f", (a,))
+beta = UpdateSet.of([Update(loc, b), StaticMirror(loc, b)])
+print(beta.sorted_updates())
+print(record_to_json(StepRecord(1, beta, True, None, None, ())))
+state = State(make_vocabulary([FunctionName("f", 1, is_static=True)]), {})
+print(format_certificate(PartialRun(("m1",), {"m1": a}, frozenset(), {frozenset(): state}, {"m1": beta})))
+"""
+
+
+def test_a_plain_update_sorts_before_its_mirror_under_every_hash_seed():
+    src = str(GOLDEN.parent.parent / "src")
+    outputs = set()
+    for seed in "0123":
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        outputs.add(subprocess.run(
+            [sys.executable, "-c", TWINS], capture_output=True, text=True, env=env,
+            timeout=60, check=True,
+        ).stdout)
+    assert outputs == {
+        "[f(a) := b, ~f(a) := b]\n"
+        '{"consistent": true, "fired": true, "oracle": [], "step": 1, "updates": ['
+        '{"args": ["n:a"], "f": "f", "value": "n:b"}, '
+        '{"args": ["n:a"], "f": "f", "mirror": true, "value": "n:b"}]}\n'
+        "move m1 by a\nupdates m1: f(a) := b, ~f(a) := b\nsigma:\nendsigma\n\n"
+    }

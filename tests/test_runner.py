@@ -1,3 +1,4 @@
+import gc
 import re
 
 import pytest
@@ -10,10 +11,12 @@ from ealgebra import (
     ParseError,
     ScriptedOracle,
     SeededChooser,
+    State,
     UNDEF,
     enumerate_reachable,
     parse_guard_text,
     parse_program,
+    parse_state,
     render_trace,
     replay_record,
     run,
@@ -275,6 +278,8 @@ def test_a_step_records_conflicts_only_when_its_set_does_not_fire():
      ' "consistent": true, "fired": true}', "bad element encoding: q:1"),
     ('{"step": 1, "updates": [{"f": 3, "args": [], "value": "i:1"}],'
      ' "consistent": true, "fired": true}', "function name 3 is not a string"),
+    ('{"step": 1, "updates": [], "consistent": false, "fired": true}',
+     "bad step record: consistent False is not fired True"),
 ])
 def test_malformed_step_records_raise_parse_error(line, message):
     with pytest.raises(ParseError, match=re.escape(message)):
@@ -285,3 +290,21 @@ def test_run_and_step_refuse_a_distributed_spec(philosophers, ring3):
     for call in (run, step):
         with pytest.raises(ModeError, match="sequential_run"):
             call(philosophers, ring3)
+
+
+def test_every_record_of_a_run_to_its_fixpoint_decodes_to_itself(tree_program, tree_state):
+    trace = run(tree_program, tree_state, max_steps=10)
+    assert trace.stop_reason == "fixpoint" and trace.records[-1].fixpoint
+    for record in trace.records:
+        assert record_from_json(record_to_json(record)) == record
+
+
+def test_a_run_keeps_its_initial_and_final_states_only():
+    program = parse_program("vocabulary:\n  dynamic c/0\npragma integers\nprogram:\n  c := c + 1\n")
+    gc.collect()
+    before = sum(isinstance(o, State) for o in gc.get_objects())
+    trace = run(program, parse_state("c = 0\n", program.vocabulary), max_steps=500)
+    gc.collect()
+    assert sum(isinstance(o, State) for o in gc.get_objects()) - before == 2
+    assert trace.final_state.read(Location("c")) == Element.integer(500)
+    assert trace.states[0] is trace.initial and trace.states[-1] == trace.final_state
