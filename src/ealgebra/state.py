@@ -41,6 +41,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import (
+    ContractViolation,
     IllegalUpdateError,
     StateValidityError,
     UpdateTypeError,
@@ -233,11 +234,6 @@ class UpdateFamily:
 
 def _is_default(fn: FunctionName, value: Element) -> bool:
     return value == (FALSE if fn.is_relation else UNDEF)
-
-
-def _mentions_reserve(fact: tuple[str, tuple[Element, ...], Element]) -> bool:
-    _, args, value = fact
-    return value.kind == "reserve" or "reserve" in [a.kind for a in args]
 
 
 LEAF_SIZE = 32  # facts in a trie leaf; a table of no more is one plain dict
@@ -529,6 +525,8 @@ class State:
 
         Decided exactly by comparing canonical keys.
         """
+        if not isinstance(other, State):
+            raise ContractViolation(f"isomorphism compares two states, not {type(other).__name__}")
         if self.vocabulary != other.vocabulary:
             raise VocabularyError("isomorphism requires a common vocabulary")
         return self.canonical_key() == other.canonical_key()
@@ -538,8 +536,9 @@ class State:
 
         Two states over one vocabulary have equal keys iff they are
         :meth:`isomorphic`.  Without reserve elements the key is the fact
-        set itself.  Otherwise it pairs the facts free of reserve elements
-        with the canonical form of the rest (see :func:`_canonical_form`).
+        set itself.  Otherwise it is the facts free of reserve elements,
+        the names and other elements of the rest, and the rest's canonical
+        form as tuples of ints (see :func:`_canonical_form`).
         The key is a plain value, independent of set and dict iteration
         order and of the hash seed; there is no limit on the number of
         reserve elements.
@@ -549,10 +548,7 @@ class State:
         are not scanned.
         """
         facts = self._fact_set
-        moving = list(filter(_mentions_reserve, facts)) if self.reserve_next else None
-        if not moving:
-            return facts
-        return facts.difference(moving), _canonical_form(moving)
+        return _canonical_form(facts) if self.reserve_next else facts
 
     def audit_proviso(self) -> list[str]:
         """Check the reserve proviso over all stored locations."""
@@ -679,104 +675,45 @@ def _bool_op(fname: str, args: tuple[Element, ...]) -> Element:
 # bliss (Junttila & Kaski 2007), where only reserve elements may be renamed.
 
 
-class _Coded:
-    """Facts mentioning reserve elements, coded for colour refinement.
+def _canonical_form(facts) -> object:
+    """The canonical key of ``facts`` up to reserve renaming.
 
-    The k reserve elements are numbered 0..k-1 by serial.  A fact becomes
-    ``(name, slots)``, the value being the last slot, and a slot indexes
-    ``palette``: below k a reserve element, from k on the sort key of some
-    other element.  A colouring gives each reserve element a colour in
-    0..c-1; relabelling by it shows colour i as ``(3, i, "")``, the sort key
-    of reserve element i.
+    One pass splits off the facts free of reserve elements; without any
+    others the key is the fact set.  Otherwise the k reserve elements the
+    others mention are numbered 0..k-1 by serial, and their names and
+    other elements k on in sorted order (``labels``), so each of them is
+    a tuple of ints.  The key is the free facts, ``labels`` and the least
+    relabelling of the tuples over the leaves of :func:`_search`.
     """
-
-    def __init__(self, facts):
-        serials = sorted(
-            {e.value for _, args, value in facts for e in (*args, value) if e.kind == "reserve"}
-        )
-        self.size = k = len(serials)
-        reserve_at = {serial: i for i, serial in enumerate(serials)}
-        other_at: dict[Element, int] = {}
-        self.palette: list = [None] * k
-        self.facts = []
-        # Where each reserve element occurs: slot positions and fact rows.
-        self.positions: list[list[int]] = [[] for _ in serials]
-        self.rows: list[list[int]] = [[] for _ in serials]
-        for j, (fname, args, value) in enumerate(facts):
-            slots = []
-            for p, e in enumerate((*args, value)):
-                if e.kind == "reserve":
-                    at = reserve_at[e.value]
-                    self.positions[at].append(p)
-                    self.rows[at].append(j)
-                else:
-                    at = other_at.get(e)
-                    if at is None:
-                        at = other_at[e] = len(self.palette)
-                        self.palette.append(e.sort_key())
-                slots.append(at)
-            self.facts.append((fname, tuple(slots)))
-
-    def relabel(self, colour: list[int]) -> list:
-        palette = self.palette
-        palette[: self.size] = [(3, c, "") for c in colour]
-        show = palette.__getitem__
-        return [(fname, tuple(map(show, slots))) for fname, slots in self.facts]
-
-    def form(self, colour: list[int]) -> tuple:
-        return tuple(sorted(self.relabel(colour)))
-
-    def refine(self, colour: list[int]) -> list[int]:
-        """Split colours by the relabelled facts each element occurs in, and
-        where, until no colour splits; renumber by the sorted signatures."""
-        cells = len(set(colour))
-        while cells < self.size:
-            show = self.relabel(colour).__getitem__
-            signatures = [
-                (c, tuple(sorted(zip(ps, map(show, js)))))
-                for c, ps, js in zip(colour, self.positions, self.rows)
-            ]
-            rank = {sig: r for r, sig in enumerate(sorted(set(signatures)))}
-            colour = [rank[sig] for sig in signatures]
-            if len(rank) == cells:
-                break
-            cells = len(rank)
-        return colour
-
-    def twins(self, colour: list[int]) -> list[int]:
-        """The least twin of every element (itself if it has none).
-
-        Twins are elements whose transposition maps the facts onto
-        themselves.  They share a colour in every stable colouring, and
-        twinship is an equivalence, so each element is compared with one
-        member per class found so far in its colour.
-        """
-        present = set(self.facts)
-
-        def swaps_onto(a: int, b: int) -> bool:
-            for x in (a, b):
-                for j in self.rows[x]:
-                    fname, slots = self.facts[j]
-                    swapped = tuple(b if s == a else a if s == b else s for s in slots)
-                    if (fname, swapped) not in present:
-                        return False
-            return True
-
-        twin = list(range(self.size))
-        classes: dict[int, list[int]] = {}
-        for x, c in enumerate(colour):
-            reps = classes.setdefault(c, [])
-            for r in reps:
-                if swaps_onto(r, x):
-                    twin[x] = r
-                    break
-            else:
-                reps.append(x)
-        return twin
+    moving, rows, wide, names, mentioned = [], [], [], set(), set()
+    for fact in facts:
+        fname, args, value = fact
+        slots = value[0] == "reserve"
+        for a in args:
+            if a[0] == "reserve":
+                slots += 1
+        if not slots:
+            continue
+        moving.append(fact)
+        rows.append((fname, *args, value))
+        wide.append(slots > 1)
+        names.add(fname)
+        mentioned.update(args)
+        mentioned.add(value)
+    facts = frozenset(facts)  # the same set if it was one
+    if not moving:
+        return facts
+    elements = sorted(mentioned)  # by kind first, and "reserve" is the last
+    fixed = len(elements) - [e[0] for e in elements].count("reserve")
+    labels = (*sorted(names), *elements[:fixed])
+    code = dict(zip((*elements[fixed:], *labels), range(len(elements) + len(names))))
+    rows = [tuple(map(code.__getitem__, row)) for row in rows]
+    refine = _Refiner(rows, wide, len(elements) - fixed, len(code))
+    return facts.difference(moving), labels, _search(refine)
 
 
-def _canonical_form(facts) -> tuple:
-    """Least relabelled tuple of ``facts`` over the leaves of the search tree.
+def _search(refine: "_Refiner") -> tuple:
+    """The least relabelled facts over the leaves of the search tree.
 
     The root colouring is refined until stable.  While some colour is
     shared, the first shared colour's cell is split: one branch per
@@ -788,11 +725,10 @@ def _canonical_form(facts) -> tuple:
     alone, so isomorphic fact sets give the same leaf forms and the same
     least one.
     """
-    coded = _Coded(facts)
-    colour = coded.refine([0] * coded.size)
-    if len(set(colour)) == coded.size:
-        return coded.form(colour)
-    twin = coded.twins(colour)
+    colour = refine(refine.root)
+    if len(set(colour)) == len(colour):
+        return refine.form(colour)
+    twin = refine.twins(colour)
     first = best = None  # (form, element of each label) of a leaf
     automorphisms: list[list[int]] = []
     frames = []  # (colour, individualised, untried cell members, explored)
@@ -801,10 +737,10 @@ def _canonical_form(facts) -> tuple:
         colour, prefix = node
         cell = _first_shared_cell(colour)
         while cell is not None and len({twin[x] for x in cell}) == 1:
-            colour = coded.refine(_split(colour, cell))
+            colour = refine(_split(colour, cell))
             cell = _first_shared_cell(colour)
         if cell is None:
-            form = coded.form(colour)
+            form = refine.form(colour)
             labelled = [0] * len(colour)
             for x, c in enumerate(colour):
                 labelled[c] = x
@@ -827,25 +763,114 @@ def _canonical_form(facts) -> tuple:
             if explored and _in_orbit(x, explored, prefix, twin, automorphisms):
                 continue
             explored.append(x)
-            node = (coded.refine(_split(colour, [x])), prefix + (x,))
+            node = (refine(_split(colour, [x])), prefix + (x,))
     return best[0]
 
 
+class _Refiner:
+    """Colour refinement of the reserve elements 0..k-1 of facts coded as
+    ints, their other codes k..n-1.  An element's colour is the start of
+    its cell, and its signature the sorted list of the facts it occurs in,
+    relabelled by the colouring with its own slot shown as -1.  Only
+    ``wide`` facts, with more than one reserve slot, show other colours:
+    the root colouring splits by all facts under one colour, and later
+    rounds relabel the wide ones alone.
+    """
+
+    def __init__(self, rows: list[tuple[int, ...]], wide: list[bool], k: int, n: int):
+        self.rows = rows
+        self.tail = [*range(k, n), -1]  # the other codes show as themselves
+        zero = ([0] * k + self.tail).__getitem__
+        shapes: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
+        self.marked = marked = [[] for _ in range(k)]
+        self.occurs = occurs = [[] for _ in range(k)]  # the rows each element occurs in
+        for row, many in zip(rows, wide):
+            if not many:  # its one reserve element has the least code
+                x = min(row)
+                t = list(row)
+                t[row.index(x)] = -1
+                shapes[x].append(tuple(t))
+                occurs[x].append(row)
+                continue
+            shape = tuple(map(zero, row))
+            for p, x in enumerate(row):
+                if x < k:
+                    shapes[x].append((*shape[:p], -1, *shape[p + 1 :]))
+                    occurs[x].append(row)
+                    marked[x].append((*row[:p], -1, *row[p + 1 :]))
+        self.root = [0] * k
+        _cut(sorted(zip(map(sorted, shapes), range(k))), 0, self.root)
+
+    def __call__(self, colour: list[int]) -> list[int]:
+        """Split cells by signature, in place, until none splits."""
+        marked, split = self.marked, True
+        while split and len(set(colour)) < len(colour):
+            cells: dict[int, list[int]] = {}
+            for x, c in enumerate(colour):
+                cells.setdefault(c, []).append(x)
+            show = (colour + self.tail).__getitem__
+            split = False
+            for c, members in cells.items():
+                if len(members) > 1:
+                    sigs = [(sorted([tuple(map(show, t)) for t in marked[x]]), x) for x in members]
+                    split |= _cut(sorted(sigs), c, colour)
+        return colour
+
+    def form(self, colour: list[int]) -> tuple:
+        show = (colour + self.tail).__getitem__
+        return tuple(sorted([tuple(map(show, row)) for row in self.rows]))
+
+    def twins(self, colour: list[int]) -> list[int]:
+        """The least twin of every element (itself if it has none).
+
+        Twins are elements whose transposition maps the facts onto
+        themselves.  They share a colour in every stable colouring, and
+        twinship is an equivalence, so each element is compared with one
+        member per class found so far in its colour.
+        """
+        k, present, occurs = len(colour), set(self.rows), self.occurs
+        swap, twin = list(range(k + len(self.tail) - 1)), list(range(k))
+        classes: dict[int, list[int]] = {}
+        for x, c in enumerate(colour):
+            reps = classes.setdefault(c, [])
+            for r in reps:
+                swap[r], swap[x] = x, r
+                moved = [tuple(map(swap.__getitem__, row)) for row in occurs[r] + occurs[x]]
+                swap[r], swap[x] = r, x
+                if present.issuperset(moved):
+                    twin[x] = r
+                    break
+            else:
+                reps.append(x)
+        return twin
+
+
+def _cut(sigs: list, start: int, colour: list[int]) -> bool:
+    """Colour the runs of equal signatures in ``sigs``, sorted pairs of a
+    signature and an element, as cells from ``start`` on; whether there
+    was more than one."""
+    first, last = start, sigs[0][0]
+    for at, (sig, x) in enumerate(sigs, start):
+        if sig != last:
+            start, last = at, sig
+        colour[x] = start
+    return start != first
+
+
 def _split(colour: list[int], head: list[int]) -> list[int]:
-    """Give the members of ``head``, in order, colours of their own just
-    ahead of the rest of their colour."""
-    place = {x: n for n, x in enumerate(head)}
-    pairs = [(c, place.get(x, len(head))) for x, c in enumerate(colour)]
-    rank = {pair: r for r, pair in enumerate(sorted(set(pairs)))}
-    return [rank[pair] for pair in pairs]
+    """Give the members of ``head``, in order, colours of their own at the
+    end of their cell; the rest keep theirs."""
+    c = colour[head[0]]
+    colour = list(colour)
+    for at, x in enumerate(head, c + colour.count(c) - len(head)):
+        colour[x] = at
+    return colour
 
 
 def _first_shared_cell(colour: list[int]) -> Optional[list[int]]:
-    counts = [0] * len(colour)
-    for c in colour:
-        counts[c] += 1
-    for c, n in enumerate(counts):
-        if n > 1:
+    starts = sorted(set(colour))  # a cell's colour is where it starts
+    for c, end in zip(starts, [*starts[1:], len(colour)]):
+        if end - c > 1:
             return [x for x, d in enumerate(colour) if d == c]
     return None
 

@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ealgebra import TRUE, Element, FunctionName, State, make_vocabulary
+from ealgebra import TRUE, ContractViolation, Element, FunctionName, State, make_vocabulary
 
+from canonoracle import old_key
 from isooracle import brute_isomorphic
 
+ROOT_DIR = Path(__file__).resolve().parent.parent
 VOCAB = make_vocabulary(
     [
         FunctionName("Node", 1, is_relation=True),
         FunctionName("Parent", 1),
         FunctionName("f", 2),
         FunctionName("g", 0),
+        FunctionName("E", 2, is_relation=True),
     ],
     with_reserve=True,
 )
@@ -68,9 +76,9 @@ def renamings(draw, k):
 
 
 @st.composite
-def related_pairs(draw):
+def related_pairs(draw, max_reserve=6, max_facts=12):
     """A state and a renamed copy, perhaps with one fact changed after."""
-    k, facts = draw(fact_lists())
+    k, facts = draw(fact_lists(max_reserve, max_facts))
     other = rename(facts, draw(renamings(k)))
     change = draw(st.sampled_from(["none", "drop", "value", "add"]))
     pool = [Element.reserve(i) for i in range(k + 3)] + list(CONSTANTS)
@@ -225,3 +233,150 @@ def test_many_twins_need_no_deep_search():
     leaves = [("Parent", (Element.reserve(i),), ROOT) for i in range(2000)]
     shuffled = rename(leaves, {Element.reserve(i): Element.reserve(1999 - i) for i in range(2000)})
     assert build(leaves).canonical_key() == build(shuffled).canonical_key()
+
+
+@pytest.mark.parametrize("other", [42, None, "x"])
+def test_isomorphic_refuses_what_is_not_a_state(other):
+    with pytest.raises(ContractViolation, match="two states"):
+        build([("Node", (ROOT,), TRUE)]).isomorphic(other)
+
+
+# -- the old canonical form as a differential oracle -------------------------
+
+
+@st.composite
+def cycle_pairs(draw):
+    """Two unions of marked cycles over up to 12 reserve elements."""
+    lengths = st.lists(st.integers(1, 6), min_size=1, max_size=4).filter(lambda ls: sum(ls) <= 12)
+    pair = []
+    for _ in range(2):
+        ls = draw(lengths)
+        order = draw(st.permutations(range(sum(ls))))
+        pair.append(build(cycles(ls, order, draw(st.sets(st.integers(0, 3), max_size=2)))))
+    return tuple(pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(related_pairs(max_reserve=12, max_facts=24) | cycle_pairs())
+def test_key_equality_matches_the_old_form_on_up_to_12_reserve_elements(pair):
+    one, other = pair
+    same_old = old_key(one.facts()) == old_key(other.facts())
+    assert (one.canonical_key() == other.canonical_key()) == same_old
+
+
+# -- symmetric structures ----------------------------------------------------
+#
+# Graphs with many automorphisms leave elements tied after refinement, and
+# the automorphisms the search finds move the individualised prefix, so
+# these exercise the search and its pruning rather than refinement.
+
+
+def grid(rows: int, cols: int) -> list:
+    return [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)] + [
+        (i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)
+    ]
+
+
+def prism(n: int) -> list:
+    return [(i, (i + 1) % n) for i in range(n)] + [
+        (n + i, n + (i + 1) % n) for i in range(n)
+    ] + [(i, n + i) for i in range(n)]
+
+
+def moebius_ladder(n: int) -> list:
+    """A 2n-cycle with a chord between each pair of opposite vertices."""
+    return [(i, (i + 1) % (2 * n)) for i in range(2 * n)] + [(i, i + n) for i in range(n)]
+
+
+PETERSEN = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [
+    (i, 5 + i) for i in range(5)
+]
+K33 = [(a, b) for a in range(3) for b in range(3, 6)]
+STRUCTURES = {
+    "grid3x3": grid(3, 3),
+    "grid4x3": grid(4, 3),
+    "prism4": prism(4),
+    "prism5": prism(5),
+    "petersen": PETERSEN,
+    "k33": K33,
+}
+
+
+def graph(edges, marked=(), serials=None) -> State:
+    """Symmetric edges ``E`` between reserve elements; ``marked`` vertices
+    are Nodes.  ``serials[v]`` is vertex v's serial (v by default)."""
+    n = 1 + max(map(max, edges))
+    r = [Element.reserve(v if serials is None else serials[v]) for v in range(n)]
+    facts = [("E", (r[a], r[b]), TRUE) for a, b in edges] + [
+        ("E", (r[b], r[a]), TRUE) for a, b in edges
+    ]
+    return build(facts + [("Node", (r[v],), TRUE) for v in marked])
+
+
+def markings(edges) -> list[tuple[int, ...]]:
+    """No mark, one, two adjacent and two apart."""
+    apart = next(
+        v for v in range(1, 1 + max(map(max, edges)))
+        if (0, v) not in edges and (v, 0) not in edges
+    )
+    return [(), (0,), edges[0], (0, apart)]
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_symmetric_structures_keep_their_key_under_relabelling(name):
+    edges = STRUCTURES[name]
+    n = 1 + max(map(max, edges))
+    rng = random.Random(name)
+    for marked in markings(edges):
+        key = graph(edges, marked).canonical_key()
+        for _ in range(40):
+            serials = rng.sample(range(3 * n), n)
+            assert graph(edges, marked, serials).canonical_key() == key
+
+
+def test_prism_and_moebius_ladder_on_8_elements_differ():
+    # Both are 3-regular on 8 vertices, so refinement alone ties them.
+    cube, ladder = graph(prism(4)), graph(moebius_ladder(4))
+    assert cube.canonical_key() != ladder.canonical_key()
+    assert not brute_isomorphic(cube, ladder)
+
+
+@pytest.mark.parametrize("name", ["k33", "prism4", "moebius8"])
+def test_symmetric_structures_agree_with_brute_force(name):
+    edges = moebius_ladder(4) if name == "moebius8" else STRUCTURES[name]
+    one_mark, adjacent, apart = markings(edges)[1:]
+    n = 1 + max(map(max, edges))
+    serials = random.Random(name).sample(range(n), n)
+    # Same number of marks, so brute force must decide; it tries up to
+    # 8! bijections for each pair, so there are few pairs on 8 elements.
+    pairs = [(adjacent, apart), (adjacent, adjacent), (one_mark, one_mark)]
+    if n <= 6:
+        pairs += [(apart, apart), ((0, 1, 2), (0, 1, 3)), ((0, 1, 2), (3, 4, 5))]
+    for first, second in pairs:
+        one, other = graph(edges, first), graph(edges, second, serials)
+        assert (one.canonical_key() == other.canonical_key()) == brute_isomorphic(one, other)
+
+
+KEYS_OF_GROWTREE = """
+from ealgebra import enumerate_reachable, load_state, parse_program_file
+spec = parse_program_file("programs/growtree.ea")
+state = load_state("programs/growtree.east", spec.vocabulary, constants=spec.constants)
+for s, level in enumerate_reachable(spec, state, 4).states:
+    print(level, repr(s.canonical_key()))
+"""
+
+
+def test_keys_print_alike_under_every_hash_seed():
+    src = str(ROOT_DIR / "src")
+    outputs = []
+    for seed in "01":
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", KEYS_OF_GROWTREE], capture_output=True, text=True,
+            env=env, cwd=ROOT_DIR, timeout=60, check=True,
+        ).stdout)
+    assert outputs[0] == outputs[1]
+    assert [line.split()[0] for line in outputs[0].splitlines()] == [
+        str(level) for level, count in enumerate((1, 1, 2, 4, 9)) for _ in range(count)
+    ]

@@ -41,7 +41,10 @@ def scratch_key(state: State):
     for fact in state.facts():
         _, args, value = fact
         (moving if any(e.kind == "reserve" for e in (*args, value)) else plain).append(fact)
-    return frozenset(plain) if not moving else (frozenset(plain), _canonical_form(moving))
+    if not moving:
+        return frozenset(plain)
+    _, labels, form = _canonical_form(moving)
+    return frozenset(plain), labels, form
 
 
 def rebuilt(state: State, reverse: bool = False) -> State:
