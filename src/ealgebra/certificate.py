@@ -12,7 +12,8 @@ Text format, one declaration per line::
     endsigma
 
 ``sigma:`` with no move ids gives the empty segment inline; a static
-mirror inside a recorded set is marked with a leading ``~``.
+mirror inside a recorded set is marked with a leading ``~``.  Element
+literals and fact lines follow the grammar of ``stateio``.
 """
 
 from __future__ import annotations
@@ -21,54 +22,29 @@ import os
 import re
 
 from .distributed import PartialRun
-from .errors import CertificateError, ParseError
+from .errors import CertificateError, ParseError, require_text
 from .state import Element, Location, State, StaticMirror, Update, UpdateSet, format_element
-from .stateio import format_state, is_name, load_state, parse_element, parse_state, split_fact
+from .stateio import fact_reader, format_state, load_state, parse_element, parse_state
 from .syntax import DistributedSpec
+from .vocabulary import IDENTIFIER
 
 _MOVE_RE = re.compile(r"^move\s+(\w+)\s+by\s+(\S+)$")
 _ORDER_RE = re.compile(r"^order\s+(\w+)\s*<\s*(\w+)$")
 _UPDATES_RE = re.compile(r"^updates\s+(\w+)\s*:\s*(.*)$")
 _SIGMA_RE = re.compile(r"^sigma\s*([\w\s,]*):$")
 _INITIAL_RE = re.compile(r"^initial\s+from\s+(\S+)$")
+_ENTRY_SEP_RE = re.compile(r",(?![^()]*\))")  # a comma outside parentheses
 
 
-def _split_entries(text: str) -> list[str]:
-    """Split on commas outside parentheses."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return [p.strip() for p in parts if p.strip()]
-
-
-def _parse_update_entry(entry: str, spec: DistributedSpec) -> Update:
-    mirror = entry.startswith("~")
-    fact = split_fact(entry[mirror:], ":=")
-    if fact is None or not is_name(fact[0]):
-        raise CertificateError(f"bad update entry: {entry!r}")
-    fname, raw_args, raw_value = fact
-    location = Location(fname, tuple(parse_element(p, spec.vocabulary) for p in raw_args))
-    value = parse_element(raw_value, spec.vocabulary)
-    return StaticMirror(location, value) if mirror else Update(location, value)
-
-
-def parse_certificate(
-    text: str, spec: DistributedSpec, base_dir: str | None = None
-) -> PartialRun:
+def parse_certificate(text: str, spec: DistributedSpec, base_dir: str | None = None) -> PartialRun:
     moves: list[str] = []
     agent_of: dict[str, Element] = {}
     edges: set[tuple[str, str]] = set()
     recorded: dict[str, UpdateSet] = {}
     states: dict[frozenset, State] = {}
+    read = fact_reader(":=", spec.vocabulary)
 
-    lines = text.splitlines()
+    lines = require_text(text, "parse_certificate").splitlines()
     i = 0
     while i < len(lines):
         line = lines[i].split("#", 1)[0].strip()
@@ -92,8 +68,15 @@ def parse_certificate(
             move, rest = m.groups()
             if move in recorded:
                 raise CertificateError(f"second updates line for move {move}")
-            entries = [_parse_update_entry(e, spec) for e in _split_entries(rest)]
-            recorded[move] = UpdateSet(frozenset(entries))
+            beta = []
+            for entry in filter(None, map(str.strip, _ENTRY_SEP_RE.split(rest))):
+                mirror = entry.startswith("~")
+                fact = read(entry[mirror:])
+                if fact is None or not IDENTIFIER.fullmatch(fact[0]):
+                    raise CertificateError(f"bad update entry: {entry!r}")
+                fname, args, value = fact
+                beta.append((StaticMirror if mirror else Update)(Location(fname, args), value))
+            recorded[move] = UpdateSet(frozenset(beta))
             continue
         m = _INITIAL_RE.match(line)
         if m:
@@ -103,9 +86,7 @@ def parse_certificate(
                 raise CertificateError("initial-from needs a base directory")
             path = os.path.join(base_dir, m.group(1))
             try:
-                states[frozenset()] = load_state(
-                    path, spec.vocabulary, constants=spec.constants
-                )
+                states[frozenset()] = load_state(path, spec.vocabulary, constants=spec.constants)
             except OSError as exc:
                 raise CertificateError(f"cannot read initial state: {exc}") from exc
             continue
@@ -125,21 +106,13 @@ def parse_certificate(
             else:
                 raise CertificateError("sigma block missing endsigma")
             try:
-                states[ids] = parse_state(
-                    "\n".join(block), spec.vocabulary, constants=spec.constants
-                )
+                states[ids] = parse_state("\n".join(block), spec.vocabulary, constants=spec.constants)
             except ParseError as exc:
                 raise CertificateError(f"sigma block: {exc}") from exc
             continue
         raise CertificateError(f"unrecognized certificate line: {line!r}")
 
-    return PartialRun(
-        moves=tuple(moves),
-        agent_of=agent_of,
-        edges=frozenset(edges),
-        states=states,
-        recorded=recorded or None,
-    )
+    return PartialRun(tuple(moves), agent_of, frozenset(edges), states, recorded or None)
 
 
 def load_certificate(path, spec: DistributedSpec) -> PartialRun:

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all engine components."""
+"""Exception hierarchy shared by all engine components, and the input-type
+check of the text readers."""
 
 
 class EalgebraError(Exception):
@@ -66,3 +67,11 @@ class CertificateError(EalgebraError):
 
 class BudgetError(EalgebraError):
     """A fixed work budget ran out before the answer was complete."""
+
+
+def require_text(text, entry_point: str) -> str:
+    """``text``, refused with ``ContractViolation`` naming ``entry_point``
+    when it is not a ``str`` (``None``, ``bytes``)."""
+    if not isinstance(text, str):
+        raise ContractViolation(f"{entry_point} reads text, not {type(text).__name__}")
+    return text

@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 
 from . import syntax
-from .errors import DeclarationError, ParseError
+from .errors import DeclarationError, ParseError, require_text
 from .syntax import (
     App,
     Block,
@@ -50,7 +50,7 @@ from .syntax import (
     UniverseRange,
     Var,
 )
-from .vocabulary import FunctionName, Vocabulary, fun_of, make_vocabulary
+from .vocabulary import IDENTIFIER, INTEGER, FunctionName, Vocabulary, fun_of, make_vocabulary
 
 _KEYWORDS = {
     "if", "then", "elseif", "else", "endif",
@@ -66,8 +66,6 @@ _KEYWORDS = {
     "exists", "forall",
 }
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*")
-_INT_RE = re.compile(r"[0-9]+")
 _OPS = (":=", "!=", "=", "<", "(", ")", ",", "+", ":", "/")
 
 
@@ -90,7 +88,7 @@ def _scan(text: str, first_line: int = 1) -> list[_Tok]:
             if ch in " \t":
                 pos += 1
                 continue
-            m = _IDENT_RE.match(line, pos)
+            m = IDENTIFIER.match(line, pos)
             if m:
                 word = m.group(0)
                 kind = "kw" if word in _KEYWORDS else "ident"
@@ -98,7 +96,7 @@ def _scan(text: str, first_line: int = 1) -> list[_Tok]:
                 pos = m.end()
                 emitted = True
                 continue
-            m = _INT_RE.match(line, pos)
+            m = INTEGER.match(line, pos)
             if m:
                 toks.append(_Tok("int", m.group(0), lineno, pos + 1))
                 pos = m.end()
@@ -607,7 +605,7 @@ def _check_external_nesting(rule: syntax.Rule, externals: frozenset[str]):
 # Header parsing
 
 _DECL_WORDS = ("dynamic", "static", "relation", "external")
-_NAME_ARITY_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*'*)\s*/\s*([0-9]+)")
+_NAME_ARITY_RE = re.compile(rf"({IDENTIFIER.pattern})\s*/\s*({INTEGER.pattern})")
 
 
 @dataclass
@@ -639,13 +637,9 @@ def _parse_decl_line(line: str, lineno: int, header: _Header):
         if m is None:
             raise ParseError(f"expected name/arity, found {entry!r}", lineno, 1)
         name, arity = m.group(1), int(m.group(2))
-        fn = FunctionName(
-            name,
-            arity,
-            is_relation=is_relation,
-            is_static=(flag == "static"),
+        header.declared.append(
+            FunctionName(name, arity, is_relation=is_relation, is_static=(flag == "static"))
         )
-        header.declared.append(fn)
         if flag == "external":
             header.externals.add(name)
 
@@ -660,7 +654,7 @@ def _parse_header_line(line: str, lineno: int, header: _Header):
     if first == "constants":
         names = [n.strip() for n in line[len("constants"):].split(",") if n.strip()]
         for name in names:
-            if not _IDENT_RE.fullmatch(name):
+            if not IDENTIFIER.fullmatch(name):
                 raise ParseError(f"bad constant name: {name!r}", lineno, 1)
             header.declared.append(FunctionName(name, 0, is_static=True))
             header.constants.append(name)
@@ -669,7 +663,7 @@ def _parse_header_line(line: str, lineno: int, header: _Header):
         words = line.split()
         if words[1:2] == ["integers"]:
             header.integers = True
-            if len(words) == 4 and words[2] == "mod" and words[3].isdigit():
+            if len(words) == 4 and words[2] == "mod" and INTEGER.fullmatch(words[3]):
                 header.modulus = int(words[3])
                 if header.modulus < 1:
                     raise ParseError("modulus must be positive", lineno, 1)
@@ -681,7 +675,7 @@ def _parse_header_line(line: str, lineno: int, header: _Header):
             return
         raise ParseError(f"unknown pragma: {line!r}", lineno, 1)
     if first == "alias":
-        m = re.fullmatch(r"alias\s+([A-Za-z_][A-Za-z0-9_]*'*)\s*=\s*([A-Za-z_][A-Za-z0-9_]*'*)", line)
+        m = re.fullmatch(rf"alias\s+({IDENTIFIER.pattern})\s*=\s*({IDENTIFIER.pattern})", line)
         if m is None:
             raise ParseError("usage: alias Name = Target", lineno, 1)
         header.aliases[m.group(1)] = m.group(2)
@@ -739,13 +733,14 @@ def _module_name(line: str, lineno: int) -> str | None:
     m = _MODULE_RE.fullmatch(line)
     if m is None:
         return None
-    if not _IDENT_RE.fullmatch(m.group(1)):
+    if not IDENTIFIER.fullmatch(m.group(1)):
         raise ParseError(f"bad module name: {m.group(1)!r}", lineno, 1)
     return m.group(1)
 
 
 def parse_program(text: str) -> Program | DistributedSpec:
     """Parse a program file into a Program or a DistributedSpec."""
+    require_text(text, "parse_program")
     header = _Header(declared=[], externals=set(), constants=[], aliases={})
     lines = text.splitlines()
     body_start = None
@@ -784,30 +779,21 @@ def parse_program(text: str) -> Program | DistributedSpec:
             active_sugar=header.active,
         )
 
-    seen = set()
-    for name, _ in modules:
-        if name in seen:
-            raise ParseError(f"module {name} declared twice")
-        seen.add(name)
-
     module_names = [name for name, _ in modules]
-    for name in module_names:
+    for i, name in enumerate(module_names):
+        if name in module_names[:i]:
+            raise ParseError(f"module {name} declared twice")
         header.declared.append(FunctionName(name, 0, is_static=True))
         header.constants.append(name)
     if "Mod" not in {fn.name for fn in header.declared}:
         header.declared.append(FunctionName("Mod", 1))
 
-    sections = []
+    programs = []
     bounds = [start for _, start in modules] + [len(lines) + 1]
     for (name, start), end in zip(modules, bounds[1:]):
-        sections.append((name, start, "\n".join(lines[start:end - 1])))
-
-    programs = []
-    any_import = False
-    for name, start, chunk in sections:
-        rule = _parse_rule_section(chunk, start + 1, header, allow_self=True)
-        any_import = any_import or syntax.has_import(rule)
-        programs.append((name, rule))
+        chunk = "\n".join(lines[start:end - 1])
+        programs.append((name, _parse_rule_section(chunk, start + 1, header, allow_self=True)))
+    any_import = any(syntax.has_import(rule) for _, rule in programs)
 
     shared = make_vocabulary(
         header.declared,
@@ -827,19 +813,14 @@ def parse_program(text: str) -> Program | DistributedSpec:
             integers=header.integers,
             modulus=header.modulus,
         )
-        module_programs.append(
-            (
-                name,
-                Program(
-                    vocabulary=local_vocab,
-                    rule=rule,
-                    externals=frozenset(header.externals) & used,
-                    constants=tuple(c for c in all_constants if c in used),
-                    name=name,
-                    active_sugar=header.active,
-                ),
-            )
-        )
+        module_programs.append((name, Program(
+            vocabulary=local_vocab,
+            rule=rule,
+            externals=frozenset(header.externals) & used,
+            constants=tuple(c for c in all_constants if c in used),
+            name=name,
+            active_sugar=header.active,
+        )))
     return DistributedSpec(
         module_list=tuple(module_programs),
         vocabulary=shared,

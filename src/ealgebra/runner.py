@@ -29,6 +29,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from . import syntax
 from .errors import (
     EalgebraError, ModeError, OracleError, ParseError, ScheduleError, VocabularyError,
+    require_text,
 )
 from .evaluator import Footprint, eval_guard, nupdates, updates
 from .state import (
@@ -43,9 +44,9 @@ from .state import (
     format_element,
     resolve,
 )
-from .stateio import is_name, parse_element, split_fact
+from .stateio import ELEMENT_TAGS, decode_element, fact_reader
 from .syntax import DistributedSpec, Program
-from .vocabulary import Vocabulary
+from .vocabulary import IDENTIFIER, INTEGER, Vocabulary
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +101,7 @@ class UndefOracle(Oracle):
         return UNDEF
 
 
-_STEP_RE = re.compile(r"step\s+(\d+)\s*:\s*(.*)")
+_STEP_RE = re.compile(rf"step\s+({INTEGER.pattern})\s*:\s*(.*)")
 
 
 class ScriptedOracle(Oracle):
@@ -111,18 +112,26 @@ class ScriptedOracle(Oracle):
 
     @classmethod
     def parse(cls, text: str, vocabulary: Vocabulary | None = None) -> "ScriptedOracle":
+        """One answer per query and step; a second is an ``OracleError``."""
+        require_text(text, "ScriptedOracle.parse")
         answers = {}
+        read = fact_reader("=", vocabulary)
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             m = _STEP_RE.fullmatch(line)
-            fact = m and split_fact(m.group(2))
-            if not fact or not is_name(fact[0]):
+            fact = m and read(m.group(2))
+            if not fact or not IDENTIFIER.fullmatch(fact[0]):
                 raise OracleError(f"oracle script line {lineno}: bad entry {line!r}")
-            fname, raw_args, raw_value = fact
-            args = tuple(parse_element(p, vocabulary) for p in raw_args)
-            answers[(int(m.group(1)), fname, args)] = parse_element(raw_value, vocabulary)
+            fname, args, value = fact
+            key = (int(m.group(1)), fname, args)
+            if key in answers:
+                raise OracleError(
+                    f"oracle script line {lineno}: second answer to "
+                    f"{Location(fname, args)!r} at step {key[0]}"
+                )
+            answers[key] = value
         return cls(answers)
 
     @classmethod
@@ -653,13 +662,12 @@ def enumerate_reachable(
 
 
 _quote = json.encoder.encode_basestring_ascii  # json.dumps's own escaper
-_TAGS = {"logic": "l:", "named": "n:", "int": "i:", "reserve": "r:"}
 
 
 def _element_json(e: Element) -> str:
     """An element as a quoted ``tag:value`` string."""
     kind, value = e
-    return _quote(f"{_TAGS[kind]}{value}")
+    return _quote(f"{ELEMENT_TAGS[kind]}{value}")
 
 
 def _elements_json(elements) -> str:
@@ -692,19 +700,6 @@ def _conflict_lines(conflicts: dict) -> list[str]:
     )
 
 
-def _decode_element(text: str) -> Element:
-    tag, _, raw = text.partition(":")
-    if tag == "l":
-        return Element("logic", raw)
-    if tag == "n":
-        return Element.named(raw)
-    if tag == "i":
-        return Element.integer(int(raw))
-    if tag == "r":
-        return Element.reserve(int(raw))
-    raise ParseError(f"bad element encoding: {text}")
-
-
 def _decode_name(name) -> str:
     if not isinstance(name, str):
         raise TypeError(f"function name {name!r} is not a string")
@@ -712,8 +707,8 @@ def _decode_name(name) -> str:
 
 
 def _decode_update(d: dict) -> Update:
-    loc = Location(_decode_name(d["f"]), tuple(_decode_element(a) for a in d["args"]))
-    value = _decode_element(d["value"])
+    loc = Location(_decode_name(d["f"]), tuple(decode_element(a) for a in d["args"]))
+    value = decode_element(d["value"])
     return StaticMirror(loc, value) if d.get("mirror") else Update(loc, value)
 
 
@@ -756,10 +751,10 @@ def record_from_json(text: str) -> StepRecord:
             choice_index=d.get("choice"),
             family_size=d.get("family"),
             oracle_qa=tuple(
-                (_decode_name(f), tuple(_decode_element(a) for a in args), _decode_element(v))
+                (_decode_name(f), tuple(decode_element(a) for a in args), decode_element(v))
                 for f, args, v in d.get("oracle", [])
             ),
-            agent=_decode_element(d["agent"]) if "agent" in d else None,
+            agent=decode_element(d["agent"]) if "agent" in d else None,
         )
         listed, consistent = d.get("conflicts", []), d["consistent"]
     except (KeyError, ValueError, TypeError, AttributeError) as exc:

@@ -12,12 +12,19 @@ ring-shaped scenarios.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 from . import syntax
 from .errors import DeclarationError
+
+
+#: The one spelling of identifiers and of integer literals (ASCII digits
+#: only), in programs, state files, certificates and oracle scripts.
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*")
+INTEGER = re.compile(r"[0-9]+")
 
 
 @dataclass(frozen=True)

@@ -449,3 +449,30 @@ def test_library_runs_refuse_out_of_range_step_counts():
         with pytest.raises(ScheduleError, match="max_steps must not be negative"):
             sequential_run(spec, initial, agents, max_steps=-1)
     assert len(sequential_run(spec, initial, schedule, max_steps=0).records) == 0
+
+
+@pytest.mark.parametrize("digits", ["²", "٣"])
+def test_non_ascii_digits_are_parse_errors(capsys, tmp_path, digits):
+    state = tmp_path / "echo.east"
+    state.write_text(f"count = {digits}\n", encoding="utf-8")
+    assert run_cli("run", program("echo.ea"), "--state", str(state)) == EXIT_PARSE
+    assert f"bad element literal: {digits}" in capsys.readouterr().err
+
+    oracle = tmp_path / "echo.oracle"
+    oracle.write_text(f"step 1: input(0) = {digits}\n", encoding="utf-8")
+    argv = ["run", program("echo.ea"), "--state", program("echo.east"), "--oracle", str(oracle)]
+    assert run_cli(*argv) == EXIT_PARSE
+    oracle.write_text(f"step {digits}: input(0) = 1\n", encoding="utf-8")
+    assert run_cli(*argv) == EXIT_ORACLE
+
+    cert = tmp_path / "bad.cert"
+    cert.write_text(f"move m1 by {digits}\n", encoding="utf-8")
+    assert run_cli("check-run", program("philosophers.ea"), str(cert)) == EXIT_PARSE
+
+    modded = tmp_path / "modded.ea"
+    modded.write_text(
+        f"vocabulary:\n  dynamic c/0\npragma integers mod {digits}\nprogram:\n  c := c + 1\n",
+        encoding="utf-8",
+    )
+    assert run_cli("validate", str(modded)) == EXIT_PARSE
+    assert "usage: pragma integers [mod N]" in capsys.readouterr().err

@@ -280,6 +280,12 @@ def test_a_step_records_conflicts_only_when_its_set_does_not_fire():
      ' "consistent": true, "fired": true}', "function name 3 is not a string"),
     ('{"step": 1, "updates": [], "consistent": false, "fired": true}',
      "bad step record: consistent False is not fired True"),
+    ('{"step": 1, "updates": [{"f": "X", "args": [], "value": "l:maybe"}],'
+     ' "consistent": true, "fired": true}', "bad element encoding: l:maybe"),
+    ('{"step": 1, "updates": [{"f": "X", "args": ["r:-3"], "value": "l:true"}],'
+     ' "consistent": true, "fired": true}', "bad element encoding: r:-3"),
+    ('{"step": 1, "updates": [], "oracle": [["e", [], "i:\u0663"]],'
+     ' "consistent": true, "fired": true}', "bad element encoding: i:\u0663"),
 ])
 def test_malformed_step_records_raise_parse_error(line, message):
     with pytest.raises(ParseError, match=re.escape(message)):
