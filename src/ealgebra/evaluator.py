@@ -186,7 +186,7 @@ class _Compiler:
             a, b = fs
             return lambda run: TRUE if a(run) == b(run) else FALSE
         read = how.read
-        if fname in COMPUTED_NAMES or fname.isdigit():  # never in a footprint
+        if fname in COMPUTED_NAMES:  # never in a footprint
             return lambda run: read(run.state, args(run))
         if how.kind != "table":
             def tracked(run):

@@ -838,17 +838,17 @@ def parse_rule_text(
 ) -> syntax.Rule:
     """Parse rule text against an existing vocabulary (tests, fragments);
     the names in ``scope`` are variables bound outside the text."""
-    parser = _RuleParser(_scan(text), vocabulary, scope=scope)
+    parser = _RuleParser(_scan(require_text(text, "parse_rule_text")), vocabulary, scope=scope)
     return parser.parse_whole(lambda: parser.parse_rule(frozenset()))
 
 
 def parse_guard_text(text: str, vocabulary: Vocabulary) -> syntax.Guard:
-    parser = _RuleParser(_scan(text), vocabulary)
+    parser = _RuleParser(_scan(require_text(text, "parse_guard_text")), vocabulary)
     return parser.parse_whole(parser.parse_guard)
 
 
 def parse_term_text(text: str, vocabulary: Vocabulary) -> syntax.Term:
-    parser = _RuleParser(_scan(text), vocabulary)
+    parser = _RuleParser(_scan(require_text(text, "parse_term_text")), vocabulary)
     return parser.parse_whole(parser.parse_term)
 
 

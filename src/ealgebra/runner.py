@@ -28,8 +28,8 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import syntax
 from .errors import (
-    EalgebraError, ModeError, OracleError, ParseError, ScheduleError, VocabularyError,
-    require_text,
+    ContractViolation, EalgebraError, ModeError, OracleError, ParseError, ScheduleError,
+    VocabularyError, require_text,
 )
 from .evaluator import Footprint, eval_guard, nupdates, updates
 from .state import (
@@ -226,6 +226,15 @@ def check_appropriate(program: Program, state: State):
             )
 
 
+def _require_inputs(target, initial, entry_point: str) -> None:
+    """``ContractViolation`` unless ``target`` is a program or a spec and
+    ``initial`` a state."""
+    for value, kinds, what in ((target, (Program, DistributedSpec), "a Program or a DistributedSpec"),
+                               (initial, State, "a State")):
+        if not isinstance(value, kinds):
+            raise ContractViolation(f"{entry_point} takes {what}, not {type(value).__name__}")
+
+
 def resolutions(
     program: Program, state: State, oracle=None, footprint=None,
     agent: Element | None = None,
@@ -316,6 +325,7 @@ def run(
     """
     if max_steps < 1:
         raise ScheduleError("max_steps must be positive")
+    _require_inputs(program, initial, "run")
     if chooser is None:
         chooser = SeededChooser(0)
     check_appropriate(program, initial)
@@ -428,32 +438,46 @@ def _members(program, state, agent, memo, reads) -> tuple[list, Optional[int], O
     evaluated with a footprint its effect, whose footprint holds ``reads``.
 
     ``memo``, a dict one enumeration owns, keeps them per agent (None for
-    a step) under the values the state holds at the locations the
-    evaluation read, ``reads`` among them, and under ``reserve_next`` when
-    a member withdraws from Reserve.  A rule reads nothing outside its
-    footprint, so a state that holds the same values reuses them.  Not
-    kept: an evaluation that reads a table whole or a location outside the
-    tables (as ``Reserve(x)``), and any of a program with externals.
+    a step), by ``_keep`` and under ``reserve_next`` too when a member
+    withdraws from Reserve; never those of a program with externals.
     """
     shapes = None if memo is None or program.externals else memo.setdefault(agent, {})
-    for (at, reserve), kept in (shapes or {}).items():
-        found = kept.get(_held(state, at, reserve))
-        if found is not None:
-            return found
+    if shapes and (found := _recall(shapes, state)) is not None:
+        return found
     footprint = None if shapes is None else Footprint()
     members, family_size = resolutions(program, state, footprint=footprint, agent=agent)
     if footprint is not None:
         footprint.locations.update(reads)
     effect = None if footprint is None or agent is None else _Effect.of(members, footprint)
     found = [state.checked(member) for member in members], family_size, effect
-    if footprint is not None and not footprint.names:
-        locations = sorted(footprint.locations, key=Location.sort_key)
-        how = [resolve(state.vocabulary, loc.fname, len(loc.args)) for loc in locations]
-        if all(h.kind == "table" for h in how):
-            at = tuple((loc.fname, loc.args, h.value) for loc, h in zip(locations, how))
-            reserve = any(u.location.fname == "Reserve" for m in members for u in m)
-            shapes.setdefault((at, reserve), {})[_held(state, at, reserve)] = found
+    if footprint is not None:
+        reserve = any(u.location.fname == "Reserve" for m in members for u in m)
+        _keep(shapes, state, footprint, found, reserve)
     return found
+
+
+def _recall(shapes: dict, state: State):
+    """What ``_keep`` kept in ``shapes`` for the values ``state`` holds, or None."""
+    for (at, reserve), kept in shapes.items():
+        if (found := kept.get(_held(state, at, reserve))) is not None:
+            return found
+    return None
+
+
+def _keep(shapes: dict, state: State, footprint: Footprint, found, reserve: bool = False):
+    """Keep ``found`` in ``shapes`` under the values ``state`` holds at the
+    locations ``footprint`` records (and ``reserve_next`` when ``reserve``):
+    an evaluation reads nothing else, so a state holding the same values
+    has the same result (read-set validation, Acar, *Self-Adjusting
+    Computation*, 2005).  Not kept: one that read a table whole or a
+    location outside the tables (as ``Reserve(x)``)."""
+    if footprint.names:
+        return
+    locations = sorted(footprint.locations, key=Location.sort_key)
+    how = [resolve(state.vocabulary, loc.fname, len(loc.args)) for loc in locations]
+    if all(h.kind == "table" for h in how):
+        at = tuple((loc.fname, loc.args, h.value) for loc, h in zip(locations, how))
+        shapes.setdefault((at, reserve), {})[_held(state, at, reserve)] = found
 
 
 def _held(state: State, at, reserve: bool) -> tuple:
@@ -468,51 +492,35 @@ def _held(state: State, at, reserve: bool) -> tuple:
     return (*held, state.reserve_next) if reserve else tuple(held)
 
 
-def _quantified(guard: syntax.Guard) -> bool:
-    """Whether a compiled ``guard`` is a quantifier or a connective with one
-    below it."""
-    if isinstance(guard, syntax.BoolGuard):
-        return any(map(_quantified, guard.operands))
-    return isinstance(guard, syntax.QuantGuard)
+def _instance(state: State, guard: syntax.Guard, env: dict, shapes: dict) -> bool:
+    """The value of one guard instance at ``state``: kept in ``shapes`` (as
+    a 1-tuple, so that a kept False is found), else evaluated and kept."""
+    found = _recall(shapes, state)
+    if found is None:
+        footprint = Footprint()
+        found = (eval_guard(state, env, guard, footprint=footprint),)
+        _keep(shapes, state, footprint, found)
+    return found[0]
 
 
-def _instance(
-    state: State, guard: syntax.Guard, env: dict, old: _Effect | None = None,
-) -> tuple[bool, _Effect]:
-    """The value of one guard instance at ``state`` and its effect, which
-    writes nothing and whose footprint is what the evaluation read: ``old``
-    itself when that is what ``old`` records."""
-    footprint = Footprint()
-    value = eval_guard(state, env, guard, footprint=footprint)
-    if old is not None and (old.footprint.locations, old.footprint.names) == (
-        footprint.locations, footprint.names
-    ):
-        return value, old
-    return value, _Effect.of((), footprint)
-
-
-def _split(guard: syntax.Guard, state: State, env: dict, universes: Footprint,
+def _split(guard: syntax.Guard, state: State, env: dict, tables: dict,
            instances: list) -> Callable[[list], bool]:
-    """Evaluate ``guard`` at ``state`` as instances appended to
-    ``instances`` and return its skeleton: the function of the instance
-    values that gives the guard's.  The skeleton is the connectives and
-    quantifiers above the quantifier-free parts; a quantifier over a
-    universe, whose name joins ``universes``, has one instance of its body
-    per element."""
+    """Split ``guard`` at ``state`` into instances, appended to
+    ``instances`` as ``(guard, env, shapes)``, and return its skeleton: the
+    function of the instance values that gives the guard's.  The skeleton
+    is the connectives and quantifiers above the quantifier-free parts; a
+    quantifier over a universe, whose table at ``state`` joins ``tables``
+    under its name, has one instance of its body per element."""
     if isinstance(guard, syntax.QuantGuard):
-        universes.names.add(guard.universe)
+        tables[guard.universe] = state._tables.get(guard.universe)
         holds = any if guard.kind == "exists" else all
-        start = len(instances)
         parts = [
-            _split(guard.body, state, {**env, guard.var: a}, universes, instances)
+            _split(guard.body, state, {**env, guard.var: a}, tables, instances)
             for a in state.extent(guard.universe)
         ]
-        if not _quantified(guard.body):  # one instance per element
-            end = len(instances)
-            return lambda values: holds(values[start:end])
         return lambda values: holds([part(values) for part in parts])
-    if _quantified(guard):
-        parts = [_split(sub, state, env, universes, instances) for sub in guard.operands]
+    if any(isinstance(node, syntax.QuantGuard) for node in syntax.nodes(guard)):
+        parts = [_split(sub, state, env, tables, instances) for sub in guard.operands]
         if guard.op == "not":
             return lambda values: not parts[0](values)
         a, b = parts
@@ -522,7 +530,7 @@ def _split(guard: syntax.Guard, state: State, env: dict, universes: Footprint,
             return lambda values: a(values) | b(values)
         return lambda values: (not a(values)) | b(values)
     at = len(instances)
-    instances.append((guard, env, *_instance(state, guard, env)))
+    instances.append((guard, env, {}))
     return lambda values: values[at]
 
 
@@ -538,21 +546,20 @@ def enumerate_reachable(
 
     For a distributed spec the branching is over single-agent moves
     (sequential interleavings) plus each agent's choice resolutions.
-    States are deduplicated up to isomorphism (reserve renaming), and
-    move results are reused across them (``_members``).  Violations of
-    the safety predicate are reported with witness traces.
+    States are deduplicated up to isomorphism (reserve renaming).  A
+    move's results are kept under the values the state holds at what the
+    move read, and reused at every state that holds the same values
+    there (``_members``, ``_keep``).  Violations of the safety predicate
+    are reported with witness traces.
 
-    The predicate is checked incrementally (Ditto, Shankar & Bodík, PLDI
-    2007).  At the initial state it is evaluated whole, then ``_split``
-    breaks it into instances, each kept with its value and footprint until
-    its state is expanded.  At a state an agent's move finds from a state
-    that keeps them, only the instances whose footprint conflicts with the
-    move's effect are evaluated again; the others keep their values, which
-    raised nothing.  A state found otherwise, by a move without an effect
-    (a step, or a program with externals) or one that writes a universe
-    the predicate quantifies over, and every state found from it, is
-    evaluated whole: the check costs at most one split more than a whole
-    evaluation at every state.
+    The predicate is checked by the same rule: at the initial state it is
+    evaluated whole, then ``_split`` breaks it into instances, each with
+    its own kept values (``_instance``).  At a later state each instance
+    is looked up by the values it read there, and only a miss is
+    evaluated, in order; the kept values raised nothing, so the first
+    error raised is a whole evaluation's.  The split holds while the
+    tables of the universes it quantifies over are those of the initial
+    state; a state where one differs evaluates the predicate whole.
 
     A state a move discovers gets a sleep set (Godefroid, LNCS 1032,
     1996): the agents asleep at its parent or expanded there before that
@@ -567,40 +574,33 @@ def enumerate_reachable(
     if budget < 1 or depth < 0:
         raise ScheduleError("budget must be positive and depth not negative")
 
+    _require_inputs(target, initial, "enumerate_reachable")
     memo: dict = {}  # move results, reused within this call only
     is_dist = isinstance(target, DistributedSpec)
     if is_dist:
         by_element = distributed.validate_spec_state(target, initial)
+    else:
+        check_appropriate(target, initial)
 
     def expand(state, asleep):
         if is_dist:
             return distributed.move_successors(target, state, by_element, memo, asleep)
         return successors(target, state, memo=memo)
 
-    plan = None  # the skeleton, its universes' effect and the instances
-    checks: dict = {}  # key -> the instances' values and effects until expanded
+    plan = None  # the skeleton, the universes' tables and the instances
 
-    def check(key, state, parent=None, effect=None) -> None:
-        """Record a violation at ``state`` and keep its instances' values and
-        effects where a move can reuse them; ``parent`` keeps those of the
-        state ``effect`` was fired from."""
+    def check(key, state) -> None:
+        """Record a violation at ``state``."""
         nonlocal plan
         if predicate is None:
             return
-        if parent is None or effect is None or _footprints_conflict(plan[1], effect):
+        if plan is None or any(state._tables.get(n) is not t for n, t in plan[1].items()):
             holds = eval_guard(state, None, predicate)
-            if key == key0:  # split once the whole evaluation has compiled it
-                universes, found = Footprint(), []
-                skeleton = _split(predicate, state, {}, universes, found)
-                plan = skeleton, _Effect.of((), universes), [f[:2] for f in found]
-                checks[key] = [f[2] for f in found], [f[3] for f in found]
+            if plan is None:  # split once the whole evaluation has compiled it
+                tables, instances = {}, []
+                plan = _split(predicate, state, {}, tables, instances), tables, instances
         else:
-            values, effects = parent[0].copy(), parent[1].copy()
-            for i, (guard, env) in enumerate(plan[2]):
-                if _footprints_conflict(effects[i], effect):
-                    values[i], effects[i] = _instance(state, guard, env, effects[i])
-            checks[key] = values, effects
-            holds = plan[0](values)
+            holds = plan[0]([_instance(state, *instance) for instance in plan[2]])
         if not holds:
             violations.append(witness(key))
 
@@ -611,21 +611,18 @@ def enumerate_reachable(
     partial = False
 
     def witness(key) -> Witness:
-        moves = []
-        at = key
+        moves, at = [], key
         while seen[at][2] is not None:
             moves.append(seen[at][3])
             at = seen[at][2]
-        moves.reverse()
-        return Witness(moves=moves, state=seen[key][0])
+        return Witness(moves=moves[::-1], state=seen[key][0])
 
     check(key0, initial)
     frontier = [key0]
-    while frontier:
+    while frontier and not partial:
         next_frontier = []
         for key in frontier:
             state, level, _, _, asleep = seen[key]
-            parent = checks.pop(key, None)
             if level >= depth:
                 continue
             done = dict(asleep)  # asleep here, or an agent expanded before
@@ -640,21 +637,15 @@ def enumerate_reachable(
                         if other != agent and not _footprints_conflict(e, effect)
                     }
                     seen[nkey] = (nxt, level + 1, key, label, sleep)
-                    check(nkey, nxt, parent, effect)
+                    check(nkey, nxt)
                     next_frontier.append(nkey)
                 if effect is not None:
                     done[agent] = effect
             if partial:
                 break
-        if partial:
-            break
         frontier = next_frontier
-    return ReachReport(
-        states=[(entry[0], entry[1]) for entry in seen.values()],
-        partial=partial,
-        violations=violations,
-        explored=len(seen),
-    )
+    states = [(entry[0], entry[1]) for entry in seen.values()]
+    return ReachReport(states, partial, violations, explored=len(seen))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .errors import (
     UpdateTypeError,
     VocabularyError,
 )
-from .vocabulary import COMPUTED_NAMES, FunctionName, Vocabulary
+from .vocabulary import COMPUTED_NAMES, FunctionName, Vocabulary, is_numeral
 
 _LOGIC_RANK = {"true": 0, "false": 1, "undef": 2}
 _KIND_RANK = {"logic": 0, "named": 1, "int": 2, "reserve": 3}
@@ -609,7 +609,7 @@ def resolve(vocabulary: Vocabulary, fname: str, arity: int) -> Resolved:
     modulus = vocabulary.modulus
     if fname in ("+", "mod", "<"):
         return Resolved("int", modulus, lambda state, args: _int_op(fname, args, modulus))
-    if vocabulary.integers and fname.isdigit():
+    if vocabulary.integers and is_numeral(fname):
         return _constant(_integer(int(fname), modulus))
     if fname == "Reserve":
         return Resolved("reserve", None, lambda state, args: boolean(

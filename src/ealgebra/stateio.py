@@ -122,9 +122,10 @@ def parse_state(text: str, vocabulary: Vocabulary, *, constants: tuple[str, ...]
     """Build a state from fact lines, one per location at most.
 
     Each constant (and distributed module name) is interpreted as the named
-    element spelled like it, unless a line gives its value.  A
-    ``reserve:`` directive below a serial the facts mention breaks the
-    reserve proviso, which ``State`` refuses (``StateValidityError``).
+    element spelled like it, unless a line gives its value.  At most one
+    ``reserve:`` line sets ``reserve_next``; a value below a serial the
+    facts mention breaks the reserve proviso, which ``State`` refuses
+    (``StateValidityError``).
     """
     require_text(text, "parse_state")
     for name in constants:
@@ -139,6 +140,8 @@ def parse_state(text: str, vocabulary: Vocabulary, *, constants: tuple[str, ...]
             continue
         if line.startswith("reserve:"):
             value = line.split(":", 1)[1].strip()
+            if reserve_next is not None:
+                raise ParseError("second reserve: line", lineno, 1)
             if not INTEGER.fullmatch(value):
                 raise ParseError("reserve: expects a nonnegative integer", lineno, 1)
             reserve_next = int(value)

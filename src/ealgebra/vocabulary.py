@@ -27,6 +27,11 @@ IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*")
 INTEGER = re.compile(r"[0-9]+")
 
 
+def is_numeral(name: str) -> bool:
+    """Whether ``name`` is an integer literal, a name under ``pragma integers``."""
+    return INTEGER.fullmatch(name) is not None
+
+
 @dataclass(frozen=True)
 class FunctionName:
     name: str
@@ -92,7 +97,7 @@ class Vocabulary:
 
     def lookup(self, name: str) -> FunctionName | None:
         fn = self._index.get(name)
-        if fn is None and self.integers and name.isdigit():
+        if fn is None and self.integers and is_numeral(name):
             # Numeric literals act as static nullary logic-style names.
             return FunctionName(name, 0, is_relation=False, is_static=True, is_logic=True)
         return fn
@@ -143,7 +148,7 @@ def make_vocabulary(
                 f"{fn.name}: declaration conflicts with existing signature "
                 f"({old.arity}-ary{', relation' if old.is_relation else ''})"
             )
-        if integers and fn.name.isdigit():
+        if integers and is_numeral(fn.name):
             raise DeclarationError(f"{fn.name}: numeric literals cannot be redeclared")
         table[fn.name] = fn
     return Vocabulary(

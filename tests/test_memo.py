@@ -12,10 +12,11 @@ module an agent belongs to) and what is never kept.  The last part pins
 the sleep sets: pairs of moves that conflict by one clause of
 ``runner._footprints_conflict`` each, a move without a footprint, and
 the moves and agent listings an enumeration of a ring saves.  The
-properties also check the safety guard, which ``enumerate_reachable``
-evaluates again only where a move touches it; the last tests pin how
-many guard instances that evaluates, a move that writes the quantified
-universe, and an instance whose footprint changes.
+properties also check the safety guard, whose instances
+``enumerate_reachable`` keeps by the same rule, under the values they
+read; the last tests pin how many guard instances that evaluates, after
+agents' moves and after sequential steps, a move that writes the
+quantified universe, and an instance whose footprint changes.
 """
 
 from __future__ import annotations
@@ -454,7 +455,7 @@ def test_agents_are_listed_once_per_mod_table(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The safety guard: a move evaluates again only the instances it touches
+# The safety guard: an instance is evaluated again only at values not kept
 
 
 def count_guards(monkeypatch) -> list:
@@ -470,21 +471,49 @@ def count_guards(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("n,depth,states,evaluations", [(4, 3, 7, 17), (10, 6, 123, 255)])
+@pytest.mark.parametrize("n,depth,states,evaluations", [(4, 3, 7, 13), (10, 6, 123, 31)])
 def test_a_move_evaluates_only_the_guard_instances_it_touches(
     monkeypatch, n, depth, states, evaluations,
 ):
     # Evaluated whole at every state, the n instances are evaluated 7 * 4 = 28
     # and 123 * 10 = 1,230 times.  Now the initial state evaluates the guard
-    # whole and then its n instances, and a state a move finds only the two
-    # instances that read the mover's Mode.
+    # whole, and each instance is evaluated once for each pair of values
+    # (Mode(x), Mode(x + 1)) it meets: think/think, eat/think and think/eat.
     spec, state = thinking_ring(n)
     guard = parse_guard_text(RING_GUARDS[0], spec.vocabulary)
     calls = count_guards(monkeypatch)
     report = enumerate_reachable(spec, state, depth, predicate=guard)
     assert (len(report.states), len(calls)) == (states, evaluations)
-    assert evaluations == 1 + n + 2 * (states - 1)
+    assert evaluations == 1 + 3 * n
     assert calls.count(guard) == 1
+
+
+CYCLER = parse_program("""\
+# Each step picks one element of U and moves its mode one on: a, b, c.
+vocabulary:
+  dynamic Mode/1
+  static relation U/1
+constants a, b, c, u1, u2, u3
+program:
+  choose x in U
+    if Mode(x) = a then Mode(x) := b elseif Mode(x) = b then Mode(x) := c endif
+  endchoose
+""")
+
+
+def test_a_sequential_program_reuses_the_guard_instances(monkeypatch):
+    state = parse_state(
+        "".join(f"U({u}) = true\nMode({u}) = a\n" for u in ("u1", "u2", "u3")),
+        CYCLER.vocabulary, constants=CYCLER.constants,
+    )
+    guard = parse_guard_text("(forall x in U) not Mode(x) = c", CYCLER.vocabulary)
+    calls = count_guards(monkeypatch)
+    report = enumerate_reachable(CYCLER, state, 6, predicate=guard)
+    # 3 ** 3 states; each of the 3 instances is evaluated once per mode of
+    # its element.  Evaluated whole at every state: 27 whole evaluations.
+    assert (len(report.states), len(report.violations)) == (27, 19)
+    assert (len(calls), calls.count(guard)) == (1 + 9, 1)
+    assert_same(CYCLER, state, 6, 20000, guard)
 
 
 GUESTS = parse_program("""\

@@ -13,6 +13,7 @@ from ealgebra import (
     SeededChooser,
     State,
     UNDEF,
+    VocabularyError,
     enumerate_reachable,
     parse_guard_text,
     parse_program,
@@ -179,6 +180,27 @@ def test_enumerate_violation_witness(philosophers, ring3):
 def test_enumerate_refuses_a_predicate_given_as_text(philosophers, ring3):
     with pytest.raises(ContractViolation, match="parse_guard_text"):
         enumerate_reachable(philosophers, ring3, 1, predicate="(forall x in P) true")
+
+
+ENTRIES = {
+    "run": lambda target, initial: run(target, initial),
+    "enumerate_reachable": lambda target, initial: enumerate_reachable(target, initial, 1),
+}
+CLAIMS_MODE = parse_program("vocabulary:\n  dynamic Mode/0\nconstants think\nprogram:\n  Mode := think\n")
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize("target,initial,error,message", [
+    # ring3 interprets Mode as a unary function
+    (CLAIMS_MODE, "ring3", VocabularyError, "state does not interpret Mode as the program declares"),
+    (CLAIMS_MODE, None, ContractViolation, "{entry} takes a State, not NoneType"),
+    ("Mode := think", "ring3", ContractViolation,
+     "{entry} takes a Program or a DistributedSpec, not str"),
+])
+def test_run_and_enumerate_check_their_inputs(request, entry, target, initial, error, message):
+    initial = initial and request.getfixturevalue(initial)
+    with pytest.raises(error, match=f"^{re.escape(message.format(entry=entry))}$"):
+        ENTRIES[entry](target, initial)
 
 
 def test_enumerate_refuses_a_malformed_predicate_before_evaluating_it(philosophers, ring3):

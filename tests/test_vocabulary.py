@@ -3,6 +3,9 @@ import pytest
 from ealgebra import (
     DeclarationError,
     FunctionName,
+    Location,
+    State,
+    VocabularyError,
     fun_of,
     make_vocabulary,
     parse_rule_text,
@@ -63,6 +66,15 @@ def test_integer_background_names():
     lit = v.lookup("7")
     assert lit is not None and lit.arity == 0 and lit.is_static
     assert make_vocabulary([]).lookup("7") is None
+
+
+@pytest.mark.parametrize("name", ["\u0663", "\u00b2"])  # Arabic-Indic three, superscript two
+def test_only_ascii_digits_name_integers(name):
+    v = make_vocabulary([], integers=True)
+    assert v.lookup(name) is None
+    with pytest.raises(VocabularyError, match=f"^unknown function name: {name}$"):
+        State(v, {}).read(Location(name))
+    assert State(v, {}).read(Location("3")) == State(v, {}).read(Location("03"))
 
 
 def test_fun_of_scans_terms(tree_program):
