@@ -14,6 +14,7 @@ linearity, initial-state validity and coherence of the segment states.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain, combinations
 from typing import Container, Iterable, Mapping, Optional, Sequence
 
@@ -48,7 +49,7 @@ class Agent:
     module: str
     program: Program
 
-    @property
+    @cached_property
     def reads(self) -> tuple[Location, Location]:
         """What being an agent of its module reads: ``Mod(Self)`` and the
         module name's location."""

@@ -593,8 +593,16 @@ class Resolved(NamedTuple):
 
 
 def resolve(vocabulary: Vocabulary, fname: str, arity: int) -> Resolved:
-    """The one dispatch on a name's kind, shared by ``State.read`` and the
-    evaluator's compiler."""
+    """The one dispatch on a name's kind, shared by ``State.read``, the
+    evaluator's compiler and the enumeration memo; made once per
+    vocabulary, name and arity."""
+    how = vocabulary.resolved.get((fname, arity))
+    if how is None:
+        how = vocabulary.resolved[fname, arity] = _resolve(vocabulary, fname, arity)
+    return how
+
+
+def _resolve(vocabulary: Vocabulary, fname: str, arity: int) -> Resolved:
     fn = vocabulary.lookup(fname)
     if fn is None:
         return _failing(f"unknown function name: {fname}")

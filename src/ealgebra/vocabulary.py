@@ -91,6 +91,11 @@ class Vocabulary:
         return {fn.name: fn for fn in self.names}
 
     @cached_property
+    def resolved(self) -> dict:
+        """How each (name, arity) reads here, filled by ``state.resolve``."""
+        return {}
+
+    @cached_property
     def name_set(self) -> frozenset[str]:
         """The declared names, numeric literals aside."""
         return frozenset(self._index)

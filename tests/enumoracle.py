@@ -87,15 +87,13 @@ def enumerate_reference(target, initial, depth, *, budget=20000, predicate=None)
         states=[(seen[k][0], seen[k][1]) for k in order],
         partial=partial,
         violations=violations,
-        explored=len(seen),
     )
 
 
 def summary(report: ReachReport):
-    """States with their depths in report order, witnesses, partial, explored."""
+    """States with their depths in report order, witnesses and partial."""
     return (
         [(format_state(state), depth) for state, depth in report.states],
         [(w.moves, format_state(w.state)) for w in report.violations],
         report.partial,
-        report.explored,
     )

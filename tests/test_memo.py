@@ -16,7 +16,9 @@ properties also check the safety guard, whose instances
 ``enumerate_reachable`` keeps by the same rule, under the values they
 read; the last tests pin how many guard instances that evaluates, after
 agents' moves and after sequential steps, a move that writes the
-quantified universe, and an instance whose footprint changes.
+quantified universe, and an instance whose footprint changes, and how
+many it looks up: only those a move writes into, in ascending order, so
+that the first error raised stays a whole evaluation's.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from test_golden_enumerate import CASES
 from ealgebra import (
     EalgebraError,
     Element,
+    EvaluationError,
     Location,
     State,
     distributed,
@@ -48,7 +51,7 @@ from ealgebra import (
     runner,
 )
 from ealgebra.distributed import move_successors
-from ealgebra.syntax import App, Atom, Program, QuantGuard, Var
+from ealgebra.syntax import App, Atom, BoolGuard, Program, QuantGuard, Var
 
 seeds = st.integers(0, 10**6)
 depths = st.integers(0, 6)
@@ -559,3 +562,85 @@ def test_an_instance_evaluated_again_keeps_its_new_footprint():
     report = enumerate_reachable(spec, state, 2, predicate=guard)
     assert [w.moves for w in report.violations] == [["agent p", "agent q"]]
     assert_same(spec, state, 2, 20000, guard)
+
+
+def count_lookups(monkeypatch) -> list:
+    """The states at which ``runner`` looks a guard instance up, one entry
+    per lookup."""
+    calls = []
+    real = runner._instance
+
+    def counted(state, *args):
+        calls.append(state)
+        return real(state, *args)
+
+    monkeypatch.setattr(runner, "_instance", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,depth,lookups", [(4, 3, 20), (10, 6, 324)])
+def test_a_move_looks_up_only_the_guard_instances_it_writes(monkeypatch, n, depth, lookups):
+    # Looked up at every state after the first, the n instances are looked
+    # up 6 * 4 = 24 and 122 * 10 = 1,220 times.  Now the n children of the
+    # initial state, evaluated whole, look up every instance; any later
+    # state looks up only the two instances that read the Mode its move
+    # wrote, and keeps its parent's values for the others.
+    spec, state = thinking_ring(n)
+    guard = parse_guard_text(RING_GUARDS[0], spec.vocabulary)
+    calls = count_lookups(monkeypatch)
+    report = enumerate_reachable(spec, state, depth, predicate=guard)
+    assert len(calls) == lookups == n * n + 2 * (len(report.states) - 1 - n)
+
+
+# Ten instances, F(a0) ... F(a9); A's second move makes F(a1) and F(a8)
+# non-Boolean.  In a set the ids 1 and 8 iterate as 8, 1.
+RAISERS = parse_program(
+    "vocabulary:\n  dynamic F/1, g/0\n  static relation U/1\n"
+    f"constants one, two, p, {', '.join(f'a{i}' for i in range(10))}\n"
+    "module A:\n  if g = undef then g := one else F(a1) := one, F(a8) := two endif\n"
+)
+
+
+def test_the_first_instance_a_move_makes_raise_raises():
+    state = parse_state(
+        "Mod(p) = A\n" + "".join(f"U(a{i}) = true\nF(a{i}) = true\n" for i in range(10)),
+        RAISERS.vocabulary, constants=RAISERS.constants,
+    )
+    guard = QuantGuard("forall", "x", "U", Atom(App("F", (Var("x"),))))
+    with pytest.raises(EvaluationError, match="non-Boolean <one>"):
+        enumerate_reachable(RAISERS, state, 2, predicate=guard)
+    assert_same(RAISERS, state, 2, 20000, guard)
+
+
+# Grow imports; Mark writes no location the guard reads.
+GROWERS = parse_program("""\
+vocabulary:
+  relation Node/1, Seen/1
+  dynamic Last/1
+  static relation U/1
+constants q1, q2, g, m
+module Grow:
+  import v
+    Node(v) := true
+    Last(Self) := v
+  endimport
+module Mark:
+  Seen(Self) := true
+""")
+
+
+def test_an_import_looks_up_the_instances_that_read_reserve(monkeypatch):
+    state = parse_state("Mod(g) = Grow\nMod(m) = Mark\nU(q1) = true\nU(q2) = true",
+                        GROWERS.vocabulary, constants=GROWERS.constants)
+    # (forall x in U) not Reserve(Last(x)), which the parser refuses: each
+    # instance reads Last(q), which no move writes, and Reserve(undef).
+    reads = Atom(App("Reserve", (App("Last", (Var("x"),)),)))
+    guard = QuantGuard("forall", "x", "U", BoolGuard("not", (reads,)))
+    calls = count_lookups(monkeypatch)
+    report = enumerate_reachable(GROWERS, state, 4, predicate=guard)
+    assert not report.violations
+    # The two children of the initial state look up both instances.  Of
+    # the later states, the three that g's imports find look both up again
+    # (an import writes Reserve), the three that m's move finds none.
+    assert (len(report.states), len(calls)) == (9, 2 * 2 + 3 * 2)
+    assert_same(GROWERS, state, 4, 20000, guard)
