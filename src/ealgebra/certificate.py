@@ -22,7 +22,7 @@ import os
 import re
 
 from .distributed import PartialRun
-from .errors import CertificateError, ParseError, require_text
+from .errors import CertificateError, ParseError, require, require_text
 from .state import Element, Location, State, StaticMirror, Update, UpdateSet, format_element
 from .stateio import fact_reader, format_state, load_state, parse_element, parse_state
 from .syntax import DistributedSpec
@@ -121,6 +121,7 @@ def load_certificate(path, spec: DistributedSpec) -> PartialRun:
 
 
 def format_certificate(pr: PartialRun) -> str:
+    require(pr, PartialRun, "format_certificate")
     lines = []
     for move in pr.moves:
         lines.append(f"move {move} by {format_element(pr.agent_of[move])}")

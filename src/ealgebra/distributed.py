@@ -26,6 +26,7 @@ from .errors import (
     ModeError,
     ScheduleError,
     StateValidityError,
+    require,
 )
 from .evaluator import Footprint, updates  # noqa: F401 (perfbench traces it here)
 from .runner import (
@@ -69,6 +70,7 @@ def validate_spec_state(spec: DistributedSpec, state: State) -> dict[Element, st
     """
     if isinstance(spec, Program):
         raise ModeError("a single-agent program runs with run, not as a distributed spec")
+    require(state, State, "validate_spec_state")
     seen: dict[Element, str] = {}
     for name in spec.module_names:
         el = state.read(Location(name))
@@ -93,6 +95,7 @@ def agents_of(
     ``by_element`` is the map ``validate_spec_state`` returned for the
     state or one fired from it (see ``_agent``); without it the state is
     validated here."""
+    require(state, State, "agents_of")
     if by_element is None:
         by_element = validate_spec_state(spec, state)
     agents = []
@@ -139,6 +142,7 @@ def agent_move(
     Being an agent of its module is part of what the move reads, so a
     footprint also gets ``Mod(Self)`` and the module name's location.
     """
+    require(state, State, "agent_move")
     if isinstance(agent, Element):
         agent = scheduled_agent(spec, validate_spec_state(spec, state), state, agent)
     if footprint is not None:
@@ -195,7 +199,7 @@ def sequential_run(
     """
     if max_steps is not None and max_steps < 0:
         raise ScheduleError("max_steps must not be negative")
-    by_element = validate_spec_state(spec, initial)
+    by_element = validate_spec_state(spec, require(initial, State, "sequential_run"))
     if chooser is None:
         chooser = SeededChooser(0)
     if schedule is not None:
@@ -530,8 +534,11 @@ def check_partial_run(
     it.  Raises ``BudgetError`` when the predecessor sets, or the segments
     the scan lists, hold more than ``SEGMENT_BUDGET`` moves in all.
     """
-    if initial_state is not None and frozenset() not in pr.states:
-        pr = replace(pr, states={**pr.states, frozenset(): initial_state})
+    require(pr, PartialRun, "check_partial_run")
+    if initial_state is not None:
+        require(initial_state, State, "check_partial_run")
+        if frozenset() not in pr.states:
+            pr = replace(pr, states={**pr.states, frozenset(): initial_state})
     try:
         # Certificate shape, and the acyclic order of condition 1.
         order = _shape(pr)
@@ -571,7 +578,7 @@ def check_partial_run(
 
 def segment_states(spec: DistributedSpec, pr: PartialRun) -> dict[frozenset, State]:
     """The state of every initial segment, checked for coherence."""
-    return _sigma(spec, pr, _shape(pr))
+    return _sigma(spec, pr, _shape(require(pr, PartialRun, "segment_states")))
 
 
 @dataclass
@@ -615,7 +622,7 @@ def linearizations(
     runs, up to ``budget`` of them."""
     if budget < 1:
         raise ScheduleError("budget must be positive")
-    order = _shape(pr)
+    order = _shape(require(pr, PartialRun, "linearizations"))
     segment = frozenset(pr.moves) if segment is None else frozenset(segment)
     if not _is_down_set(order, segment):
         raise CertificateError("not an initial segment")
@@ -638,6 +645,7 @@ def linearizations(
 
 def corollary1_holds(report: LinearizationReport) -> bool:
     """Every linearization of the same segment ends in the same final state."""
+    require(report, LinearizationReport, "corollary1_holds")
     finals = {trace.final_state for trace in report.traces}
     return len(finals) <= 1
 
@@ -647,6 +655,7 @@ def corollary2_agrees(spec: DistributedSpec, pr: PartialRun, guard: syntax.Guard
     linearization states."""
     from .evaluator import eval_guard
 
+    require(pr, PartialRun, "corollary2_agrees")
     over_run = all(eval_guard(s, None, guard) for s in segment_states(spec, pr).values())
     report = linearizations(spec, pr)
     over_linear = all(
@@ -675,7 +684,7 @@ def generate_partial_run(
     moves commute (Corollary 1); ``segment_states`` lists them.  The result
     is a valid run by construction.
     """
-    by_element = validate_spec_state(spec, initial)
+    by_element = validate_spec_state(spec, require(initial, State, "generate_partial_run"))
     if chooser is None:
         chooser = SeededChooser(0)
     state, betas, effects, schedule = initial, [], [], list(schedule)

@@ -1,5 +1,5 @@
 """Exception hierarchy shared by all engine components, and the input-type
-check of the text readers."""
+checks of the entry points."""
 
 
 class EalgebraError(Exception):
@@ -75,3 +75,14 @@ def require_text(text, entry_point: str) -> str:
     if not isinstance(text, str):
         raise ContractViolation(f"{entry_point} reads text, not {type(text).__name__}")
     return text
+
+
+def require(value, kinds: type | tuple[type, ...], entry_point: str):
+    """``value``, refused with ``ContractViolation`` naming ``entry_point``
+    when it is not an instance of ``kinds`` (``None``, text in place of a
+    state)."""
+    if not isinstance(value, kinds):
+        kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+        what = " or ".join(f"a {kind.__name__}" for kind in kinds)
+        raise ContractViolation(f"{entry_point} takes {what}, not {type(value).__name__}")
+    return value

@@ -51,6 +51,7 @@ from .errors import (
     DuplicateError,
     EvaluationError,
     ModeError,
+    require,
 )
 from .state import (
     FALSE,
@@ -465,6 +466,7 @@ def _check_input(
 def eval_term(state: State, env, t: syntax.Term, *, oracle=None, externals=()) -> Element:
     # A term or a guard allocates nothing, and no closure writes ``env``
     # (``_Run.bind`` copies it): the run needs no allocator and no copy.
+    require(state, State, "eval_term")
     run = _Run(state, env or {}, None, oracle, None, (), state.vocabulary)
     return _compiled(_parsed(t, "term"), state.vocabulary, frozenset(externals), _Compiler.term)(run)
 
@@ -477,6 +479,7 @@ def eval_guard(
     variables.  With ``footprint``, the locations and the tables the
     evaluation read are added to it; every operand is evaluated, so they do
     not depend on truth values."""
+    require(state, State, "eval_guard")
     run = _Run(state, env or {}, None, oracle, footprint, (), state.vocabulary)
     return _compiled(_parsed(g, "guard"), state.vocabulary, frozenset(externals), _Compiler.guard)(run)
 
@@ -499,6 +502,7 @@ def nupdates(
     when nothing qualifies (or a plain choose ranges over an empty
     universe) the family is empty, which fires as a no-op.
     """
+    require(state, State, "nupdates")
     run = _start(state, env, alloc, oracle, decls, footprint, vocabulary)
     _check_input(rule, state, run.env, decls, vocabulary)
     members = _compiled(rule, state.vocabulary, frozenset(externals), _Compiler.family)(run)
@@ -523,6 +527,7 @@ def updates(
     A rule with a choose anywhere, even in a branch not taken here, has no
     deterministic update set and raises ``ModeError``.
     """
+    require(state, State, "updates")
     run = _start(state, env, alloc, oracle, decls, footprint, vocabulary)
     if _check_input(rule, state, run.env, decls, vocabulary).choose:
         raise ModeError("choose rules have no deterministic update set; use nupdates")

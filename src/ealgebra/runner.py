@@ -28,8 +28,8 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import syntax
 from .errors import (
-    ContractViolation, EalgebraError, ModeError, OracleError, ParseError, ScheduleError,
-    VocabularyError, require_text,
+    EalgebraError, ModeError, OracleError, ParseError, ScheduleError, VocabularyError, require,
+    require_text,
 )
 from .evaluator import Footprint, eval_guard, nupdates, updates
 from .state import (
@@ -229,10 +229,8 @@ def check_appropriate(program: Program, state: State):
 def _require_inputs(target, initial, entry_point: str) -> None:
     """``ContractViolation`` unless ``target`` is a program or a spec and
     ``initial`` a state."""
-    for value, kinds, what in ((target, (Program, DistributedSpec), "a Program or a DistributedSpec"),
-                               (initial, State, "a State")):
-        if not isinstance(value, kinds):
-            raise ContractViolation(f"{entry_point} takes {what}, not {type(value).__name__}")
+    require(target, (Program, DistributedSpec), entry_point)
+    require(initial, State, entry_point)
 
 
 def resolutions(
@@ -308,6 +306,7 @@ def step(
     """Fire the program once; inconsistent update sets change nothing."""
     if isinstance(program, DistributedSpec):
         raise ModeError("a distributed spec runs its agents with sequential_run")
+    _require_inputs(program, state, "step")
     return move(program, state, chooser, oracle=oracle, index=step_index)
 
 
@@ -341,7 +340,8 @@ def run(
 
 def replay_record(state: State, record: StepRecord) -> State:
     """Apply a recorded step to a state (bit-exact when states match)."""
-    if not record.fired:
+    require(state, State, "replay_record")
+    if not require(record, StepRecord, "replay_record").fired:
         return state
     new_state, fired = state.fire_update_set(record.updates)
     if not fired:
@@ -469,17 +469,28 @@ def _keep(shapes: dict, state: State, footprint: Footprint, found, reserve: bool
     an evaluation reads nothing else, so a state holding the same values
     has the same result (read-set validation, Acar, *Self-Adjusting
     Computation*, 2005).  Not kept: one that read a table whole or a
-    location outside the tables (as ``Reserve(x)``)."""
+    location outside the tables (as ``Reserve(x)``).
+
+    A static location none of whose arguments is a reserve element is
+    left out of the key: no state of one enumeration changes it, since
+    the only update of a static name is a ``StaticMirror`` of
+    ``duplicate``, at a location holding the fresh copy.  A static
+    location at a reserve argument stays in the key, as duplicates in
+    two branches may mirror different values onto the same serial."""
     if footprint.names:
         return
-    at = []
+    vocabulary, at, held = state.vocabulary, [], []
     for fname, args in sorted(footprint.locations):
-        how = resolve(state.vocabulary, fname, len(args))
+        how = resolve(vocabulary, fname, len(args))
         if how.kind != "table":
             return
+        if vocabulary.lookup(fname).is_static and all(a.kind != "reserve" for a in args):
+            continue
         at.append((fname, args, how.value))
-    at = tuple(at)
-    shapes.setdefault((at, reserve), {})[_held(state, at, reserve)] = found
+        held.append(how.read(state, args))
+    if reserve:
+        held.append(state.reserve_next)
+    shapes.setdefault((tuple(at), reserve), {})[tuple(held)] = found
 
 
 def _held(state: State, at, reserve: bool) -> tuple:
@@ -562,9 +573,10 @@ def enumerate_reachable(
     (sequential interleavings) plus each agent's choice resolutions.
     States are deduplicated up to isomorphism (reserve renaming).  A
     move's results are kept under the values the state holds at what the
-    move read, and reused at every state that holds the same values
-    there (``_members``, ``_keep``).  Violations of the safety predicate
-    are reported with witness traces.
+    move read, less the static locations no move can write, and reused
+    at every state that holds the same values there (``_members``,
+    ``_keep``).  Violations of the safety predicate are reported with
+    witness traces.
 
     The predicate is checked by the same rule: at the initial state it is
     evaluated whole, then ``_split`` breaks it into instances, each with
@@ -802,6 +814,7 @@ def record_from_json(text: str) -> StepRecord:
 
 def render_trace(trace: RunTrace, fmt: str = "text", header: dict | None = None) -> str:
     """Deterministic trace rendering; identical runs give identical bytes."""
+    require(trace, RunTrace, "render_trace")
     if fmt == "records":
         lines = []
         if header:

@@ -492,9 +492,12 @@ class State:
     def checked(self, beta: UpdateSet) -> Optional[list[tuple[Update, FunctionName]]]:
         """The members of ``beta`` with their names, as ``_apply`` fires
         them, or None when ``beta`` is inconsistent.  Raises as firing
-        would; the result holds at every state of this vocabulary."""
+        would; the result holds at every state of this vocabulary.  Only
+        a set that writes some location twice can conflict."""
         pairs = [(u, self._validate_update(u)) for u in beta]
-        return None if beta.conflicts() else pairs
+        if len({u.location for u in beta.updates}) < len(pairs) and beta.conflicts():
+            return None
+        return pairs
 
     def fire_update_set(self, beta: UpdateSet) -> tuple["State", bool]:
         """Fire all members at once; an empty or inconsistent set changes nothing."""

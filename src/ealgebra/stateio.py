@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError, require_text
+from .errors import ParseError, require, require_text
 from .state import Element, Location, State, format_element
 from .vocabulary import IDENTIFIER, INTEGER, Vocabulary
 
@@ -173,6 +173,7 @@ def load_state(path, vocabulary: Vocabulary, *, constants: tuple[str, ...] = ())
 
 def format_state(state: State) -> str:
     """Canonical fact-per-line rendering (inverse of :func:`parse_state`)."""
+    require(state, State, "format_state")
     lines = []
     if state.reserve_next:
         lines.append(f"reserve: {state.reserve_next}")

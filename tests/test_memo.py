@@ -8,10 +8,14 @@ on the ``genrules`` basic and choice rules, alone and as the modules of
 a spec, on rings of three to eight philosophers, and on the enumerate
 pairings of ``programs/``, with budgets small enough to stop early.  The
 edge cases pin what a reuse must keep apart (``reserve_next``, the
-module an agent belongs to) and what is never kept.  The last part pins
-the sleep sets: pairs of moves that conflict by one clause of
-``runner._footprints_conflict`` each, a move without a footprint, and
-the moves and agent listings an enumeration of a ring saves.  The
+module an agent belongs to, a static relation that ``duplicate`` mirrors
+onto one serial with different values in two branches), what is never
+kept, and what a key holds: on the ring, only the dynamic locations a
+move or a guard instance read, one shape per memo and one probe per
+lookup.  The last part pins the sleep sets: pairs of moves that
+conflict by one clause of ``runner._footprints_conflict`` each, a move
+without a footprint, and the moves and agent listings an enumeration of
+a ring saves.  The
 properties also check the safety guard, whose instances
 ``enumerate_reachable`` keeps by the same rule, under the values they
 read; the last tests pin how many guard instances that evaluates, after
@@ -42,6 +46,7 @@ from ealgebra import (
     EvaluationError,
     Location,
     State,
+    UNDEF,
     distributed,
     enumerate_reachable,
     eval_guard,
@@ -293,6 +298,78 @@ def test_a_reserve_read_is_never_kept():
         True, True, False, False
     ]
     assert_same(spec, state, 4, 20000)
+
+
+def test_a_ring_keys_each_move_and_instance_by_its_dynamic_reads(monkeypatch):
+    # The philosopher i reads the constants think, down, eat and up and
+    # the module name Phil too, and an instance reads the constant eat;
+    # none of them is in a key, so each memo has one shape and a lookup
+    # probes once.  Hits and misses are those of keys that held every read.
+    spec, state = thinking_ring(10)
+    guard = parse_guard_text(RING_GUARDS[0], spec.vocabulary)
+    memos, lookups, probes = {}, [], []
+    real_keep, real_recall, real_held = runner._keep, runner._recall, runner._held
+
+    def keep(shapes, *args):
+        memos[id(shapes)] = shapes
+        return real_keep(shapes, *args)
+
+    def recall(shapes, state):
+        found = real_recall(shapes, state)
+        lookups.append((bool(shapes), found is not None))
+        return found
+
+    def held(*args):
+        probes.append(args)
+        return real_held(*args)
+
+    for name, fake in (("_keep", keep), ("_recall", recall), ("_held", held)):
+        monkeypatch.setattr(runner, name, fake)
+    enumerate_reachable(spec, state, 6, predicate=guard)
+    hits = sum(hit for _, hit in lookups)
+    assert (hits, len(lookups) - hits) == (752, 70)
+    assert len(probes) == sum(shaped for shaped, _ in lookups) == 812
+    i = [Element.integer(k) for k in range(10)]
+    want = {
+        frozenset({("Fork", (i[k],)), ("Fork", (i[(k + 1) % 10],)), ("Mod", (i[k],)),
+                   ("Mode", (i[k],))})
+        for k in range(10)
+    } | {frozenset({("Mode", (i[k],)), ("Mode", (i[(k + 1) % 10],))}) for k in range(10)}
+    shapes = [shape for memo in memos.values() for shape in memo]
+    assert len(shapes) == len(memos) == 20
+    assert {frozenset((fname, args) for fname, args, _ in at) for at, _ in shapes} == want
+
+
+# Duplicating a chosen element of U mirrors S onto the copy @0: S(@0) is
+# true when the original is a, false when it is b.  Both successors hold
+# ptr = @0, and the next move reads S(@0) through ptr.
+MIRRORS = parse_program("""\
+vocabulary:
+  dynamic ptr/0, seen/0
+  static relation S/1, U/1
+constants a, b, d, yes
+module Dup:
+  if ptr = undef then
+    choose x in U
+      duplicate x as v
+        ptr := v
+      endduplicate
+    endchoose
+  elseif S(ptr) then
+    seen := yes
+  endif
+""")
+
+
+def test_a_static_read_at_a_reserve_argument_stays_keyed():
+    state = parse_state("Mod(d) = Dup\nU(a) = true\nU(b) = true\nS(a) = true",
+                        MIRRORS.vocabulary, constants=MIRRORS.constants)
+    guard = parse_guard_text("not S(ptr)", MIRRORS.vocabulary)
+    assert_same(MIRRORS, state, 3, 20000, guard)
+    report = enumerate_reachable(MIRRORS, state, 3, predicate=guard)
+    seen = [s for s, _ in report.states if s.read(Location("seen")) != UNDEF]
+    assert len(report.states) == 4 and len(seen) == 1
+    assert len(report.violations) == 2  # the copy of a and its successor
 
 
 CLASH = parse_program("""\
