@@ -8,7 +8,8 @@ Subcommands: ``run``, ``enumerate``, ``normalize``, ``check-run``,
 1     internal error
 2     usage error (bad flags, ``--steps``/``--budget`` below 1, ``--depth`` below 0)
 3     parse or format error (program, state, oracle, certificate,
-      assertion guard, or a program outside the needed fragment)
+      assertion guard, or a program outside the needed fragment),
+      or a program nested too deep for the interpreter
 4     state-validity or schedule error
 5     oracle failure
 6     budget exhausted / partial result (``enumerate`` past
@@ -314,6 +315,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except RecursionError:
+        print("error: program nested too deep for the interpreter", file=sys.stderr)
         return EXIT_PARSE
     except _STATE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,24 @@ Rule text is keyword-delimited: ``if/elseif/else/endif``,
 ``let v = t in/endlet``, ``case t of/endcase``,
 ``duplicate t as v/endduplicate`` and ``skip``.  Statements inside a
 block are separated by newlines or commas and fire simultaneously.
-Mentioning Reserve anywhere is rejected.
+
+Operators in terms and guards, loosest first:
+
+====================  ==================================================
+``implies``           binary
+``or``                binary
+``and``               binary
+``not``               prefix
+``=``, ``!=``, ``<``  comparisons; a chain ``a = b < c`` means
+                      ``a = b and b < c``
+``+``                 binary, needs ``pragma integers``
+``mod``               binary, needs ``pragma integers``
+====================  ==================================================
+
+Binary operators are left-associative.  A guard may also be a quantifier
+``(exists v in U) g`` or ``(forall v in U) g`` wherever a comparison may
+stand; its body ``g`` extends as far as it can.  Mentioning Reserve
+anywhere is rejected.
 """
 
 from __future__ import annotations
@@ -68,6 +85,13 @@ _KEYWORDS = {
 
 _OPS = (":=", "!=", "=", "<", "(", ")", ",", "+", ":", "/")
 
+# One token after any blanks: an identifier, an integer or an operator,
+# tried in that order; any other character is unexpected.
+_TOKEN = re.compile(
+    rf"[ \t]*(?:(?P<ident>{IDENTIFIER.pattern})|(?P<int>{INTEGER.pattern})"
+    rf"|(?P<op>{'|'.join(map(re.escape, _OPS))})|(?P<bad>[^ \t]))"
+)
+
 
 @dataclass
 class _Tok:
@@ -81,42 +105,26 @@ def _scan(text: str, first_line: int = 1) -> list[_Tok]:
     toks: list[_Tok] = []
     for lineno, raw in enumerate(text.splitlines(), start=first_line):
         line = raw.split("#", 1)[0]
-        pos, n = 0, len(line)
-        emitted = False
-        while pos < n:
-            ch = line[pos]
-            if ch in " \t":
-                pos += 1
-                continue
-            m = IDENTIFIER.match(line, pos)
-            if m:
-                word = m.group(0)
-                kind = "kw" if word in _KEYWORDS else "ident"
-                toks.append(_Tok(kind, word, lineno, pos + 1))
-                pos = m.end()
-                emitted = True
-                continue
-            m = INTEGER.match(line, pos)
-            if m:
-                toks.append(_Tok("int", m.group(0), lineno, pos + 1))
-                pos = m.end()
-                emitted = True
-                continue
-            for op in _OPS:
-                if line.startswith(op, pos):
-                    toks.append(_Tok("op", op, lineno, pos + 1))
-                    pos += len(op)
-                    emitted = True
-                    break
-            else:
-                raise ParseError(f"unexpected character {ch!r}", lineno, pos + 1)
-        if emitted:
-            toks.append(_Tok("newline", "", lineno, n + 1))
+        count = len(toks)
+        for m in _TOKEN.finditer(line):
+            kind, word, col = m.lastgroup, m[m.lastgroup], m.start(m.lastgroup) + 1
+            if kind == "bad":
+                raise ParseError(f"unexpected character {word!r}", lineno, col)
+            if kind == "ident" and word in _KEYWORDS:
+                kind = "kw"
+            toks.append(_Tok(kind, word, lineno, col))
+        if len(toks) > count:
+            toks.append(_Tok("newline", "", lineno, len(line) + 1))
     last = toks[-1].line if toks else first_line
     toks.append(_Tok("eof", "", last, 1))
     return toks
 
 
+# The levels of the binary operators by token text, loosest first (no
+# identifier spells a keyword); ``not`` sits at level 4 and the comparisons
+# between it and ``+`` (see the module docstring).
+_BINARY = {"implies": 1, "or": 2, "and": 3, "+": 5, "mod": 6}
+_NOT, _SUM = 4, 5
 _CMP_OPS = {"=", "!=", "<"}
 
 
@@ -161,18 +169,27 @@ class _RuleParser:
             raise self.fail(f"expected {want!r}, found {tok.text or tok.kind!r}")
         return self.next()
 
+    def accept(self, kind: str, text: str) -> _Tok | None:
+        """The next token, consumed, if it is ``text`` of ``kind``."""
+        tok = self.peek()
+        return self.next() if tok.kind == kind and tok.text == text else None
+
     def skip_newlines(self):
         while self.peek().kind == "newline":
             self.next()
 
     def parse_whole(self, parse):
-        """Run ``parse`` over the whole input: only newlines may surround it."""
+        """``parse(self)`` over the whole input: only newlines may surround
+        it.  Nesting too deep for the interpreter's stack is a ParseError at
+        the token where the stack ran out."""
         self.skip_newlines()
-        result = parse()
+        try:
+            result = parse(self)
+        except RecursionError:
+            raise self.fail("nesting too deep") from None
         self.skip_newlines()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
+        if self.peek().kind != "eof":
+            raise self.fail(f"unexpected {self.peek().text!r}")
         return result
 
     def at_kw(self, *words: str) -> bool:
@@ -185,116 +202,100 @@ class _RuleParser:
             raise self.fail(f"expected an identifier, found {tok.text or tok.kind!r}")
         return self.next()
 
+    def _list(self, item) -> list:
+        """``item()`` once, then once more after each comma."""
+        items = [item()]
+        while self.accept("op", ","):
+            items.append(item())
+        return items
+
+    def _names(self) -> list[str]:
+        return self._list(lambda: self.expect_ident().text)
+
     # -- names
 
-    def resolve(self, name: str) -> str:
-        return self.aliases.get(name, name)
-
-    def check_universe(self, tok: _Tok) -> str:
-        name = self.resolve(tok.text)
+    def resolve(self, tok: _Tok) -> str:
+        """The name ``tok`` stands for, its alias followed; never Reserve."""
+        name = self.aliases.get(tok.text, tok.text)
         if name == "Reserve":
             raise self.fail("mentioning Reserve is forbidden", tok)
+        return name
+
+    def check_universe(self, tok: _Tok) -> str:
+        name = self.resolve(tok)
         if not self.vocab.is_universe_name(name):
             raise self.fail(f"{name}: not a universe (unary relation) name", tok)
         return name
 
-    def bind(self, names: list[str]):
+    def _scoped(self, names: list[str], end: str) -> syntax.Rule:
+        """The body a binder of ``names`` scopes over, and its ``end`` keyword."""
         self.scope.extend(names)
+        body = self.parse_rule(frozenset({end}))
+        del self.scope[len(self.scope) - len(names):]
+        self.expect("kw", end)
+        return body
 
-    def unbind(self, count: int):
-        del self.scope[len(self.scope) - count:]
-
-    # -- terms
+    # -- terms and guards
 
     def parse_term(self) -> syntax.Term:
-        return self._impl(mode="term")
+        return self._binary("term", 1)
 
     def parse_guard(self) -> syntax.Guard:
-        return self._impl(mode="guard")
+        return self._binary("guard", 1)
 
-    def _impl(self, mode: str):
-        left = self._or(mode)
-        while self.at_kw("implies"):
-            self.next()
-            right = self._or(mode)
-            left = self._join("implies", left, right, mode)
+    def _binary(self, mode: str, floor: int):
+        """The operators of level ``floor`` and tighter, left-associative;
+        in a guard the Boolean ones make guards, elsewhere terms."""
+        make = App if mode == "term" else BoolGuard
+        if floor > _NOT:
+            left = self._primary()
+        else:
+            nots = 0
+            while self.accept("kw", "not"):
+                nots += 1
+            left = self._comparison(mode)
+            for _ in range(nots):
+                left = make("not", (left,))
+        while (level := _BINARY.get(self.peek().text, 0)) >= floor:
+            tok = self.next()
+            if level >= _SUM:
+                self._need_integers(tok)
+            left = make(tok.text, (left, self._binary(mode, level + 1)))
         return left
 
-    def _or(self, mode):
-        left = self._and(mode)
-        while self.at_kw("or"):
+    def _comparison(self, mode: str):
+        """A quantified guard, a chain of comparisons, or one term, which
+        must be Boolean in a guard."""
+        if mode == "guard" and self.peek(1).text in ("exists", "forall") \
+                and self.accept("op", "("):
+            return self._quantified()
+        left = self._binary("term", _SUM)
+        out = None
+        while (tok := self.peek()).kind == "op" and tok.text in _CMP_OPS:
             self.next()
-            left = self._join("or", left, self._and(mode), mode)
-        return left
-
-    def _and(self, mode):
-        left = self._not(mode)
-        while self.at_kw("and"):
-            self.next()
-            left = self._join("and", left, self._not(mode), mode)
-        return left
-
-    def _not(self, mode):
-        if self.at_kw("not"):
-            self.next()
-            inner = self._not(mode)
-            if mode == "term":
-                return App("not", (inner,))
-            return BoolGuard("not", (inner,))
-        return self._comparison(mode)
-
-    def _join(self, op: str, left, right, mode):
-        if mode == "term":
-            return App(op, (left, right))
-        return BoolGuard(op, (left, right))
-
-    def _comparison(self, mode):
-        if mode == "guard":
-            quant = self._guard_primary_quant()
-            if quant is not None:
-                return quant
-        first = self._additive()
-        chain: list[tuple[str, syntax.Term]] = []
-        while self.peek().kind == "op" and self.peek().text in _CMP_OPS:
-            op = self.next().text
-            chain.append((op, self._additive()))
-        if not chain:
-            if mode == "guard":
-                if not is_boolean_term(first, self.vocab, active=self.active):
-                    raise self.fail("guard must be a Boolean term")
-                return syntax.guard_from_term(first)
-            return first
-        parts = []
-        left = first
-        for op, right in chain:
-            if op == "=":
-                part = App("=", (left, right))
-            elif op == "<":
-                part = App("<", (left, right))
-            else:
+            right = self._binary("term", _SUM)
+            if tok.text == "!=":
                 part = App("not", (App("=", (left, right)),))
-            parts.append(part)
+            else:
+                part = App(tok.text, (left, right))
+            out = part if out is None else App("and", (out, part))
             left = right
-        out = parts[0]
-        for p in parts[1:]:
-            out = App("and", (out, p))
+        if out is None:
+            if mode == "guard" and not is_boolean_term(left, self.vocab, active=self.active):
+                raise self.fail("guard must be a Boolean term")
+            out = left
         return syntax.guard_from_term(out) if mode == "guard" else out
 
-    def _additive(self) -> syntax.Term:
-        left = self._multiplicative()
-        while self.peek().kind == "op" and self.peek().text == "+":
-            tok = self.next()
-            self._need_integers(tok)
-            left = App("+", (left, self._multiplicative()))
-        return left
-
-    def _multiplicative(self) -> syntax.Term:
-        left = self._primary()
-        while self.at_kw("mod"):
-            tok = self.next()
-            self._need_integers(tok)
-            left = App("mod", (left, self._primary()))
-        return left
+    def _quantified(self) -> syntax.Guard:
+        kind = self.next().text
+        var = self.expect_ident().text
+        self.expect("kw", "in")
+        universe = self.check_universe(self.expect_ident())
+        self.expect("op", ")")
+        self.scope.append(var)
+        body = self.parse_guard()
+        self.scope.pop()
+        return QuantGuard(kind, var, universe, body)
 
     def _need_integers(self, tok: _Tok):
         if not self.vocab.integers:
@@ -302,64 +303,36 @@ class _RuleParser:
 
     def _primary(self) -> syntax.Term:
         tok = self.peek()
-        if tok.kind == "op" and tok.text == "(":
-            self.next()
-            inner = self._impl(mode="term")
+        if self.accept("op", "("):
+            inner = self._binary("term", 1)
             self.expect("op", ")")
             return inner
         if tok.kind == "int":
             self._need_integers(tok)
             self.next()
             return App(tok.text)
-        if tok.kind == "ident":
-            self.next()
-            name = self.resolve(tok.text)
-            if name == "Reserve":
-                raise self.fail("mentioning Reserve is forbidden", tok)
-            if name in self.scope:
-                return Var(name)
-            fn = self.vocab.lookup(name)
-            if fn is None:
-                raise self.fail(f"unknown identifier: {name}", tok)
-            if name == "Self" and not self.allow_self:
-                raise self.fail("Self is only available inside modules", tok)
-            args: tuple[syntax.Term, ...] = ()
-            if self.peek().kind == "op" and self.peek().text == "(":
-                self.next()
-                items = [self._impl(mode="term")]
-                while self.peek().kind == "op" and self.peek().text == ",":
-                    self.next()
-                    items.append(self._impl(mode="term"))
-                self.expect("op", ")")
-                args = tuple(items)
-            if len(args) != fn.arity:
-                raise self.fail(
-                    f"{name}: expected {fn.arity} arguments, got {len(args)}", tok
-                )
-            return App(name, args)
-        raise self.fail(f"expected a term, found {tok.text or tok.kind!r}")
-
-    # -- guards: quantifier primaries hook into _comparison via _additive's
-    #    primary, so they are caught here before term parsing.
-
-    def _guard_primary_quant(self) -> syntax.Guard | None:
-        if self.peek().kind == "op" and self.peek().text == "(" and \
-                self.peek(1).kind == "kw" and self.peek(1).text in ("exists", "forall"):
-            self.next()
-            kind = self.next().text
-            var = self.expect_ident().text
-            self.expect("kw", "in")
-            universe = self.check_universe(self.expect_ident())
+        if tok.kind != "ident":
+            raise self.fail(f"expected a term, found {tok.text or tok.kind!r}")
+        self.next()
+        name = self.resolve(tok)
+        if name in self.scope:
+            return Var(name)
+        fn = self.vocab.lookup(name)
+        if fn is None:
+            raise self.fail(f"unknown identifier: {name}", tok)
+        if name == "Self" and not self.allow_self:
+            raise self.fail("Self is only available inside modules", tok)
+        args = []
+        if self.accept("op", "("):
+            args = self._list(self.parse_term)
             self.expect("op", ")")
-            self.bind([var])
-            body = self._impl(mode="guard")
-            self.unbind(1)
-            return QuantGuard(kind, var, universe, body)
-        return None
+        if len(args) != fn.arity:
+            raise self.fail(f"{name}: expected {fn.arity} arguments, got {len(args)}", tok)
+        return App(name, tuple(args))
 
     # -- rules
 
-    def parse_rule(self, stop: frozenset[str], case: bool = False) -> syntax.Rule:
+    def parse_rule(self, stop: frozenset[str] = frozenset(), case: bool = False) -> syntax.Rule:
         """Statements up to a keyword of ``stop``; in a ``case`` body, also
         up to the line that labels the next branch."""
         stmts: list[syntax.Rule] = []
@@ -370,52 +343,32 @@ class _RuleParser:
                 break
             if case and self._looks_like_label():
                 break
-            if tok.kind == "op" and tok.text == ",":
-                self.next()
+            if self.accept("op", ","):
                 continue
-            if self.at_kw("Var"):
+            if self.accept("kw", "Var"):
                 stmts.append(self._parse_decl(stop))
                 break
-            stmts.append(self._parse_statement(stop))
+            if tok.kind == "kw" and tok.text in self._STATEMENTS:
+                self.next()
+                stmts.append(self._STATEMENTS[tok.text](self))
+            else:
+                stmts.append(self._parse_update())
         if len(stmts) == 1:
             return stmts[0]
         return Block(tuple(stmts))
 
     def _parse_decl(self, stop: frozenset[str]) -> syntax.Rule:
-        self.expect("kw", "Var")
-        names = self._parse_var_list()
-        if self.at_kw("ranges", "range"):
-            self.next()
-        else:
+        names = self._names()
+        if not (self.accept("kw", "ranges") or self.accept("kw", "range")):
             raise self.fail("expected 'ranges over'")
         self.expect("kw", "over")
         universe = self.check_universe(self.expect_ident())
-        self.bind(names)
+        self.scope.extend(names)
         body = self.parse_rule(stop)
-        self.unbind(len(names))
+        del self.scope[len(self.scope) - len(names):]
         for name in reversed(names):
             body = Decl(name, UniverseRange(universe), body)
         return body
-
-    def _parse_statement(self, outer_stop: frozenset[str]) -> syntax.Rule:
-        if self.at_kw("skip"):
-            self.next()
-            return syntax.SKIP
-        if self.at_kw("if"):
-            return self._parse_cond()
-        if self.at_kw("import"):
-            return self._parse_import()
-        if self.at_kw("extend"):
-            return self._parse_extend()
-        if self.at_kw("choose"):
-            return self._parse_choose()
-        if self.at_kw("let"):
-            return self._parse_let()
-        if self.at_kw("case"):
-            return self._parse_case()
-        if self.at_kw("duplicate"):
-            return self._parse_duplicate()
-        return self._parse_update()
 
     def _parse_update(self) -> syntax.Rule:
         tok = self.peek()
@@ -437,93 +390,55 @@ class _RuleParser:
         return syntax.UpdateInstr(lhs.fname, lhs.args, rhs)
 
     def _parse_cond(self) -> syntax.Rule:
-        self.expect("kw", "if")
         clauses = []
-        guard = self.parse_guard()
-        self.expect("kw", "then")
-        body = self.parse_rule(frozenset({"elseif", "else", "endif"}))
-        clauses.append((guard, body))
-        while self.at_kw("elseif"):
-            self.next()
+        while not clauses or self.accept("kw", "elseif"):
             guard = self.parse_guard()
             self.expect("kw", "then")
             clauses.append((guard, self.parse_rule(frozenset({"elseif", "else", "endif"}))))
-        if self.at_kw("else"):
-            self.next()
+        if self.accept("kw", "else"):
             clauses.append((syntax.TRUE_GUARD, self.parse_rule(frozenset({"endif"}))))
         self.expect("kw", "endif")
         return Cond(tuple(clauses))
 
-    def _parse_var_list(self) -> list[str]:
-        names = [self.expect_ident().text]
-        while self.peek().kind == "op" and self.peek().text == ",":
-            self.next()
-            names.append(self.expect_ident().text)
-        return names
-
     def _parse_import(self) -> syntax.Rule:
-        self.expect("kw", "import")
-        names = self._parse_var_list()
-        self.bind(names)
-        body = self.parse_rule(frozenset({"endimport"}))
-        self.unbind(len(names))
-        self.expect("kw", "endimport")
-        return Import(tuple(names), body)
+        names = self._names()
+        return Import(tuple(names), self._scoped(names, "endimport"))
 
     def _parse_extend(self) -> syntax.Rule:
-        self.expect("kw", "extend")
         universe_tok = self.expect_ident()
         universe = self.check_universe(universe_tok)
         fn = self.vocab.require(universe)
         if fn.is_static or fn.is_logic:
             raise self.fail(f"{universe}: cannot extend a static universe", universe_tok)
         self.expect("kw", "with")
-        names = self._parse_var_list()
-        self.bind(names)
-        body = self.parse_rule(frozenset({"endextend"}))
-        self.unbind(len(names))
-        self.expect("kw", "endextend")
-        return Extend(universe, tuple(names), body)
+        names = self._names()
+        return Extend(universe, tuple(names), self._scoped(names, "endextend"))
 
     def _parse_choose(self) -> syntax.Rule:
-        self.expect("kw", "choose")
-        names = self._parse_var_list()
+        names = self._names()
         self.expect("kw", "in")
         universe = self.check_universe(self.expect_ident())
-        self.bind(names)
         qualifier = None
-        if self.at_kw("satisfying"):
-            tok = self.next()
+        if tok := self.accept("kw", "satisfying"):
+            self.scope.extend(names)
             qualifier = self.parse_term()
+            del self.scope[len(self.scope) - len(names):]
             if not is_boolean_term(qualifier, self.vocab, active=self.active):
                 raise self.fail("satisfying needs a Boolean term", tok)
-        body = self.parse_rule(frozenset({"endchoose"}))
-        self.unbind(len(names))
-        self.expect("kw", "endchoose")
-        return Choose(tuple(names), universe, qualifier, body)
+        return Choose(tuple(names), universe, qualifier, self._scoped(names, "endchoose"))
 
     def _parse_let(self) -> syntax.Rule:
-        self.expect("kw", "let")
         name = self.expect_ident().text
         self.expect("op", "=")
         term = self.parse_term()
         self.expect("kw", "in")
-        self.bind([name])
-        body = self.parse_rule(frozenset({"endlet"}))
-        self.unbind(1)
-        self.expect("kw", "endlet")
-        return Decl(name, TermRange(term), body)
+        return Decl(name, TermRange(term), self._scoped([name], "endlet"))
 
     def _parse_duplicate(self) -> syntax.Rule:
-        self.expect("kw", "duplicate")
         term = self.parse_term()
         self.expect("kw", "as")
         name = self.expect_ident().text
-        self.bind([name])
-        body = self.parse_rule(frozenset({"endduplicate"}))
-        self.unbind(1)
-        self.expect("kw", "endduplicate")
-        return Duplicate(term, name, body)
+        return Duplicate(term, name, self._scoped([name], "endduplicate"))
 
     def _looks_like_label(self) -> bool:
         """Within a case body: does the upcoming line introduce a new branch?"""
@@ -545,30 +460,34 @@ class _RuleParser:
             ahead += 1
 
     def _parse_case(self) -> syntax.Rule:
-        self.expect("kw", "case")
         subject = self.parse_term()
         self.expect("kw", "of")
         branches = []
         else_rule = None
         stop = frozenset({"endcase", "else"})
-        while True:
-            self.skip_newlines()
-            if self.at_kw("endcase"):
-                break
-            if self.at_kw("else"):
-                self.next()
-                else_rule = self.parse_rule(stop, case=True)
-                break
-            labels = [self.parse_term()]
-            while self.peek().kind == "op" and self.peek().text == ",":
-                self.next()
-                labels.append(self.parse_term())
+        self.skip_newlines()
+        while not self.at_kw("endcase", "else"):
+            labels = self._list(self.parse_term)
             self.expect("op", ":")
             branches.append((tuple(labels), self.parse_rule(stop, case=True)))
+        if self.accept("kw", "else"):
+            else_rule = self.parse_rule(stop, case=True)
         self.expect("kw", "endcase")
         if not branches:
             raise self.fail("case needs at least one branch")
         return Case(subject, tuple(branches), else_rule)
+
+    # The statement each keyword opens, parsed past the keyword.
+    _STATEMENTS = {
+        "skip": lambda self: syntax.SKIP,
+        "if": _parse_cond,
+        "import": _parse_import,
+        "extend": _parse_extend,
+        "choose": _parse_choose,
+        "let": _parse_let,
+        "case": _parse_case,
+        "duplicate": _parse_duplicate,
+    }
 
 
 def is_boolean_term(t: syntax.Term, vocabulary: Vocabulary, *, active: bool = False) -> bool:
@@ -617,6 +536,15 @@ class _Header:
     modulus: int | None = None
     active: bool = False
     aliases: dict[str, str] | None = None
+
+    def vocabulary(
+        self, declared: list[FunctionName], with_reserve: bool, with_self: bool = False
+    ) -> Vocabulary:
+        """A vocabulary of ``declared`` under this header's integer pragma."""
+        return make_vocabulary(
+            declared, with_reserve=with_reserve, with_self=with_self,
+            integers=self.integers, modulus=self.modulus,
+        )
 
 
 def _parse_decl_line(line: str, lineno: int, header: _Header):
@@ -683,17 +611,9 @@ def _parse_header_line(line: str, lineno: int, header: _Header):
     raise ParseError(f"unexpected header line: {line!r}", lineno, 1)
 
 
-def _permissive_vocabulary(header: _Header) -> Vocabulary:
-    extra = []
-    if header.active:
-        extra.append(FunctionName("Active", 1, is_relation=True))
-    return make_vocabulary(
-        header.declared + extra,
-        with_reserve=True,
-        with_self=True,
-        integers=header.integers,
-        modulus=header.modulus,
-    )
+def _read(text: str, parse, vocabulary: Vocabulary, first_line: int = 1, **options):
+    """``parse`` run by a rule parser over the whole of ``text``."""
+    return _RuleParser(_scan(text, first_line), vocabulary, **options).parse_whole(parse)
 
 
 def _parse_rule_section(
@@ -703,15 +623,10 @@ def _parse_rule_section(
     *,
     allow_self: bool,
 ) -> syntax.Rule:
-    toks = _scan(text, first_line)
-    parser = _RuleParser(
-        toks,
-        _permissive_vocabulary(header),
-        aliases=header.aliases,
-        allow_self=allow_self,
-        active=header.active,
-    )
-    rule = parser.parse_whole(lambda: parser.parse_rule(frozenset()))
+    active = [FunctionName("Active", 1, is_relation=True)] if header.active else []
+    vocabulary = header.vocabulary(header.declared + active, with_reserve=True, with_self=True)
+    rule = _read(text, _RuleParser.parse_rule, vocabulary, first_line,
+                 aliases=header.aliases, allow_self=allow_self, active=header.active)
     free = syntax.free_vars(rule)
     if free:
         raise ParseError(f"undeclared variables: {', '.join(sorted(free))}")
@@ -765,14 +680,8 @@ def parse_program(text: str) -> Program | DistributedSpec:
     if body_start is not None:
         rule_text = "\n".join(lines[body_start:])
         rule = _parse_rule_section(rule_text, body_start + 1, header, allow_self=False)
-        vocabulary = make_vocabulary(
-            header.declared,
-            with_reserve=syntax.has_import(rule),
-            integers=header.integers,
-            modulus=header.modulus,
-        )
         return Program(
-            vocabulary=vocabulary,
+            vocabulary=header.vocabulary(header.declared, with_reserve=syntax.has_import(rule)),
             rule=rule,
             externals=frozenset(header.externals),
             constants=tuple(dict.fromkeys(header.constants)),
@@ -795,26 +704,14 @@ def parse_program(text: str) -> Program | DistributedSpec:
         programs.append((name, _parse_rule_section(chunk, start + 1, header, allow_self=True)))
     any_import = any(syntax.has_import(rule) for _, rule in programs)
 
-    shared = make_vocabulary(
-        header.declared,
-        with_reserve=any_import,
-        integers=header.integers,
-        modulus=header.modulus,
-    )
+    shared = header.vocabulary(header.declared, with_reserve=any_import)
     all_constants = tuple(dict.fromkeys(header.constants))
     module_programs = []
     for name, rule in programs:
         used = fun_of(syntax.desugar(rule, active=header.active))
         local_decl = [fn for fn in header.declared if fn.name in used]
-        local_vocab = make_vocabulary(
-            local_decl,
-            with_reserve=syntax.has_import(rule),
-            with_self=True,
-            integers=header.integers,
-            modulus=header.modulus,
-        )
         module_programs.append((name, Program(
-            vocabulary=local_vocab,
+            vocabulary=header.vocabulary(local_decl, syntax.has_import(rule), with_self=True),
             rule=rule,
             externals=frozenset(header.externals) & used,
             constants=tuple(c for c in all_constants if c in used),
@@ -838,18 +735,16 @@ def parse_rule_text(
 ) -> syntax.Rule:
     """Parse rule text against an existing vocabulary (tests, fragments);
     the names in ``scope`` are variables bound outside the text."""
-    parser = _RuleParser(_scan(require_text(text, "parse_rule_text")), vocabulary, scope=scope)
-    return parser.parse_whole(lambda: parser.parse_rule(frozenset()))
+    return _read(require_text(text, "parse_rule_text"), _RuleParser.parse_rule, vocabulary,
+                 scope=scope)
 
 
 def parse_guard_text(text: str, vocabulary: Vocabulary) -> syntax.Guard:
-    parser = _RuleParser(_scan(require_text(text, "parse_guard_text")), vocabulary)
-    return parser.parse_whole(parser.parse_guard)
+    return _read(require_text(text, "parse_guard_text"), _RuleParser.parse_guard, vocabulary)
 
 
 def parse_term_text(text: str, vocabulary: Vocabulary) -> syntax.Term:
-    parser = _RuleParser(_scan(require_text(text, "parse_term_text")), vocabulary)
-    return parser.parse_whole(parser.parse_term)
+    return _read(require_text(text, "parse_term_text"), _RuleParser.parse_term, vocabulary)
 
 
 # ---------------------------------------------------------------------------

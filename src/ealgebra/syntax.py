@@ -433,18 +433,21 @@ def make_perspicuous(rule: Rule, avoid=frozenset()) -> Rule:
     """Alpha-rename binders until the rule is perspicuous for the name set.
 
     Fresh names are built by priming the original variable, so renamed
-    rules stay parseable and readable.
+    rules stay parseable and readable.  ``used`` only grows, so the search
+    for a variable's next fresh name resumes at the last one handed out.
     """
     used = set(avoid) | free_vars(rule)
+    last: dict[str, str] = {}
 
     def walk(node):
         binders, outside, inside = parts(node)
         names = []
         for var in binders:
             if var in used:
-                new = var
+                new = last.get(var, var)
                 while new in used:
                     new += "'"
+                last[var] = new
                 inside = _map(lambda c: subst(c, {var: Var(new)}), inside)
                 var = new
             used.add(var)

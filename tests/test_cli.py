@@ -476,3 +476,26 @@ def test_non_ascii_digits_are_parse_errors(capsys, tmp_path, digits):
     )
     assert run_cli("validate", str(modded)) == EXIT_PARSE
     assert "usage: pragma integers [mod N]" in capsys.readouterr().err
+
+
+def _nested(tmp_path, rule: str):
+    path = tmp_path / "deep.ea"
+    path.write_text(
+        f"vocabulary:\n  dynamic f/1\n  dynamic relation Q/0\nconstants a\nprogram:\n{rule}"
+    )
+    return str(path)
+
+
+def test_nesting_too_deep_to_parse_is_a_parse_error(capsys, tmp_path):
+    deep = _nested(tmp_path, "  f(a) := " + "(" * 2000 + "a" + ")" * 2000 + "\n")
+    assert run_cli("validate", deep) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 6, column ") and err.endswith(": nesting too deep\n")
+
+
+def test_nesting_too_deep_to_run_exits_with_one_line(capsys, tmp_path):
+    deep = _nested(tmp_path, "  if " + "not " * 500 + "Q then f(a) := a endif\n")
+    assert run_cli("validate", deep) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("run", deep, "--state", program("empty.east")) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: program nested too deep for the interpreter\n"

@@ -30,6 +30,7 @@ from ealgebra.syntax import (
     UniverseRange,
     UpdateInstr,
     Var,
+    binder_occurrences,
 )
 
 from genrules import BASIC_VOCAB, gen_basic_rule
@@ -245,6 +246,15 @@ def test_perspicuous_binder_shadowing_a_function_name(vocab):
     avoid = {fn.name for fn in vocab.names}
     fixed = make_perspicuous(rule, avoid)
     assert fixed.vars[0] != "g"
+
+
+def test_make_perspicuous_primes_a_reused_binder_once_more_each_time():
+    header = "vocabulary:\n  dynamic f/1\n  dynamic relation Q/1\nconstants a, b\nprogram:\n"
+    clause = "  if Q(a) then\n    let {} = f(a) in\n      f(a) := b\n    endlet\n  endif\n"
+    many = parse_program(header + clause.format("x") * 50)
+    assert binder_occurrences(many.prepared) == ["x" + "'" * i for i in range(50)]
+    mixed = parse_program(header + "".join(clause.format(v) for v in ("x", "x'", "x", "x'")))
+    assert binder_occurrences(mixed.prepared) == ["x", "x'", "x''", "x'''"]
 
 
 def test_round_trip_corpus(vocab):
