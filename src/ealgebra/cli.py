@@ -247,7 +247,10 @@ def _cmd_check_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     target = parse_program_file(args.program)
-    kind = "distributed spec" if isinstance(target, DistributedSpec) else "program"
+    is_spec = isinstance(target, DistributedSpec)
+    for program in target.modules.values() if is_spec else (target,):
+        program.prepared  # as run prepares it: too deep a nesting fails here
+    kind = "distributed spec" if is_spec else "program"
     if args.state:
         _load_initial(args.state, target)
         print(f"ok: {kind} and state validate")

@@ -14,7 +14,6 @@ linearity, initial-state validity and coherence of the segment states.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import chain, combinations
 from typing import Container, Iterable, Mapping, Optional, Sequence
 
@@ -49,12 +48,6 @@ class Agent:
     element: Element
     module: str
     program: Program
-
-    @cached_property
-    def reads(self) -> tuple[Location, Location]:
-        """What being an agent of its module reads: ``Mod(Self)`` and the
-        module name's location."""
-        return Location("Mod", (self.element,)), Location(self.module)
 
 
 def validate_spec_state(spec: DistributedSpec, state: State) -> dict[Element, str]:
@@ -139,14 +132,12 @@ def agent_move(
 ) -> tuple[State, StepRecord]:
     """Fire the agent's module program at the state, Self bound to it.
 
-    Being an agent of its module is part of what the move reads, so a
-    footprint also gets ``Mod(Self)`` and the module name's location.
+    A footprint gets what ``runner.resolutions`` records for the move,
+    ``Mod(Self)`` among it.
     """
     require(state, State, "agent_move")
     if isinstance(agent, Element):
         agent = scheduled_agent(spec, validate_spec_state(spec, state), state, agent)
-    if footprint is not None:
-        footprint.locations.update(agent.reads)
     return move(
         agent.program, state, chooser,
         oracle=oracle, index=index, agent=agent.element, footprint=footprint,
@@ -157,9 +148,9 @@ def move_successors(
     spec: DistributedSpec, state: State,
     by_element: Mapping[Element, str] | None = None, memo: dict | None = None,
     asleep: Container[Element] = (),
-) -> list[tuple[str, State, Element, Optional[_Effect]]]:
-    """Every (move description, successor, agent, effect) over the agents
-    not ``asleep`` and their resolutions; ``by_element`` as for
+) -> list[tuple[tuple, State, Optional[_Effect]]]:
+    """Every (move, successor, effect) of ``runner.successors`` over the
+    agents not ``asleep`` and their resolutions; ``by_element`` as for
     ``agents_of``, ``memo`` as for ``successors``.
 
     The memo also keeps the agents of the last ``Mod`` table listed, with
@@ -176,7 +167,7 @@ def move_successors(
     return [
         successor
         for agent in listed[1] if agent.element not in asleep
-        for successor in successors(agent.program, state, agent.element, memo, agent.reads)
+        for successor in successors(agent.program, state, agent.element, memo)
     ]
 
 
@@ -413,13 +404,12 @@ def _move_update_set(
 ) -> UpdateSet:
     """The update set of a move at a state fired from the base whose
     module-element map is ``by_element``, checked against its module.  A
-    footprint also gets ``Mod(Self)`` and the module name's location."""
+    footprint gets what ``runner.resolutions`` records, ``Mod(Self)``
+    among it."""
     element = pr.agent_of[move]
     agent = _agent(spec, by_element, at, element)
     if agent is None:
         raise _Refuted("4", f"{format_element(element)} is not an agent before {move}", move)
-    if footprint is not None:
-        footprint.locations.update(agent.reads)
     recorded = (pr.recorded or {}).get(move)
     if recorded is None and agent.program.has_choose:
         raise _Refuted(

@@ -116,7 +116,8 @@ def _scan(text: str, first_line: int = 1) -> list[_Tok]:
         if len(toks) > count:
             toks.append(_Tok("newline", "", lineno, len(line) + 1))
     last = toks[-1].line if toks else first_line
-    toks.append(_Tok("eof", "", last, 1))
+    # Two: ``next`` stops at the first, and ``peek(1)`` may look past it.
+    toks += [_Tok("eof", "", last, 1)] * 2
     return toks
 
 
@@ -150,7 +151,7 @@ class _RuleParser:
     # -- token plumbing
 
     def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> _Tok:
         tok = self.peek()

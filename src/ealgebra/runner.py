@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -243,13 +244,17 @@ def resolutions(
     program with choose has its family's members, in their deterministic
     order, and their number.  With no oracle, external functions read as
     undef.  For an agent's move, the program is its module's: Self is
-    bound to ``agent`` and the program sees only its own names.
+    bound to ``agent`` and the program sees only its own names, and a
+    footprint also gets ``Mod(agent)``, which makes it the module's agent
+    (the module name is static and nullary: no update writes it).
     """
     if oracle is None and program.externals:
         oracle = OracleView(UndefOracle(), 1)
     kwargs = {"oracle": oracle, "externals": program.externals, "footprint": footprint}
     if agent is not None:
         kwargs.update(env={"Self": agent}, vocabulary=program.vocabulary)
+        if footprint is not None:
+            footprint.locations.add(Location("Mod", (agent,)))
     if program.has_choose:
         members = nupdates(program.prepared, state, **kwargs).sorted_members()
         return members, len(members)
@@ -403,38 +408,42 @@ def _footprints_conflict(a: _Effect, b: _Effect) -> bool:
     )
 
 
-def successors(
-    program: Program, state: State, agent: Element | None = None,
-    memo: dict | None = None, reads: Iterable[Location] = (),
-) -> list[tuple[str, State, Optional[Element], Optional[_Effect]]]:
-    """Every (move label, successor, agent, effect) of one firing of the
-    program at ``state``: a sequential step, or with ``agent`` that agent's
-    move.
-
-    A step's labels are ``step``, ``choice i`` and ``noop`` (empty family);
+def move_label(move: tuple) -> str:
+    """A witness's text for a move ``(agent, choice index, family size)``:
+    a step's labels are ``step``, ``choice i`` and ``noop`` (empty family);
     agent x's are ``agent x``, ``agent x choice i`` and ``agent x (no move)``.
-    With ``memo`` the checked members may be reused (``_members``); an
-    agent's ``reads`` are what being an agent of its module reads.  The
-    effect, one for all members, is None for a step and for a move
-    evaluated without a footprint.
     """
-    members, family_size, effect = _members(program, state, agent, memo, reads)
-    fired = [state._apply(pairs) if pairs else state for pairs in members]
-    tag = None if agent is None else f"agent {format_element(agent)}"
+    agent, choice_index, family_size = move
+    tag = "" if agent is None else f"agent {format_element(agent)}"
     if family_size is None:
-        labels = [tag or "step"]
-    elif not fired:
-        labels, fired = [f"{tag} (no move)" if tag else "noop"], [state]
-    else:
-        prefix = f"{tag} " if tag else ""
-        labels = [f"{prefix}choice {i}" for i in range(len(fired))]
-    return [(label, nxt, agent, effect) for label, nxt in zip(labels, fired)]
+        return tag or "step"
+    if choice_index is None:
+        return f"{tag} (no move)" if tag else "noop"
+    return f"{tag} choice {choice_index}".lstrip()
 
 
-def _members(program, state, agent, memo, reads) -> tuple[list, Optional[int], Optional[_Effect]]:
+def successors(
+    program: Program, state: State, agent: Element | None = None, memo: dict | None = None,
+) -> list[tuple[tuple, State, Optional[_Effect]]]:
+    """Every (move, successor, effect) of one firing of the program at
+    ``state``: a sequential step, or with ``agent`` that agent's move.
+
+    A move is ``(agent, choice index, family size)``, as its ``StepRecord``
+    holds them; an empty family has one, which changes nothing.  With
+    ``memo`` the checked members may be reused (``_members``).  The effect,
+    one for all members, is None for a step and for a move evaluated
+    without a footprint.
+    """
+    members, family_size, effect = _members(program, state, agent, memo)
+    fired = [state._apply(pairs) if pairs else state for pairs in members] or [state]
+    choices = range(family_size) if family_size else [None]
+    return [((agent, i, family_size), nxt, effect) for i, nxt in zip(choices, fired)]
+
+
+def _members(program, state, agent, memo) -> tuple[list, Optional[int], Optional[_Effect]]:
     """The resolutions of the program at ``state`` checked for firing
     (``State.checked``), the family size, and for an agent's move
-    evaluated with a footprint its effect, whose footprint holds ``reads``.
+    evaluated with a footprint its effect.
 
     ``memo``, a dict one enumeration owns, keeps them per agent (None for
     a step), by ``_keep`` and under ``reserve_next`` too when a member
@@ -445,8 +454,6 @@ def _members(program, state, agent, memo, reads) -> tuple[list, Optional[int], O
         return found
     footprint = None if shapes is None else Footprint()
     members, family_size = resolutions(program, state, footprint=footprint, agent=agent)
-    if footprint is not None:
-        footprint.locations.update(reads)
     effect = None if footprint is None or agent is None else _Effect.of(members, footprint)
     found = [state.checked(member) for member in members], family_size, effect
     if footprint is not None:
@@ -590,11 +597,10 @@ def enumerate_reachable(
     step, or from a state evaluated whole, looks up every instance.
     Values kept or inherited raised nothing, so the first error raised is
     a whole evaluation's.  On the ring of 10 to depth 6 with the guard
-    that no two neighbours eat, that is 324 lookups, not 1,220.  A
-    state's values are dropped once it is expanded.  The split holds
-    while the tables of the universes it quantifies over are those of
-    the initial state; a state where one differs evaluates the predicate
-    whole.
+    that no two neighbours eat, that is 324 lookups, not 1,220.  The
+    split holds while the tables of the universes it quantifies over are
+    those of the initial state; a state where one differs evaluates the
+    predicate whole.
 
     A state a move discovers gets a sleep set (Godefroid, LNCS 1032,
     1996): the agents asleep at its parent or expanded there before that
@@ -603,6 +609,10 @@ def enumerate_reachable(
     commutes with the discovering one (Corollary 1), so it reaches a state
     the other order reached from a state expanded earlier; breadth first,
     that state is already seen, and the report is the one every move gives.
+
+    The frontier holds a state's key, sleep set and guard vector until the
+    state is expanded; ``seen`` keeps each state, its depth, its parent and
+    the move from there, labelled only when a witness is built.
     """
     from . import distributed  # cycle: distributed builds on runner
 
@@ -624,16 +634,17 @@ def enumerate_reachable(
 
     plan = None  # the skeleton, the universes' tables and the instances
     index: dict = {}  # a location or table name -> the instances that read it
-    vectors: dict = {}  # key -> (instance values, verdict) until the state is expanded
 
-    def check(key, state, parent=None, effect=None) -> None:
+    def check(key, state, parent=None, effect=None):
         """Record a violation at ``state``, found by a move with ``effect``
-        from a state whose vector is ``parent``."""
+        from a state whose guard vector is ``parent``, and return the
+        state's guard vector: its instance values and verdict, or None
+        when the predicate was evaluated whole."""
         nonlocal plan
         if predicate is None:
-            return
+            return None
         if plan is None or any(state._tables.get(n) is not t for n, t in plan[1].items()):
-            holds = eval_guard(state, None, predicate)
+            holds, vector = eval_guard(state, None, predicate), None
             if plan is None:  # split once the whole evaluation has compiled it
                 tables, instances = {}, []
                 plan = _split(predicate, state, {}, tables, instances), tables, instances
@@ -651,53 +662,47 @@ def enumerate_reachable(
                     values[at], holds = value, None
             if holds is None:  # no verdict inherited, or a value changed
                 holds = skeleton(values)
-            vectors[key] = values, holds
+            vector = values, holds
         if not holds:
             violations.append(witness(key))
+        return vector
 
     key0 = initial.canonical_key()
-    # key -> (state, depth, parent, move, sleep set: agent -> effect)
-    seen = {key0: (initial, 0, None, None, {})}  # in discovery order
+    # key -> (state, depth, parent, move), in discovery order
+    seen = {key0: (initial, 0, None, None)}
     violations: list[Witness] = []
-    partial = False
 
     def witness(key) -> Witness:
         moves, at = [], key
         while seen[at][2] is not None:
-            moves.append(seen[at][3])
+            moves.append(move_label(seen[at][3]))
             at = seen[at][2]
         return Witness(moves=moves[::-1], state=seen[key][0])
 
-    check(key0, initial)
-    frontier = [key0]
-    while frontier and not partial:
-        next_frontier = []
-        for key in frontier:
-            state, level, _, _, asleep = seen[key]
-            parent = vectors.pop(key, None)
-            if level >= depth:
-                continue
+    def report(partial: bool) -> ReachReport:
+        return ReachReport([(s, d) for s, d, _, _ in seen.values()], partial, violations)
+
+    frontier = deque([(key0, {}, check(key0, initial))])  # (key, sleep set, guard vector)
+    for level in range(1, depth + 1):
+        for _ in range(len(frontier)):
+            key, asleep, vector = frontier.popleft()
             done = dict(asleep)  # asleep here, or an agent expanded before
-            for label, nxt, agent, effect in expand(state, asleep):
+            for move, nxt, effect in expand(seen[key][0], asleep):
                 nkey = nxt.canonical_key()
                 if nkey not in seen:
                     if len(seen) >= budget:
-                        partial = True
-                        break
+                        return report(True)
                     sleep = {} if effect is None else {
                         other: e for other, e in done.items()
-                        if other != agent and not _footprints_conflict(e, effect)
+                        if other != move[0] and not _footprints_conflict(e, effect)
                     }
-                    seen[nkey] = (nxt, level + 1, key, label, sleep)
-                    check(nkey, nxt, parent, effect)
-                    next_frontier.append(nkey)
+                    seen[nkey] = (nxt, level, key, move)
+                    frontier.append((nkey, sleep, check(nkey, nxt, vector, effect)))
                 if effect is not None:
-                    done[agent] = effect
-            if partial:
-                break
-        frontier = next_frontier
-    states = [(entry[0], entry[1]) for entry in seen.values()]
-    return ReachReport(states, partial, violations)
+                    done[move[0]] = effect
+        if not frontier:
+            break
+    return report(False)
 
 
 # ---------------------------------------------------------------------------

@@ -495,7 +495,7 @@ def test_nesting_too_deep_to_parse_is_a_parse_error(capsys, tmp_path):
 
 def test_nesting_too_deep_to_run_exits_with_one_line(capsys, tmp_path):
     deep = _nested(tmp_path, "  if " + "not " * 500 + "Q then f(a) := a endif\n")
-    assert run_cli("validate", deep) == EXIT_OK
-    capsys.readouterr()
+    assert run_cli("validate", deep) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: program nested too deep for the interpreter\n"
     assert run_cli("run", deep, "--state", program("empty.east")) == EXIT_PARSE
     assert capsys.readouterr().err == "error: program nested too deep for the interpreter\n"

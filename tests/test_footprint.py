@@ -8,7 +8,9 @@ and records the same footprint.  The independence pass of
 ``check_partial_run`` and the conflict order of ``generate_partial_run``
 are sound only if this holds.  The rules are the ``genrules`` basic, choice
 and surface rules, and the ``genrules`` guards, quantified ones among
-them, which ``enumerate`` checks instance by instance.
+them, which ``enumerate`` checks instance by instance.  An agent's move
+also records ``Mod(Self)``; its module name's location needs no entry,
+since no update writes it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from genrules import (
@@ -35,7 +38,9 @@ from test_updates_oracle import STORED, VOCAB as SURFACE_VOCAB, core_rule, oracl
 from ealgebra import (
     FALSE,
     DistributedSpec,
+    Element,
     FunctionName,
+    ParseError,
     Program,
     TRUE,
     UNDEF,
@@ -46,9 +51,11 @@ from ealgebra import (
     eval_guard,
     make_vocabulary,
     nupdates,
+    parse_program,
+    parse_state,
     updates,
 )
-from ealgebra.distributed import _agent
+from ealgebra.distributed import _agent, agent_move
 from ealgebra.runner import resolutions
 from ealgebra.state import resolve
 from ealgebra.syntax import App, Atom, BoolGuard, QuantGuard, _map, has_choose, parts, rebuild
@@ -214,14 +221,13 @@ def agent_outcome(spec, pool, state):
         result = resolutions(agent.program, state, footprint=footprint, agent=pool[0])
     except EalgebraError as exc:
         result = (type(exc), str(exc))
-    footprint.locations.update(agent.reads)
     return agent.module, result, footprint.locations, footprint.names
 
 
 def assert_agent_complete(spec, state, pool, shift):
     first = agent_outcome(spec, pool, state)
     _, _, locations, names = first
-    assert {Location("Mod", (pool[0],)), Location(first[0])} <= locations
+    assert Location("Mod", (pool[0],)) in locations
     other = elsewhere(state, locations, names | {"M", "N"}, pool, shift)
     assert agent_outcome(spec, pool, other) == first
 
@@ -250,3 +256,39 @@ def test_choice_agent_moves_read_only_their_footprint(seed, state, shift):
     rng = random.Random(seed)
     rules = [gen_choice_rule(rng, 3, 2) for _ in "MN"]
     assert_agent_complete(agent_spec(CHOICE_VOCAB, rules, "c"), state, (A, B, C), shift)
+
+
+# Phil's module program duplicates the element Phil denotes, which
+# mirrors P and Mode onto the copy; Mod(a) holds Phil as a value, not an
+# argument, and Phil's own location has no arguments.
+MODULE_NAME = """\
+vocabulary:
+  dynamic Mode/1, Copy/0
+  static relation P/1
+constants think, a
+module Phil:
+  if Mod(Self) = Phil and P(Phil) and Mode(Phil) = think then
+    duplicate Phil as v
+      Copy := v
+    endduplicate
+  endif
+"""
+
+
+def test_a_module_name_is_never_written_so_a_move_records_only_mod_self():
+    with pytest.raises(ParseError, match="Phil: static names cannot be updated"):
+        parse_program(MODULE_NAME.replace("Copy := v", "Phil := v"))
+    spec = parse_program(MODULE_NAME)
+    state = parse_state("Mod(a) = Phil\nP(Phil) = true\nMode(Phil) = think",
+                        spec.vocabulary, constants=spec.constants)
+    a, copy = state.read(Location("a")), Element.reserve(0)
+    moved, resolved = Footprint(), Footprint()
+    _, record = agent_move(spec, state, a, footprint=moved)
+    [beta], _ = resolutions(spec.modules["Phil"], state, footprint=resolved, agent=a)
+    assert record.updates == beta
+    assert {u.location for u in beta} == {
+        Location("Copy"), Location("Reserve", (copy,)), Location("P", (copy,)),
+        Location("Mode", (copy,)),
+    }
+    assert (moved.locations, moved.names) == (resolved.locations, resolved.names)
+    assert Location("Mod", (a,)) in moved.locations

@@ -10,7 +10,9 @@ elements; the ``run`` files by the engine before its sequential steps and
 agent moves shared one move function (only the ``pick`` traces differ
 from that engine, which dropped the family size and choice index of
 distributed choose moves).  ``enumerate_echo`` was written once
-enumeration read external functions as undef.  Regenerate them with
+enumeration read external functions as undef, and
+``enumerate_tree_violation``, a witness of sequential steps (``via
+step``), once moves were kept as data and labelled only for a witness.  Regenerate them with
 ``PYTHONPATH=src python tests/test_golden_enumerate.py`` only when an
 output is meant to change.
 """
@@ -50,6 +52,10 @@ CASES = {
     "enumerate_grow": ["enumerate", "grow.ea", "--state", "grow.east", "--depth", "4"],
     "enumerate_tree_tree3": [
         "enumerate", "tree.ea", "--state", "tree3.east", "--depth", "10",
+    ],
+    "enumerate_tree_violation": [
+        "enumerate", "tree.ea", "--state", "tree3.east", "--depth", "3",
+        "--assert", "FirstChild(c) != undef or NextSib(c) != undef",
     ],
     "enumerate_extendnodes": [
         "enumerate", "extendnodes.ea", "--state", "extendnodes.east", "--depth", "3",

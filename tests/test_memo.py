@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import PROGRAMS, load_initial, load_program
-from enumoracle import enumerate_reference, reference_successors, summary
+from enumoracle import enumerate_reference, expand, reference_successors, summary
 from genrules import BASIC_VOCAB, CHOICE_VOCAB, ELEMS, gen_basic_rule, gen_choice_rule, gen_guard
 from genrules import A, B, C
 from test_footprint import agent_spec, agent_states, states
@@ -56,7 +56,7 @@ from ealgebra import (
     runner,
 )
 from ealgebra.distributed import move_successors
-from ealgebra.syntax import App, Atom, BoolGuard, Program, QuantGuard, Var
+from ealgebra.syntax import App, Atom, BoolGuard, DistributedSpec, Program, QuantGuard, Var
 
 seeds = st.integers(0, 10**6)
 depths = st.integers(0, 6)
@@ -181,10 +181,15 @@ def test_program_pairings_enumerate_as_the_reference(name, budget):
 # Edge cases of a reuse
 
 
-def labelled(program, state, memo):
-    """``runner.successors`` as (label, successor) pairs, for comparison
-    with ``reference_successors``."""
-    return [(label, nxt) for label, nxt, _, _ in runner.successors(program, state, memo=memo)]
+def labelled(target, state, memo=None):
+    """The engine's successors of ``state`` as (label, successor) pairs,
+    labelled by ``runner.move_label``, for comparison with ``enumoracle``'s
+    ``reference_successors`` and ``expand``."""
+    if isinstance(target, DistributedSpec):
+        found = move_successors(target, state, memo=memo)
+    else:
+        found = runner.successors(target, state, memo=memo)
+    return [(runner.move_label(move), nxt) for move, nxt, _ in found]
 
 
 def count_updates(monkeypatch) -> list:
@@ -399,6 +404,8 @@ def test_a_reused_inconsistent_set_changes_nothing(monkeypatch):
     # a universe read whole by choose, by a quantifier, by duplicate
     "vocabulary:\n  dynamic g/0, Other/0\n  static relation U/1\nconstants a\n"
     "program:\n  choose v in U\n    g := v\n  endchoose\n",
+    "vocabulary:\n  dynamic g/0, Other/0\n  static relation U/1, V/1\nconstants a\n"
+    "program:\n  choose v in V\n    g := v\n  endchoose\n",  # an empty family: noop
     "vocabulary:\n  dynamic g/0, Other/0\n  static relation U/1\nconstants a\n"
     "program:\n  if (forall v in U) v = a then g := a endif\n",
     "vocabulary:\n  dynamic g/0, Other/0\nconstants a\n"
@@ -479,6 +486,9 @@ def test_conflicting_moves_are_never_asleep(pair, agents):
                         constants=spec.constants)
     for depth in range(1, 5):
         assert_same(spec, state, depth, 20000)
+    # The agent labels too: choosing from U, A has no move until B fills U.
+    for reached, _ in enumerate_reachable(spec, state, 4).states:
+        assert labelled(spec, reached) == expand(spec, reached)
 
 
 @pytest.mark.parametrize("guard,slept", [("e = undef", False), ("y = undef", True)])
