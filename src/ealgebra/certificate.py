@@ -24,7 +24,7 @@ import re
 from .distributed import PartialRun
 from .errors import CertificateError, ParseError, require, require_text
 from .state import Element, Location, State, StaticMirror, Update, UpdateSet, format_element
-from .stateio import fact_reader, format_state, load_state, parse_element, parse_state
+from .stateio import _read_state, fact_reader, format_state, load_state, parse_element
 from .syntax import DistributedSpec
 from .vocabulary import IDENTIFIER
 
@@ -95,18 +95,17 @@ def parse_certificate(text: str, spec: DistributedSpec, base_dir: str | None = N
             ids = frozenset(x.strip() for x in m.group(1).split(",") if x.strip())
             if ids in states:
                 raise CertificateError(f"second sigma of segment {{{', '.join(sorted(ids))}}}")
-            block: list[str] = []
+            block: list[tuple[int, str]] = []
             while i < len(lines):
-                inner = lines[i].split("#", 1)[0].strip()
-                i += 1
-                if inner == "endsigma":
+                raw = lines[i]
+                i += 1  # the file's number of ``raw``
+                if raw.split("#", 1)[0].strip() == "endsigma":
                     break
-                if inner:
-                    block.append(inner)
+                block.append((i, raw))
             else:
                 raise CertificateError("sigma block missing endsigma")
             try:
-                states[ids] = parse_state("\n".join(block), spec.vocabulary, constants=spec.constants)
+                states[ids] = _read_state(block, spec.vocabulary, spec.constants)
             except ParseError as exc:
                 raise CertificateError(f"sigma block: {exc}") from exc
             continue

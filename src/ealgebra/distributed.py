@@ -4,8 +4,8 @@ An element is an agent at a state when Mod maps it to a module name's
 element.  An agent moves by firing its module's program at the global
 state with Self bound to the agent; the program sees only its module's
 names, and the update set changes the global state.  That is a sequential
-step given the agent, so moves, their successors and runs go through
-``runner.move`` and ``runner.successors``, and their records carry the
+step given the agent, so moves and runs go through ``runner.move`` and
+reachability through ``runner.successors``, and their records carry the
 family size and choice index needed for replay.  Partially ordered runs
 are verified against the four run conditions: finite down-sets, per-agent
 linearity, initial-state validity and coherence of the segment states.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain, combinations
-from typing import Container, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import syntax
 from .errors import (
@@ -38,7 +38,6 @@ from .runner import (
     fire_and_record,
     move,
     resolutions,
-    successors,
 )
 from .state import UNDEF, Element, Location, State, UpdateSet, format_element
 from .syntax import DistributedSpec, Program
@@ -142,33 +141,6 @@ def agent_move(
         agent.program, state, chooser,
         oracle=oracle, index=index, agent=agent.element, footprint=footprint,
     )
-
-
-def move_successors(
-    spec: DistributedSpec, state: State,
-    by_element: Mapping[Element, str] | None = None, memo: dict | None = None,
-    asleep: Container[Element] = (),
-) -> list[tuple[tuple, State, Optional[_Effect]]]:
-    """Every (move, successor, effect) of ``runner.successors`` over the
-    agents not ``asleep`` and their resolutions; ``by_element`` as for
-    ``agents_of``, ``memo`` as for ``successors``.
-
-    The memo also keeps the agents of the last ``Mod`` table listed, with
-    the table itself so that its identity stays valid: firing copies only
-    the tables it writes, so a state shares its parent's table, and its
-    agents, unless a move wrote a ``Mod`` location.
-    """
-    table = state._tables.get("Mod")
-    listed = None if memo is None else memo.get("Mod")
-    if listed is None or listed[0] is not table:
-        listed = table, agents_of(spec, state, by_element)
-        if memo is not None:
-            memo["Mod"] = listed
-    return [
-        successor
-        for agent in listed[1] if agent.element not in asleep
-        for successor in successors(agent.program, state, agent.element, memo)
-    ]
 
 
 def sequential_run(

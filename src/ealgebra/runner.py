@@ -423,43 +423,34 @@ def move_label(move: tuple) -> str:
 
 
 def successors(
-    program: Program, state: State, agent: Element | None = None, memo: dict | None = None,
+    program: Program, state: State, agent: Element | None = None, shapes: dict | None = None,
 ) -> list[tuple[tuple, State, Optional[_Effect]]]:
     """Every (move, successor, effect) of one firing of the program at
     ``state``: a sequential step, or with ``agent`` that agent's move.
 
     A move is ``(agent, choice index, family size)``, as its ``StepRecord``
-    holds them; an empty family has one, which changes nothing.  With
-    ``memo`` the checked members may be reused (``_members``).  The effect,
-    one for all members, is None for a step and for a move evaluated
-    without a footprint.
+    holds them; an empty family has one, which changes nothing.  The
+    resolutions are checked for firing (``State.checked``).  ``shapes``, a
+    dict one enumeration owns for this mover, keeps them by ``_keep``, and
+    under ``reserve_next`` too when a member withdraws from Reserve, for
+    reuse at a state that holds the same values; never those of a program
+    with externals.  The effect, one for all members, is None for a step
+    and for a move evaluated without a footprint.
     """
-    members, family_size, effect = _members(program, state, agent, memo)
+    if program.externals:
+        shapes = None
+    if not shapes or (found := _recall(shapes, state)) is None:
+        footprint = None if shapes is None else Footprint()
+        members, family_size = resolutions(program, state, footprint=footprint, agent=agent)
+        effect = None if footprint is None or agent is None else _Effect.of(members, footprint)
+        found = [state.checked(member) for member in members], family_size, effect
+        if footprint is not None:
+            reserve = any(u.location.fname == "Reserve" for m in members for u in m)
+            _keep(shapes, state, footprint, found, reserve)
+    members, family_size, effect = found
     fired = [state._apply(pairs) if pairs else state for pairs in members] or [state]
     choices = range(family_size) if family_size else [None]
     return [((agent, i, family_size), nxt, effect) for i, nxt in zip(choices, fired)]
-
-
-def _members(program, state, agent, memo) -> tuple[list, Optional[int], Optional[_Effect]]:
-    """The resolutions of the program at ``state`` checked for firing
-    (``State.checked``), the family size, and for an agent's move
-    evaluated with a footprint its effect.
-
-    ``memo``, a dict one enumeration owns, keeps them per agent (None for
-    a step), by ``_keep`` and under ``reserve_next`` too when a member
-    withdraws from Reserve; never those of a program with externals.
-    """
-    shapes = None if memo is None or program.externals else memo.setdefault(agent, {})
-    if shapes and (found := _recall(shapes, state)) is not None:
-        return found
-    footprint = None if shapes is None else Footprint()
-    members, family_size = resolutions(program, state, footprint=footprint, agent=agent)
-    effect = None if footprint is None or agent is None else _Effect.of(members, footprint)
-    found = [state.checked(member) for member in members], family_size, effect
-    if footprint is not None:
-        reserve = any(u.location.fname == "Reserve" for m in members for u in m)
-        _keep(shapes, state, footprint, found, reserve)
-    return found
 
 
 def _recall(shapes: dict, state: State):
@@ -516,8 +507,9 @@ def _instance(state: State, at: int, index: dict,
               guard: syntax.Guard, env: dict, shapes: dict) -> bool:
     """The value of guard instance ``at`` at ``state``: kept in ``shapes``
     (as a 1-tuple, so that a kept False is found), else evaluated, kept,
-    and filed in ``index`` under each location it read, a table it read
-    whole by its name, and a ``Reserve`` location under ``Reserve``."""
+    and filed in ``index`` under each location it read, a ``Reserve``
+    location under ``Reserve``.  ``_split`` splits at every quantifier, so
+    an instance reads no table whole."""
     found = _recall(shapes, state)
     if found is None:
         footprint = Footprint()
@@ -525,8 +517,6 @@ def _instance(state: State, at: int, index: dict,
         _keep(shapes, state, footprint, found)
         for loc in footprint.locations:
             index.setdefault("Reserve" if loc.fname == "Reserve" else loc, set()).add(at)
-        for name in footprint.names:
-            index.setdefault(name, set()).add(at)
     return found[0]
 
 
@@ -581,7 +571,7 @@ def enumerate_reachable(
     States are deduplicated up to isomorphism (reserve renaming).  A
     move's results are kept under the values the state holds at what the
     move read, less the static locations no move can write, and reused
-    at every state that holds the same values there (``_members``,
+    at every state that holds the same values there (``successors``,
     ``_keep``).  Violations of the safety predicate are reported with
     witness traces.
 
@@ -620,20 +610,22 @@ def enumerate_reachable(
         raise ScheduleError("budget must be positive and depth not negative")
 
     _require_inputs(target, initial, "enumerate_reachable")
-    memo: dict = {}  # move results, reused within this call only
+    memo: dict = {}  # a mover's agent -> its kept results, within this call only
+    # The (agent, program) pairs that move: a program's one, or a spec's
+    # agents, listed again only at a state whose Mod table is not ``listed``.
+    # Firing copies only the tables it writes, so a state shares its
+    # parent's table, and its agents, unless a move wrote a Mod location;
+    # ``listed`` holds the table so that its identity stays valid.
+    movers = listed = None
     is_dist = isinstance(target, DistributedSpec)
     if is_dist:
         by_element = distributed.validate_spec_state(target, initial)
     else:
         check_appropriate(target, initial)
-
-    def expand(state, asleep):
-        if is_dist:
-            return distributed.move_successors(target, state, by_element, memo, asleep)
-        return successors(target, state, memo=memo)
+        movers = [(None, target)]
 
     plan = None  # the skeleton, the universes' tables and the instances
-    index: dict = {}  # a location or table name -> the instances that read it
+    index: dict = {}  # a location, or "Reserve" -> the instances that read it
 
     def check(key, state, parent=None, effect=None):
         """Record a violation at ``state``, found by a move with ``effect``
@@ -686,20 +678,31 @@ def enumerate_reachable(
     for level in range(1, depth + 1):
         for _ in range(len(frontier)):
             key, asleep, vector = frontier.popleft()
+            state = seen[key][0]
+            if is_dist and (movers is None or state._tables.get("Mod") is not listed):
+                listed = state._tables.get("Mod")
+                movers = [
+                    (agent.element, agent.program)
+                    for agent in distributed.agents_of(target, state, by_element)
+                ]
             done = dict(asleep)  # asleep here, or an agent expanded before
-            for move, nxt, effect in expand(seen[key][0], asleep):
-                nkey = nxt.canonical_key()
-                if nkey not in seen:
-                    if len(seen) >= budget:
-                        return report(True)
-                    sleep = {} if effect is None else {
-                        other: e for other, e in done.items()
-                        if other != move[0] and not _footprints_conflict(e, effect)
-                    }
-                    seen[nkey] = (nxt, level, key, move)
-                    frontier.append((nkey, sleep, check(nkey, nxt, vector, effect)))
-                if effect is not None:
-                    done[move[0]] = effect
+            for agent, program in movers:
+                if agent in asleep:
+                    continue
+                shapes = memo.setdefault(agent, {})
+                for move, nxt, effect in successors(program, state, agent, shapes):
+                    nkey = nxt.canonical_key()
+                    if nkey not in seen:
+                        if len(seen) >= budget:
+                            return report(True)
+                        sleep = {} if effect is None else {
+                            other: e for other, e in done.items()
+                            if other != agent and not _footprints_conflict(e, effect)
+                        }
+                        seen[nkey] = (nxt, level, key, move)
+                        frontier.append((nkey, sleep, check(nkey, nxt, vector, effect)))
+                    if effect is not None:
+                        done[agent] = effect
         if not frontier:
             break
     return report(False)

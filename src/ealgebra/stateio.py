@@ -23,6 +23,7 @@ payload is any string, since records escape it.
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 from .errors import ParseError, require, require_text
 from .state import Element, Location, State, format_element
@@ -128,13 +129,20 @@ def parse_state(text: str, vocabulary: Vocabulary, *, constants: tuple[str, ...]
     (``StateValidityError``).
     """
     require_text(text, "parse_state")
+    return _read_state(enumerate(text.splitlines(), start=1), vocabulary, constants)
+
+
+def _read_state(lines: Iterable[tuple[int, str]], vocabulary: Vocabulary,
+                constants: tuple[str, ...]) -> State:
+    """``parse_state`` over ``(line number, line)`` pairs, so that an error
+    names the line of the file the pairs come from."""
     for name in constants:
         vocabulary.require(name)
     tables: dict[str, dict[tuple[Element, ...], Element]] = {name: {} for name in constants}
     names: dict = {}  # each name is looked up once per call
     read = fact_reader("=", vocabulary)
     reserve_next = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

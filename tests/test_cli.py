@@ -389,6 +389,58 @@ def test_check_run_refuses_a_second_updates_line_for_a_move(capsys, tmp_path):
     assert captured.err == "error: second updates line for move m1\n"
 
 
+def test_a_sigma_block_error_names_the_certificate_line(capsys, tmp_path):
+    cert = tmp_path / "bogus.cert"
+    cert.write_text(
+        "move m1 by 0\n\n# the empty segment\nsigma:\n  Mod(0) = Phil\n\n"
+        "  # a comment\n  Bogus(1) = up\nendsigma\n"
+    )
+    assert run_cli("check-run", program("philosophers.ea"), str(cert)) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sigma block: line 8, column 1: unknown function name: Bogus\n"
+
+
+LEAVER = """\
+vocabulary:
+  dynamic Done/1
+constants a, yes
+module Leave:
+  Mod(Self) := undef, Done(Self) := yes
+"""
+
+
+@pytest.mark.parametrize("text,verdict,code", [
+    # a leaves at m1, so it is no agent when m2 would move
+    (
+        "move m1 by a\nmove m2 by a\norder m1 < m2\nsigma:\n  Mod(a) = Leave\nendsigma\n",
+        {"condition": "4", "message": "a is not an agent before m2", "witness": "m2"},
+        EXIT_VIOLATION,
+    ),
+    # no sigma of the empty segment, and no --state to stand for it
+    (
+        "move m1 by a\n",
+        {"condition": "certificate", "message": "sigma of the empty segment is missing",
+         "witness": None},
+        EXIT_PARSE,
+    ),
+])
+def test_check_run_refutes_in_the_library_and_on_the_command_line(
+    capsys, tmp_path, text, verdict, code,
+):
+    from ealgebra import check_partial_run, parse_certificate, parse_program
+
+    spec = parse_program(LEAVER)
+    found = check_partial_run(spec, parse_certificate(text, spec))
+    assert (found.valid, found.condition, found.message, found.witness) == (
+        False, verdict["condition"], verdict["message"], verdict["witness"],
+    )
+    (tmp_path / "leave.ea").write_text(LEAVER)
+    (tmp_path / "leave.cert").write_text(text)
+    assert run_cli("check-run", str(tmp_path / "leave.ea"), str(tmp_path / "leave.cert")) == code
+    assert json.loads(capsys.readouterr().out) == {"valid": False, **verdict}
+
+
 def test_validate_program_and_state():
     assert run_cli("validate", program("philosophers.ea"), "--state", program("ring3.east")) == EXIT_OK
     assert run_cli("validate", program("tree.ea")) == EXIT_OK

@@ -704,15 +704,14 @@ def _misdeclared(philosophers, declared, facts):
     ],
 )
 def test_state_must_interpret_module_names_as_declared(philosophers, declared, facts):
-    from ealgebra import VocabularyError
-    from ealgebra.distributed import move_successors
+    from ealgebra import VocabularyError, enumerate_reachable
 
     state = _misdeclared(philosophers, declared, facts)
     pr = PartialRun(("m1",), {"m1": I(0)}, frozenset(), {frozenset(): state})
     with pytest.raises(VocabularyError):
         agent_move(philosophers, state, I(0))
     with pytest.raises(VocabularyError):
-        move_successors(philosophers, state)
+        enumerate_reachable(philosophers, state, 1)
     with pytest.raises(VocabularyError):
         check_partial_run(philosophers, pr)
 
@@ -722,5 +721,5 @@ def test_state_must_interpret_module_names_as_declared(philosophers, declared, f
     with pytest.raises(StateValidityError):
         agent_move(philosophers, state, I(0))
     with pytest.raises(StateValidityError):
-        move_successors(philosophers, state)
+        enumerate_reachable(philosophers, state, 1)
     assert check_partial_run(philosophers, pr).condition == "3"

@@ -55,7 +55,6 @@ from ealgebra import (
     parse_state,
     runner,
 )
-from ealgebra.distributed import move_successors
 from ealgebra.syntax import App, Atom, BoolGuard, DistributedSpec, Program, QuantGuard, Var
 
 seeds = st.integers(0, 10**6)
@@ -131,12 +130,21 @@ def rings(draw, extra: str = ""):
     return spec, parse_state("\n".join(facts), spec.vocabulary, constants=spec.constants)
 
 
+# Guards whose ``or`` and ``implies`` join a quantifier, so that
+# ``runner._split`` keeps them in the skeleton, with their violations on
+# the ring of 10 to depth 4.
+SKELETONS = {
+    "Mode(0) = eat or (exists x in P) Mode(x) = think": 0,
+    "Mode(0) = eat implies (forall x in P) Mode(x) != eat or x = 0": 32,
+}
+
 RING_GUARDS = (
     "(forall x in P) not (Mode(x) = eat and Mode(x + 1) = eat)",
     "not (exists i in P) (Mode(i) = eat and Mode(i + 1) = eat)",
     "(forall x in P) (Mode(x) = eat implies Fork(x) = up) and (exists y in P) Mode(y) = think",
     "(exists x in P) (forall y in P) (Mode(y) = eat implies y = x)",
     "Mode(0) = think or Fork(1) = down",
+    *SKELETONS,
     # (forall x in P) Fork(Mode(x)), which the parser refuses: with
     # Fork(think) = true it raises once a philosopher stops thinking.
     QuantGuard("forall", "x", "P", Atom(App("Fork", (App("Mode", (Var("x"),)),)))),
@@ -151,6 +159,15 @@ def test_rings_enumerate_as_the_reference(ring, guard, depth, budget):
     if isinstance(guard, str):
         guard = parse_guard_text(guard, spec.vocabulary)
     assert_same(spec, state, depth, budget, guard)
+
+
+@pytest.mark.parametrize("text", sorted(SKELETONS))
+def test_or_and_implies_skeletons_enumerate_as_the_reference(text):
+    spec, state = thinking_ring(10)
+    guard = parse_guard_text(text, spec.vocabulary)
+    assert_same(spec, state, 4, 20000, guard)
+    report = enumerate_reachable(spec, state, 4, predicate=guard)
+    assert len(report.violations) == SKELETONS[text]
 
 
 def enumerate_case(argv):
@@ -184,12 +201,19 @@ def test_program_pairings_enumerate_as_the_reference(name, budget):
 def labelled(target, state, memo=None):
     """The engine's successors of ``state`` as (label, successor) pairs,
     labelled by ``runner.move_label``, for comparison with ``enumoracle``'s
-    ``reference_successors`` and ``expand``."""
+    ``reference_successors`` and ``expand``; ``memo`` keeps each mover's
+    results as ``enumerate_reachable``'s does."""
     if isinstance(target, DistributedSpec):
-        found = move_successors(target, state, memo=memo)
+        movers = [(a.element, a.program) for a in distributed.agents_of(target, state)]
     else:
-        found = runner.successors(target, state, memo=memo)
-    return [(runner.move_label(move), nxt) for move, nxt, _ in found]
+        movers = [(None, target)]
+    return [
+        (runner.move_label(move), nxt)
+        for agent, program in movers
+        for move, nxt, _ in runner.successors(
+            program, state, agent, None if memo is None else memo.setdefault(agent, {}),
+        )
+    ]
 
 
 def count_updates(monkeypatch) -> list:
@@ -234,7 +258,7 @@ def test_an_import_reuses_only_at_the_same_reserve_next(monkeypatch):
     assert calls == [first, later]
     fresh = {
         args for state in (first, later)
-        for _, args, _ in runner.successors(IMPORTER, state, memo=memo)[0][1].facts("Node")
+        for _, args, _ in runner.successors(IMPORTER, state, None, memo[None])[0][1].facts("Node")
     }
     assert fresh == {(Element.reserve(0),), (Element.reserve(3),)}
 
@@ -298,7 +322,7 @@ def test_moves_that_write_mod_list_the_agents_again():
 def test_a_reserve_read_is_never_kept():
     spec, state = reserve_spec()
     memo: dict = {}
-    move_successors(spec, state, memo=memo)
+    labelled(spec, state, memo)
     assert [bool(memo[Element.named(a)]) for a in ("g1", "g2", "p1", "p2")] == [
         True, True, False, False
     ]
@@ -531,7 +555,6 @@ def test_asleep_moves_are_neither_fired_nor_keyed(monkeypatch, n, depth, states,
 
 
 def test_agents_are_listed_once_per_mod_table(monkeypatch):
-    spec, state = thinking_ring(10)
     listed = []
     real = distributed.agents_of
 
@@ -540,8 +563,18 @@ def test_agents_are_listed_once_per_mod_table(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(distributed, "agents_of", counted)
+    # No philosopher writes Mod: every state shares the initial table.
+    spec, state = thinking_ring(10)
     assert len(enumerate_reachable(spec, state, 6).states) == 123
     assert listed == [state]
+    # Every swapper's move writes Mod: each expanded state has a table of
+    # its own, listed once.
+    state = parse_state("Mod(a) = Left\nMod(b) = Right", SWAPPERS.vocabulary,
+                        constants=SWAPPERS.constants)
+    listed.clear()
+    report = enumerate_reachable(SWAPPERS, state, 6)
+    assert listed == [s for s, depth in report.states if depth < 6]
+    assert len({id(s._tables.get("Mod")) for s in listed}) == len(listed) == 12
 
 
 # ---------------------------------------------------------------------------

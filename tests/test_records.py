@@ -197,6 +197,34 @@ def test_a_long_counter_run_renders_as_the_oracles():
     assert format_state(trace.final_state).count("\n") == len(facts) == 2001
 
 
+CLASHES = """\
+vocabulary:
+  dynamic x/0, F/1
+pragma integers
+program:
+  x := 1, x := 2, F(9) := 1, F(10) := 1, F(10) := 2, F(9) := 2
+"""
+
+
+def test_a_conflicting_step_renders_its_conflicts_in_both_formats():
+    # Text lists conflicts by location (F(9) before F(10)), records by
+    # their strings ("F(10) ..." before "F(9) ...").
+    program = parse_program(CLASHES)
+    trace = run(program, parse_state("", program.vocabulary), max_steps=1)
+    assert render_trace(trace, fmt="text") == (
+        "step 1 consistent=no fired=no\n"
+        "  update F(9) := 1\n  update F(9) := 2\n  update F(10) := 1\n  update F(10) := 2\n"
+        "  update x := 1\n  update x := 2\n"
+        "  conflict F(9) in {1, 2}\n  conflict F(10) in {1, 2}\n  conflict x in {1, 2}\n"
+        "stop max-steps\n"
+    )
+    step_line, stop_line = render_trace(trace, fmt="records").splitlines()
+    assert step_line.startswith('{"conflicts": ["F(10) in {1, 2}", "F(9) in {1, 2}", "x in {1, 2}"], ')
+    assert stop_line == '{"stop": "max-steps"}'
+    assert render_trace(trace, fmt="text") == recordoracle.render_text(trace)
+    assert render_trace(trace, fmt="records") == recordoracle.render_records(trace)
+
+
 def test_scalars_of_other_types_encode_as_json_dumps_does():
     line = (
         '{"choice": "x", "consistent": 1, "family": 2.5, "fired": 1,'

@@ -144,11 +144,11 @@ def test_a_second_line_for_one_location_is_refused(vocab):
         parse_state("Fork(p0) = up\nFork(p1) = up\nFork(p0) = down\n", vocab)
     with pytest.raises(ParseError, match="line 2, column 1: second line for think"):
         parse_state("think = a\nthink = a\n", vocab, constants=("think",))
-    with pytest.raises(CertificateError, match=r"sigma block: line 2, column 1: second line for Fork\(0\)"):
+    with pytest.raises(CertificateError, match=r"sigma block: line 4, column 1: second line for Fork\(0\)"):
         parse_certificate("move m1 by 0\nsigma:\n  Fork(0) = 1\n  Fork(0) = 2\nendsigma\n", CERT_TARGET)
     with pytest.raises(ParseError, match=r"^line 3, column 1: second reserve: line$"):
         parse_state("reserve: 3\nFork(p0) = up\nreserve: 5\n", vocab)
-    with pytest.raises(CertificateError, match="sigma block: line 2, column 1: second reserve: line"):
+    with pytest.raises(CertificateError, match="sigma block: line 4, column 1: second reserve: line"):
         parse_certificate("move m1 by 0\nsigma:\n  reserve: 1\n  reserve: 2\nendsigma\n", CERT_TARGET)
     with pytest.raises(OracleError, match=r"line 3: second answer to e\(0\) at step 1"):
         ScriptedOracle.parse("step 1: e(0) = 5\nstep 2: e(0) = 5\nstep 1: e(0) = 6\n", vocab)
