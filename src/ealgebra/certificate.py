@@ -76,7 +76,7 @@ def parse_certificate(text: str, spec: DistributedSpec, base_dir: str | None = N
                     raise CertificateError(f"bad update entry: {entry!r}")
                 fname, args, value = fact
                 beta.append((StaticMirror if mirror else Update)(Location(fname, args), value))
-            recorded[move] = UpdateSet(frozenset(beta))
+            recorded[move] = UpdateSet(beta)
             continue
         m = _INITIAL_RE.match(line)
         if m:

@@ -267,9 +267,9 @@ class _Compiler:
     # -- rules ---------------------------------------------------------------
 
     def family(self, rule: syntax.Rule):
-        """``run -> set of frozensets``, the rule's direct family."""
+        """``run -> set of UpdateSets``, the rule's direct family."""
         code = self.rule(rule)
-        return lambda run: {frozenset(m) for m in code(run, [[]])}
+        return lambda run: {UpdateSet(m) for m in code(run, [[]])}
 
     def rule(self, rule: syntax.Rule):
         """``code(run, acc)``: ``acc`` is a list of family members, each a
@@ -506,7 +506,7 @@ def nupdates(
     run = _start(state, env, alloc, oracle, decls, footprint, vocabulary)
     _check_input(rule, state, run.env, decls, vocabulary)
     members = _compiled(rule, state.vocabulary, frozenset(externals), _Compiler.family)(run)
-    return UpdateFamily.of(UpdateSet(m) for m in members)
+    return UpdateFamily(members)
 
 
 def updates(
@@ -532,7 +532,7 @@ def updates(
     if _check_input(rule, state, run.env, decls, vocabulary).choose:
         raise ModeError("choose rules have no deterministic update set; use nupdates")
     (member,) = _compiled(rule, state.vocabulary, frozenset(externals), _Compiler.family)(run)
-    return UpdateSet(member)
+    return member
 
 
 # ---------------------------------------------------------------------------

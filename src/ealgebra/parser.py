@@ -121,12 +121,12 @@ def _scan(text: str, first_line: int = 1) -> list[_Tok]:
     return toks
 
 
-# The levels of the binary operators by token text, loosest first (no
-# identifier spells a keyword); ``not`` sits at level 4 and the comparisons
-# between it and ``+`` (see the module docstring).
-_BINARY = {"implies": 1, "or": 2, "and": 3, "+": 5, "mod": 6}
-_NOT, _SUM = 4, 5
-_CMP_OPS = {"=", "!=", "<"}
+# From syntax.LEVELS: the level of ``not``, the comparisons' level just
+# above it, and the binary operators' levels by token text (no identifier
+# spells a keyword).
+_NOT, _CMP, _SUM = syntax.LEVELS["not"], syntax.LEVELS["="], syntax.LEVELS["+"]
+_CMP_OPS = {op for op, level in syntax.LEVELS.items() if level == _CMP}
+_BINARY = {op: level for op, level in syntax.LEVELS.items() if level not in (_NOT, _CMP)}
 
 
 class _RuleParser:

@@ -42,6 +42,7 @@ from .state import (
     StaticMirror,
     Update,
     UpdateSet,
+    _flat_key,
     format_element,
     resolve,
 )
@@ -193,7 +194,7 @@ class StepRecord:
         """Asked no oracle and can change nothing: an empty family, or a
         forced, consistent, empty set."""
         return not self.oracle_qa and (self.family_size == 0 or (
-            self.fired and not self.updates.updates and self.family_size in (None, 1)
+            self.fired and not self.updates and self.family_size in (None, 1)
         ))
 
 
@@ -797,7 +798,7 @@ def record_from_json(text: str) -> StepRecord:
         d = json.loads(text)
         record = StepRecord(
             index=d["step"],
-            updates=UpdateSet(frozenset(_decode_update(u) for u in d["updates"])),
+            updates=UpdateSet(_decode_update(u) for u in d["updates"]),
             fired=d["fired"],
             choice_index=d.get("choice"),
             family_size=d.get("family"),
@@ -852,7 +853,8 @@ def render_trace(trace: RunTrace, fmt: str = "text", header: dict | None = None)
             lines.append(
                 f"  {kind} {u.location!r} := {format_element(u.value)}"
             )
-        for loc, vals in sorted(r.conflicts.items(), key=lambda kv: kv[0].sort_key()):
+        clashes = sorted(r.conflicts.items(), key=lambda kv: _flat_key([kv[0].fname], kv[0].args))
+        for loc, vals in clashes:
             cands = ", ".join(sorted(format_element(v) for v in vals))
             lines.append(f"  conflict {loc!r} in {{{cands}}}")
         for fname, args, value in r.oracle_qa:

@@ -562,9 +562,11 @@ def has_import(rule: Rule) -> bool:
 # ---------------------------------------------------------------------------
 # Pretty printing
 
-# Precedence levels for guard/term connectives; higher binds tighter.
-_PREC = {"implies": 1, "or": 2, "and": 3, "not": 4}
-_CMP_PREC = 5
+# The levels of the operators in terms and guards, loosest first: a higher
+# level binds tighter.  ``not`` is prefix, a chain of comparisons means
+# their conjunction, and the rest are binary and left-associative.  The
+# parser derives its levels from this table.
+LEVELS = {"implies": 1, "or": 2, "and": 3, "not": 4, "=": 5, "!=": 5, "<": 5, "+": 6, "mod": 7}
 
 
 def format_term(t: Term | Guard, prec: int = 0) -> str:
@@ -580,7 +582,7 @@ def format_term(t: Term | Guard, prec: int = 0) -> str:
         return f"({s})" if prec > 0 else s
     fname, args = (t.op, t.operands) if isinstance(t, BoolGuard) else (t.fname, t.args)
     if fname in ("=", "<", "+", "mod") and len(args) == 2:
-        op_prec = _CMP_PREC if fname in ("=", "<") else (7 if fname == "+" else 8)
+        op_prec = LEVELS[fname]
         lhs = format_term(args[0], op_prec if fname in ("=", "<") else op_prec - 1)
         rhs = format_term(args[1], op_prec)
         s = f"{lhs} {fname} {rhs}"
@@ -588,14 +590,13 @@ def format_term(t: Term | Guard, prec: int = 0) -> str:
     if fname == "not" and len(args) == 1:
         inner = args[0].term if isinstance(args[0], Atom) else args[0]
         if isinstance(inner, App) and inner.fname == "=" and len(inner.args) == 2:
-            lhs = format_term(inner.args[0], _CMP_PREC)
-            rhs = format_term(inner.args[1], _CMP_PREC)
-            s = f"{lhs} != {rhs}"
-            return f"({s})" if prec >= _CMP_PREC else s
-        s = f"not {format_term(inner, _PREC['not'])}"
-        return f"({s})" if prec > _PREC["not"] else s
+            p = LEVELS["!="]
+            s = f"{format_term(inner.args[0], p)} != {format_term(inner.args[1], p)}"
+            return f"({s})" if prec >= p else s
+        s = f"not {format_term(inner, LEVELS['not'])}"
+        return f"({s})" if prec > LEVELS["not"] else s
     if fname in ("and", "or", "implies") and len(args) == 2:
-        p = _PREC[fname]
+        p = LEVELS[fname]
         lhs = format_term(args[0], p - 1)
         rhs = format_term(args[1], p)
         s = f"{lhs} {fname} {rhs}"

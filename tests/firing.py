@@ -11,7 +11,7 @@ from ealgebra import FALSE, Element, Location, State, Update, UpdateSet
 
 def fire_one(state: State, update: Update) -> State:
     """``state`` after the update set ``{update}``; validation errors raise."""
-    after, fired = state.fire_update_set(UpdateSet.of([update]))
+    after, fired = state.fire_update_set(UpdateSet([update]))
     assert fired
     return after
 

@@ -29,10 +29,6 @@ class GlobalFamily:
     sets: frozenset[UpdateSet]
     contains_bottom: bool
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.sets and not self.contains_bottom
-
 
 def _global(ctx, rule: syntax.Rule) -> tuple[set[frozenset], bool]:
     """The members of ``rule``'s family and whether it holds bottom."""

@@ -365,7 +365,7 @@ def nupdates(
     ctx = _make_ctx(state, env, alloc, oracle, externals, decls, footprint, vocabulary)
     _check_input(rule, state, ctx.env, decls, vocabulary)
     members = _direct(ctx, rule)
-    return UpdateFamily.of(UpdateSet(m) for m in members)
+    return UpdateFamily(UpdateSet(m) for m in members)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def quasi_move_updates(
                 f"quasi-sequential steps need deterministic agents ({agent.module})"
             )
         members, _ = resolutions(agent.program, state, agent=element)
-        union = union.union(members[0])
+        union = UpdateSet(union | members[0])
     return union
 
 
@@ -61,7 +61,9 @@ def successor_states(state: State, family: UpdateFamily | GlobalFamily) -> set[S
     The empty family and the bottom member of a global family both leave
     the state unchanged.
     """
-    out = {state.fire_update_set(member)[0] for member in family.sets}
-    if family.is_empty or (isinstance(family, GlobalFamily) and family.contains_bottom):
+    bottom = isinstance(family, GlobalFamily) and family.contains_bottom
+    members = family.sets if isinstance(family, GlobalFamily) else family
+    out = {state.fire_update_set(member)[0] for member in members}
+    if not members or bottom:
         out.add(state)
     return out

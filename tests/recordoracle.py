@@ -44,11 +44,11 @@ def update_key(u) -> tuple:
 
 
 def sorted_updates(beta) -> list:
-    return sorted(beta.updates, key=update_key)
+    return sorted(beta, key=update_key)
 
 
 def sorted_members(family) -> list:
-    return sorted(family.sets, key=lambda b: tuple(update_key(u) for u in sorted_updates(b)))
+    return sorted(family, key=lambda b: tuple(update_key(u) for u in sorted_updates(b)))
 
 
 def stored_items(state) -> list:

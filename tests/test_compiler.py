@@ -183,7 +183,7 @@ def test_one_rule_under_two_vocabularies_gives_each_ones_answer():
         state = State(vocabulary)
         expected = interporacle.updates(rule, state)
         assert updates(rule, state) == expected
-        assert expected == UpdateSet.of([Update(Location("g"), value)])
+        assert expected == UpdateSet([Update(Location("g"), value)])
 
 
 def test_one_term_with_integers_on_and_off():
@@ -205,7 +205,7 @@ def test_one_rule_under_two_sets_of_externals():
     for externals, value in (({"e"}, "asked"), ((), "stored"), ({"e"}, "asked")):
         family = nupdates(rule, state, externals=externals, **answers)
         assert family == interporacle.nupdates(rule, state, externals=externals, **answers)
-        (member,) = family.sets
+        (member,) = family
         assert [u.value for u in member] == [Element.named(value)]
 
 

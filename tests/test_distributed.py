@@ -30,7 +30,7 @@ from ealgebra import (
     sequential_run,
     validate_spec_state,
 )
-from ealgebra.distributed import PartialRun, segment_states
+from ealgebra.distributed import PartialRun, Verdict, segment_states
 
 from conftest import PROGRAMS, load_initial, load_program
 from firing import fire_one
@@ -95,7 +95,7 @@ def test_team_state_agents(sendrecv, sendrecv_state):
 
 def test_module_name_collision_is_rejected(sendrecv, sendrecv_state):
     tampered, fired = sendrecv_state.fire_update_set(
-        UpdateSet.of([StaticMirror(Location("Team"), sendrecv_state.read(Location("Sender")))])
+        UpdateSet([StaticMirror(Location("Team"), sendrecv_state.read(Location("Sender")))])
     )
     assert fired
     with pytest.raises(StateValidityError):
@@ -126,7 +126,7 @@ def test_team_rule_moves_the_value(sendrecv, sendrecv_state):
     s, _ = agent_move(sendrecv, s, E("s"))
     s, _ = agent_move(sendrecv, s, E("r"))
     s, record = agent_move(sendrecv, s, E("t1"))
-    assert record.updates == UpdateSet.of([Update(Location("In", (E("r"),)), E("payload"))])
+    assert record.updates == UpdateSet([Update(Location("In", (E("r"),)), E("payload"))])
     assert s.read(Location("In", (E("r"),))) == E("payload")
 
 
@@ -349,7 +349,7 @@ def test_cyclic_order_violates_condition_one(philosophers4, ring4):
 def test_wrong_initial_state_violates_condition_three(philosophers4, ring4):
     pr = antichain_run(philosophers4, ring4)
     tampered, _ = ring4.fire_update_set(
-        UpdateSet.of([Update(Location("Mode", (I(3),)), EAT)])
+        UpdateSet([Update(Location("Mode", (I(3),)), EAT)])
     )
     states = dict(pr.states)
     states[frozenset()] = tampered
@@ -518,6 +518,24 @@ def test_certificate_lines_given_twice_are_refused(sendrecv, sendrecv_state):
     assert check_partial_run(sendrecv, by_reference).valid
 
 
+@pytest.mark.parametrize("text, base_dir, message", [
+    ("move m1 by 0\nmove m1 by 1\n", None, "move m1 declared twice"),
+    ("initial from ring3.east\n", None, "initial-from needs a base directory"),
+    ("initial from absent.east\n", str(PROGRAMS), "cannot read initial state: "),
+    ("sigma:\n  Mode(0) = think\n", None, "sigma block missing endsigma"),
+])
+def test_malformed_certificates_are_refused(philosophers, text, base_dir, message):
+    with pytest.raises(CertificateError) as caught:
+        parse_certificate(text, philosophers, base_dir=base_dir)
+    assert type(caught.value) is CertificateError and str(caught.value).startswith(message)
+
+
+def test_a_sigma_of_unknown_moves_refutes_the_certificate(philosophers, ring3):
+    pr = parse_certificate("move m1 by 0\nsigma m9:\nendsigma\n", philosophers)
+    verdict = check_partial_run(philosophers, pr, initial_state=ring3)
+    assert verdict == Verdict(False, "certificate", "sigma key names unknown moves")
+
+
 def test_nondeterministic_moves_need_recorded_sets():
     spec = parse_program(
         "vocabulary:\n"
@@ -540,7 +558,7 @@ def test_nondeterministic_moves_need_recorded_sets():
     verdict = check_partial_run(spec, stripped)
     assert not verdict.valid and verdict.condition == "certificate"
     # corrupt the recorded set: no longer a move of the agent
-    bad = {"m1": UpdateSet.of([Update(Location("f"), E("c" ))])}
+    bad = {"m1": UpdateSet([Update(Location("f"), E("c" ))])}
     broken = PartialRun(pr.moves, pr.agent_of, pr.edges, pr.states, bad)
     verdict = check_partial_run(spec, broken)
     assert not verdict.valid and verdict.condition == "4"
@@ -678,7 +696,7 @@ def test_binder_named_like_another_modules_function():
         "Mod(x) = A\nMod(y) = B\nU(u) = true", spec.vocabulary, constants=spec.constants
     )
     _, record = agent_move(spec, state, E("x"))
-    assert record.updates == UpdateSet.of([Update(Location("g", (E("u"),)), E("u"))])
+    assert record.updates == UpdateSet([Update(Location("g", (E("u"),)), E("u"))])
 
 
 def _misdeclared(philosophers, declared, facts):

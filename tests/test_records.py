@@ -33,16 +33,22 @@ from ealgebra import (
     Update,
     UpdateFamily,
     UpdateSet,
+    format_certificate,
     format_state,
+    generate_partial_run,
     make_vocabulary,
+    parse_certificate,
     parse_program,
     parse_state,
     render_trace,
     run,
     step,
 )
+from ealgebra import evaluator
 from ealgebra.errors import ParseError
 from ealgebra.runner import record_from_json, record_to_json
+
+from conftest import load_initial, load_program
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -67,7 +73,7 @@ def updates(draw):
     return kind(location, draw(ELEMENTS))
 
 
-UPDATE_SETS = st.builds(UpdateSet.of, st.lists(updates(), max_size=6))
+UPDATE_SETS = st.builds(UpdateSet, st.lists(updates(), max_size=6))
 
 
 @st.composite
@@ -108,7 +114,7 @@ def test_updates_sort_as_by_the_nested_keys(beta):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(UPDATE_SETS, max_size=5))
 def test_family_members_sort_as_by_the_nested_keys(sets):
-    family = UpdateFamily.of(sets)
+    family = UpdateFamily(sets)
     assert family.sorted_members() == recordoracle.sorted_members(family)
 
 
@@ -225,6 +231,42 @@ def test_a_conflicting_step_renders_its_conflicts_in_both_formats():
     assert render_trace(trace, fmt="records") == recordoracle.render_records(trace)
 
 
+CHOICE = """\
+vocabulary:
+  dynamic f/0, g/0
+  static relation U/1
+constants a, b
+program:
+  g := a
+  choose v in U
+    f := v
+  endchoose
+"""
+
+
+def test_every_update_set_handed_out_is_an_update_set():
+    # conflicts() and sorted_updates() come with the type.
+    program = parse_program(CHOICE)
+    state = parse_state("U(a) = true\nU(b) = true\n", program.vocabulary, constants=program.constants)
+    betas = [
+        evaluator.updates(program.rule.rules[0], state), *evaluator.nupdates(program.rule, state),
+    ]
+    _, record = step(program, state)
+    betas.append(record_from_json(record_to_json(record)).updates)
+    pick = load_program("pick.ea")
+    pr = generate_partial_run(pick, load_initial("pick.east", pick), [Element.named("p")])
+    betas += [*pr.recorded.values(), *parse_certificate(format_certificate(pr), pick).recorded.values()]
+    assert len(betas) == 6 and all(type(beta) is UpdateSet for beta in betas)
+
+
+def test_an_update_set_is_its_updates_in_any_order():
+    a, b = Element.named("a"), Element.named("b")
+    listed = [Update(Location("f", (a,)), b), StaticMirror(Location("f", (a,)), b), Update(Location("g"), a)]
+    forward, backward = UpdateSet(listed), UpdateSet(reversed(listed))
+    assert forward == backward and hash(forward) == hash(backward)
+    assert repr(forward) == repr(backward) == "{f(a) := b, ~f(a) := b, g := a}"
+
+
 def test_scalars_of_other_types_encode_as_json_dumps_does():
     line = (
         '{"choice": "x", "consistent": 1, "family": 2.5, "fired": 1,'
@@ -244,7 +286,7 @@ from ealgebra.runner import record_to_json
 
 a, b = Element.named("a"), Element.named("b")
 loc = Location("f", (a,))
-beta = UpdateSet.of([Update(loc, b), StaticMirror(loc, b)])
+beta = UpdateSet([Update(loc, b), StaticMirror(loc, b)])
 print(beta.sorted_updates())
 print(record_to_json(StepRecord(1, beta, True, None, None, ())))
 state = State(make_vocabulary([FunctionName("f", 1, is_static=True)]), {})

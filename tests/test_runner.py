@@ -5,9 +5,13 @@ import pytest
 
 from ealgebra import (
     ContractViolation,
+    EalgebraError,
     Element,
+    FixedChooser,
     Location,
     ModeError,
+    Oracle,
+    OracleError,
     ParseError,
     ScriptedOracle,
     SeededChooser,
@@ -336,3 +340,23 @@ def test_a_run_keeps_its_initial_and_final_states_only():
     assert sum(isinstance(o, State) for o in gc.get_objects()) - before == 2
     assert trace.final_state.read(Location("c")) == Element.integer(500)
     assert trace.states[0] is trace.initial and trace.states[-1] == trace.final_state
+
+
+def test_a_fixed_chooser_refuses_choices_out_of_range_and_past_its_end():
+    chooser = FixedChooser([0, 5])
+    assert chooser.choose(2) == 0
+    for message in ("recorded choice 5 out of range 2", "fixed chooser exhausted"):
+        with pytest.raises(EalgebraError) as caught:
+            chooser.choose(2)
+        assert type(caught.value) is EalgebraError and str(caught.value) == message
+
+
+def test_an_oracle_answer_that_is_no_element_is_refused():
+    class Careless(Oracle):
+        def resolve(self, fname, args, step_index):
+            return "hello"
+
+    program = parse_program("vocabulary:\n  dynamic g/0\n  external e/0\nprogram:\n  g := e\n")
+    with pytest.raises(OracleError) as caught:
+        step(program, State(program.vocabulary), Careless())
+    assert type(caught.value) is OracleError and str(caught.value) == "e: oracle returned a non-element"

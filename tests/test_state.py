@@ -98,7 +98,7 @@ def test_fire_update_relational_needs_boolean():
 
 def test_fire_update_set_simultaneous():
     s = all_down_state()
-    beta = UpdateSet.of(
+    beta = UpdateSet(
         [
             Update(Location("Fork", (P0,)), UP),
             Update(Location("Fork", (P1,)), UP),
@@ -117,7 +117,7 @@ def test_fire_update_set_simultaneous():
 def test_inconsistent_set_fires_as_a_noop():
     s = all_down_state()
     loc = Location("Mode", (P0,))
-    beta = UpdateSet.of([Update(loc, EAT), Update(loc, THINK)])
+    beta = UpdateSet([Update(loc, EAT), Update(loc, THINK)])
     s2, fired = s.fire_update_set(beta)
     assert not fired
     assert s2 == s and s2 is s
@@ -138,7 +138,7 @@ def test_firing_order_irrelevance():
         Update(Location("Mode", (P2,)), EAT),
         Update(Location("Fork", (P2,)), UP),
     ]
-    simultaneous, _ = s.fire_update_set(UpdateSet.of(updates))
+    simultaneous, _ = s.fire_update_set(UpdateSet(updates))
     for _ in range(5):
         rng.shuffle(updates)
         one_by_one = s
@@ -181,7 +181,7 @@ def test_fire_family_empty_does_nothing():
 def test_fire_family_singleton_is_forced():
     s, (chosen, record) = fire_family(["a"], NoDraw())
     c, a = Element.named("c"), Element.named("a")
-    expected, _ = s.fire_update_set(UpdateSet.of([Update(Location("f", (c,)), a)]))
+    expected, _ = s.fire_update_set(UpdateSet([Update(Location("f", (c,)), a)]))
     assert record.family_size == 1
     assert chosen == expected
 
@@ -206,7 +206,7 @@ def test_reserve_withdraw_counts_up():
 def test_reserve_withdraw_via_update_set():
     s = all_down_state()
     r0 = Element.reserve(0)
-    beta = UpdateSet.of([Update(Location("Reserve", (r0,)), FALSE)])
+    beta = UpdateSet([Update(Location("Reserve", (r0,)), FALSE)])
     s2, fired = s.fire_update_set(beta)
     assert fired and s2.read(Location("Reserve", (r0,))) == FALSE
 
@@ -231,7 +231,7 @@ def test_isomorphic_under_reserve_permutation():
     s = all_down_state()
     a, b = Element.reserve(0), Element.reserve(1)
     one = s.fire_update_set(
-        UpdateSet.of(
+        UpdateSet(
             [
                 Update(Location("Reserve", (a,)), FALSE),
                 Update(Location("Reserve", (b,)), FALSE),
@@ -241,7 +241,7 @@ def test_isomorphic_under_reserve_permutation():
         )
     )[0]
     two = s.fire_update_set(
-        UpdateSet.of(
+        UpdateSet(
             [
                 Update(Location("Reserve", (a,)), FALSE),
                 Update(Location("Reserve", (b,)), FALSE),
@@ -261,7 +261,7 @@ def test_isomorphic_is_an_equivalence_on_samples():
         a, b = (Element.reserve(k) for k in serials)
         variants.append(
             s.fire_update_set(
-                UpdateSet.of(
+                UpdateSet(
                     [
                         Update(Location("Reserve", (a,)), FALSE),
                         Update(Location("Reserve", (b,)), FALSE),
@@ -323,3 +323,27 @@ def test_integer_operations_wrap_with_the_modulus():
     assert s.read(Location("<", (P0, DOWN))) == FALSE
     assert s.read(Location("mod", (P2, Element.integer(2)))) == P0
     assert s.read(Location("mod", (P2, Element.integer(0)))) == UNDEF
+
+
+@pytest.mark.parametrize("tables, error, message", [
+    ({"Bogus": {(): TRUE}}, VocabularyError, "table for unknown function name: Bogus"),
+    ({"Mode": {(): THINK}}, VocabularyError, "Mode: expected 1 arguments, got 0"),
+    ({"P": {(P0,): THINK}}, UpdateTypeError, "P: relational value must be Boolean"),
+])
+def test_a_state_refuses_tables_its_vocabulary_does_not_allow(tables, error, message):
+    vocabulary = make_vocabulary([FunctionName("Mode", 1), FunctionName("P", 1, is_relation=True)])
+    with pytest.raises(error) as caught:
+        State(vocabulary, tables)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize("update, message", [
+    (Update(Location("Reserve", (Element.reserve(0),)), TRUE), "Reserve can only be withdrawn from"),
+    (Update(Location("Reserve", (Element.named("a"),)), FALSE), "Reserve can only be withdrawn from"),
+    (Update(Location("Self"), Element.named("a")), "Self: logic names cannot be updated"),
+])
+def test_firing_refuses_to_grant_reserve_or_write_self(update, message):
+    vocabulary = make_vocabulary([FunctionName("f", 0)], with_reserve=True, with_self=True)
+    with pytest.raises(IllegalUpdateError) as caught:
+        State(vocabulary).fire_update_set(UpdateSet([update]))
+    assert type(caught.value) is IllegalUpdateError and str(caught.value) == message

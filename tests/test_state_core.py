@@ -90,7 +90,7 @@ def update_set(draw, with_reserve: bool):
     if with_reserve:
         for serial in draw(st.lists(st.integers(0, MAX_RESERVE + 2), max_size=2)):
             out.append(Update(Location("Reserve", (Element.reserve(serial),)), FALSE))
-    return UpdateSet.of(out)
+    return UpdateSet(out)
 
 
 @st.composite
@@ -139,7 +139,7 @@ def test_an_update_and_its_mirror_stay_apart():
     assert not (update == mirror) and not (mirror == update)
     assert hash(update) != hash(mirror)
     assert mirror == StaticMirror(loc, value) and not (mirror != StaticMirror(loc, value))
-    assert len(UpdateSet.of([update, mirror, StaticMirror(loc, value)])) == 2
+    assert len(UpdateSet([update, mirror, StaticMirror(loc, value)])) == 2
 
 
 def test_elements_of_different_kinds_are_unequal():
@@ -221,7 +221,7 @@ def test_tables_past_a_leaf_match_a_plain_dict(plan):
 
     def fire(chosen: dict):
         nonlocal state
-        beta = UpdateSet.of(Update(Location("F", (I(k),)), v) for k, v in chosen.items())
+        beta = UpdateSet(Update(Location("F", (I(k),)), v) for k, v in chosen.items())
         before = list(state.stored_items())
         child, fired = state.fire_update_set(beta)
         assert fired
@@ -262,7 +262,7 @@ def test_firing_copies_only_the_changed_path():
     old = parent._tables["F"]
     for k, v in ((17, I(1)), (5000, I(1)), (42, UNDEF)):
         key = (I(k),)
-        child, _ = parent.fire_update_set(UpdateSet.of([Update(Location("F", key), v)]))
+        child, _ = parent.fire_update_set(UpdateSet([Update(Location("F", key), v)]))
         new = child._tables["F"]
         assert len(new) == 5000 + (k == 5000) - (v == UNDEF)
         h = hash(key)
@@ -292,7 +292,7 @@ def test_keys_whose_hashes_agree_stay_apart():
         model = {k: I(k % 3) for k in range(size - 2)}
         state = table_state(model)
         for k, v in ((-1, I(7)), (-2, I(8)), (-1, UNDEF), (-2, I(9)), (-1, I(5))):
-            state, _ = state.fire_update_set(UpdateSet.of([Update(Location("F", (I(k),)), v)]))
+            state, _ = state.fire_update_set(UpdateSet([Update(Location("F", (I(k),)), v)]))
             if v == UNDEF:
                 model.pop(k, None)
             else:
@@ -312,12 +312,12 @@ def test_a_leaf_of_full_hash_collisions_grows_past_the_leaf_size():
     assert len({hash((e,)) for e in names}) == 1
     state = State(TABLE_VOCAB, {"F": {(e,): TRUE for e in names[:LEAF_SIZE]}})
     for e in names[LEAF_SIZE:]:
-        state, _ = state.fire_update_set(UpdateSet.of([Update(Location("F", (e,)), TRUE)]))
+        state, _ = state.fire_update_set(UpdateSet([Update(Location("F", (e,)), TRUE)]))
     table = state._tables["F"]
     assert len(table) == len(names) and len(trie_path(table, (names[0],))[-1]) == len(names)
     assert all(state.read(Location("F", (e,))) == TRUE for e in names)
     assert state == State(TABLE_VOCAB, {"F": {(e,): TRUE for e in reversed(names)}})
     for e in names[:9]:
-        state, _ = state.fire_update_set(UpdateSet.of([Update(Location("F", (e,)), UNDEF)]))
+        state, _ = state.fire_update_set(UpdateSet([Update(Location("F", (e,)), UNDEF)]))
     assert type(state._tables["F"]) is dict and len(state._tables["F"]) == LEAF_SIZE - 1
     assert [args for _, args, _ in state.stored_items()] == [(e,) for e in names[9:]]

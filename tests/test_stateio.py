@@ -232,7 +232,7 @@ def recorded_runs(draw):
         agent_of={m: draw(elements) for m in moves},
         edges=frozenset(),
         states={},
-        recorded={m: UpdateSet(frozenset(draw(st.lists(update, max_size=4)))) for m in moves},
+        recorded={m: UpdateSet(draw(st.lists(update, max_size=4))) for m in moves},
     )
 
 

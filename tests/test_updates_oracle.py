@@ -140,4 +140,4 @@ def test_a_declaration_stops_at_its_first_empty_family():
     got = outcome(nupdates, rule, s, A)
     assert got == outcome(interporacle.nupdates, rule, s, A)
     family, locations, names = got
-    assert family.is_empty and len(locations) == 1 and names == {"r", "U"}
+    assert not family and len(locations) == 1 and names == {"r", "U"}
