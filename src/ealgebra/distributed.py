@@ -26,6 +26,7 @@ from .errors import (
     ScheduleError,
     StateValidityError,
     require,
+    require_int,
 )
 from .evaluator import Footprint, updates  # noqa: F401 (perfbench traces it here)
 from .runner import (
@@ -135,6 +136,7 @@ def agent_move(
     ``Mod(Self)`` among it.
     """
     require(state, State, "agent_move")
+    require_int(index, "agent_move")
     if isinstance(agent, Element):
         agent = scheduled_agent(spec, validate_spec_state(spec, state), state, agent)
     return move(
@@ -160,7 +162,7 @@ def sequential_run(
     (``SeededChooser(0)`` if none) draws the agent first, then a member of
     the agent's family when it has more than one.
     """
-    if max_steps is not None and max_steps < 0:
+    if max_steps is not None and require_int(max_steps, "sequential_run") < 0:
         raise ScheduleError("max_steps must not be negative")
     by_element = validate_spec_state(spec, require(initial, State, "sequential_run"))
     if chooser is None:
@@ -582,7 +584,7 @@ def linearizations(
 ) -> LinearizationReport:
     """All topological orders of a finite initial segment, as sequential
     runs, up to ``budget`` of them."""
-    if budget < 1:
+    if require_int(budget, "linearizations") < 1:
         raise ScheduleError("budget must be positive")
     order = _shape(require(pr, PartialRun, "linearizations"))
     segment = frozenset(pr.moves) if segment is None else frozenset(segment)

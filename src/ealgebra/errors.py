@@ -86,3 +86,11 @@ def require(value, kinds: type | tuple[type, ...], entry_point: str):
         what = " or ".join(f"a {kind.__name__}" for kind in kinds)
         raise ContractViolation(f"{entry_point} takes {what}, not {type(value).__name__}")
     return value
+
+
+def require_int(value, entry_point: str) -> int:
+    """``value``, refused with ``ContractViolation`` naming ``entry_point``
+    when it is not an ``int`` (text, a float, a ``bool``, ``None``)."""
+    if type(value) is bool or not isinstance(value, int):
+        raise ContractViolation(f"{entry_point} takes an int, not {type(value).__name__}")
+    return value

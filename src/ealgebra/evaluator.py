@@ -27,7 +27,8 @@ and compiled again for any other pair.
 
 Compilation changes nothing observable.  Guard operands are evaluated
 without short-circuiting, so a read footprint does not depend on truth
-values; the input contract is checked on every call; errors, their
+values; the input contract is checked on every call of an entry point,
+and once per vocabulary for an evaluator ``prepared`` keeps; errors, their
 messages and their order, the family order and the reads recorded in a
 footprint are those of a walk over the tree.  A malformed node (a guard
 that is no guard, a Boolean connective with the wrong operand count) is
@@ -136,7 +137,7 @@ def _start(state, env, alloc, oracle, decls, footprint, vocabulary) -> _Run:
 
 def _compiled(node, vocabulary: Vocabulary, externals: frozenset[str], build):
     """``build(compiler, node)`` for the vocabulary and the external names:
-    the closure of a rule (``_Compiler.family``), guard or term, compiled
+    the closure of a rule (``_Compiler.rule``), guard or term, compiled
     once per vocabulary object and set of external names and kept on the
     node."""
     cache = node.__dict__.setdefault("_compiled", {})
@@ -266,11 +267,6 @@ class _Compiler:
 
     # -- rules ---------------------------------------------------------------
 
-    def family(self, rule: syntax.Rule):
-        """``run -> set of UpdateSets``, the rule's direct family."""
-        code = self.rule(rule)
-        return lambda run: {UpdateSet(m) for m in code(run, [[]])}
-
     def rule(self, rule: syntax.Rule):
         """``code(run, acc)``: ``acc`` is a list of family members, each a
         list of updates the call owns; ``code`` adds every member of the
@@ -280,9 +276,10 @@ class _Compiler:
         if isinstance(rule, syntax.UpdateInstr):
             fname, rhs = rule.fname, self.term(rule.rhs)
             args = _tuple([self.term(a) for a in rule.args])
+            at = None if rule.args else Location(fname, ())  # a nullary target, built once
 
             def update(run, acc):
-                u = Update(Location(fname, args(run)), rhs(run))
+                u = Update(at or Location(fname, args(run)), rhs(run))
                 for m in acc:
                     m.append(u)
                 return acc
@@ -440,15 +437,15 @@ def _parsed(node, kind: str):
     return node
 
 
-def _check_input(
-    rule: syntax.Rule, state: State, env: dict, decls, vocabulary=None
-) -> syntax.RuleFacts:
+def _check_input(rule: syntax.Rule, scope: Vocabulary, env, decls) -> syntax.RuleFacts:
+    """The rule's facts, once it is a core rule perspicuous for the names of
+    ``scope``, the variables ``env`` binds and the declared ``decls``."""
     facts = syntax.rule_facts(_parsed(rule, "rule"))
     if not facts.core:
         raise ModeError("rule contains surface sugar; desugar it first")
     binders = facts.binders
     if binders is None or (binders and not (
-        binders.isdisjoint((vocabulary or state.vocabulary).name_set)
+        binders.isdisjoint(scope.name_set)
         and binders.isdisjoint(facts.free)
         and binders.isdisjoint(env)
         and binders.isdisjoint(decls)
@@ -504,9 +501,9 @@ def nupdates(
     """
     require(state, State, "nupdates")
     run = _start(state, env, alloc, oracle, decls, footprint, vocabulary)
-    _check_input(rule, state, run.env, decls, vocabulary)
-    members = _compiled(rule, state.vocabulary, frozenset(externals), _Compiler.family)(run)
-    return UpdateFamily(members)
+    _check_input(rule, run.scope, run.env, decls)
+    members = _compiled(rule, state.vocabulary, frozenset(externals), _Compiler.rule)(run, [[]])
+    return UpdateFamily(map(UpdateSet, members))
 
 
 def updates(
@@ -529,10 +526,42 @@ def updates(
     """
     require(state, State, "updates")
     run = _start(state, env, alloc, oracle, decls, footprint, vocabulary)
-    if _check_input(rule, state, run.env, decls, vocabulary).choose:
+    if _check_input(rule, run.scope, run.env, decls).choose:
         raise ModeError("choose rules have no deterministic update set; use nupdates")
-    (member,) = _compiled(rule, state.vocabulary, frozenset(externals), _Compiler.family)(run)
-    return member
+    (member,) = _compiled(rule, state.vocabulary, frozenset(externals), _Compiler.rule)(run, [[]])
+    return UpdateSet(member)
+
+
+def prepared(
+    rule: syntax.Rule, vocabulary: Vocabulary, externals: frozenset[str] = frozenset(),
+    scope: Vocabulary | None = None, bound: tuple[str, ...] = (),
+):
+    """``evaluate(state, env, oracle, footprint)`` for states of
+    ``vocabulary``, ``env`` binding the variables ``bound`` names: what
+    ``updates`` (``nupdates`` for a rule with choose) gives for them in
+    ``scope``.  The contract is checked and the rule compiled once per
+    vocabulary object, externals, scope and bound names, and the evaluator
+    kept on the rule as ``_compiled`` keeps closures; a refusal is not
+    kept.  A rule that imports or duplicates nothing gets no allocator."""
+    cache = rule.__dict__.setdefault("_prepared", {})
+    key = (id(vocabulary), externals, id(scope), bound)
+    hit = cache.get(key)
+    if hit is None:
+        names = scope or vocabulary
+        choose = _check_input(rule, names, bound, ()).choose
+        code = _compiled(rule, vocabulary, externals, _Compiler.rule)
+        allocates = syntax.has_import(rule)
+
+        def evaluate(state, env, oracle, footprint):
+            alloc = ReserveAllocator(state.reserve_next) if allocates else None
+            members = code(_Run(state, env, alloc, oracle, footprint, (), names), [[]])
+            if choose:
+                return UpdateFamily(map(UpdateSet, members))
+            return UpdateSet(members[0])  # the one member of a choice-free rule
+
+        # The entry keeps both vocabularies alive, so no other object gets their ids.
+        hit = cache[key] = (evaluate, vocabulary, scope)
+    return hit[0]
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,10 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from . import syntax
 from .errors import (
     EalgebraError, ModeError, OracleError, ParseError, ScheduleError, VocabularyError, require,
-    require_text,
+    require_int, require_text,
 )
-from .evaluator import Footprint, eval_guard, nupdates, updates
+from .evaluator import Footprint, eval_guard, prepared
+from .evaluator import updates  # noqa: F401 (perfbench's tests read it here)
 from .state import (
     EMPTY_UPDATE_SET,
     UNDEF,
@@ -228,6 +229,12 @@ def check_appropriate(program: Program, state: State):
             )
 
 
+def _require_program(target) -> None:
+    """``ModeError`` for a distributed spec, which only runs by agents."""
+    if isinstance(target, DistributedSpec):
+        raise ModeError("a distributed spec runs its agents with sequential_run")
+
+
 def _require_inputs(target, initial, entry_point: str) -> None:
     """``ContractViolation`` unless ``target`` is a program or a spec and
     ``initial`` a state."""
@@ -247,19 +254,25 @@ def resolutions(
     undef.  For an agent's move, the program is its module's: Self is
     bound to ``agent`` and the program sees only its own names, and a
     footprint also gets ``Mod(agent)``, which makes it the module's agent
-    (the module name is static and nullary: no update writes it).
+    (the module name is static and nullary: no update writes it).  The
+    rule is evaluated by the evaluator ``evaluator.prepared`` keeps for
+    the program, the state's vocabulary and, for a move, the module's
+    scope, so its contract is checked once for them.
     """
     if oracle is None and program.externals:
         oracle = OracleView(UndefOracle(), 1)
-    kwargs = {"oracle": oracle, "externals": program.externals, "footprint": footprint}
-    if agent is not None:
-        kwargs.update(env={"Self": agent}, vocabulary=program.vocabulary)
+    rule, vocabulary, externals = program.prepared, state.vocabulary, program.externals
+    if agent is None:
+        found = prepared(rule, vocabulary, externals)(state, {}, oracle, footprint)
+    else:
         if footprint is not None:
             footprint.locations.add(Location("Mod", (agent,)))
+        evaluate = prepared(rule, vocabulary, externals, program.vocabulary, ("Self",))
+        found = evaluate(state, {"Self": agent}, oracle, footprint)
     if program.has_choose:
-        members = nupdates(program.prepared, state, **kwargs).sorted_members()
+        members = found.sorted_members()
         return members, len(members)
-    return [updates(program.prepared, state, **kwargs)], None
+    return [found], None
 
 
 def fire_and_record(
@@ -289,9 +302,9 @@ def move(
     or with ``agent`` that agent's move.
 
     The chooser (``SeededChooser(0)`` if none) picks a member only from a
-    family of more than one.
+    family of more than one.  A program with no externals gets no oracle.
     """
-    view = OracleView(oracle or UndefOracle(), index)
+    view = OracleView(oracle or UndefOracle(), index) if program.externals else None
     members, family_size = resolutions(program, state, view, footprint, agent)
     choice_index = None
     if family_size == 1:
@@ -301,7 +314,7 @@ def move(
     return fire_and_record(
         state, members[choice_index or 0] if members else None, index=index,
         agent=agent, choice_index=choice_index, family_size=family_size,
-        oracle_qa=tuple(view.transcript),
+        oracle_qa=() if view is None else tuple(view.transcript),
     )
 
 
@@ -310,10 +323,9 @@ def step(
     step_index: int = 1,
 ) -> tuple[State, StepRecord]:
     """Fire the program once; inconsistent update sets change nothing."""
-    if isinstance(program, DistributedSpec):
-        raise ModeError("a distributed spec runs its agents with sequential_run")
+    _require_program(program)
     _require_inputs(program, state, "step")
-    return move(program, state, chooser, oracle=oracle, index=step_index)
+    return move(program, state, chooser, oracle=oracle, index=require_int(step_index, "step"))
 
 
 def run(
@@ -326,17 +338,19 @@ def run(
     """Run for at most ``max_steps`` steps, stopping early at a fixpoint.
 
     Without a chooser, choices come from ``SeededChooser(0)``, as with the
-    CLI's default ``--seed 0``.
+    CLI's default ``--seed 0``.  The inputs are checked once, here; each
+    step is a ``move``.
     """
-    if max_steps < 1:
+    if require_int(max_steps, "run") < 1:
         raise ScheduleError("max_steps must be positive")
     _require_inputs(program, initial, "run")
     if chooser is None:
         chooser = SeededChooser(0)
     check_appropriate(program, initial)
+    _require_program(program)
     state, records, stop_reason = initial, [], "max-steps"
     for index in range(1, max_steps + 1):
-        state, record = step(program, state, oracle, chooser, step_index=index)
+        state, record = move(program, state, chooser, oracle=oracle, index=index)
         records.append(record)
         if record.fixpoint:
             stop_reason = "fixpoint"
@@ -607,7 +621,8 @@ def enumerate_reachable(
     """
     from . import distributed  # cycle: distributed builds on runner
 
-    if budget < 1 or depth < 0:
+    require_int(depth, "enumerate_reachable")
+    if require_int(budget, "enumerate_reachable") < 1 or depth < 0:
         raise ScheduleError("budget must be positive and depth not negative")
 
     _require_inputs(target, initial, "enumerate_reachable")

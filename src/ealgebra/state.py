@@ -392,32 +392,6 @@ class State:
 
     # -- firing ---------------------------------------------------------------
 
-    def _validate_update(self, u: Update) -> FunctionName:
-        fn = self.vocabulary.lookup(u.location.fname)
-        if fn is None:
-            raise VocabularyError(f"unknown function name: {u.location.fname}")
-        if len(u.location.args) != fn.arity:
-            raise VocabularyError(
-                f"{fn.name}: expected {fn.arity} arguments, got {len(u.location.args)}"
-            )
-        if fn.name == "Reserve":
-            # Import withdraws elements by updating Reserve to false; nothing
-            # else may touch it.
-            if u.value != FALSE or u.location.args[0].kind != "reserve":
-                raise IllegalUpdateError("Reserve can only be withdrawn from")
-            return fn
-        if fn.is_static:
-            if not isinstance(u, StaticMirror) or fn.name in COMPUTED_NAMES:
-                raise IllegalUpdateError(f"{fn.name}: static names cannot be updated")
-        elif fn.is_logic:
-            raise IllegalUpdateError(f"{fn.name}: logic names cannot be updated")
-        if fn.is_relation and u.value not in _BOOLEANS:
-            raise UpdateTypeError(
-                f"{fn.name}: relational location needs a Boolean value, "
-                f"got {format_element(u.value)}"
-            )
-        return fn
-
     def _apply(self, pairs: Iterable[tuple[Update, FunctionName]]) -> "State":
         tables = dict(self._tables)
         touched: set[str] = set()
@@ -465,8 +439,25 @@ class State:
         """The members of ``beta`` with their names, as ``_apply`` fires
         them, or None when ``beta`` is inconsistent.  Raises as firing
         would; the result holds at every state of this vocabulary.  Only
-        a set that writes some location twice can conflict."""
-        pairs = [(u, self._validate_update(u)) for u in beta]
+        a set that writes some location twice can conflict.  Whether an
+        update may write its target is decided once per vocabulary
+        (``_writable``), its value at each update."""
+        vocabulary, allowed, pairs = self.vocabulary, self.vocabulary.resolved, []
+        for u in beta:
+            (fname, args), value = u
+            key = (fname, len(args), type(u) is StaticMirror)
+            fn = allowed.get(key) or _writable(vocabulary, *key)
+            if fname == "Reserve":
+                # Import withdraws elements by updating Reserve to false;
+                # nothing else may touch it.
+                if value != FALSE or args[0].kind != "reserve":
+                    raise IllegalUpdateError("Reserve can only be withdrawn from")
+            elif fn.is_relation and value not in _BOOLEANS:
+                raise UpdateTypeError(
+                    f"{fname}: relational location needs a Boolean value, "
+                    f"got {format_element(value)}"
+                )
+            pairs.append((u, fn))
         if len({u.location for u in beta}) < len(pairs) and beta.conflicts():
             return None
         return pairs
@@ -605,6 +596,25 @@ def _resolve(vocabulary: Vocabulary, fname: str, arity: int) -> Resolved:
         return default if table is None else table.get(args, default)
 
     return Resolved("table", default, read)
+
+
+def _writable(vocabulary: Vocabulary, fname: str, arity: int, mirror: bool) -> FunctionName:
+    """The name an update of ``fname`` at ``arity`` arguments writes (a
+    ``StaticMirror`` when ``mirror``), kept in ``resolve``'s table, where
+    ``State.checked`` finds it; or the error firing raises, decided again
+    each time: an unknown name or a wrong arity as ``resolve`` reads it,
+    and a static or logic name other than ``Reserve`` (a mirror may write
+    a static table)."""
+    how = resolve(vocabulary, fname, arity)
+    if how.kind == "error":
+        raise VocabularyError(how.value)
+    fn = vocabulary.lookup(fname)
+    if fn.is_static and (not mirror or fname in COMPUTED_NAMES):
+        raise IllegalUpdateError(f"{fname}: static names cannot be updated")
+    if fn.is_logic and not fn.is_static and how.kind != "reserve":
+        raise IllegalUpdateError(f"{fname}: logic names cannot be updated")
+    vocabulary.resolved[fname, arity, mirror] = fn
+    return fn
 
 
 _CONSTANTS = {"true": TRUE, "false": FALSE, "undef": UNDEF}

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Union
 
+from .errors import require_int
+
 if TYPE_CHECKING:
     from .vocabulary import Vocabulary
 
@@ -607,7 +609,7 @@ def format_term(t: Term | Guard, prec: int = 0) -> str:
 
 
 def format_rule(rule: Rule, indent: int = 0) -> str:
-    pad = "  " * indent
+    pad = "  " * require_int(indent, "format_rule")
 
     def body_lines(r: Rule, depth: int) -> str:
         if isinstance(r, Block) and r.rules:

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import syntax
-from .errors import DeclarationError
+from .errors import DeclarationError, require_int
 
 
 #: The one spelling of identifiers and of integer literals (ASCII digits
@@ -92,7 +92,9 @@ class Vocabulary:
 
     @cached_property
     def resolved(self) -> dict:
-        """How each (name, arity) reads here, filled by ``state.resolve``."""
+        """How each (name, arity) reads here, filled by ``state.resolve``,
+        and under (name, arity, mirror) the name an allowed update writes,
+        filled by ``state._writable``."""
         return {}
 
     @cached_property
@@ -138,6 +140,8 @@ def make_vocabulary(
     Redeclaring a logic name with a conflicting signature, or declaring the
     same identifier twice with different arity/flags, is a declaration error.
     """
+    if modulus is not None:
+        require_int(modulus, "make_vocabulary")
     table: dict[str, FunctionName] = {fn.name: fn for fn in BASIC_LOGIC_NAMES}
     if with_reserve:
         table[RESERVE.name] = RESERVE

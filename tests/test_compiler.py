@@ -211,13 +211,13 @@ def test_one_rule_under_two_sets_of_externals():
 
 def test_a_rule_is_compiled_once_per_vocabulary(monkeypatch):
     compiled = []
-    original = evaluator._Compiler.family
+    original = evaluator._Compiler.rule
 
     def counting(self, node):
         compiled.append(node)
         return original(self, node)
 
-    monkeypatch.setattr(evaluator._Compiler, "family", counting)
+    monkeypatch.setattr(evaluator._Compiler, "rule", counting)
     one, two = make_vocabulary([FunctionName("g", 0)]), make_vocabulary([FunctionName("g", 0)])
     rule = UpdateInstr("g", (), App("true"))
     for vocabulary in (one, one, two, two, one):

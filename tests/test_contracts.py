@@ -1,4 +1,4 @@
-"""Every public entry point refuses a wrong-kind state, run or trace.
+"""Every public entry point refuses a wrong-kind state, run, trace or int.
 
 Each function the package exports that takes a ``State``, a
 ``PartialRun`` or a ``RunTrace`` is called with ``None`` (where it is not
@@ -9,12 +9,15 @@ given as the initial state of a certificate check once refuted it under
 condition 3.  The same call with the valid argument must succeed, so the
 refusal is the argument's.  ``CALLS`` must cover every such parameter,
 found by the annotations of the exported functions, so a new entry point
-joins the sweep.
+joins the sweep.  An ``int`` parameter is swept the same way with
+text, a float and a ``bool`` in its place, and ``None`` where the
+annotation does not allow it (``INT_CALLS``).
 """
 
 from __future__ import annotations
 
 import inspect
+import re
 
 import pytest
 
@@ -31,9 +34,11 @@ from ealgebra import (
     eval_guard,
     eval_term,
     format_certificate,
+    format_rule,
     format_state,
     generate_partial_run,
     linearizations,
+    make_vocabulary,
     nupdates,
     parse_guard_text,
     parse_program,
@@ -129,3 +134,53 @@ def test_a_wrong_kind_argument_is_a_contract_violation(entry, bad):
     assert type(refused.value) is ContractViolation
     assert str(refused.value).startswith(f"{entry[0]} takes a ")
     assert str(refused.value).endswith(f", not {type(bad).__name__}")
+
+
+# (function, parameter) -> (the call with that argument, a valid argument)
+INT_CALLS = {
+    ("agent_move", "index"): (lambda i: agent_move(SPEC, SPEC_STATE, P, index=i), 2),
+    ("enumerate_reachable", "budget"): (
+        lambda b: enumerate_reachable(PROGRAM, STATE, 1, budget=b), 5),
+    ("enumerate_reachable", "depth"): (lambda d: enumerate_reachable(PROGRAM, STATE, d), 1),
+    ("format_rule", "indent"): (lambda i: format_rule(PROGRAM.rule, i), 1),
+    ("linearizations", "budget"): (lambda b: linearizations(SPEC, RUN, budget=b), 3),
+    ("make_vocabulary", "modulus"): (lambda m: make_vocabulary([], integers=True, modulus=m), 5),
+    ("run", "max_steps"): (lambda n: run(PROGRAM, STATE, max_steps=n), 2),
+    ("sequential_run", "max_steps"): (lambda n: sequential_run(SPEC, SPEC_STATE, max_steps=n), 1),
+    ("step", "step_index"): (lambda i: step(PROGRAM, STATE, step_index=i), 3),
+}
+
+
+def int_parameters() -> dict[tuple[str, str], bool]:
+    """(function, parameter) for each exported function's parameter whose
+    annotation names ``int``, and whether it allows None."""
+    found = {}
+    for name in ealgebra.__dict__:
+        fn = getattr(ealgebra, name)
+        if name.startswith("_") or not inspect.isfunction(fn):
+            continue
+        for param in inspect.signature(fn).parameters.values():
+            if re.search(r"\bint\b", str(param.annotation)):
+                found[name, param.name] = "None" in str(param.annotation)
+    return found
+
+
+def test_the_sweep_covers_every_entry_point_that_takes_an_int():
+    assert set(INT_CALLS) == set(int_parameters())
+
+
+WRONG_INTS = [
+    pytest.param(entry, bad, id=f"{'-'.join(entry)}-{type(bad).__name__}")
+    for entry, optional in sorted(int_parameters().items())
+    for bad in ("3", 2.5, True) + (() if optional else (None,))
+]
+
+
+@pytest.mark.parametrize("entry,bad", WRONG_INTS)
+def test_a_wrong_kind_int_is_a_contract_violation(entry, bad):
+    call, valid = INT_CALLS[entry]
+    call(valid)
+    with pytest.raises(EalgebraError) as refused:
+        call(bad)
+    assert type(refused.value) is ContractViolation
+    assert str(refused.value) == f"{entry[0]} takes an int, not {type(bad).__name__}"

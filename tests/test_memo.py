@@ -217,16 +217,21 @@ def labelled(target, state, memo=None):
 
 
 def count_updates(monkeypatch) -> list:
-    """The states at which ``runner`` evaluates a rule, one entry each."""
+    """The states at which ``runner`` evaluates a rule, one entry each: a
+    call of a prepared evaluator (``evaluator.prepared``)."""
     calls = []
-    for name in ("updates", "nupdates"):
-        real = getattr(runner, name)
+    real = runner.prepared
 
-        def counted(rule, state, *args, _real=real, **kwargs):
+    def counted(*args):
+        evaluate = real(*args)
+
+        def counting(state, *rest):
             calls.append(state)
-            return _real(rule, state, *args, **kwargs)
+            return evaluate(state, *rest)
 
-        monkeypatch.setattr(runner, name, counted)
+        return counting
+
+    monkeypatch.setattr(runner, "prepared", counted)
     return calls
 
 
