@@ -2,8 +2,9 @@
 
 ``render`` writes the certificate that ``generate_partial_run`` makes for
 each sample run, with sigma stored on every initial segment, and four
-tampered copies of it, and prints the JSON
-verdict and exit code that ``check-run`` gives each one.  Every case runs
+tampered copies of it, then certificates of fixed shapes over rings of
+philosophers (``SHAPES``), and prints the JSON verdict and exit code that
+``check-run`` gives each one.  Every case runs
 through the CLI in a fresh interpreter, once under each of two hash seeds,
 so a verdict that depends on set or dict iteration order fails here.
 Regenerate ``tests/golden/checkrun.txt`` with
@@ -68,6 +69,81 @@ TAMPERS = [
 ]
 
 
+def ring_program(n: int) -> str:
+    return (PROGRAMS / "philosophers4.ea").read_text(encoding="utf-8").replace(
+        "mod 4", f"mod {n}"
+    )
+
+
+def ring_facts(n: int) -> str:
+    return "".join(
+        f"Mod({i}) = Phil\nMode({i}) = think\nFork({i}) = down\nP({i}) = true\n"
+        for i in range(n)
+    )
+
+
+def _moves(chains) -> tuple[dict, set]:
+    """Agents and edges of chains given as (prefix, length, seat)."""
+    agent_of, edges = {}, set()
+    for prefix, length, seat in chains:
+        for i in range(1, length + 1):
+            agent_of[f"{prefix}{i}"] = seat
+            if i > 1:
+                edges.add((f"{prefix}{i - 1}", f"{prefix}{i}"))
+    return agent_of, edges
+
+
+def _antichain(seats) -> tuple[dict, set]:
+    return {f"m{i}": seat for i, seat in enumerate(seats)}, set()
+
+
+def _two_chains(total: int, kind: str) -> tuple[dict, set]:
+    # The cert_check benchmark's shapes over a ring of eight: chains of
+    # non-neighbours, of neighbours sharing a fork, and of one philosopher.
+    a = total % 8
+    b = (a + {"valid": 2 + total % 5, "adjacent": 1, "same_agent": 0}[kind]) % 8
+    return _moves([("a", total // 2, a), ("b", total - total // 2, b)])
+
+
+# (label, ring size, (agents by move, edges), sigma tamper): one move per
+# seat with no order (neighbours fail at the first two; non-neighbours
+# commute), two chains up to 16 moves, and one philosopher's chain whose
+# stored sigma is wrong at its third segment.
+SHAPES = (
+    [(f"adjacent antichain {k}", k + 1, _antichain(range(k)), None) for k in range(2, 13)]
+    + [(f"non-adjacent antichain {k}", 2 * k, _antichain(range(0, 2 * k, 2)), None)
+       for k in (2, 5, 8, 17)]
+    + [(f"two chains {total} {kind}", 8, _two_chains(total, kind), None)
+       for total in range(4, 17) for kind in ("valid", "adjacent", "same_agent")]
+    + [("chain 6 wrong sigma at {m1, m2, m3}", 4, _moves([("m", 6, 0)]), "m1 m2 m3")]
+)
+
+
+def _shape_certificate(n: int, moves, tamper) -> str:
+    from ealgebra import Element, format_certificate, generate_partial_run
+    from ealgebra import parse_program, parse_state
+    from ealgebra.distributed import PartialRun
+    from segmentoracle import with_every_sigma
+
+    spec = parse_program(ring_program(n))
+    state = parse_state(ring_facts(n), spec.vocabulary, constants=spec.constants)
+    agent_of, edges = moves
+    pr = PartialRun(
+        tuple(agent_of), {m: Element.integer(s) for m, s in agent_of.items()},
+        frozenset(edges), {frozenset(): state},
+    )
+    if tamper is not None:
+        # The chain as generated, with sigma on every segment, then the base
+        # state stored for the named segment.
+        pr = with_every_sigma(spec, generate_partial_run(
+            spec, state, [pr.agent_of[m] for m in pr.moves]
+        ))
+        pr = dataclasses.replace(
+            pr, states={**pr.states, frozenset(tamper.split()): state}
+        )
+    return format_certificate(pr)
+
+
 def render() -> str:
     from ealgebra import Element, format_certificate, generate_partial_run, load_state
     from ealgebra import parse_program_file
@@ -96,6 +172,17 @@ def render() -> str:
                 out.append(f"exit {code} {stdout.getvalue().strip()}")
                 if stderr.getvalue():
                     out.append(f"stderr {stderr.getvalue().strip()}")
+        for label, n, moves, tamper in SHAPES:
+            spec, cert = Path(tmp) / f"ring{n}.ea", Path(tmp) / "shape.cert"
+            spec.write_text(ring_program(n), encoding="utf-8")
+            cert.write_text(_shape_certificate(n, moves, tamper), encoding="utf-8")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["check-run", str(spec), str(cert)])
+            out.append(f"ring of {n}: {label}")
+            out.append(f"exit {code} {stdout.getvalue().strip()}")
+            if stderr.getvalue():
+                out.append(f"stderr {stderr.getvalue().strip()}")
     return "\n".join(out) + "\n"
 
 
