@@ -14,8 +14,9 @@ linearity, initial-state validity and coherence of the segment states.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import chain, combinations, islice
+from math import prod
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import syntax
 from .errors import (
@@ -333,9 +334,9 @@ def _base(pr: PartialRun) -> State:
     return base
 
 
-def _initial_segments(order: _Order) -> list[tuple[frozenset[str], tuple[str, ...]]]:
-    """Every initial segment (down-set) of an acyclic order with its sorted
-    maximal moves, by size, then by sorted ids.
+def _initial_segments(order: _Order) -> Iterator[tuple[frozenset[str], tuple[str, ...]]]:
+    """Yield every initial segment (down-set) of an acyclic order with its
+    sorted maximal moves, by size, then by sorted ids, one level at a time.
 
     Level k+1 extends each level-k segment by each move it enables, one
     whose direct predecessors all lie in the segment.  What the grown
@@ -345,10 +346,11 @@ def _initial_segments(order: _Order) -> list[tuple[frozenset[str], tuple[str, ..
     successor in it) are the added move and the parent's maximal moves
     that are not direct predecessors of it.  So the work follows the size
     of the segments, not the number of subsets.  Past ``SEGMENT_BUDGET``
-    moves in all this raises ``BudgetError``.
+    moves in all this raises ``BudgetError``, once the level before is
+    yielded.
     """
     direct, later = order.direct, order.later
-    out: list[tuple[frozenset[str], tuple[str, ...]]] = [(frozenset(), ())]
+    yield frozenset(), ()
     level = {frozenset(): ([m for m, preds in direct.items() if not preds], ())}
     held = 0
     while level:
@@ -366,10 +368,9 @@ def _initial_segments(order: _Order) -> list[tuple[frozenset[str], tuple[str, ..
                     + [x for x in later[m] if direct[x] <= bigger],
                     tuple(sorted([m, *(x for x in maximal if x not in direct[m])])),
                 )
-        ordered = sorted(grown, key=sorted) if len(grown) > 1 else grown
-        out.extend((segment, grown[segment][1]) for segment in ordered)
+        for segment in sorted(grown, key=sorted) if len(grown) > 1 else grown:
+            yield segment, grown[segment][1]
         level = grown
-    return out
 
 
 def _move_update_set(
@@ -404,11 +405,23 @@ def _sigma(
     by_element: Mapping[Element, str] | None = None,
 ) -> dict[frozenset, State]:
     """Recompute the state function on every segment of the acyclic order,
-    checking coherence.  The base is validated once, before the first move
-    is evaluated, unless its module-element map is given."""
+    checking coherence, and stop at the first segment that fails.
+
+    Segments are fired as ``_initial_segments`` yields them, unless the
+    listing might pass ``SEGMENT_BUDGET``: a segment meets each chain of a
+    chain cover in a prefix and is fixed by those prefixes, so the segments
+    hold at most n/2 * prod(|chain| + 1) moves in all.  Past the budget the
+    listing is finished before the first rule runs, so ``BudgetError``
+    comes before any verdict.  The base is validated once, before the first
+    move is evaluated, unless its module-element map is given."""
     computed: dict[frozenset, State] = {frozenset(): _base(pr)}
-    segments = _initial_segments(order)[1:]
-    if segments and by_element is None:
+    segments = islice(_initial_segments(order), 1, None)
+    chains: dict[str, int] = {}  # a greedy cover in level order: last move -> length
+    for m in order.topological:
+        chains[m] = chains.pop(min(order.direct[m] & chains.keys(), default=None), 0) + 1
+    if len(order.topological) * prod(n + 1 for n in chains.values()) > 2 * SEGMENT_BUDGET:
+        segments = list(segments)
+    if pr.moves and by_element is None:
         by_element = validate_spec_state(spec, computed[frozenset()])
     for segment, maximal in segments:
         candidate = via = None
@@ -495,8 +508,10 @@ def check_partial_run(
     The first fault found refutes it: certificate shape, then conditions 1
     to 4 in order.  Condition 4 holds at once when the moves' footprints
     are independent (``_independent``); otherwise the segment scan decides
-    it.  Raises ``BudgetError`` when the predecessor sets, or the segments
-    the scan lists, hold more than ``SEGMENT_BUDGET`` moves in all.
+    it, stopping at the first segment that fails (``_sigma``).  Raises
+    ``BudgetError`` when the predecessor sets, or all the segments the scan
+    would list, hold more than ``SEGMENT_BUDGET`` moves, whichever segment
+    fails.
     """
     require(pr, PartialRun, "check_partial_run")
     if initial_state is not None:

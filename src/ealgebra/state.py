@@ -321,7 +321,8 @@ class State:
             fn = vocabulary.lookup(fname)
             if fn is None:
                 raise VocabularyError(f"table for unknown function name: {fname}")
-            if fname in COMPUTED_NAMES or fname == "Reserve":
+            # Known but not declared: a numeral under pragma integers.
+            if fname in COMPUTED_NAMES or fname == "Reserve" or fname not in vocabulary.name_set:
                 raise VocabularyError(f"{fname}: interpretation is fixed, not tabled")
             inner = {}
             for args, value in table.items():
@@ -604,12 +605,12 @@ def _writable(vocabulary: Vocabulary, fname: str, arity: int, mirror: bool) -> F
     ``State.checked`` finds it; or the error firing raises, decided again
     each time: an unknown name or a wrong arity as ``resolve`` reads it,
     and a static or logic name other than ``Reserve`` (a mirror may write
-    a static table)."""
+    a static table, not a computed name or numeral)."""
     how = resolve(vocabulary, fname, arity)
     if how.kind == "error":
         raise VocabularyError(how.value)
     fn = vocabulary.lookup(fname)
-    if fn.is_static and (not mirror or fname in COMPUTED_NAMES):
+    if fn.is_static and (not mirror or how.kind != "table"):
         raise IllegalUpdateError(f"{fname}: static names cannot be updated")
     if fn.is_logic and not fn.is_static and how.kind != "reserve":
         raise IllegalUpdateError(f"{fname}: logic names cannot be updated")

@@ -167,7 +167,10 @@ def _read_state(lines: Iterable[tuple[int, str]], vocabulary: Vocabulary,
             raise ParseError(f"{fname}: expected {fn.arity} arguments, got {len(args)}", lineno, 1)
         table = tables.setdefault(fname, {})
         if args in table:
-            raise ParseError(f"second line for {Location(fname, args)!r}", lineno, 1)
+            where, written = repr(Location(fname, args)), line.partition("=")[0]
+            if vocabulary.modulus and "".join(written.split()) != where.replace(" ", ""):
+                where += f" (written {line}, integers mod {vocabulary.modulus})"
+            raise ParseError(f"second line for {where}", lineno, 1)
         table[args] = value
     for name in constants:  # unless a line gave its value
         tables[name].setdefault((), Element.named(name))

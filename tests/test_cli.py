@@ -54,6 +54,20 @@ def test_run_rejects_reserve_mention():
     assert code == EXIT_PARSE
 
 
+def test_a_state_line_reduced_onto_another_is_named_as_written(capsys):
+    # philosophers.ea is mod 3 and ring4.east seats four: line 5,
+    # Mod(3) = Phil, reads as a second line for Mod(0).
+    code = run_cli(
+        "enumerate", program("philosophers.ea"), "--state", program("ring4.east"),
+        "--depth", "2",
+    )
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: line 5, column 1: second line for Mod(0) "
+        "(written Mod(3) = Phil, integers mod 3)\n"
+    )
+
+
 def test_run_rejects_bad_initial_state(tmp_path):
     bad = tmp_path / "bad.east"
     bad.write_text("Parent(@0) = root\nreserve: 0\n")

@@ -28,7 +28,9 @@ from ealgebra import (
     Update,
     UpdateSet,
     UpdateTypeError,
+    VocabularyError,
     agent_move,
+    make_vocabulary,
     parse_program,
     parse_state,
     run,
@@ -190,6 +192,23 @@ def test_a_plain_write_of_a_static_name_is_refused_after_a_mirror_of_it():
     for _ in range(2):
         with pytest.raises(IllegalUpdateError, match="S: static names cannot be updated"):
             state.fire_update_set(UpdateSet({Update(Location("S"), A)}))
+
+
+@pytest.mark.parametrize("name", ["3", "+"])
+def test_a_numeral_is_refused_as_a_table_like_a_computed_name(name):
+    # Under pragma integers a numeral is a static name whose value is
+    # computed, so neither a mirror nor a state's tables may give it one.
+    vocabulary = make_vocabulary([], integers=True)
+    args = () if name == "3" else (Element.integer(1), Element.integer(1))
+    mirror = StaticMirror(Location(name, args), Element.integer(4))
+    for _ in range(2):
+        with pytest.raises(IllegalUpdateError) as refused:
+            State(vocabulary).fire_update_set(UpdateSet({mirror}))
+        assert str(refused.value) == f"{name}: static names cannot be updated"
+    with pytest.raises(VocabularyError) as refused:
+        State(vocabulary, {name: {args: Element.integer(4)}})
+    assert str(refused.value) == f"{name}: interpretation is fixed, not tabled"
+    assert State(vocabulary).read(Location("3")) == Element.integer(3)
 
 
 def test_every_reserve_write_is_checked():

@@ -3,6 +3,7 @@ orders past the move counts the subset scan could afford."""
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
@@ -35,12 +36,15 @@ from ealgebra.distributed import (
 
 from conftest import PROGRAMS
 from segmentoracle import (
+    eager_sigma,
     generated_sigma,
     initial_segments,
     maximal,
+    scan_verdict,
     topological_orders,
     with_every_sigma,
 )
+from test_independence import _outcome
 
 I = Element.integer
 
@@ -63,7 +67,7 @@ def test_down_sets_match_the_subset_scan(dag):
     moves, edges = dag
     order = _order(moves, edges)
     preds = _predecessor_closure(order)
-    got = _initial_segments(order)
+    got = list(_initial_segments(order))
     assert [segment for segment, _ in got] == initial_segments(moves, preds)
     assert all(top == maximal(segment, preds) for segment, top in got)
 
@@ -136,7 +140,7 @@ def test_budget_admits_every_order_on_sixteen_moves():
     # Every order's segments are subsets, so sixteen moves with no order
     # between them hold the most: 16 * 2^15 moves in all.
     moves = tuple(f"m{i}" for i in range(16))
-    assert len(_initial_segments(_order(moves, ()))) == 2**16
+    assert len(list(_initial_segments(_order(moves, ())))) == 2**16
     assert 16 * 2**15 <= SEGMENT_BUDGET
     assert 17 * 2**16 > SEGMENT_BUDGET
 
@@ -145,10 +149,10 @@ def test_budget_counts_the_moves_the_segments_hold(monkeypatch):
     # Three moves with no order: eight segments holding 12 moves in all.
     order = _order(("a", "b", "c"), ())
     monkeypatch.setattr(distributed, "SEGMENT_BUDGET", 12)
-    assert len(_initial_segments(order)) == 8
+    assert len(list(_initial_segments(order))) == 8
     monkeypatch.setattr(distributed, "SEGMENT_BUDGET", 11)
     with pytest.raises(BudgetError):
-        _initial_segments(order)
+        list(_initial_segments(order))
     # A chain of three: principal segments of 1 + 2 + 3 moves.
     chain = _order(("a", "b", "c"), {("a", "b"), ("b", "c")})
     monkeypatch.setattr(distributed, "SEGMENT_BUDGET", 6)
@@ -203,6 +207,27 @@ def test_adjacent_antichain_past_the_budget_stops_after_the_pass(monkeypatch):
     with pytest.raises(BudgetError):
         check_partial_run(spec, antichain(state, range(17)), initial_state=state)
     assert calls == [I(0), I(1)]
+
+
+def test_sixteen_neighbours_refute_at_their_first_pair_at_once(monkeypatch):
+    # Sixteen moves with no order: their segments hold 16 * 2^15 moves,
+    # within the budget, so the scan fires each level as it is listed and
+    # stops at {m0, m1}, where seats 0 and 1 share a fork.
+    spec, state = ring(17)
+    calls = count_rules(monkeypatch)
+    start = time.perf_counter()
+    verdict = check_partial_run(spec, antichain(state, range(16)), initial_state=state)
+    elapsed = time.perf_counter() - start
+    assert (verdict.condition, verdict.witness) == ("4", frozenset({"m0", "m1"}))
+    assert verdict.message == (
+        "segment {m0, m1}: firing m1 and m0 last disagree on the resulting state"
+    )
+    # The pass evaluates m0 and m1; the scan each move at the base (level
+    # 1, in sorted ids), then m0 and m1 at {m0, m1} (level 2), and no
+    # move after that.
+    level_one = [I(int(m[1:])) for m in sorted(f"m{i}" for i in range(16))]
+    assert calls == [I(0), I(1), *level_one, I(0), I(1)]
+    assert elapsed < 0.1
 
 
 @pytest.mark.parametrize("k", [17, 64])
@@ -285,6 +310,48 @@ def test_generated_ring_runs_past_twelve_moves_check_valid(case):
             report = linearizations(spec, pr, segment)
             assert corollary1_holds(report)
             assert report.traces[0].final_state == sigma
+
+
+@st.composite
+def mutated_runs(draw):
+    """A generated run on a small ring, with sigma on its empty segment or
+    on every segment, with or without its recorded update sets (the
+    philosophers need none), then one mutation: an edge dropped or added,
+    two sigma entries swapped, or a move's agent relabelled."""
+    n = draw(st.integers(3, 6))
+    spec, state = ring(n)
+    agents = draw(st.lists(st.integers(0, n - 1), max_size=7))
+    pr = generate_partial_run(spec, state, [I(a) for a in agents])
+    if draw(st.booleans()):
+        pr = with_every_sigma(spec, pr)
+    if draw(st.booleans()):
+        pr = dataclasses.replace(pr, recorded=None)
+    mutation = draw(st.sampled_from(["none", "drop", "add", "swap", "relabel"]))
+    if mutation == "drop" and pr.edges:
+        pr = dataclasses.replace(pr, edges=pr.edges - {draw(st.sampled_from(sorted(pr.edges)))})
+    elif mutation == "add" and len(pr.moves) > 1:
+        a, b = draw(st.lists(st.sampled_from(pr.moves), min_size=2, max_size=2, unique=True))
+        pr = dataclasses.replace(pr, edges=pr.edges | {(a, b)})
+    elif mutation == "swap" and len(pr.states) > 1:
+        keys = sorted(pr.states, key=lambda k: (len(k), sorted(k)))
+        a, b = draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2, unique=True))
+        pr = dataclasses.replace(pr, states={**pr.states, a: pr.states[b], b: pr.states[a]})
+    elif mutation == "relabel" and pr.moves:
+        move, seat = draw(st.sampled_from(pr.moves)), draw(st.integers(0, n - 1))
+        pr = dataclasses.replace(pr, agent_of={**pr.agent_of, move: I(seat)})
+    return spec, pr
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_runs())
+def test_check_partial_run_agrees_with_the_eager_scan(case):
+    # The verdict with the independence pass, and with the pass declining
+    # and the lazy scan deciding, each equal the eager scan's: verdict,
+    # condition, message and witness, or the same error.
+    spec, pr = case
+    eager = _outcome(lambda: scan_verdict(spec, pr, eager_sigma))
+    assert _outcome(lambda: check_partial_run(spec, pr)) == eager
+    assert _outcome(lambda: scan_verdict(spec, pr, distributed._sigma)) == eager
 
 
 def test_generated_certificates_past_twelve_moves_round_trip(philosophers4, ring4):

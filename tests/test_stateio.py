@@ -146,6 +146,14 @@ def test_a_second_line_for_one_location_is_refused(vocab):
         parse_state("think = a\nthink = a\n", vocab, constants=("think",))
     with pytest.raises(CertificateError, match=r"sigma block: line 4, column 1: second line for Fork\(0\)"):
         parse_certificate("move m1 by 0\nsigma:\n  Fork(0) = 1\n  Fork(0) = 2\nendsigma\n", CERT_TARGET)
+    # Under a modulus a line is named as written only when it was reduced.
+    mod3 = make_vocabulary([FunctionName("F", 2)], integers=True, modulus=3)
+    with pytest.raises(ParseError, match=r"^line 2, column 1: second line for F\(1, 2\)$"):
+        parse_state("F(1, 2) = 0\nF( 1,2 ) = 1\n", mod3)
+    with pytest.raises(ParseError, match=(
+        r"^line 2, column 1: second line for F\(1, 2\) \(written F\(4, 2\) = 1, integers mod 3\)$"
+    )):
+        parse_state("F(1, 2) = 0\nF(4, 2) = 1  # four\n", mod3)
     with pytest.raises(ParseError, match=r"^line 3, column 1: second reserve: line$"):
         parse_state("reserve: 3\nFork(p0) = up\nreserve: 5\n", vocab)
     with pytest.raises(CertificateError, match="sigma block: line 4, column 1: second reserve: line"):
