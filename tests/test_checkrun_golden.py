@@ -105,10 +105,10 @@ def _two_chains(total: int, kind: str) -> tuple[dict, set]:
     return _moves([("a", total // 2, a), ("b", total - total // 2, b)])
 
 
-# (label, ring size, (agents by move, edges), sigma tamper): one move per
-# seat with no order (neighbours fail at the first two; non-neighbours
-# commute), two chains up to 16 moves, and one philosopher's chain whose
-# stored sigma is wrong at its third segment.
+# (label, ring size, (seat by move, edges), segment whose sigma is made
+# wrong): one move per seat with no order (neighbours fail at the first
+# two; non-neighbours commute), two chains up to 16 moves, and one
+# philosopher's chain whose stored sigma is wrong after its third move.
 SHAPES = (
     [(f"adjacent antichain {k}", k + 1, _antichain(range(k)), None) for k in range(2, 13)]
     + [(f"non-adjacent antichain {k}", 2 * k, _antichain(range(0, 2 * k, 2)), None)
@@ -128,26 +128,33 @@ def _shape_certificate(n: int, moves, tamper) -> str:
     spec = parse_program(ring_program(n))
     state = parse_state(ring_facts(n), spec.vocabulary, constants=spec.constants)
     agent_of, edges = moves
-    pr = PartialRun(
-        tuple(agent_of), {m: Element.integer(s) for m, s in agent_of.items()},
-        frozenset(edges), {frozenset(): state},
-    )
-    if tamper is not None:
-        # The chain as generated, with sigma on every segment, then the base
+    agents = {m: Element.integer(seat) for m, seat in agent_of.items()}
+    if tamper is None:
+        pr = PartialRun(tuple(agents), agents, frozenset(edges), {frozenset(): state})
+    else:
+        # The run as generated, with sigma on every segment, then the base
         # state stored for the named segment.
-        pr = with_every_sigma(spec, generate_partial_run(
-            spec, state, [pr.agent_of[m] for m in pr.moves]
-        ))
-        pr = dataclasses.replace(
-            pr, states={**pr.states, frozenset(tamper.split()): state}
-        )
+        pr = with_every_sigma(spec, generate_partial_run(spec, state, list(agents.values())))
+        pr = dataclasses.replace(pr, states={**pr.states, frozenset(tamper.split()): state})
     return format_certificate(pr)
+
+
+def _check_run(program: Path, cert: Path) -> list[str]:
+    """The exit code and JSON verdict ``check-run`` gives, and its stderr."""
+    from ealgebra.cli import main
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["check-run", str(program), str(cert)])
+    out = [f"exit {code} {stdout.getvalue().strip()}"]
+    if stderr.getvalue():
+        out.append(f"stderr {stderr.getvalue().strip()}")
+    return out
 
 
 def render() -> str:
     from ealgebra import Element, format_certificate, generate_partial_run, load_state
     from ealgebra import parse_program_file
-    from ealgebra.cli import main
     from segmentoracle import with_every_sigma
 
     out = []
@@ -165,24 +172,14 @@ def render() -> str:
             for name, tamper in TAMPERS:
                 cert = Path(tmp) / "run.cert"
                 cert.write_text(format_certificate(tamper(pr)), encoding="utf-8")
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = main(["check-run", str(PROGRAMS / program), str(cert)])
                 out.append(f"{program} {state_file} {' '.join(schedule)}: {name}")
-                out.append(f"exit {code} {stdout.getvalue().strip()}")
-                if stderr.getvalue():
-                    out.append(f"stderr {stderr.getvalue().strip()}")
+                out += _check_run(PROGRAMS / program, cert)
         for label, n, moves, tamper in SHAPES:
             spec, cert = Path(tmp) / f"ring{n}.ea", Path(tmp) / "shape.cert"
             spec.write_text(ring_program(n), encoding="utf-8")
             cert.write_text(_shape_certificate(n, moves, tamper), encoding="utf-8")
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(["check-run", str(spec), str(cert)])
             out.append(f"ring of {n}: {label}")
-            out.append(f"exit {code} {stdout.getvalue().strip()}")
-            if stderr.getvalue():
-                out.append(f"stderr {stderr.getvalue().strip()}")
+            out += _check_run(spec, cert)
     return "\n".join(out) + "\n"
 
 
