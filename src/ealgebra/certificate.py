@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import re
 
-from .distributed import PartialRun
+from .distributed import PartialRun, _require_spec
 from .errors import CertificateError, ParseError, require, require_text
 from .state import Element, Location, State, StaticMirror, Update, UpdateSet, format_element
 from .stateio import _read_state, fact_reader, format_state, load_state, parse_element
@@ -37,6 +37,7 @@ _ENTRY_SEP_RE = re.compile(r",(?![^()]*\))")  # a comma outside parentheses
 
 
 def parse_certificate(text: str, spec: DistributedSpec, base_dir: str | None = None) -> PartialRun:
+    _require_spec(spec, "parse_certificate")
     moves: list[str] = []
     agent_of: dict[str, Element] = {}
     edges: set[tuple[str, str]] = set()
@@ -115,6 +116,7 @@ def parse_certificate(text: str, spec: DistributedSpec, base_dir: str | None = N
 
 
 def load_certificate(path, spec: DistributedSpec) -> PartialRun:
+    _require_spec(spec, "load_certificate")
     with open(path, "r", encoding="utf-8") as fh:
         return parse_certificate(fh.read(), spec, base_dir=os.path.dirname(path) or ".")
 

@@ -48,7 +48,7 @@ from .evaluator import normalize_guarded
 from .parser import format_program, parse_guard_text, parse_program_file
 from .state import Element, format_element
 from .stateio import format_state, load_state, parse_element
-from .syntax import DistributedSpec, Program
+from .syntax import DistributedSpec
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -205,14 +205,7 @@ def _cmd_normalize(args) -> int:
     if isinstance(target, DistributedSpec):
         raise ModeError("normalize applies to single-agent programs")
     normalized = normalize_guarded(target.core_rule)
-    out = format_program(
-        Program(
-            vocabulary=target.vocabulary,
-            rule=normalized,
-            externals=target.externals,
-            constants=target.constants,
-        )
-    )
+    out = format_program(target._replace(rule=normalized, active_sugar=False))
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(out)

@@ -13,7 +13,6 @@ linearity, initial-state validity and coherence of the segment states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import chain, combinations, islice
 from math import prod
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -44,11 +43,19 @@ from .runner import (
 from .state import UNDEF, Element, Location, State, UpdateSet, format_element
 from .syntax import DistributedSpec, Program
 
-@dataclass(frozen=True)
-class Agent:
+class Agent(syntax.Value):
     element: Element
     module: str
     program: Program
+
+
+def _require_spec(spec, entry_point: str) -> DistributedSpec:
+    """``spec``, refused with ``ModeError`` when it is a single-agent
+    ``Program`` and with ``ContractViolation`` naming ``entry_point`` when
+    it is no spec at all."""
+    if isinstance(spec, Program):
+        raise ModeError("a single-agent program runs with run, not as a distributed spec")
+    return require(spec, DistributedSpec, entry_point)
 
 
 def validate_spec_state(spec: DistributedSpec, state: State) -> dict[Element, str]:
@@ -62,8 +69,7 @@ def validate_spec_state(spec: DistributedSpec, state: State) -> dict[Element, st
     Returns the module name of each module element.  A single-agent
     ``Program`` raises ``ModeError``.
     """
-    if isinstance(spec, Program):
-        raise ModeError("a single-agent program runs with run, not as a distributed spec")
+    _require_spec(spec, "validate_spec_state")
     require(state, State, "validate_spec_state")
     seen: dict[Element, str] = {}
     for name in spec.module_names:
@@ -89,6 +95,7 @@ def agents_of(
     ``by_element`` is the map ``validate_spec_state`` returned for the
     state or one fired from it (see ``_agent``); without it the state is
     validated here."""
+    _require_spec(spec, "agents_of")
     require(state, State, "agents_of")
     if by_element is None:
         by_element = validate_spec_state(spec, state)
@@ -136,6 +143,7 @@ def agent_move(
     A footprint gets what ``runner.resolutions`` records for the move,
     ``Mod(Self)`` among it.
     """
+    _require_spec(spec, "agent_move")
     require(state, State, "agent_move")
     require_int(index, "agent_move")
     if isinstance(agent, Element):
@@ -163,6 +171,7 @@ def sequential_run(
     (``SeededChooser(0)`` if none) draws the agent first, then a member of
     the agent's family when it has more than one.
     """
+    _require_spec(spec, "sequential_run")
     if max_steps is not None and require_int(max_steps, "sequential_run") < 0:
         raise ScheduleError("max_steps must not be negative")
     by_element = validate_spec_state(spec, require(initial, State, "sequential_run"))
@@ -193,8 +202,7 @@ def sequential_run(
 # Partially ordered runs
 
 
-@dataclass
-class PartialRun:
+class PartialRun(syntax.Value):
     """A move poset with agent labels, recorded update sets and sigma on
     some segments, the empty one at least (``segment_states`` gives all)."""
 
@@ -205,8 +213,7 @@ class PartialRun:
     recorded: Optional[Mapping[str, UpdateSet]] = None
 
 
-@dataclass
-class Verdict:
+class Verdict(syntax.Value):
     valid: bool
     condition: Optional[str] = None  # "1".."4" or "certificate"
     message: str = ""
@@ -240,8 +247,7 @@ def _over_budget() -> BudgetError:
     )
 
 
-@dataclass(frozen=True)
-class _Order:
+class _Order(syntax.Value):
     """The direct edges of a move order, both ways, and its moves in level
     order, which is None when the edges contain a cycle."""
 
@@ -513,11 +519,12 @@ def check_partial_run(
     would list, hold more than ``SEGMENT_BUDGET`` moves, whichever segment
     fails.
     """
+    _require_spec(spec, "check_partial_run")
     require(pr, PartialRun, "check_partial_run")
     if initial_state is not None:
         require(initial_state, State, "check_partial_run")
         if frozenset() not in pr.states:
-            pr = replace(pr, states={**pr.states, frozenset(): initial_state})
+            pr = pr._replace(states={**pr.states, frozenset(): initial_state})
     try:
         # Certificate shape, and the acyclic order of condition 1.
         order = _shape(pr)
@@ -560,8 +567,7 @@ def segment_states(spec: DistributedSpec, pr: PartialRun) -> dict[frozenset, Sta
     return _sigma(spec, pr, _shape(require(pr, PartialRun, "segment_states")))
 
 
-@dataclass
-class LinearizationReport:
+class LinearizationReport(syntax.Value):
     traces: list[RunTrace]
     complete: bool
 
@@ -599,6 +605,7 @@ def linearizations(
 ) -> LinearizationReport:
     """All topological orders of a finite initial segment, as sequential
     runs, up to ``budget`` of them."""
+    _require_spec(spec, "linearizations")
     if require_int(budget, "linearizations") < 1:
         raise ScheduleError("budget must be positive")
     order = _shape(require(pr, PartialRun, "linearizations"))
@@ -634,6 +641,7 @@ def corollary2_agrees(spec: DistributedSpec, pr: PartialRun, guard: syntax.Guard
     linearization states."""
     from .evaluator import eval_guard
 
+    _require_spec(spec, "corollary2_agrees")
     require(pr, PartialRun, "corollary2_agrees")
     over_run = all(eval_guard(s, None, guard) for s in segment_states(spec, pr).values())
     report = linearizations(spec, pr)
@@ -663,6 +671,7 @@ def generate_partial_run(
     moves commute (Corollary 1); ``segment_states`` lists them.  The result
     is a valid run by construction.
     """
+    _require_spec(spec, "generate_partial_run")
     by_element = validate_spec_state(spec, require(initial, State, "generate_partial_run"))
     if chooser is None:
         chooser = SeededChooser(0)

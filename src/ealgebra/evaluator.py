@@ -500,6 +500,8 @@ def nupdates(
     universe) the family is empty, which fires as a no-op.
     """
     require(state, State, "nupdates")
+    if vocabulary is not None:
+        require(vocabulary, Vocabulary, "nupdates")
     run = _start(state, env, alloc, oracle, decls, footprint, vocabulary)
     _check_input(rule, run.scope, run.env, decls)
     members = _compiled(rule, state.vocabulary, frozenset(externals), _Compiler.rule)(run, [[]])
@@ -525,6 +527,8 @@ def updates(
     deterministic update set and raises ``ModeError``.
     """
     require(state, State, "updates")
+    if vocabulary is not None:
+        require(vocabulary, Vocabulary, "updates")
     run = _start(state, env, alloc, oracle, decls, footprint, vocabulary)
     if _check_input(rule, run.scope, run.env, decls).choose:
         raise ModeError("choose rules have no deterministic update set; use nupdates")

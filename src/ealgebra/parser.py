@@ -45,10 +45,9 @@ anywhere is rejected.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import syntax
-from .errors import DeclarationError, ParseError, require_text
+from .errors import DeclarationError, ParseError, require, require_text
 from .syntax import (
     App,
     Block,
@@ -93,12 +92,14 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass
 class _Tok:
-    kind: str  # ident | int | kw | op | newline | eof
-    text: str
-    line: int
-    col: int
+    """A token: its kind (ident, int, kw, op, newline or eof), text and
+    position.  Slots, since the parser reads them more than anything."""
+
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind, self.text, self.line, self.col = kind, text, line, col
 
 
 def _scan(text: str, first_line: int = 1) -> list[_Tok]:
@@ -528,15 +529,14 @@ _DECL_WORDS = ("dynamic", "static", "relation", "external")
 _NAME_ARITY_RE = re.compile(rf"({IDENTIFIER.pattern})\s*/\s*({INTEGER.pattern})")
 
 
-@dataclass
 class _Header:
-    declared: list[FunctionName]
-    externals: set[str]
-    constants: list[str]
-    integers: bool = False
-    modulus: int | None = None
-    active: bool = False
-    aliases: dict[str, str] | None = None
+    """What the header lines read so far declare: names, external names,
+    constants, aliases and the pragmas."""
+
+    integers, modulus, active = False, None, False
+
+    def __init__(self):
+        self.declared, self.externals, self.constants, self.aliases = [], set(), [], {}
 
     def vocabulary(
         self, declared: list[FunctionName], with_reserve: bool, with_self: bool = False
@@ -657,7 +657,7 @@ def _module_name(line: str, lineno: int) -> str | None:
 def parse_program(text: str) -> Program | DistributedSpec:
     """Parse a program file into a Program or a DistributedSpec."""
     require_text(text, "parse_program")
-    header = _Header(declared=[], externals=set(), constants=[], aliases={})
+    header = _Header()
     lines = text.splitlines()
     body_start = None
     modules: list[tuple[str, int]] = []  # (name, first body line index)
@@ -736,15 +736,18 @@ def parse_rule_text(
 ) -> syntax.Rule:
     """Parse rule text against an existing vocabulary (tests, fragments);
     the names in ``scope`` are variables bound outside the text."""
+    require(vocabulary, Vocabulary, "parse_rule_text")
     return _read(require_text(text, "parse_rule_text"), _RuleParser.parse_rule, vocabulary,
                  scope=scope)
 
 
 def parse_guard_text(text: str, vocabulary: Vocabulary) -> syntax.Guard:
+    require(vocabulary, Vocabulary, "parse_guard_text")
     return _read(require_text(text, "parse_guard_text"), _RuleParser.parse_guard, vocabulary)
 
 
 def parse_term_text(text: str, vocabulary: Vocabulary) -> syntax.Term:
+    require(vocabulary, Vocabulary, "parse_term_text")
     return _read(require_text(text, "parse_term_text"), _RuleParser.parse_term, vocabulary)
 
 

@@ -23,7 +23,6 @@ import json
 import random
 import re
 from collections import deque
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -170,8 +169,7 @@ class OracleView:
 # Steps and traces
 
 
-@dataclass
-class StepRecord:
+class StepRecord(NamedTuple):
     """One step; ``consistent``, ``conflicts`` and ``fixpoint`` follow from the rest."""
 
     index: int
@@ -194,13 +192,13 @@ class StepRecord:
     def fixpoint(self) -> bool:
         """Asked no oracle and can change nothing: an empty family, or a
         forced, consistent, empty set."""
-        return not self.oracle_qa and (self.family_size == 0 or (
-            self.fired and not self.updates and self.family_size in (None, 1)
+        _, updates, fired, _, family_size, oracle_qa, _ = self  # one unpacking, not five reads
+        return not oracle_qa and (family_size == 0 or (
+            fired and not updates and family_size in (None, 1)
         ))
 
 
-@dataclass
-class RunTrace:
+class RunTrace(syntax.Value):
     """A run: its initial state, its step records, why it stopped and where."""
 
     initial: State
@@ -287,10 +285,7 @@ def fire_and_record(
         new_state, fired, beta = state, False, EMPTY_UPDATE_SET
     else:
         new_state, fired = state.fire_update_set(beta)
-    return new_state, StepRecord(
-        index=index, updates=beta, fired=fired, choice_index=choice_index,
-        family_size=family_size, oracle_qa=oracle_qa, agent=agent,
-    )
+    return new_state, StepRecord(index, beta, fired, choice_index, family_size, oracle_qa, agent)
 
 
 def move(
@@ -373,16 +368,14 @@ def replay_record(state: State, record: StepRecord) -> State:
 # Bounded reachability
 
 
-@dataclass
-class Witness:
+class Witness(syntax.Value):
     """A violating trace: the moves taken and the state that fails."""
 
     moves: list[str]
     state: State
 
 
-@dataclass
-class ReachReport:
+class ReachReport(syntax.Value):
     states: list[tuple[State, int]]
     partial: bool
     violations: list[Witness]
@@ -784,23 +777,24 @@ def record_to_json(record: StepRecord) -> str:
     sort_keys=True)`` gives for the record's payload, written directly:
     the keys in sorted order, ``", "`` and ``": "`` as separators, and
     every string through ``json``'s ASCII escaper."""
-    r = record
-    agent = "" if r.agent is None else f'"agent": {_element_json(r.agent)}, '
+    index, beta, fired, choice_index, family_size, oracle_qa, agent = record
+    agent = "" if agent is None else f'"agent": {_element_json(agent)}, '
     choice = conflicts = family = ""
-    if r.choice_index is not None or r.family_size is not None:
-        choice = f'"choice": {_scalar_json(r.choice_index)}, '
-        family = f'"family": {_scalar_json(r.family_size)}, '
-    if clashes := r.conflicts:
+    if choice_index is not None or family_size is not None:
+        choice = f'"choice": {_scalar_json(choice_index)}, '
+        family = f'"family": {_scalar_json(family_size)}, '
+    if clashes := record.conflicts:
         conflicts = f'"conflicts": [{", ".join(map(_quote, _conflict_lines(clashes)))}], '
     oracle = ", ".join(
         f"[{_quote(fname)}, {_elements_json(args)}, {_element_json(v)}]"
-        for fname, args, v in r.oracle_qa
+        for fname, args, v in oracle_qa
     )
-    updates = ", ".join(map(_update_json, r.updates.sorted_updates()))
+    updates = ", ".join(map(_update_json, beta.sorted_updates()))
+    fired = _scalar_json(fired)  # and consistent: a set fires exactly when it is consistent
     return (
-        f'{{{agent}{choice}{conflicts}"consistent": {_scalar_json(r.consistent)}, {family}'
-        f'"fired": {_scalar_json(r.fired)}, "oracle": [{oracle}], '
-        f'"step": {_scalar_json(r.index)}, "updates": [{updates}]}}'
+        f'{{{agent}{choice}{conflicts}"consistent": {fired}, {family}'
+        f'"fired": {fired}, "oracle": [{oracle}], '
+        f'"step": {_scalar_json(index)}, "updates": [{updates}]}}'
     )
 
 

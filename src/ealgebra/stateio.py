@@ -71,6 +71,8 @@ def _parse_literal(token: str, modulus: int | None) -> Element:
 
 def parse_element(token: str, vocabulary: Vocabulary | None = None) -> Element:
     require_text(token, "parse_element")
+    if vocabulary is not None:
+        require(vocabulary, Vocabulary, "parse_element")
     return _parse_literal(token, vocabulary and vocabulary.modulus)
 
 
@@ -129,6 +131,7 @@ def parse_state(text: str, vocabulary: Vocabulary, *, constants: tuple[str, ...]
     (``StateValidityError``).
     """
     require_text(text, "parse_state")
+    require(vocabulary, Vocabulary, "parse_state")
     return _read_state(enumerate(text.splitlines(), start=1), vocabulary, constants)
 
 
@@ -178,6 +181,7 @@ def _read_state(lines: Iterable[tuple[int, str]], vocabulary: Vocabulary,
 
 
 def load_state(path, vocabulary: Vocabulary, *, constants: tuple[str, ...] = ()) -> State:
+    require(vocabulary, Vocabulary, "load_state")
     with open(path, "r", encoding="utf-8") as fh:
         return parse_state(fh.read(), vocabulary, constants=constants)
 

@@ -10,8 +10,8 @@ and transformations return new nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Union
 
 from .errors import require_int
@@ -20,17 +20,64 @@ if TYPE_CHECKING:
     from .vocabulary import Vocabulary
 
 
+class Value:
+    """An immutable record of the fields its class annotates, its class
+    attributes the defaults.  It prints as ``Name(field=value, ...)`` and
+    equals, and hashes like, a value of its own class with equal fields.
+    Assignment raises ``AttributeError``; the instance ``__dict__`` keeps
+    what is computed once (``cached_property``, ``rule_facts``)."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)}
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            given = dict(zip(fields, args))
+            named = {**self._defaults, **given, **kwargs}
+            if len(args) > len(fields) or given.keys() & kwargs or named.keys() != set(fields):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+            args = [named[field] for field in fields]
+        # Not through ``__dict__``: reading that would build a dict in place
+        # of the inline values, and every field read would be slower.
+        for i, field in enumerate(fields):
+            object.__setattr__(self, field, args[i])
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash((self.__class__, self._key(self)))
+
+    def _replace(self, **changes):
+        """A copy with the fields ``changes`` names set to new values."""
+        return type(self)(**{f: changes.pop(f, getattr(self, f)) for f in self._fields}, **changes)
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Value):
     name: str
 
 
-@dataclass(frozen=True)
-class App:
+class App(Value):
     fname: str
     args: tuple["Term", ...] = ()
 
@@ -44,21 +91,18 @@ Term = Union[Var, App]
 BOOL_OPS = ("and", "or", "not", "implies")
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Value):
     """Atomic guard: a Boolean term evaluated for truth."""
 
     term: Term
 
 
-@dataclass(frozen=True)
-class BoolGuard:
+class BoolGuard(Value):
     op: str  # one of BOOL_OPS
     operands: tuple["Guard", ...]
 
 
-@dataclass(frozen=True)
-class QuantGuard:
+class QuantGuard(Value):
     kind: str  # "exists" | "forall"
     var: str
     universe: str
@@ -95,13 +139,11 @@ def conjoin(parts: list[Guard]) -> Guard:
 # Declaration ranges
 
 
-@dataclass(frozen=True)
-class UniverseRange:
+class UniverseRange(Value):
     universe: str
 
 
-@dataclass(frozen=True)
-class TermRange:
+class TermRange(Value):
     """Singleton range synthesized for let bindings: one value, evaluated once."""
 
     term: Term
@@ -114,39 +156,33 @@ Range = Union[UniverseRange, TermRange]
 # Rules
 
 
-@dataclass(frozen=True)
-class UpdateInstr:
+class UpdateInstr(Value):
     fname: str
     args: tuple[Term, ...]
     rhs: Term
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Value):
     rules: tuple["Rule", ...] = ()
 
 
-@dataclass(frozen=True)
-class Cond:
+class Cond(Value):
     clauses: tuple[tuple[Guard, "Rule"], ...]
 
 
-@dataclass(frozen=True)
-class Import:
+class Import(Value):
     vars: tuple[str, ...]
     body: "Rule"
 
 
-@dataclass(frozen=True)
-class Choose:
+class Choose(Value):
     vars: tuple[str, ...]
     universe: str
     qualifier: Optional[Term]
     body: "Rule"
 
 
-@dataclass(frozen=True)
-class Decl:
+class Decl(Value):
     """Atomic variable declaration followed by a rule."""
 
     var: str
@@ -154,15 +190,13 @@ class Decl:
     body: "Rule"
 
 
-@dataclass(frozen=True)
-class Duplicate:
+class Duplicate(Value):
     term: Term
     var: str
     body: "Rule"
 
 
-@dataclass(frozen=True)
-class Extend:
+class Extend(Value):
     """Abbreviation: import fresh elements and put them into a universe."""
 
     universe: str
@@ -170,8 +204,7 @@ class Extend:
     body: "Rule"
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(Value):
     subject: Term
     branches: tuple[tuple[tuple[Term, ...], "Rule"], ...]
     else_rule: Optional["Rule"]
@@ -186,8 +219,7 @@ SKIP = Block(())
 # Programs
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Value):
     """A rule without free variables plus its vocabulary and declarations."""
 
     vocabulary: "Vocabulary"
@@ -217,8 +249,7 @@ class Program:
         return has_choose(self.core_rule)
 
 
-@dataclass(frozen=True)
-class DistributedSpec:
+class DistributedSpec(Value):
     """A finite indexed set of single-agent programs sharing one vocabulary."""
 
     module_list: tuple[tuple[str, Program], ...]
@@ -384,7 +415,7 @@ def rule_facts(rule: Rule) -> RuleFacts:
     """The rule's contract facts, computed once per rule object.
 
     Rules are immutable, so the facts are kept on the rule itself, the way
-    ``functools.cached_property`` keeps a value on a frozen dataclass.
+    ``functools.cached_property`` keeps a value on a ``Value``.
     """
     facts = rule.__dict__.get("_facts")
     if facts is None:

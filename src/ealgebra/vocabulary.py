@@ -13,12 +13,11 @@ ring-shaped scenarios.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 from . import syntax
-from .errors import DeclarationError, require_int
+from .errors import DeclarationError, require, require_int
 
 
 #: The one spelling of identifiers and of integer literals (ASCII digits
@@ -32,16 +31,16 @@ def is_numeral(name: str) -> bool:
     return INTEGER.fullmatch(name) is not None
 
 
-@dataclass(frozen=True)
-class FunctionName:
+class FunctionName(syntax.Value):
     name: str
     arity: int
     is_relation: bool = False
     is_static: bool = False
     is_logic: bool = False
 
-    def __post_init__(self):
-        if self.arity < 0:
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if require_int(self.arity, "FunctionName") < 0:
             raise DeclarationError(f"{self.name}: arity must be nonnegative")
 
 
@@ -78,8 +77,7 @@ COMPUTED_NAMES = frozenset(
 ) | {"true", "false", "undef"}
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(syntax.Value):
     """An immutable name table, safe to share across concurrent evaluations."""
 
     names: tuple[FunctionName, ...]
@@ -151,7 +149,7 @@ def make_vocabulary(
         for fn in INTEGER_NAMES:
             table[fn.name] = fn
     for fn in user_names:
-        old = table.get(fn.name)
+        old = table.get(require(fn, FunctionName, "make_vocabulary").name)
         if old is not None and old != fn:
             raise DeclarationError(
                 f"{fn.name}: declaration conflicts with existing signature "

@@ -11,7 +11,6 @@ for a handful.
 
 from __future__ import annotations
 
-import dataclasses
 from unittest import mock
 
 from ealgebra import distributed
@@ -90,7 +89,7 @@ def generated_sigma(pr) -> dict:
 
 def with_every_sigma(spec, pr):
     """The run with sigma stored on every initial segment."""
-    return dataclasses.replace(pr, states=segment_states(spec, pr))
+    return pr._replace(states=segment_states(spec, pr))
 
 
 def eager_sigma(spec, pr, order, by_element=None) -> dict:

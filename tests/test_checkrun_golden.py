@@ -15,7 +15,6 @@ is meant to change.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import os
 import subprocess
@@ -39,25 +38,25 @@ RUNS = [
 
 
 def _drop_edge(pr):
-    return dataclasses.replace(pr, edges=pr.edges - {min(pr.edges)})
+    return pr._replace(edges=pr.edges - {min(pr.edges)})
 
 
 def _wrong_sigma(pr):
     states = dict(pr.states)
     states[frozenset({pr.moves[0]})] = pr.states[frozenset()]
-    return dataclasses.replace(pr, states=states)
+    return pr._replace(states=states)
 
 
 def _wrong_updates(pr):
     first, last = pr.moves[0], pr.moves[-1]
     recorded = dict(pr.recorded, **{first: pr.recorded[last]})
-    return dataclasses.replace(pr, recorded=recorded)
+    return pr._replace(recorded=recorded)
 
 
 def _relabel(pr):
     first = pr.moves[0]
     other = next(a for a in pr.agent_of.values() if a != pr.agent_of[first])
-    return dataclasses.replace(pr, agent_of=dict(pr.agent_of, **{first: other}))
+    return pr._replace(agent_of=dict(pr.agent_of, **{first: other}))
 
 
 TAMPERS = [
@@ -135,7 +134,7 @@ def _shape_certificate(n: int, moves, tamper) -> str:
         # The run as generated, with sigma on every segment, then the base
         # state stored for the named segment.
         pr = with_every_sigma(spec, generate_partial_run(spec, state, list(agents.values())))
-        pr = dataclasses.replace(pr, states={**pr.states, frozenset(tamper.split()): state})
+        pr = pr._replace(states={**pr.states, frozenset(tamper.split()): state})
     return format_certificate(pr)
 
 

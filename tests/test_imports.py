@@ -14,12 +14,19 @@ Static checks with the standard library's ``ast``:
   files.  A private name that a top-level assignment binds must be read
   in its own module.  The check goes by name only, so a method whose name
   some other object also uses passes.
+
+A fresh interpreter also checks what ``import ealgebra`` loads: not
+``dataclasses``, and not the ``inspect`` that it imports.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -237,3 +244,20 @@ def test_the_check_sees_an_option_no_call_sets(tmp_path):
     assert unset_options(package / "__init__.py", [caller]) == [
         "f(c=)", "f(e=)", "g(b=)",
     ]
+
+
+def _modules_after(statement: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``statement``."""
+    script = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    return set(json.loads(done.stdout))
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    """``import ealgebra`` loads neither ``dataclasses`` nor the ``inspect``
+    that it imports."""
+    added = _modules_after("import ealgebra") - _modules_after("pass")
+    assert "ealgebra.syntax" in added
+    assert not added & {"dataclasses", "inspect"}

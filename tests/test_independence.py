@@ -15,7 +15,6 @@ and read ``Reserve``.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 
 import pytest
@@ -196,9 +195,9 @@ def reserve_spec():
     peek = spec.modules["Peek"]
     (probe, then), *rest = peek.rule.clauses
     reads = Atom(App("Reserve", probe.term.args))
-    rule = dataclasses.replace(peek.rule, clauses=((reads, then), *rest))
-    modules = dict(spec.module_list, Peek=dataclasses.replace(peek, rule=rule))
-    spec = dataclasses.replace(spec, module_list=tuple(modules.items()))
+    rule = peek.rule._replace(clauses=((reads, then), *rest))
+    modules = dict(spec.module_list, Peek=peek._replace(rule=rule))
+    spec = spec._replace(module_list=tuple(modules.items()))
     state = parse_state(RESERVE_STATE, spec.vocabulary, constants=spec.constants)
     return spec, state
 

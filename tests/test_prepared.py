@@ -11,7 +11,6 @@ stays per update.
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 import pytest
 
@@ -161,7 +160,7 @@ def at_three(wrong: UpdateInstr):
         (Atom(App("=", (c, App("3")))), wrong),
         (Atom(App("true")), Block((count, UpdateInstr("R", (), App("true"))))),
     ))
-    return replace(STEPPING, rule=rule)
+    return STEPPING._replace(rule=rule)
 
 
 @pytest.mark.parametrize("wrong,error,message", [

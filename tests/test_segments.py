@@ -3,7 +3,6 @@ orders past the move counts the subset scan could afford."""
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 import pytest
@@ -112,14 +111,14 @@ def chain_certificate(n: int) -> str:
 
 def test_long_reverse_listed_chain_checks_valid(philosophers4, ring4):
     pr = parse_certificate(chain_certificate(1200), philosophers4)
-    pr.states = {frozenset(): ring4}
+    pr = pr._replace(states={frozenset(): ring4})
     verdict = check_partial_run(philosophers4, pr, initial_state=ring4)
     assert verdict.valid, verdict.message
 
 
 def test_long_chain_has_one_linearization(philosophers4, ring4):
     pr = parse_certificate(chain_certificate(1200), philosophers4)
-    pr.states = {frozenset(): ring4}
+    pr = pr._replace(states={frozenset(): ring4})
     report = linearizations(philosophers4, pr)
     assert report.complete and len(report.traces) == 1
     assert len(report.traces[0].records) == 1200
@@ -256,7 +255,7 @@ def test_chain_past_the_budget_stops_while_its_closure_is_built(
 ):
     # 1,500 moves: their principal segments alone hold 1,500 * 1,501 / 2.
     pr = parse_certificate(chain_certificate(1500), philosophers4)
-    pr.states = {frozenset(): ring4}
+    pr = pr._replace(states={frozenset(): ring4})
     monkeypatch.setattr(distributed, "resolutions", no_rules)
     monkeypatch.setattr(distributed, "_initial_segments", no_rules)
     with pytest.raises(BudgetError):
@@ -325,20 +324,20 @@ def mutated_runs(draw):
     if draw(st.booleans()):
         pr = with_every_sigma(spec, pr)
     if draw(st.booleans()):
-        pr = dataclasses.replace(pr, recorded=None)
+        pr = pr._replace(recorded=None)
     mutation = draw(st.sampled_from(["none", "drop", "add", "swap", "relabel"]))
     if mutation == "drop" and pr.edges:
-        pr = dataclasses.replace(pr, edges=pr.edges - {draw(st.sampled_from(sorted(pr.edges)))})
+        pr = pr._replace(edges=pr.edges - {draw(st.sampled_from(sorted(pr.edges)))})
     elif mutation == "add" and len(pr.moves) > 1:
         a, b = draw(st.lists(st.sampled_from(pr.moves), min_size=2, max_size=2, unique=True))
-        pr = dataclasses.replace(pr, edges=pr.edges | {(a, b)})
+        pr = pr._replace(edges=pr.edges | {(a, b)})
     elif mutation == "swap" and len(pr.states) > 1:
         keys = sorted(pr.states, key=lambda k: (len(k), sorted(k)))
         a, b = draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2, unique=True))
-        pr = dataclasses.replace(pr, states={**pr.states, a: pr.states[b], b: pr.states[a]})
+        pr = pr._replace(states={**pr.states, a: pr.states[b], b: pr.states[a]})
     elif mutation == "relabel" and pr.moves:
         move, seat = draw(st.sampled_from(pr.moves)), draw(st.integers(0, n - 1))
-        pr = dataclasses.replace(pr, agent_of={**pr.agent_of, move: I(seat)})
+        pr = pr._replace(agent_of={**pr.agent_of, move: I(seat)})
     return spec, pr
 
 
@@ -366,7 +365,7 @@ def test_generated_certificates_past_twelve_moves_round_trip(philosophers4, ring
 
 def test_sigma_keys_and_linearized_segments_must_be_down_sets(philosophers4, ring4):
     pr = parse_certificate(chain_certificate(3), philosophers4)
-    pr.states = {frozenset(): ring4, frozenset({"m1", "m3"}): ring4}
+    pr = pr._replace(states={frozenset(): ring4, frozenset({"m1", "m3"}): ring4})
     verdict = check_partial_run(philosophers4, pr, initial_state=ring4)
     assert (verdict.condition, verdict.message) == (
         "certificate", "sigma key {m1, m3} is not an initial segment"
@@ -377,7 +376,7 @@ def test_sigma_keys_and_linearized_segments_must_be_down_sets(philosophers4, rin
 
 def test_an_edge_to_an_unknown_move_is_a_certificate_error(philosophers4, ring4):
     pr = parse_certificate(chain_certificate(2) + "order m2 < zz\n", philosophers4)
-    pr.states = {frozenset(): ring4}
+    pr = pr._replace(states={frozenset(): ring4})
     for call in (segment_states, linearizations):
         with pytest.raises(CertificateError, match=r"edge \(m2, zz\) names unknown moves"):
             call(philosophers4, pr)
@@ -385,7 +384,7 @@ def test_an_edge_to_an_unknown_move_is_a_certificate_error(philosophers4, ring4)
 
 def test_linearizing_a_segment_of_unknown_moves_is_a_certificate_error(philosophers4, ring4):
     pr = parse_certificate(chain_certificate(2), philosophers4)
-    pr.states = {frozenset(): ring4}
+    pr = pr._replace(states={frozenset(): ring4})
     with pytest.raises(CertificateError, match="not an initial segment"):
         linearizations(philosophers4, pr, {"zz"})
 
@@ -400,7 +399,7 @@ def test_a_move_without_an_agent_label_is_a_certificate_error(philosophers4, rin
 
 def test_a_cycle_is_named_alike_by_every_entry_point(philosophers4, ring4):
     pr = parse_certificate(chain_certificate(2) + "order m2 < m1\n", philosophers4)
-    pr.states = {frozenset(): ring4}
+    pr = pr._replace(states={frozenset(): ring4})
     message = check_partial_run(philosophers4, pr).message
     assert message == distributed._CYCLE
     for call in (segment_states, linearizations):
@@ -412,6 +411,6 @@ def test_a_cycle_is_named_alike_by_every_entry_point(philosophers4, ring4):
 @pytest.mark.parametrize("budget", [0, -1])
 def test_linearizations_need_a_positive_budget(philosophers4, ring4, budget):
     pr = parse_certificate(chain_certificate(2), philosophers4)
-    pr.states = {frozenset(): ring4}
+    pr = pr._replace(states={frozenset(): ring4})
     with pytest.raises(ScheduleError, match="budget must be positive"):
         linearizations(philosophers4, pr, budget=budget)

@@ -346,3 +346,62 @@ def test_section_errors_name_the_first_fault(sections, message):
     with pytest.raises(ParseError) as caught:
         parse_program("vocabulary:\n  dynamic X/0\n" + sections)
     assert str(caught.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Nodes, programs, vocabularies and names are immutable values
+
+
+def test_nodes_of_two_classes_with_equal_fields_are_unequal():
+    assert Block(()) != Cond(())
+    assert Var("x") != UniverseRange("x")
+    assert Block(()) == Block(()) and Var("x") == Var("x")
+
+
+def test_equal_nodes_built_apart_hash_alike(vocab):
+    text = "if r(a) then f(a) := g else f(b) := a endif"
+    one, two = parse_rule_text(text, vocab), parse_rule_text(text, vocab)
+    assert one == two and one is not two
+    assert hash(one) == hash(two)
+    assert len({one, two, Block((one,))}) == 2
+
+
+def test_fields_take_defaults_and_keywords():
+    assert App("f") == App("f", ()) == App(args=(), fname="f")
+    assert repr(App("f", (Var("x"),))) == "App(fname='f', args=(Var(name='x'),))"
+    assert App("f")._replace(args=(Var("x"),)) == App("f", (Var("x"),))
+    for bad in (lambda: App(), lambda: App("f", (), ()), lambda: App("f", fname="g"),
+                lambda: App("f", arity=2), lambda: App("f")._replace(arity=2)):
+        with pytest.raises(TypeError, match="App takes the fields fname, args"):
+            bad()
+
+
+@pytest.fixture(scope="module")
+def values(vocab):
+    program = parse_program("vocabulary:\n  dynamic c/0\nconstants a\nprogram:\n  c := a\n")
+    return [
+        (Var("x"), "name"),
+        (parse_rule_text("f(a) := g", vocab), "rhs"),
+        (program, "rule"),
+        (vocab, "names"),
+        (FunctionName("f", 1), "arity"),
+    ]
+
+
+def test_no_field_can_be_assigned_or_deleted(values):
+    for value, field in values:
+        before = repr(value)
+        with pytest.raises(AttributeError, match=f"{type(value).__name__}.{field} cannot change"):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError, match=f"{type(value).__name__}.{field} cannot change"):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.other = None
+        assert repr(value) == before
+
+
+def test_values_computed_once_are_kept_on_the_instance(values):
+    program = values[2][0]
+    assert program.prepared is program.prepared
+    assert "prepared" in program.__dict__
+    assert program == program._replace() and "prepared" not in program._replace().__dict__

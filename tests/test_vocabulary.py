@@ -1,6 +1,7 @@
 import pytest
 
 from ealgebra import (
+    ContractViolation,
     DeclarationError,
     FunctionName,
     Location,
@@ -37,6 +38,27 @@ def test_duplicate_identifier_with_different_signature_fails():
     # identical duplicate declarations are harmless
     v = make_vocabulary([FunctionName("f", 1), FunctionName("f", 1)])
     assert v.require("f").arity == 1
+
+
+def test_a_negative_arity_is_a_declaration_error():
+    with pytest.raises(DeclarationError, match="f: arity must be nonnegative"):
+        FunctionName("f", -1)
+
+
+@pytest.mark.parametrize("arity", ["2", 2.0, True, None])
+def test_a_wrong_kind_arity_is_a_contract_violation(arity):
+    with pytest.raises(ContractViolation) as refused:
+        FunctionName("f", arity)
+    assert str(refused.value) == f"FunctionName takes an int, not {type(arity).__name__}"
+
+
+@pytest.mark.parametrize("entry", [1, "f", None, ("f", 1)])
+def test_make_vocabulary_takes_only_function_names(entry):
+    with pytest.raises(ContractViolation) as refused:
+        make_vocabulary([FunctionName("g", 0), entry])
+    assert str(refused.value) == (
+        f"make_vocabulary takes a FunctionName, not {type(entry).__name__}"
+    )
 
 
 def test_equality_and_boolean_signatures():

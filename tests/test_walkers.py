@@ -13,7 +13,6 @@ meant to change.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import random
@@ -149,8 +148,8 @@ def test_surface_generator_covers_the_language():
         if getattr(node, "fname", None) == "Active":
             seen.add(("active", type(node).__name__))
         seen.add(type(node).__name__)
-        for f in dataclasses.fields(node):
-            walk(getattr(node, f.name))
+        for name in node._fields:
+            walk(getattr(node, name))
 
     rules = surface_rules()
     for rule in rules:
