@@ -36,7 +36,6 @@ from .runner import (
     _Effect,
     _footprints_conflict,
     check_appropriate,
-    fire_and_record,
     move,
     resolutions,
 )
@@ -110,22 +109,22 @@ def agents_of(
 
 def _agent(
     spec: DistributedSpec, by_element: Mapping[Element, str], state: State, element: Element
-) -> Agent | None:
-    """The agent ``element`` is at the state, or None, given the map
-    ``validate_spec_state`` returned for the state or any state fired from
-    it: module names are static and nullary, so no update changes it."""
+) -> Program | None:
+    """``element``'s module program at the state, None for no agent, given
+    the map ``validate_spec_state`` returned for the state or any state
+    fired from it: module names are static and nullary, so no update changes it."""
     module = by_element.get(state.read(Location("Mod", (element,))))
-    return None if module is None else Agent(element, module, spec.modules[module])
+    return None if module is None else spec.modules[module]
 
 
 def scheduled_agent(
     spec: DistributedSpec, by_element: Mapping[Element, str], state: State, element: Element
-) -> Agent:
+) -> Program:
     """``_agent``, raising ``ScheduleError`` when the element is no agent."""
-    agent = _agent(spec, by_element, state, element)
-    if agent is None:
+    program = _agent(spec, by_element, state, element)
+    if program is None:
         raise ScheduleError(f"{format_element(element)} is not an agent here")
-    return agent
+    return program
 
 
 def agent_move(
@@ -147,10 +146,11 @@ def agent_move(
     require(state, State, "agent_move")
     require_int(index, "agent_move")
     if isinstance(agent, Element):
-        agent = scheduled_agent(spec, validate_spec_state(spec, state), state, agent)
+        program = scheduled_agent(spec, validate_spec_state(spec, state), state, agent)
+    else:
+        program, agent = agent.program, agent.element
     return move(
-        agent.program, state, chooser,
-        oracle=oracle, index=index, agent=agent.element, footprint=footprint,
+        program, state, chooser, oracle=oracle, index=index, agent=agent, footprint=footprint,
     )
 
 
@@ -185,15 +185,14 @@ def sequential_run(
     state, records = initial, []
     for index in range(1, max_steps + 1):
         if schedule is not None:
-            agent = scheduled_agent(spec, by_element, state, schedule[index - 1])
+            element = schedule[index - 1]
         else:
             agents = agents_of(spec, state, by_element)
             if not agents:
                 break
-            agent = agents[chooser.choose(len(agents))]
-        state, record = agent_move(
-            spec, state, agent, chooser, oracle=oracle, index=index
-        )
+            element = agents[chooser.choose(len(agents))].element
+        program = scheduled_agent(spec, by_element, state, element)
+        state, record = move(program, state, chooser, oracle=oracle, index=index, agent=element)
         records.append(record)
     return RunTrace(initial, records, "schedule-end", state)
 
@@ -388,17 +387,17 @@ def _move_update_set(
     footprint gets what ``runner.resolutions`` records, ``Mod(Self)``
     among it."""
     element = pr.agent_of[move]
-    agent = _agent(spec, by_element, at, element)
-    if agent is None:
+    program = _agent(spec, by_element, at, element)
+    if program is None:
         raise _Refuted("4", f"{format_element(element)} is not an agent before {move}", move)
     recorded = (pr.recorded or {}).get(move)
-    if recorded is None and agent.program.has_choose:
+    if recorded is None and program.has_choose:
         raise _Refuted(
             "certificate", f"nondeterministic move {move} has no recorded update set", move
         )
     # Certificates record no oracle answers: externals read as undef, as in
     # a generated run's moves.
-    members, _ = resolutions(agent.program, at, footprint=footprint, agent=element)
+    members, _ = resolutions(program, at, footprint=footprint, agent=element)
     if recorded is None:
         return members[0]
     if recorded not in members:
@@ -620,11 +619,9 @@ def linearizations(
     for order in orders:
         state, records = base, []
         for index, move in enumerate(order, start=1):
-            state, record = fire_and_record(
-                state, _move_update_set(spec, pr, move, state, by_element),
-                index=index, agent=pr.agent_of[move],
-            )
-            records.append(record)
+            beta = _move_update_set(spec, pr, move, state, by_element)
+            state, fired = state.fire_update_set(beta)
+            records.append(StepRecord(index, beta, fired, None, None, (), pr.agent_of[move]))
         traces.append(RunTrace(base, records, "schedule-end", state))
     return LinearizationReport(traces=traces, complete=complete)
 
@@ -677,8 +674,8 @@ def generate_partial_run(
         chooser = SeededChooser(0)
     state, betas, effects, schedule = initial, [], [], list(schedule)
     for i, element in enumerate(schedule, start=1):
-        footprint, agent = Footprint(), scheduled_agent(spec, by_element, state, element)
-        state, record = agent_move(spec, state, agent, chooser, index=i, footprint=footprint)
+        footprint, program = Footprint(), scheduled_agent(spec, by_element, state, element)
+        state, record = move(program, state, chooser, index=i, agent=element, footprint=footprint)
         betas.append(record.updates)
         effects.append(_Effect.of([record.updates], footprint))
     moves = tuple(f"m{i}" for i in range(1, len(effects) + 1))

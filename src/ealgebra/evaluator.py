@@ -27,8 +27,8 @@ and compiled again for any other pair.
 
 Compilation changes nothing observable.  Guard operands are evaluated
 without short-circuiting, so a read footprint does not depend on truth
-values; the input contract is checked on every call of an entry point,
-and once per vocabulary for an evaluator ``prepared`` keeps; errors, their
+values; the input contract is checked once per rule, vocabulary, scope
+and names, by the evaluator ``prepared`` keeps for them; errors, their
 messages and their order, the family order and the reads recorded in a
 footprint are those of a walk over the tree.  A malformed node (a guard
 that is no guard, a Boolean connective with the wrong operand count) is
@@ -120,15 +120,6 @@ class _Run:
             self.state, {**self.env, var: value}, self.alloc, self.oracle, self.footprint,
             self.decls + (var,) if declared else self.decls, self.scope,
         )
-
-
-def _start(state, env, alloc, oracle, decls, footprint, vocabulary) -> _Run:
-    if alloc is None:
-        alloc = ReserveAllocator(state.reserve_next)
-    return _Run(
-        state, dict(env or {}), alloc, oracle, footprint, tuple(decls),
-        vocabulary or state.vocabulary,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +428,9 @@ def _parsed(node, kind: str):
     return node
 
 
-def _check_input(rule: syntax.Rule, scope: Vocabulary, env, decls) -> syntax.RuleFacts:
+def _check_input(rule: syntax.Rule, scope: Vocabulary, bound, decls) -> syntax.RuleFacts:
     """The rule's facts, once it is a core rule perspicuous for the names of
-    ``scope``, the variables ``env`` binds and the declared ``decls``."""
+    ``scope``, the bound variables ``bound`` and the declared ``decls``."""
     facts = syntax.rule_facts(_parsed(rule, "rule"))
     if not facts.core:
         raise ModeError("rule contains surface sugar; desugar it first")
@@ -447,7 +438,7 @@ def _check_input(rule: syntax.Rule, scope: Vocabulary, env, decls) -> syntax.Rul
     if binders is None or (binders and not (
         binders.isdisjoint(scope.name_set)
         and binders.isdisjoint(facts.free)
-        and binders.isdisjoint(env)
+        and binders.isdisjoint(bound)
         and binders.isdisjoint(decls)
     )):
         raise ContractViolation(
@@ -481,6 +472,17 @@ def eval_guard(
     return _compiled(_parsed(g, "guard"), state.vocabulary, frozenset(externals), _Compiler.guard)(run)
 
 
+def _entry(entry_point: str, rule, state, env, externals, vocabulary, decls):
+    """The evaluator ``prepared`` keeps for an entry point's arguments."""
+    require(state, State, entry_point)
+    if vocabulary is not None:
+        require(vocabulary, Vocabulary, entry_point)
+    return prepared(
+        _parsed(rule, "rule"), state.vocabulary, frozenset(externals), vocabulary,
+        tuple(env or ()), tuple(decls),
+    )
+
+
 def nupdates(
     rule: syntax.Rule,
     state: State,
@@ -499,13 +501,9 @@ def nupdates(
     when nothing qualifies (or a plain choose ranges over an empty
     universe) the family is empty, which fires as a no-op.
     """
-    require(state, State, "nupdates")
-    if vocabulary is not None:
-        require(vocabulary, Vocabulary, "nupdates")
-    run = _start(state, env, alloc, oracle, decls, footprint, vocabulary)
-    _check_input(rule, run.scope, run.env, decls)
-    members = _compiled(rule, state.vocabulary, frozenset(externals), _Compiler.rule)(run, [[]])
-    return UpdateFamily(map(UpdateSet, members))
+    evaluate = _entry("nupdates", rule, state, env, externals, vocabulary, decls)
+    found = evaluate(state, env or {}, oracle, footprint, alloc)
+    return found if isinstance(found, UpdateFamily) else UpdateFamily((found,))
 
 
 def updates(
@@ -526,39 +524,37 @@ def updates(
     A rule with a choose anywhere, even in a branch not taken here, has no
     deterministic update set and raises ``ModeError``.
     """
-    require(state, State, "updates")
-    if vocabulary is not None:
-        require(vocabulary, Vocabulary, "updates")
-    run = _start(state, env, alloc, oracle, decls, footprint, vocabulary)
-    if _check_input(rule, run.scope, run.env, decls).choose:
+    evaluate = _entry("updates", rule, state, env, externals, vocabulary, decls)
+    if syntax.rule_facts(rule).choose:
         raise ModeError("choose rules have no deterministic update set; use nupdates")
-    (member,) = _compiled(rule, state.vocabulary, frozenset(externals), _Compiler.rule)(run, [[]])
-    return UpdateSet(member)
+    return evaluate(state, env or {}, oracle, footprint, alloc)
 
 
 def prepared(
     rule: syntax.Rule, vocabulary: Vocabulary, externals: frozenset[str] = frozenset(),
-    scope: Vocabulary | None = None, bound: tuple[str, ...] = (),
+    scope: Vocabulary | None = None, bound: tuple[str, ...] = (), decls: tuple[str, ...] = (),
 ):
-    """``evaluate(state, env, oracle, footprint)`` for states of
-    ``vocabulary``, ``env`` binding the variables ``bound`` names: what
-    ``updates`` (``nupdates`` for a rule with choose) gives for them in
-    ``scope``.  The contract is checked and the rule compiled once per
-    vocabulary object, externals, scope and bound names, and the evaluator
-    kept on the rule as ``_compiled`` keeps closures; a refusal is not
-    kept.  A rule that imports or duplicates nothing gets no allocator."""
+    """``evaluate(state, env, oracle, footprint, alloc=None)`` for states of
+    ``vocabulary``, ``env`` binding the variables ``bound`` names, ``decls``
+    among them declared: what ``updates`` (``nupdates`` for a rule with
+    choose) gives for them in ``scope``.  The contract is checked and the
+    rule compiled once per vocabulary object, externals, scope, bound and
+    declared names, and the evaluator kept on the rule as ``_compiled``
+    keeps closures; a refusal is not kept.  Without ``alloc``, a rule that
+    imports or duplicates nothing gets no allocator."""
     cache = rule.__dict__.setdefault("_prepared", {})
-    key = (id(vocabulary), externals, id(scope), bound)
+    key = (id(vocabulary), externals, id(scope), bound, decls)
     hit = cache.get(key)
     if hit is None:
         names = scope or vocabulary
-        choose = _check_input(rule, names, bound, ()).choose
+        choose = _check_input(rule, names, bound, decls).choose
         code = _compiled(rule, vocabulary, externals, _Compiler.rule)
         allocates = syntax.has_import(rule)
 
-        def evaluate(state, env, oracle, footprint):
-            alloc = ReserveAllocator(state.reserve_next) if allocates else None
-            members = code(_Run(state, env, alloc, oracle, footprint, (), names), [[]])
+        def evaluate(state, env, oracle, footprint, alloc=None):
+            if alloc is None and allocates:
+                alloc = ReserveAllocator(state.reserve_next)
+            members = code(_Run(state, env, alloc, oracle, footprint, decls, names), [[]])
             if choose:
                 return UpdateFamily(map(UpdateSet, members))
             return UpdateSet(members[0])  # the one member of a choice-free rule

@@ -2,9 +2,9 @@
 
 A sequential step and an agent's move are one act, written once here:
 ``resolutions`` gives the update sets one firing of a program may apply
-at a state, ``move`` picks one with the chooser and ``fire_and_record``
-applies it and records it; ``successors`` fires every resolution instead,
-for reachability.  An agent's move differs from a step only in ``agent``:
+at a state, and ``move`` picks one with the chooser, applies it and
+records it; ``successors`` fires every resolution instead, for
+reachability.  An agent's move differs from a step only in ``agent``:
 its module's program fires at the global state with Self bound to the
 agent and the module's vocabulary as the rule's scope.  The distributed
 runs and moves call these.
@@ -28,8 +28,8 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import syntax
 from .errors import (
-    EalgebraError, ModeError, OracleError, ParseError, ScheduleError, VocabularyError, require,
-    require_int, require_text,
+    ContractViolation, EalgebraError, ModeError, OracleError, ParseError, ScheduleError,
+    VocabularyError, require, require_int, require_text,
 )
 from .evaluator import Footprint, eval_guard, prepared
 from .evaluator import updates  # noqa: F401 (perfbench's tests read it here)
@@ -146,11 +146,14 @@ class ScriptedOracle(Oracle):
 
 
 class OracleView:
-    """Per-step memo over an oracle: ask once, save the result, reuse it."""
+    """Per-step memo over an oracle: ask once, save the result, reuse it.
+    An answer still in the step state's reserve is refused: only import
+    and duplicate take an element out of it."""
 
-    def __init__(self, oracle: Oracle, step_index: int):
+    def __init__(self, oracle: Oracle, step_index: int, reserve_next: int):
         self.oracle = oracle
         self.step_index = step_index
+        self.reserve_next = reserve_next
         self.memo: dict[tuple[str, tuple[Element, ...]], Element] = {}
         self.transcript: list[tuple[str, tuple[Element, ...], Element]] = []
 
@@ -160,6 +163,10 @@ class OracleView:
             value = self.oracle.resolve(fname, args, self.step_index)
             if not isinstance(value, Element):
                 raise OracleError(f"{fname}: oracle returned a non-element")
+            if value.kind == "reserve" and value.value >= self.reserve_next:
+                raise OracleError(
+                    f"{fname}: oracle returned {format_element(value)}, still in the reserve"
+                )
             self.memo[key] = value
             self.transcript.append((fname, args, value))
         return self.memo[key]
@@ -258,7 +265,7 @@ def resolutions(
     scope, so its contract is checked once for them.
     """
     if oracle is None and program.externals:
-        oracle = OracleView(UndefOracle(), 1)
+        oracle = OracleView(UndefOracle(), 1, state.reserve_next)
     rule, vocabulary, externals = program.prepared, state.vocabulary, program.externals
     if agent is None:
         found = prepared(rule, vocabulary, externals)(state, {}, oracle, footprint)
@@ -273,44 +280,31 @@ def resolutions(
     return [found], None
 
 
-def fire_and_record(
-    state: State, beta: UpdateSet | None, *, index: int, agent: Element | None = None,
-    choice_index: int | None = None, family_size: int | None = None, oracle_qa=(),
-) -> tuple[State, StepRecord]:
-    """Fire ``beta`` against ``state`` and record the step.
-
-    ``beta`` None stands for an empty family: nothing fires.
-    """
-    if beta is None:
-        new_state, fired, beta = state, False, EMPTY_UPDATE_SET
-    else:
-        new_state, fired = state.fire_update_set(beta)
-    return new_state, StepRecord(index, beta, fired, choice_index, family_size, oracle_qa, agent)
-
-
 def move(
     program: Program, state: State, chooser=None, *,
     oracle: Oracle | None = None, index: int = 1, agent: Element | None = None,
     footprint=None,
 ) -> tuple[State, StepRecord]:
-    """Fire one resolution of the program at ``state``: a sequential step,
-    or with ``agent`` that agent's move.
+    """Fire one resolution of the program at ``state`` and record the step:
+    a sequential step, or with ``agent`` that agent's move.
 
     The chooser (``SeededChooser(0)`` if none) picks a member only from a
-    family of more than one.  A program with no externals gets no oracle.
+    family of more than one; an empty family fires nothing.  A program
+    with no externals gets no oracle.
     """
-    view = OracleView(oracle or UndefOracle(), index) if program.externals else None
+    view = None
+    if program.externals:
+        view = OracleView(oracle or UndefOracle(), index, state.reserve_next)
     members, family_size = resolutions(program, state, view, footprint, agent)
     choice_index = None
     if family_size == 1:
         choice_index = 0
     elif family_size:
         choice_index = (chooser or SeededChooser(0)).choose(family_size)
-    return fire_and_record(
-        state, members[choice_index or 0] if members else None, index=index,
-        agent=agent, choice_index=choice_index, family_size=family_size,
-        oracle_qa=() if view is None else tuple(view.transcript),
-    )
+    beta = members[choice_index or 0] if members else EMPTY_UPDATE_SET
+    new_state, fired = state.fire_update_set(beta) if members else (state, False)
+    oracle_qa = () if view is None else tuple(view.transcript)
+    return new_state, StepRecord(index, beta, fired, choice_index, family_size, oracle_qa, agent)
 
 
 def step(
@@ -841,7 +835,7 @@ def render_trace(trace: RunTrace, fmt: str = "text", header: dict | None = None)
         lines.append(json.dumps({"stop": trace.stop_reason}, sort_keys=True))
         return "\n".join(lines) + "\n"
     if fmt != "text":
-        raise ValueError(f"unknown trace format: {fmt}")
+        raise ContractViolation(f"render_trace takes the format text or records, not {fmt!r}")
     lines = []
     if header:
         meta = " ".join(f"{k}={header[k]}" for k in sorted(header))

@@ -324,6 +324,10 @@ class State:
             # Known but not declared: a numeral under pragma integers.
             if fname in COMPUTED_NAMES or fname == "Reserve" or fname not in vocabulary.name_set:
                 raise VocabularyError(f"{fname}: interpretation is fixed, not tabled")
+            if not isinstance(table, Mapping):
+                raise ContractViolation(
+                    f"State takes a mapping for {fname}, not {type(table).__name__}"
+                )
             inner = {}
             for args, value in table.items():
                 if len(args) != fn.arity:
@@ -333,6 +337,10 @@ class State:
                 if fn.is_relation and value not in _BOOLEANS:
                     raise UpdateTypeError(f"{fname}: relational value must be Boolean")
                 for e in (*args, value):
+                    if not isinstance(e, Element):
+                        raise ContractViolation(
+                            f"State takes elements in the table of {fname}, not {type(e).__name__}"
+                        )
                     if e.kind == "reserve":
                         least = max(least, e.value + 1)
                 if not _is_default(fn, value):

@@ -36,12 +36,11 @@ def quasi_move_updates(
     union = UpdateSet()
     by_element = validate_spec_state(spec, state)
     for element in agents:
-        agent = scheduled_agent(spec, by_element, state, element)
-        if agent.program.has_choose:
-            raise ModeError(
-                f"quasi-sequential steps need deterministic agents ({agent.module})"
-            )
-        members, _ = resolutions(agent.program, state, agent=element)
+        program = scheduled_agent(spec, by_element, state, element)
+        if program.has_choose:
+            module = next(name for name, p in spec.module_list if p is program)
+            raise ModeError(f"quasi-sequential steps need deterministic agents ({module})")
+        members, _ = resolutions(program, state, agent=element)
         union = UpdateSet(union | members[0])
     return union
 

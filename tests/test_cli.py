@@ -98,6 +98,16 @@ def test_oracle_script_round(capsys, tmp_path):
     assert "oracle input(1) = world" in text
 
 
+def test_an_oracle_answer_still_in_the_reserve_exits_5(capsys, tmp_path):
+    oracle = tmp_path / "reserve.oracle"
+    oracle.write_text("step 1: input(0) = @7\n", encoding="utf-8")
+    code = run_cli(
+        "run", program("echo.ea"), "--state", program("echo.east"), "--oracle", str(oracle),
+    )
+    assert code == EXIT_ORACLE
+    assert "input: oracle returned @7, still in the reserve" in capsys.readouterr().err
+
+
 def test_interactive_oracle_asks_on_stderr_and_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("hello\nworld\n"))
     code = run_cli(

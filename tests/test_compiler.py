@@ -233,5 +233,5 @@ def test_sibling_chooses_keep_one_member_per_update_set():
     state = State(vocabulary, {"U": {(Element.named(n),): TRUE for n in "abcd"}})
     rule = Block(tuple(Choose((f"x{i}",), "U", None, SKIP) for i in range(9)))
     code = evaluator._Compiler(vocabulary, frozenset()).rule(rule)
-    run = evaluator._start(state, None, None, None, (), None, None)
+    run = evaluator._Run(state, {}, None, None, None, (), vocabulary)
     assert code(run, [[]]) == [[]]

@@ -29,7 +29,9 @@ from ealgebra import (
     ContractViolation,
     EalgebraError,
     Element,
+    FunctionName,
     ModeError,
+    State,
     agent_move,
     agents_of,
     check_partial_run,
@@ -232,3 +234,28 @@ def test_a_wrong_kind_int_is_a_contract_violation(entry, bad):
         call(bad)
     assert type(refused.value) is ContractViolation
     assert str(refused.value) == f"{entry[0]} takes an int, not {type(bad).__name__}"
+
+
+TABLED = make_vocabulary([FunctionName("c", 0), FunctionName("F", 1)])
+
+
+@pytest.mark.parametrize("tables,message", [
+    ({"c": {(): 5}}, "State takes elements in the table of c, not int"),
+    ({"F": {("a",): P}}, "State takes elements in the table of F, not str"),
+    ({"F": {(P,): "p"}}, "State takes elements in the table of F, not str"),
+    ({"c": 5}, "State takes a mapping for c, not int"),
+], ids=["value", "argument", "text-value", "table"])
+def test_a_state_table_of_the_wrong_kind_is_a_contract_violation(tables, message):
+    with pytest.raises(EalgebraError) as refused:
+        State(TABLED, tables)
+    assert type(refused.value) is ContractViolation
+    assert str(refused.value) == message
+
+
+def test_an_unknown_trace_format_is_a_contract_violation():
+    for fmt in ("text", "records"):
+        render_trace(TRACE, fmt=fmt)
+    with pytest.raises(EalgebraError) as refused:
+        render_trace(TRACE, fmt="xml")
+    assert type(refused.value) is ContractViolation
+    assert str(refused.value) == "render_trace takes the format text or records, not 'xml'"

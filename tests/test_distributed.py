@@ -7,6 +7,7 @@ from ealgebra import (
     Location,
     ModeError,
     ScheduleError,
+    ScriptedOracle,
     SeededChooser,
     State,
     StateValidityError,
@@ -30,7 +31,8 @@ from ealgebra import (
     sequential_run,
     validate_spec_state,
 )
-from ealgebra.distributed import PartialRun, Verdict, segment_states
+from ealgebra.distributed import Agent, PartialRun, Verdict, segment_states
+from ealgebra.syntax import Value
 
 from conftest import PROGRAMS, load_initial, load_program
 from firing import fire_one
@@ -630,6 +632,41 @@ def test_certificate_of_a_spec_with_external_functions_checks():
     assert after.read(Location("X", (E("a"),))) == UNDEF
     report = linearizations(spec, pr)
     assert [trace.final_state for trace in report.traces] == [after]
+
+
+def test_an_agent_reads_an_external_through_the_oracle_it_is_given():
+    spec = parse_program(
+        "vocabulary:\n"
+        "  dynamic X/1\n"
+        "  external e/1\n"
+        "constants a, b\n"
+        "module A:\n"
+        "  X(Self) := e(Self)\n"
+    )
+    initial = parse_state("Mod(a) = A", spec.vocabulary, constants=spec.constants)
+    oracle = ScriptedOracle.parse("step 2: e(a) = b\n", spec.vocabulary)
+    after, record = agent_move(spec, initial, E("a"), oracle=oracle, index=2)
+    assert record.oracle_qa == (("e", (E("a"),), E("b")),)
+    assert after.read(Location("X", (E("a"),))) == E("b")
+
+
+def test_moves_of_runs_and_certificates_build_no_agent_record(
+    monkeypatch, philosophers, ring3,
+):
+    built = []
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        Value.__init__(self, *args, **kwargs)
+
+    monkeypatch.setattr(Agent, "__init__", counting)
+    schedule = [I(0), I(0), I(1)]
+    sequential_run(philosophers, ring3, schedule)
+    pr = generate_partial_run(philosophers, ring3, schedule)
+    # A chain: no two moves are independent, so the segment scan decides.
+    chain = pr._replace(edges=pr.edges | {("m1", "m2"), ("m2", "m3"), ("m1", "m3")})
+    assert check_partial_run(philosophers, chain).valid
+    assert built == []
 
 
 def test_generated_run_orders_a_write_before_a_duplicate_that_scans_it():

@@ -288,7 +288,8 @@ def test_updates_rejects_non_perspicuous_input():
 
 def test_contract_check_reads_the_state_on_every_call():
     # The rule-only facts are kept on the rule; the names the state, the
-    # environment and the declarations bring are checked on every call.
+    # environment and the declarations bring are checked for every new
+    # combination of them, and a refusal is never kept.
     names = [FunctionName("U", 1, is_relation=True, is_static=True),
              FunctionName("F", 1, is_relation=True)]
     plain = State(make_vocabulary(names))

@@ -215,13 +215,14 @@ def agent_spec(vocabulary, rules, self_name: str) -> DistributedSpec:
 def agent_outcome(spec, pool, state):
     """The move of ``pool[0]`` as ``enumerate`` evaluates it, given the
     module-element map, which is fixed: module names are static."""
-    agent = _agent(spec, {pool[1]: "M", pool[2]: "N"}, state, pool[0])
+    program = _agent(spec, {pool[1]: "M", pool[2]: "N"}, state, pool[0])
+    module = next(name for name, p in spec.module_list if p is program)
     footprint = Footprint()
     try:
-        result = resolutions(agent.program, state, footprint=footprint, agent=pool[0])
+        result = resolutions(program, state, footprint=footprint, agent=pool[0])
     except EalgebraError as exc:
         result = (type(exc), str(exc))
-    return agent.module, result, footprint.locations, footprint.names
+    return module, result, footprint.locations, footprint.names
 
 
 def assert_agent_complete(spec, state, pool, shift):

@@ -17,6 +17,11 @@ Static checks with the standard library's ``ast``:
 
 A fresh interpreter also checks what ``import ealgebra`` loads: not
 ``dataclasses``, and not the ``inspect`` that it imports.
+
+A private name one engine module imports from another
+(``from .x import _name``) must be listed, with its reason, in
+``PRIVATE_IMPORTS``: a decision should live behind one module, so a new
+reach-in across modules needs a stated reason.
 """
 
 from __future__ import annotations
@@ -244,6 +249,49 @@ def test_the_check_sees_an_option_no_call_sets(tmp_path):
     assert unset_options(package / "__init__.py", [caller]) == [
         "f(c=)", "f(e=)", "g(b=)",
     ]
+
+
+# Private names an engine module imports from another, as
+# (importer, module, name): reason.
+PRIVATE_IMPORTS: dict[tuple[str, str, str], str] = {
+    ("certificate", "distributed", "_require_spec"):
+        "a certificate refuses a single-agent program as the distributed entry points do",
+    ("certificate", "stateio", "_read_state"):
+        "a sigma block is a state file whose errors name the certificate's lines",
+    ("distributed", "runner", "_Effect"):
+        "a generated run and the independence pass order moves by the effects search uses",
+    ("distributed", "runner", "_footprints_conflict"):
+        "two moves conflict for a partial run exactly when they do for the sleep sets",
+    ("runner", "state", "_flat_key"):
+        "a text trace lists conflicts in the order update sets sort their locations",
+}
+
+
+def private_imports(package: Path) -> set[tuple[str, str, str]]:
+    """``(importer, module, name)`` for each private name a module of
+    ``package`` imports from a sibling, at any depth of the module."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                found.update(
+                    (path.stem, node.module, a.name) for a in node.names if a.name.startswith("_")
+                )
+    return found
+
+
+def test_every_private_import_across_modules_is_listed():
+    assert private_imports(PACKAGE) == set(PRIVATE_IMPORTS)
+
+
+def test_the_check_sees_a_private_import(tmp_path):
+    (tmp_path / "sample.py").write_text(
+        "from . import helper\nfrom .helper import Public, _private\n\n"
+        "def late():\n    from .other import _hidden\n"
+    )
+    assert private_imports(tmp_path) == {
+        ("sample", "helper", "_private"), ("sample", "other", "_hidden"),
+    }
 
 
 def _modules_after(statement: str) -> set[str]:

@@ -1,12 +1,13 @@
 """Moves evaluate a rule through an evaluator prepared once per program and
 vocabulary, and fire through update checks decided once per vocabulary.
 
-The library entry points keep their per-call checks and options: the
-first tests set each option of ``updates`` and ``step`` and show its
-effect.  The rest show that what is decided once never hides a refusal:
-a write that is refused is refused at the step that makes it, after
-legal steps have filled the vocabulary's table, and every value check
-stays per update.
+The library entry points keep their options and evaluate through the
+same prepared evaluator, which checks the contract once per rule,
+vocabulary and names: the first tests set each option of ``updates`` and
+``step`` and show its effect.  The rest show that what is decided once
+never hides a refusal: a write that is refused is refused at the step
+that makes it, after legal steps have filled the vocabulary's table, and
+every value check stays per update.
 """
 
 from __future__ import annotations
@@ -17,10 +18,14 @@ import pytest
 from ealgebra import (
     FALSE,
     TRUE,
+    ContractViolation,
+    EalgebraError,
     Element,
     Footprint,
+    FunctionName,
     IllegalUpdateError,
     Location,
+    ModeError,
     ScriptedOracle,
     State,
     StaticMirror,
@@ -30,6 +35,7 @@ from ealgebra import (
     VocabularyError,
     agent_move,
     make_vocabulary,
+    nupdates,
     parse_program,
     parse_state,
     run,
@@ -37,7 +43,7 @@ from ealgebra import (
     updates,
 )
 from ealgebra import evaluator
-from ealgebra.syntax import App, Atom, Block, Cond, UpdateInstr
+from ealgebra.syntax import App, Atom, Block, Choose, Cond, Extend, Import, UpdateInstr, Var
 
 A, B = Element.named("a"), Element.named("b")
 
@@ -133,6 +139,50 @@ def test_the_evaluator_is_prepared_once_per_vocabulary():
     run(program, state, max_steps=5)
     run(program, state, max_steps=5)
     assert len(program.prepared.__dict__["_prepared"]) == 1
+
+
+def test_updates_and_nupdates_check_the_contract_once_per_rule_vocabulary_and_names(
+    monkeypatch,
+):
+    checked = []
+    original = evaluator._check_input
+
+    def counting(rule, scope, bound, decls):
+        checked.append((bound, decls))
+        return original(rule, scope, bound, decls)
+
+    monkeypatch.setattr(evaluator, "_check_input", counting)
+    state = State(make_vocabulary([FunctionName("g", 0)]))
+    rule = UpdateInstr("g", (), Var("x"))
+    for _ in range(3):
+        assert updates(rule, state, {"x": A}, decls=("x",)) == {Update(Location("g"), A)}
+        assert nupdates(rule, state, {"x": B}, decls=("x",)) == {
+            UpdateSet([Update(Location("g"), B)])
+        }
+    assert checked == [(("x",), ("x",))]
+    updates(rule, state, {"x": A})
+    assert checked == [(("x",), ("x",)), (("x",), ())]
+
+
+SUGARED = Extend("F", ("y",), Block(()))
+CLASHING = Block((Import(("y",), UpdateInstr("F", (Var("y"),), App("true"))),) * 2)
+CHOOSING = Choose(("y",), "F", None, Block(()))
+
+
+@pytest.mark.parametrize("rule,error,message", [
+    ("F(a) := true", ContractViolation,
+     "expected a parsed rule, not text; parse it with parse_rule_text"),
+    (SUGARED, ModeError, "rule contains surface sugar; desugar it first"),
+    (CLASHING, ContractViolation,
+     "rule is not perspicuous for this state; apply make_perspicuous"),
+    (CHOOSING, ModeError, "choose rules have no deterministic update set; use nupdates"),
+], ids=["text", "sugared", "not-perspicuous", "choose"])
+def test_updates_refuses_a_rule_again_on_every_call(rule, error, message):
+    state = State(make_vocabulary([FunctionName("F", 1, is_relation=True)], with_reserve=True))
+    for _ in range(2):  # a refusal is never kept
+        with pytest.raises(EalgebraError) as refused:
+            updates(rule, state)
+        assert (type(refused.value), str(refused.value)) == (error, message)
 
 
 # -- refusals -----------------------------------------------------------------

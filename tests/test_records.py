@@ -78,7 +78,7 @@ UPDATE_SETS = st.builds(UpdateSet, st.lists(updates(), max_size=6))
 
 @st.composite
 def records(draw) -> StepRecord:
-    """A record as ``fire_and_record`` makes them: only a consistent set
+    """A record as ``runner.move`` makes them: only a consistent set
     fires."""
     beta = draw(UPDATE_SETS)
     fired = draw(st.booleans()) and not beta.conflicts()

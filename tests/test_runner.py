@@ -360,3 +360,20 @@ def test_an_oracle_answer_that_is_no_element_is_refused():
     with pytest.raises(OracleError) as caught:
         step(program, State(program.vocabulary), Careless())
     assert type(caught.value) is OracleError and str(caught.value) == "e: oracle returned a non-element"
+
+
+def test_an_oracle_answer_still_in_the_reserve_is_refused(echo, echo_state):
+    # Only import and duplicate take an element out of the reserve: an
+    # answer @7 at a state whose reserve starts at @0 would output a
+    # reserve element, and a later import could hand it out again.
+    oracle = ScriptedOracle.parse("step 1: input(0) = @7\n", echo.vocabulary)
+    with pytest.raises(OracleError) as caught:
+        run(echo, echo_state, oracle, max_steps=1)
+    assert type(caught.value) is OracleError
+    assert str(caught.value) == "input: oracle returned @7, still in the reserve"
+    # An element the state holds, which left the reserve, is an answer.
+    taken = State(echo_state.vocabulary, {
+        "count": {(): Element.integer(0)}, "last": {(): Element.reserve(7)},
+    })
+    _, record = step(echo, taken, oracle)
+    assert record.oracle_qa == (("input", (Element.integer(0),), Element.reserve(7)),)
