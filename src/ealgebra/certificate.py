@@ -24,7 +24,7 @@ import re
 from .distributed import PartialRun, _require_spec
 from .errors import CertificateError, ParseError, require, require_text
 from .state import Element, Location, State, StaticMirror, Update, UpdateSet, format_element
-from .stateio import _read_state, fact_reader, format_state, load_state, parse_element
+from .stateio import _read_state, fact_reader, format_state, load_state, parse_element, text_lines
 from .syntax import DistributedSpec
 from .vocabulary import IDENTIFIER
 
@@ -45,13 +45,8 @@ def parse_certificate(text: str, spec: DistributedSpec, base_dir: str | None = N
     states: dict[frozenset, State] = {}
     read = fact_reader(":=", spec.vocabulary)
 
-    lines = require_text(text, "parse_certificate").splitlines()
-    i = 0
-    while i < len(lines):
-        line = lines[i].split("#", 1)[0].strip()
-        i += 1
-        if not line:
-            continue
+    lines = text_lines(require_text(text, "parse_certificate"))
+    for _, line in lines:
         m = _MOVE_RE.match(line)
         if m:
             move, raw = m.groups()
@@ -96,13 +91,11 @@ def parse_certificate(text: str, spec: DistributedSpec, base_dir: str | None = N
             ids = frozenset(x.strip() for x in m.group(1).split(",") if x.strip())
             if ids in states:
                 raise CertificateError(f"second sigma of segment {{{', '.join(sorted(ids))}}}")
-            block: list[tuple[int, str]] = []
-            while i < len(lines):
-                raw = lines[i]
-                i += 1  # the file's number of ``raw``
-                if raw.split("#", 1)[0].strip() == "endsigma":
+            block = []
+            for pair in lines:
+                if pair[1] == "endsigma":
                     break
-                block.append((i, raw))
+                block.append(pair)
             else:
                 raise CertificateError("sigma block missing endsigma")
             try:

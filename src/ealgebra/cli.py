@@ -10,7 +10,8 @@ Subcommands: ``run``, ``enumerate``, ``normalize``, ``check-run``,
 3     parse or format error (program, state, oracle, certificate,
       assertion guard, or a program outside the needed fragment),
       or a program nested too deep for the interpreter
-4     state-validity or schedule error
+4     state-validity or schedule error, or a rule that cannot fire at a
+      state it reached (``duplicate`` of an undef term)
 5     oracle failure
 6     budget exhausted / partial result (``enumerate`` past
       ``--budget`` states, ``check-run`` past the segment budget)
@@ -35,6 +36,7 @@ from .errors import (
     BudgetError,
     CertificateError,
     DeclarationError,
+    DuplicateError,
     EalgebraError,
     ModeError,
     OracleError,
@@ -59,18 +61,21 @@ EXIT_ORACLE = 5
 EXIT_BUDGET = 6
 EXIT_VIOLATION = 7
 
-_PARSE_ERRORS = (
-    ParseError,
-    DeclarationError,
-    VocabularyError,
-    CertificateError,
-    ModeError,
-)
-_STATE_ERRORS = (StateValidityError, UpdateTypeError, ScheduleError)
-
-
 class _Usage(EalgebraError):
     pass
+
+
+# The first row whose kinds take an error gives its exit code and the
+# prefix of its one stderr line.
+_EXITS = (
+    (_Usage, EXIT_USAGE, "usage error"),
+    ((ParseError, DeclarationError, VocabularyError, CertificateError, ModeError, OSError),
+     EXIT_PARSE, "error"),
+    ((StateValidityError, UpdateTypeError, ScheduleError, DuplicateError), EXIT_STATE, "error"),
+    (OracleError, EXIT_ORACLE, "oracle error"),
+    (BudgetError, EXIT_BUDGET, "budget exhausted"),
+    (EalgebraError, EXIT_INTERNAL, "internal error"),
+)
 
 
 def _load_initial(path, target):
@@ -306,30 +311,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except _Usage as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except RecursionError:
         print("error: program nested too deep for the interpreter", file=sys.stderr)
         return EXIT_PARSE
-    except _STATE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STATE
-    except OracleError as exc:
-        print(f"oracle error: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
-    except BudgetError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except EalgebraError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except (EalgebraError, OSError) as exc:
+        for kinds, code, prefix in _EXITS:  # the last row takes every other error
+            if isinstance(exc, kinds):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
 
 
 if __name__ == "__main__":

@@ -145,7 +145,7 @@ def agent_move(
     _require_spec(spec, "agent_move")
     require(state, State, "agent_move")
     require_int(index, "agent_move")
-    if isinstance(agent, Element):
+    if isinstance(require(agent, (Agent, Element), "agent_move"), Element):
         program = scheduled_agent(spec, validate_spec_state(spec, state), state, agent)
     else:
         program, agent = agent.program, agent.element
@@ -178,7 +178,8 @@ def sequential_run(
     if chooser is None:
         chooser = SeededChooser(0)
     if schedule is not None:
-        schedule = list(schedule if max_steps is None else schedule[:max_steps])
+        schedule = [require(e, Element, "sequential_run")
+                    for e in (schedule if max_steps is None else schedule[:max_steps])]
         max_steps = len(schedule)
     elif max_steps is None:
         raise ScheduleError("a run without a schedule needs max_steps")
@@ -608,7 +609,8 @@ def linearizations(
     if require_int(budget, "linearizations") < 1:
         raise ScheduleError("budget must be positive")
     order = _shape(require(pr, PartialRun, "linearizations"))
-    segment = frozenset(pr.moves) if segment is None else frozenset(segment)
+    segment = frozenset(pr.moves if segment is None
+                        else require(segment, Iterable, "linearizations"))
     if not _is_down_set(order, segment):
         raise CertificateError("not an initial segment")
     base = _base(pr)
@@ -672,7 +674,8 @@ def generate_partial_run(
     by_element = validate_spec_state(spec, require(initial, State, "generate_partial_run"))
     if chooser is None:
         chooser = SeededChooser(0)
-    state, betas, effects, schedule = initial, [], [], list(schedule)
+    state, betas, effects = initial, [], []
+    schedule = [require(e, Element, "generate_partial_run") for e in schedule]
     for i, element in enumerate(schedule, start=1):
         footprint, program = Footprint(), scheduled_agent(spec, by_element, state, element)
         state, record = move(program, state, chooser, index=i, agent=element, footprint=footprint)

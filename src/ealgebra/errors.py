@@ -83,7 +83,9 @@ def require(value, kinds: type | tuple[type, ...], entry_point: str):
     state)."""
     if not isinstance(value, kinds):
         kinds = kinds if isinstance(kinds, tuple) else (kinds,)
-        what = " or ".join(f"a {kind.__name__}" for kind in kinds)
+        what = " or ".join(
+            f"{'an' if kind.__name__[0] in 'AEIOU' else 'a'} {kind.__name__}" for kind in kinds
+        )
         raise ContractViolation(f"{entry_point} takes {what}, not {type(value).__name__}")
     return value
 

@@ -420,18 +420,20 @@ def _duplicate(run: _Run, term, var: str) -> tuple[Element, frozenset[Update]]:
     return copy, frozenset(out)
 
 
-def _parsed(node, kind: str):
+def _parsed(node, kind: str, entry_point: str):
     """``node``, refused with ``ContractViolation`` when it is text, which
-    ``parse_<kind>_text`` parses."""
+    ``parse_<kind>_text`` parses, or no syntax node at all."""
     if isinstance(node, str):
         raise ContractViolation(f"expected a parsed {kind}, not text; parse it with parse_{kind}_text")
+    if not isinstance(node, syntax.Value):
+        raise ContractViolation(f"{entry_point} takes a parsed {kind}, not {type(node).__name__}")
     return node
 
 
 def _check_input(rule: syntax.Rule, scope: Vocabulary, bound, decls) -> syntax.RuleFacts:
     """The rule's facts, once it is a core rule perspicuous for the names of
     ``scope``, the bound variables ``bound`` and the declared ``decls``."""
-    facts = syntax.rule_facts(_parsed(rule, "rule"))
+    facts = syntax.rule_facts(_parsed(rule, "rule", "prepared"))
     if not facts.core:
         raise ModeError("rule contains surface sugar; desugar it first")
     binders = facts.binders
@@ -456,7 +458,8 @@ def eval_term(state: State, env, t: syntax.Term, *, oracle=None, externals=()) -
     # (``_Run.bind`` copies it): the run needs no allocator and no copy.
     require(state, State, "eval_term")
     run = _Run(state, env or {}, None, oracle, None, (), state.vocabulary)
-    return _compiled(_parsed(t, "term"), state.vocabulary, frozenset(externals), _Compiler.term)(run)
+    t = _parsed(t, "term", "eval_term")
+    return _compiled(t, state.vocabulary, frozenset(externals), _Compiler.term)(run)
 
 
 def eval_guard(
@@ -469,7 +472,8 @@ def eval_guard(
     not depend on truth values."""
     require(state, State, "eval_guard")
     run = _Run(state, env or {}, None, oracle, footprint, (), state.vocabulary)
-    return _compiled(_parsed(g, "guard"), state.vocabulary, frozenset(externals), _Compiler.guard)(run)
+    g = _parsed(g, "guard", "eval_guard")
+    return _compiled(g, state.vocabulary, frozenset(externals), _Compiler.guard)(run)
 
 
 def _entry(entry_point: str, rule, state, env, externals, vocabulary, decls):
@@ -478,7 +482,7 @@ def _entry(entry_point: str, rule, state, env, externals, vocabulary, decls):
     if vocabulary is not None:
         require(vocabulary, Vocabulary, entry_point)
     return prepared(
-        _parsed(rule, "rule"), state.vocabulary, frozenset(externals), vocabulary,
+        _parsed(rule, "rule", entry_point), state.vocabulary, frozenset(externals), vocabulary,
         tuple(env or ()), tuple(decls),
     )
 

@@ -48,6 +48,7 @@ import re
 
 from . import syntax
 from .errors import DeclarationError, ParseError, require, require_text
+from .stateio import text_lines
 from .syntax import (
     App,
     Block,
@@ -628,9 +629,6 @@ def _parse_rule_section(
     vocabulary = header.vocabulary(header.declared + active, with_reserve=True, with_self=True)
     rule = _read(text, _RuleParser.parse_rule, vocabulary, first_line,
                  aliases=header.aliases, allow_self=allow_self, active=header.active)
-    free = syntax.free_vars(rule)
-    if free:
-        raise ParseError(f"undeclared variables: {', '.join(sorted(free))}")
     _check_external_nesting(rule, frozenset(header.externals))
     if header.active and not ("Mod" in {f.name for f in header.declared}
                               and "Mod'" in {f.name for f in header.declared}):
@@ -661,20 +659,17 @@ def parse_program(text: str) -> Program | DistributedSpec:
     lines = text.splitlines()
     body_start = None
     modules: list[tuple[str, int]] = []  # (name, first body line index)
-    for idx, raw in enumerate(lines):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        name = _module_name(line, idx + 1)
+    for lineno, line in text_lines(text):
+        name = _module_name(line, lineno)
         if name:
-            modules.append((name, idx + 1))
+            modules.append((name, lineno))
         elif modules:  # rule text of a module section
             continue
         elif line == "program:":
-            body_start = idx + 1
+            body_start = lineno
             break
         else:
-            _parse_header_line(line, idx + 1, header)
+            _parse_header_line(line, lineno, header)
     if body_start is None and not modules:
         raise ParseError("missing `program:` or `module Name:` section")
 

@@ -31,7 +31,7 @@ from .errors import (
     ContractViolation, EalgebraError, ModeError, OracleError, ParseError, ScheduleError,
     VocabularyError, require, require_int, require_text,
 )
-from .evaluator import Footprint, eval_guard, prepared
+from .evaluator import Footprint, _parsed, eval_guard, prepared
 from .evaluator import updates  # noqa: F401 (perfbench's tests read it here)
 from .state import (
     EMPTY_UPDATE_SET,
@@ -46,7 +46,7 @@ from .state import (
     format_element,
     resolve,
 )
-from .stateio import ELEMENT_TAGS, decode_element, fact_reader
+from .stateio import ELEMENT_TAGS, decode_element, fact_reader, text_lines
 from .syntax import DistributedSpec, Program
 from .vocabulary import IDENTIFIER, INTEGER, Vocabulary
 
@@ -118,10 +118,7 @@ class ScriptedOracle(Oracle):
         require_text(text, "ScriptedOracle.parse")
         answers = {}
         read = fact_reader("=", vocabulary)
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in text_lines(text):
             m = _STEP_RE.fullmatch(line)
             fact = m and read(m.group(2))
             if not fact or not IDENTIFIER.fullmatch(fact[0]):
@@ -613,6 +610,8 @@ def enumerate_reachable(
         raise ScheduleError("budget must be positive and depth not negative")
 
     _require_inputs(target, initial, "enumerate_reachable")
+    if predicate is not None:
+        _parsed(predicate, "guard", "enumerate_reachable")
     memo: dict = {}  # a mover's agent -> its kept results, within this call only
     # The (agent, program) pairs that move: a program's one, or a spec's
     # agents, listed again only at a state whose Mod table is not ``listed``.

@@ -45,6 +45,8 @@ from .errors import (
     StateValidityError,
     UpdateTypeError,
     VocabularyError,
+    require,
+    require_int,
 )
 from .vocabulary import COMPUTED_NAMES, FunctionName, Vocabulary, is_numeral
 
@@ -313,8 +315,10 @@ class State:
         """``reserve_next`` is the first unallocated reserve serial; by
         default one past the largest serial in the tables, or 0.  A value
         at or below a serial there breaks the reserve proviso and raises
-        ``StateValidityError``."""
-        self.vocabulary = vocabulary
+        ``StateValidityError``, as does a negative value."""
+        self.vocabulary = require(vocabulary, Vocabulary, "State")
+        if reserve_next is not None and require_int(reserve_next, "State") < 0:
+            raise StateValidityError(f"reserve: {reserve_next} is negative")
         normalized: dict[str, dict[tuple[Element, ...], Element]] = {}
         least = 0
         for fname, table in (tables or {}).items():
@@ -330,6 +334,11 @@ class State:
                 )
             inner = {}
             for args, value in table.items():
+                if not isinstance(args, tuple):
+                    raise ContractViolation(
+                        f"State takes a tuple of arguments in the table of {fname}, "
+                        f"not {type(args).__name__}"
+                    )
                 if len(args) != fn.arity:
                     raise VocabularyError(
                         f"{fname}: expected {fn.arity} arguments, got {len(args)}"

@@ -9,7 +9,7 @@ like it; digits are ASCII only.  :func:`fact_reader` reads the fact lines
 ``~``) and oracle scripts (``step N: `` then ``=``); each caller checks the
 name and takes one line per location at most.
 
-A state file holds one fact a line; ``#`` starts a comment, omitted
+A state file holds one fact a line, read by :func:`text_lines`; omitted
 locations keep their default value, and a line may override a seeded
 constant.  ``reserve: n`` sets the first unallocated reserve serial;
 without it the state takes one past the largest serial in its facts.
@@ -23,7 +23,7 @@ payload is any string, since records escape it.
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ParseError, require, require_text
 from .state import Element, Location, State, format_element
@@ -44,6 +44,17 @@ _FACT_RE = re.compile(
 #: The records tag of each element kind.
 ELEMENT_TAGS = {"logic": "l:", "named": "n:", "int": "i:", "reserve": "r:"}
 _TAG_KINDS = {tag: kind for kind, tag in ELEMENT_TAGS.items()}
+
+
+def text_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each line of ``text`` that holds more
+    than blanks and a ``#`` comment, with those stripped: the line rule of
+    state files, sigma blocks, certificates, oracle scripts and program
+    headers."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if line:
+            yield lineno, line
 
 
 def _literal(token: str, modulus: int | None = None) -> Element | None:
@@ -132,12 +143,12 @@ def parse_state(text: str, vocabulary: Vocabulary, *, constants: tuple[str, ...]
     """
     require_text(text, "parse_state")
     require(vocabulary, Vocabulary, "parse_state")
-    return _read_state(enumerate(text.splitlines(), start=1), vocabulary, constants)
+    return _read_state(text_lines(text), vocabulary, constants)
 
 
 def _read_state(lines: Iterable[tuple[int, str]], vocabulary: Vocabulary,
                 constants: tuple[str, ...]) -> State:
-    """``parse_state`` over ``(line number, line)`` pairs, so that an error
+    """``parse_state`` over :func:`text_lines` pairs, so that an error
     names the line of the file the pairs come from."""
     for name in constants:
         vocabulary.require(name)
@@ -145,10 +156,7 @@ def _read_state(lines: Iterable[tuple[int, str]], vocabulary: Vocabulary,
     names: dict = {}  # each name is looked up once per call
     read = fact_reader("=", vocabulary)
     reserve_next = None
-    for lineno, raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines:
         if line.startswith("reserve:"):
             value = line.split(":", 1)[1].strip()
             if reserve_next is not None:

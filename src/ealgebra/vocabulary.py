@@ -135,11 +135,16 @@ def make_vocabulary(
 ) -> Vocabulary:
     """Build a vocabulary from user declarations plus the forced logic names.
 
-    Redeclaring a logic name with a conflicting signature, or declaring the
-    same identifier twice with different arity/flags, is a declaration error.
+    Redeclaring a logic name with a conflicting signature, declaring the
+    same identifier twice with different arity/flags, or a modulus below 1
+    or without ``integers``, is a declaration error.
     """
     if modulus is not None:
         require_int(modulus, "make_vocabulary")
+        if not integers:
+            raise DeclarationError("a modulus needs integers")
+        if modulus < 1:
+            raise DeclarationError("modulus must be positive")
     table: dict[str, FunctionName] = {fn.name: fn for fn in BASIC_LOGIC_NAMES}
     if with_reserve:
         table[RESERVE.name] = RESERVE

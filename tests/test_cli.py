@@ -1,10 +1,14 @@
 import io
 import json
+import re
 
 import pytest
 
+import ealgebra
+from ealgebra import cli
 from ealgebra.cli import (
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_ORACLE,
     EXIT_PARSE,
@@ -575,3 +579,85 @@ def test_nesting_too_deep_to_run_exits_with_one_line(capsys, tmp_path):
     assert capsys.readouterr().err == "error: program nested too deep for the interpreter\n"
     assert run_cli("run", deep, "--state", program("empty.east")) == EXIT_PARSE
     assert capsys.readouterr().err == "error: program nested too deep for the interpreter\n"
+
+
+# ---------------------------------------------------------------------------
+# One exit table: every error the package exports, and the refusals
+
+README = (PROGRAMS.parent / "README.md").read_text(encoding="utf-8")
+# The exit-code table's rows, as code -> meaning.
+README_EXITS = {int(code): meaning for code, meaning in re.findall(r"^\| (\d) \| (.*) \|$",
+                                                                    README, re.MULTILINE)}
+
+# Error class -> (exit code, stderr prefix, words of that code's README row).
+EXPECTED_EXITS = {
+    "ParseError": (EXIT_PARSE, "error", "parse or format error"),
+    "DeclarationError": (EXIT_PARSE, "error", "program"),
+    "VocabularyError": (EXIT_PARSE, "error", "program"),
+    "CertificateError": (EXIT_PARSE, "error", "certificate"),
+    "ModeError": (EXIT_PARSE, "error", "outside the needed fragment"),
+    "OSError": (EXIT_PARSE, "error", "parse or format error"),
+    "StateValidityError": (EXIT_STATE, "error", "state-validity"),
+    "UpdateTypeError": (EXIT_STATE, "error", "state-validity"),
+    "ScheduleError": (EXIT_STATE, "error", "schedule error"),
+    "DuplicateError": (EXIT_STATE, "error", "`duplicate` of an undef term"),
+    "OracleError": (EXIT_ORACLE, "oracle error", "oracle failure"),
+    "BudgetError": (EXIT_BUDGET, "budget exhausted", "budget exhausted"),
+    "EalgebraError": (EXIT_INTERNAL, "internal error", "internal error"),
+    "EvaluationError": (EXIT_INTERNAL, "internal error", "internal error"),
+    "ContractViolation": (EXIT_INTERNAL, "internal error", "internal error"),
+    "IllegalUpdateError": (EXIT_INTERNAL, "internal error", "internal error"),
+}
+
+
+def exported_errors() -> dict[str, type]:
+    return {name: value for name, value in vars(ealgebra).items()
+            if isinstance(value, type) and issubclass(value, ealgebra.EalgebraError)}
+
+
+def test_each_exported_error_exits_as_the_readme_table_says(capsys, monkeypatch):
+    errors = {**exported_errors(), "OSError": OSError}
+    assert set(errors) == set(EXPECTED_EXITS)
+    for name, error in sorted(errors.items()):
+        def handler(args):
+            raise error("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "validate", handler)
+        code, prefix, words = EXPECTED_EXITS[name]
+        assert (name, run_cli("validate", "any.ea")) == (name, code)
+        assert capsys.readouterr().err == f"{prefix}: boom\n"
+        assert words in README_EXITS[code]
+
+
+def test_a_duplicate_of_an_undef_term_exits_4(capsys, tmp_path):
+    dup = tmp_path / "dup.ea"
+    dup.write_text("vocabulary:\n  dynamic f/0, g/0\nprogram:\n"
+                   "  duplicate f as x\n    g := x\n  endduplicate\n")
+    assert run_cli("run", str(dup), "--state", program("empty.east")) == EXIT_STATE
+    assert capsys.readouterr().err == "error: duplicate: term evaluates to undef\n"
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["run", "pick.ea"], EXIT_USAGE, "usage error: run needs --state\n"),
+    (["enumerate", "pick.ea", "--depth", "1"], EXIT_USAGE,
+     "usage error: enumerate needs --state\n"),
+    (["run", "tree.ea", "--state", "tree3.east", "--schedule", "a"], EXIT_USAGE,
+     "usage error: --schedule only applies to distributed specifications\n"),
+    (["normalize", "philosophers.ea"], EXIT_PARSE,
+     "error: normalize applies to single-agent programs\n"),
+    (["check-run", "tree.ea", "tree3.east"], EXIT_PARSE,
+     "error: check-run needs a distributed specification\n"),
+], ids=["run-state", "enumerate-state", "schedule", "normalize-spec", "check-run-program"])
+def test_the_cli_refuses_what_a_command_cannot_do(capsys, argv, code, err):
+    argv = [program(a) if a.endswith((".ea", ".east")) else a for a in argv]
+    assert run_cli(*argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
+def test_normalize_writes_to_stdout_what_it_writes_to_a_file(capsys, tmp_path):
+    out_path = tmp_path / "tree_normal.ea"
+    assert run_cli("normalize", program("tree.ea"), "-o", str(out_path)) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert run_cli("normalize", program("tree.ea")) == EXIT_OK
+    assert capsys.readouterr().out == out_path.read_text(encoding="utf-8")

@@ -171,6 +171,21 @@ def test_guards_match_the_interpreter(g, state, env, call):
     )
 
 
+def test_a_ternary_function_is_read_and_updated_as_the_interpreter_does():
+    # Arity 3 takes the generic path that builds argument tuples.
+    vocabulary = make_vocabulary([FunctionName("T", 3), FunctionName("g", 0)])
+    a, b, c = map(Element.named, "abc")
+    state = State(vocabulary, {"T": {(a, b, c): b}, "g": {(): c}})
+    env = {"x": a, "y": b, "z": c}
+    args = (Var("x"), Var("y"), Var("z"))
+    read, swapped = App("T", args), App("T", (Var("x"), Var("z"), Var("y")))
+    for t, value in ((read, b), (swapped, UNDEF)):
+        assert eval_term(state, env, t) == interporacle.eval_term(state, env, t) == value
+    rule = UpdateInstr("T", args, App("g"))
+    expected = UpdateSet([Update(Location("T", (a, b, c)), c)])
+    assert updates(rule, state, env) == interporacle.updates(rule, state, env) == expected
+
+
 # ---------------------------------------------------------------------------
 # The compile cache
 

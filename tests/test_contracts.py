@@ -32,6 +32,7 @@ from ealgebra import (
     FunctionName,
     ModeError,
     State,
+    StateValidityError,
     agent_move,
     agents_of,
     check_partial_run,
@@ -244,12 +245,56 @@ TABLED = make_vocabulary([FunctionName("c", 0), FunctionName("F", 1)])
     ({"F": {("a",): P}}, "State takes elements in the table of F, not str"),
     ({"F": {(P,): "p"}}, "State takes elements in the table of F, not str"),
     ({"c": 5}, "State takes a mapping for c, not int"),
-], ids=["value", "argument", "text-value", "table"])
+    ({"F": {5: P}}, "State takes a tuple of arguments in the table of F, not int"),
+], ids=["value", "argument", "text-value", "table", "arguments"])
 def test_a_state_table_of_the_wrong_kind_is_a_contract_violation(tables, message):
     with pytest.raises(EalgebraError) as refused:
         State(TABLED, tables)
     assert type(refused.value) is ContractViolation
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("args,message", [
+    (("x",), "State takes a Vocabulary, not str"),
+    ((TABLED, None, "3"), "State takes an int, not str"),
+], ids=["vocabulary", "reserve"])
+def test_a_state_input_of_the_wrong_kind_is_a_contract_violation(args, message):
+    with pytest.raises(EalgebraError) as refused:
+        State(*args)
+    assert type(refused.value) is ContractViolation
+    assert str(refused.value) == message
+
+
+def test_a_negative_reserve_is_a_state_validity_error():
+    State(TABLED, None, 0)
+    with pytest.raises(StateValidityError, match=r"^reserve: -1 is negative$"):
+        State(TABLED, None, -1)
+
+
+# (entry point, the call with a wrong-kind node or element, a valid call)
+NODE_CALLS = [
+    ("sequential_run", lambda x: sequential_run(SPEC, SPEC_STATE, [P, x]), P),
+    ("generate_partial_run", lambda x: generate_partial_run(SPEC, SPEC_STATE, [x]), P),
+    ("agent_move", lambda x: agent_move(SPEC, SPEC_STATE, x), P),
+    ("enumerate_reachable", lambda x: enumerate_reachable(SPEC, SPEC_STATE, 1, predicate=x),
+     GUARD),
+    ("linearizations", lambda x: linearizations(SPEC, RUN, segment=x), frozenset(RUN.moves)),
+    ("eval_guard", lambda x: eval_guard(SPEC_STATE, None, x), GUARD),
+    ("eval_term", lambda x: eval_term(SPEC_STATE, None, x), TERM),
+    ("updates", lambda x: updates(x, STATE), PROGRAM.prepared),
+    ("nupdates", lambda x: nupdates(x, STATE), PROGRAM.prepared),
+]
+
+
+@pytest.mark.parametrize("entry,call,valid", NODE_CALLS, ids=[c[0] for c in NODE_CALLS])
+def test_a_wrong_kind_node_or_element_is_a_contract_violation(entry, call, valid):
+    call(valid)
+    for bad in (5, 2.5):
+        with pytest.raises(EalgebraError) as refused:
+            call(bad)
+        assert type(refused.value) is ContractViolation
+        assert str(refused.value).startswith(f"{entry} takes a")
+        assert str(refused.value).endswith(f", not {type(bad).__name__}")
 
 
 def test_an_unknown_trace_format_is_a_contract_violation():

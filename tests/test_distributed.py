@@ -286,6 +286,18 @@ def test_sequential_run_without_a_schedule_draws_agents(pick, pick_state):
         sequential_run(pick, pick_state)
 
 
+def test_a_run_without_a_schedule_stops_when_no_agent_is_left():
+    spec = parse_program(
+        "vocabulary:\n  dynamic Mod/1\nmodule Quit:\n  Mod(Self) := undef\n"
+    )
+    initial = parse_state("Mod(a) = Quit\nMod(b) = Quit", spec.vocabulary,
+                          constants=spec.constants)
+    trace = sequential_run(spec, initial, max_steps=5)
+    assert sorted(r.agent for r in trace.records) == [E("a"), E("b")]
+    assert trace.stop_reason == "schedule-end"
+    assert agents_of(spec, trace.final_state) == []
+
+
 def test_no_chooser_means_seed_zero(pick, pick_state):
     s = pick_state
     schedule = [E("p"), E("e"), E("p"), E("p")]

@@ -262,6 +262,8 @@ PRIVATE_IMPORTS: dict[tuple[str, str, str], str] = {
         "a generated run and the independence pass order moves by the effects search uses",
     ("distributed", "runner", "_footprints_conflict"):
         "two moves conflict for a partial run exactly when they do for the sleep sets",
+    ("runner", "evaluator", "_parsed"):
+        "enumerate refuses a predicate that is no parsed guard as the evaluator does",
     ("runner", "state", "_flat_key"):
         "a text trace lists conflicts in the order update sets sort their locations",
 }

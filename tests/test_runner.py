@@ -17,6 +17,8 @@ from ealgebra import (
     SeededChooser,
     State,
     UNDEF,
+    Update,
+    UpdateSet,
     VocabularyError,
     enumerate_reachable,
     parse_guard_text,
@@ -27,7 +29,7 @@ from ealgebra import (
     run,
     step,
 )
-from ealgebra.runner import record_from_json, record_to_json
+from ealgebra.runner import StepRecord, record_from_json, record_to_json
 from ealgebra.syntax import App, Atom, BoolGuard, QuantGuard, Var
 
 from conftest import load_initial, load_program
@@ -93,6 +95,15 @@ def test_step_record_round_trips_and_replays(echo, echo_state, echo_oracle):
     again = record_from_json(record_to_json(record))
     assert again.updates == record.updates
     assert replay_record(echo_state, again) == state
+
+
+def test_replay_refuses_a_fired_record_whose_set_conflicts(echo, echo_state):
+    loc = Location("last")
+    conflicting = UpdateSet([Update(loc, HELLO), Update(loc, WORLD)])
+    record = StepRecord(1, conflicting, True, None, None, ())
+    with pytest.raises(EalgebraError, match="^recorded update set no longer consistent$"):
+        replay_record(echo_state, record)
+    assert replay_record(echo_state, record._replace(fired=False)) is echo_state
 
 
 def test_skip_program_fixpoints_immediately():

@@ -90,6 +90,11 @@ def test_fire_update_on_equality_is_illegal():
         fire_one(s, Update(Location("=", (P0, P1)), TRUE))
 
 
+def test_fire_update_to_an_unknown_name_is_a_vocabulary_error():
+    with pytest.raises(VocabularyError, match="^unknown function name: Nope$"):
+        fire_one(all_down_state(), Update(Location("Nope"), EAT))
+
+
 def test_fire_update_relational_needs_boolean():
     s = all_down_state()
     with pytest.raises(UpdateTypeError):
@@ -225,6 +230,12 @@ def test_isomorphic_identity_and_named_difference():
     assert s.isomorphic(s)
     s2 = fire_one(s, Update(Location("Mode", (P0,)), EAT))
     assert not s.isomorphic(s2)
+
+
+def test_isomorphism_needs_one_vocabulary():
+    other = State(make_vocabulary([FunctionName("Mode", 1)]))
+    with pytest.raises(VocabularyError, match="^isomorphism requires a common vocabulary$"):
+        all_down_state().isomorphic(other)
 
 
 def test_isomorphic_under_reserve_permutation():

@@ -34,6 +34,7 @@ from ealgebra import (
     parse_state,
     parse_term_text,
 )
+from ealgebra.stateio import text_lines
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,12 @@ def test_element_literals(vocab):
     assert parse_element("@3") == Element.reserve(3)
     with pytest.raises(ParseError):
         parse_element("@x")
+
+
+@pytest.mark.parametrize("token", ["", "  "])
+def test_an_empty_element_literal_is_refused(token):
+    with pytest.raises(ParseError, match="^empty element literal$"):
+        parse_element(token)
 
 
 def test_facts_and_defaults(vocab):
@@ -165,6 +172,50 @@ def test_a_second_line_for_one_location_is_refused(vocab):
 def test_a_file_line_still_overrides_a_seeded_constant(vocab):
     s = parse_state("think = a\n", vocab, constants=("think",))
     assert s.read(Location("think")) == Element.named("a")
+
+
+def test_text_lines_skip_comments_and_blanks_and_keep_line_numbers():
+    text = "# head\n\n  a = b  # tail\n \t\n#\nc\n"
+    assert list(text_lines(text)) == [(3, "a = b"), (6, "c")]
+
+
+def test_every_reader_shares_the_line_rule(vocab):
+    # A comment line and a blank line before each text, and a comment after
+    # its first line: each reader reads the text as without them, and its
+    # errors name the lines of the file.
+    def decorated(text):
+        first, _, rest = text.partition("\n")
+        return f"# comment\n\n{first}  # comment\n{rest}"
+
+    state = "Fork(p0) = up\nreserve: 2\n"
+    assert parse_state(decorated(state), vocab) == parse_state(state, vocab)
+    script = "step 1: e(0) = 5\nstep 2: e(0) = 6\n"
+    assert (ScriptedOracle.parse(decorated(script), vocab).answers
+            == ScriptedOracle.parse(script, vocab).answers)
+    cert = "move m1 by 0\nsigma:\n  # inside\n\n  Fork(0) = 1\nendsigma # end\n"
+    plain, again = (parse_certificate(t, CERT_TARGET) for t in (cert, decorated(cert)))
+    assert plain.moves == again.moves and plain.states == again.states
+    assert parse_program(decorated(CERT_SPEC)) == CERT_TARGET
+    with pytest.raises(ParseError, match="^line 4, column 1: not a fact line"):
+        parse_state(decorated("Fork(p0) = up\nnonsense\n"), vocab)
+    with pytest.raises(OracleError, match="^oracle script line 4: bad entry"):
+        ScriptedOracle.parse(decorated("step 1: e(0) = 5\nnonsense\n"), vocab)
+    with pytest.raises(CertificateError, match="^sigma block: line 5, column 1: not a fact"):
+        parse_certificate(decorated("move m1 by 0\nsigma:\n  nonsense\nendsigma\n"),
+                          CERT_TARGET)
+    with pytest.raises(CertificateError, match="^sigma block missing endsigma$"):
+        parse_certificate(decorated("move m1 by 0\nsigma:\n  Fork(0) = 1\n"), CERT_TARGET)
+    with pytest.raises(ParseError, match="^line 4, column 1: unexpected header line"):
+        parse_program(decorated("vocabulary:\nnonsense\nprogram:\n  skip\n"))
+
+
+def test_format_certificate_writes_the_recorded_sets_there_are():
+    fork = Update(Location("Fork", (Element.integer(0),)), Element.integer(1))
+    pr = PartialRun(("m1", "m2"), {"m1": Element.integer(0), "m2": Element.integer(1)},
+                    frozenset(), {}, {"m2": UpdateSet([fork])})
+    text = format_certificate(pr)
+    assert "updates m1" not in text and "updates m2: Fork(0) := 1\n" in text
+    assert parse_certificate(text, CERT_TARGET).recorded == pr.recorded
 
 
 ENTRY_POINTS = {

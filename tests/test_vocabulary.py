@@ -90,6 +90,28 @@ def test_integer_background_names():
     assert make_vocabulary([]).lookup("7") is None
 
 
+# Each was once accepted: -3 took 5 + 1 to 0 and read a state line c = 7
+# as -2, 0 meant no modulus, and 5 without integers read c = 7 as 2.
+@pytest.mark.parametrize("integers,modulus,message", [
+    (True, 0, "modulus must be positive"),
+    (True, -3, "modulus must be positive"),
+    (False, 5, "a modulus needs integers"),
+])
+def test_a_modulus_the_parser_refuses_is_a_declaration_error(integers, modulus, message):
+    with pytest.raises(DeclarationError, match=f"^{message}$"):
+        make_vocabulary([FunctionName("c", 0)], integers=integers, modulus=modulus)
+
+
+def test_require_refuses_an_unknown_name():
+    with pytest.raises(DeclarationError, match="^unknown function name: Fork$"):
+        make_vocabulary([]).require("Fork")
+
+
+def test_a_numeral_cannot_be_redeclared_under_integers():
+    with pytest.raises(DeclarationError, match="^7: numeric literals cannot be redeclared$"):
+        make_vocabulary([FunctionName("7", 0)], integers=True)
+
+
 @pytest.mark.parametrize("name", ["\u0663", "\u00b2"])  # Arabic-Indic three, superscript two
 def test_only_ascii_digits_name_integers(name):
     v = make_vocabulary([], integers=True)
