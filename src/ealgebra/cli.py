@@ -264,9 +264,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, state_required=False):
+    def common(p):
         p.add_argument("program", help="program or distributed spec file")
-        p.add_argument("--state", help="initial-state file", required=state_required)
+        p.add_argument("--state", help="initial-state file")
 
     p = sub.add_parser("run", help="execute a program or a distributed schedule")
     common(p)

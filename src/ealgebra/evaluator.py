@@ -65,6 +65,7 @@ from .state import (
     Update,
     UpdateFamily,
     UpdateSet,
+    in_reserve,
     resolve,
 )
 from .vocabulary import COMPUTED_NAMES, Vocabulary
@@ -397,7 +398,7 @@ def _duplicate(run: _Run, term, var: str) -> tuple[Element, frozenset[Update]]:
     original = term(run)
     if original == UNDEF:
         raise DuplicateError("duplicate: term evaluates to undef")
-    if original.kind == "reserve" and original.value >= run.state.reserve_next:
+    if in_reserve(original, run.state.reserve_next):
         raise DuplicateError("duplicate: term evaluates to a reserve element")
     copy = _fresh(run, var)
     out: set[Update] = {Update(Location("Reserve", (copy,)), FALSE)}
@@ -420,32 +421,14 @@ def _duplicate(run: _Run, term, var: str) -> tuple[Element, frozenset[Update]]:
     return copy, frozenset(out)
 
 
-def _parsed(node, kind: str, entry_point: str):
-    """``node``, refused with ``ContractViolation`` when it is text, which
-    ``parse_<kind>_text`` parses, or no syntax node at all."""
-    if isinstance(node, str):
-        raise ContractViolation(f"expected a parsed {kind}, not text; parse it with parse_{kind}_text")
-    if not isinstance(node, syntax.Value):
-        raise ContractViolation(f"{entry_point} takes a parsed {kind}, not {type(node).__name__}")
-    return node
-
-
 def _check_input(rule: syntax.Rule, scope: Vocabulary, bound, decls) -> syntax.RuleFacts:
     """The rule's facts, once it is a core rule perspicuous for the names of
     ``scope``, the bound variables ``bound`` and the declared ``decls``."""
-    facts = syntax.rule_facts(_parsed(rule, "rule", "prepared"))
+    facts = syntax.rule_facts(rule)
     if not facts.core:
         raise ModeError("rule contains surface sugar; desugar it first")
-    binders = facts.binders
-    if binders is None or (binders and not (
-        binders.isdisjoint(scope.name_set)
-        and binders.isdisjoint(facts.free)
-        and binders.isdisjoint(bound)
-        and binders.isdisjoint(decls)
-    )):
-        raise ContractViolation(
-            "rule is not perspicuous for this state; apply make_perspicuous"
-        )
+    if not syntax.is_perspicuous(rule, scope.name_set.union(bound, decls)):
+        raise ContractViolation("rule is not perspicuous for this state; apply make_perspicuous")
     return facts
 
 
@@ -458,7 +441,7 @@ def eval_term(state: State, env, t: syntax.Term, *, oracle=None, externals=()) -
     # (``_Run.bind`` copies it): the run needs no allocator and no copy.
     require(state, State, "eval_term")
     run = _Run(state, env or {}, None, oracle, None, (), state.vocabulary)
-    t = _parsed(t, "term", "eval_term")
+    t = syntax.require_parsed(t, "term", "eval_term")
     return _compiled(t, state.vocabulary, frozenset(externals), _Compiler.term)(run)
 
 
@@ -472,7 +455,7 @@ def eval_guard(
     not depend on truth values."""
     require(state, State, "eval_guard")
     run = _Run(state, env or {}, None, oracle, footprint, (), state.vocabulary)
-    g = _parsed(g, "guard", "eval_guard")
+    g = syntax.require_parsed(g, "guard", "eval_guard")
     return _compiled(g, state.vocabulary, frozenset(externals), _Compiler.guard)(run)
 
 
@@ -481,9 +464,9 @@ def _entry(entry_point: str, rule, state, env, externals, vocabulary, decls):
     require(state, State, entry_point)
     if vocabulary is not None:
         require(vocabulary, Vocabulary, entry_point)
+    rule = syntax.require_parsed(rule, "rule", entry_point)
     return prepared(
-        _parsed(rule, "rule", entry_point), state.vocabulary, frozenset(externals), vocabulary,
-        tuple(env or ()), tuple(decls),
+        rule, state.vocabulary, frozenset(externals), vocabulary, tuple(env or ()), tuple(decls),
     )
 
 
@@ -551,12 +534,12 @@ def prepared(
     hit = cache.get(key)
     if hit is None:
         names = scope or vocabulary
-        choose = _check_input(rule, names, bound, decls).choose
+        facts = _check_input(rule, names, bound, decls)
+        choose, imports = facts.choose, facts.imports
         code = _compiled(rule, vocabulary, externals, _Compiler.rule)
-        allocates = syntax.has_import(rule)
 
         def evaluate(state, env, oracle, footprint, alloc=None):
-            if alloc is None and allocates:
+            if alloc is None and imports:
                 alloc = ReserveAllocator(state.reserve_next)
             members = code(_Run(state, env, alloc, oracle, footprint, decls, names), [[]])
             if choose:
@@ -578,7 +561,7 @@ def normalize_guarded(rule: syntax.Rule) -> syntax.Rule:
     Each clause's guard is conjoined with the negations of all earlier
     guards on the path, preserving the update set at every state.
     """
-    if not syntax.is_basic(rule):
+    if not syntax.is_basic(syntax.require_parsed(rule, "rule", "normalize_guarded")):
         raise ModeError("normal form is defined for basic rules only")
 
     def collect(node: syntax.Rule, prefix: list[syntax.Guard]):

@@ -776,6 +776,7 @@ def _format_header(vocabulary: Vocabulary, externals, constants) -> list[str]:
 
 
 def format_program(program: Program) -> str:
+    require(program, Program, "format_program")
     lines = _format_header(program.vocabulary, program.externals, program.constants)
     if program.active_sugar:
         lines.append("pragma active")

@@ -31,7 +31,7 @@ from .errors import (
     ContractViolation, EalgebraError, ModeError, OracleError, ParseError, ScheduleError,
     VocabularyError, require, require_int, require_text,
 )
-from .evaluator import Footprint, _parsed, eval_guard, prepared
+from .evaluator import Footprint, eval_guard, prepared
 from .evaluator import updates  # noqa: F401 (perfbench's tests read it here)
 from .state import (
     EMPTY_UPDATE_SET,
@@ -44,6 +44,7 @@ from .state import (
     UpdateSet,
     _flat_key,
     format_element,
+    in_reserve,
     resolve,
 )
 from .stateio import ELEMENT_TAGS, decode_element, fact_reader, text_lines
@@ -151,8 +152,7 @@ class OracleView:
         self.oracle = oracle
         self.step_index = step_index
         self.reserve_next = reserve_next
-        self.memo: dict[tuple[str, tuple[Element, ...]], Element] = {}
-        self.transcript: list[tuple[str, tuple[Element, ...], Element]] = []
+        self.memo: dict[tuple[str, tuple[Element, ...]], Element] = {}  # in the order asked
 
     def __call__(self, fname: str, args: tuple[Element, ...]) -> Element:
         key = (fname, args)
@@ -160,12 +160,11 @@ class OracleView:
             value = self.oracle.resolve(fname, args, self.step_index)
             if not isinstance(value, Element):
                 raise OracleError(f"{fname}: oracle returned a non-element")
-            if value.kind == "reserve" and value.value >= self.reserve_next:
+            if in_reserve(value, self.reserve_next):
                 raise OracleError(
                     f"{fname}: oracle returned {format_element(value)}, still in the reserve"
                 )
             self.memo[key] = value
-            self.transcript.append((fname, args, value))
         return self.memo[key]
 
 
@@ -300,7 +299,7 @@ def move(
         choice_index = (chooser or SeededChooser(0)).choose(family_size)
     beta = members[choice_index or 0] if members else EMPTY_UPDATE_SET
     new_state, fired = state.fire_update_set(beta) if members else (state, False)
-    oracle_qa = () if view is None else tuple(view.transcript)
+    oracle_qa = () if view is None else tuple((f, a, v) for (f, a), v in view.memo.items())
     return new_state, StepRecord(index, beta, fired, choice_index, family_size, oracle_qa, agent)
 
 
@@ -611,7 +610,7 @@ def enumerate_reachable(
 
     _require_inputs(target, initial, "enumerate_reachable")
     if predicate is not None:
-        _parsed(predicate, "guard", "enumerate_reachable")
+        syntax.require_parsed(predicate, "guard", "enumerate_reachable")
     memo: dict = {}  # a mover's agent -> its kept results, within this call only
     # The (agent, program) pairs that move: a program's one, or a spec's
     # agents, listed again only at a state whose Mod table is not ``listed``.

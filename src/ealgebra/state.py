@@ -74,11 +74,7 @@ class Element(NamedTuple):
 
     def sort_key(self):
         kind, value = self
-        if kind == "logic":
-            return (0, _LOGIC_RANK[value], "")
-        if kind == "named":
-            return (1, 0, value)
-        return (_KIND_RANK[kind], value, "")
+        return (_KIND_RANK[kind], _LOGIC_RANK[value] if kind == "logic" else value)
 
     def __repr__(self):
         return f"<{format_element(self)}>"
@@ -97,6 +93,11 @@ def boolean(flag: bool) -> Element:
 
 def format_element(e: Element) -> str:
     return f"@{e.value}" if e.kind == "reserve" else str(e.value)
+
+
+def in_reserve(e: Element, reserve_next: int) -> bool:
+    """Whether ``e`` is still in the reserve of a state at ``reserve_next``."""
+    return e.kind == "reserve" and e.value >= reserve_next
 
 
 class Location(NamedTuple):
@@ -143,8 +144,7 @@ class StaticMirror(Update):
 
 
 def _flat_key(key: list, elements) -> list:
-    """``key`` extended by two items per element, which compare as the
-    elements' ``sort_key``s do."""
+    """``key`` extended by each element's ``sort_key`` pair."""
     for kind, value in elements:
         key += (_KIND_RANK[kind], _LOGIC_RANK[value] if kind == "logic" else value)
     return key
@@ -456,11 +456,19 @@ class State:
     def checked(self, beta: UpdateSet) -> Optional[list[tuple[Update, FunctionName]]]:
         """The members of ``beta`` with their names, as ``_apply`` fires
         them, or None when ``beta`` is inconsistent.  Raises as firing
-        would; the result holds at every state of this vocabulary.  Only
-        a set that writes some location twice can conflict.  Whether an
-        update may write its target is decided once per vocabulary
-        (``_writable``), its value at each update."""
+        would, and ``StateValidityError`` for an update whose arguments or
+        value hold an element still in the reserve once ``beta``'s own
+        withdrawals are out of it.  Only a set that writes some location
+        twice can conflict.  Whether an update may write its target is
+        decided once per vocabulary (``_writable``), its value at each
+        update.  Beside the vocabulary, the result depends on
+        ``reserve_next`` alone, so the move memo reuses it at a state that
+        holds the same values at its key's locations: a set the engine
+        makes writes a reserve element only when it withdraws it or read
+        it at one of them, where that state stores it too, so out of its
+        reserve."""
         vocabulary, allowed, pairs = self.vocabulary, self.vocabulary.resolved, []
+        top, held = self.reserve_next, []  # past the set's withdrawals; (update, reserve element)
         for u in beta:
             (fname, args), value = u
             key = (fname, len(args), type(u) is StaticMirror)
@@ -470,12 +478,21 @@ class State:
                 # nothing else may touch it.
                 if value != FALSE or args[0].kind != "reserve":
                     raise IllegalUpdateError("Reserve can only be withdrawn from")
+                top = max(top, args[0].value + 1)
             elif fn.is_relation and value not in _BOOLEANS:
                 raise UpdateTypeError(
                     f"{fname}: relational location needs a Boolean value, "
                     f"got {format_element(value)}"
                 )
+            for e in args:
+                if e[0] == "reserve":
+                    held.append((u, e))
+            if value[0] == "reserve":
+                held.append((u, value))
             pairs.append((u, fn))
+        if held and (late := [(_update_key(u), u, e) for u, e in held if in_reserve(e, top)]):
+            _, u, e = min(late)
+            raise StateValidityError(f"{u!r}: {format_element(e)} is still in the reserve")
         if len({u.location for u in beta}) < len(pairs) and beta.conflicts():
             return None
         return pairs
@@ -538,16 +555,13 @@ class State:
         """Check the reserve proviso over all stored locations."""
         violations = []
         for fname, args, value in self.stored_items():
-            for a in args:
-                if a.kind == "reserve" and a.value >= self.reserve_next:
-                    violations.append(
-                        f"{fname}{tuple(format_element(x) for x in args)}: "
-                        f"stored for reserve argument {format_element(a)}"
-                    )
-            if value.kind == "reserve" and value.value >= self.reserve_next:
-                violations.append(
-                    f"{fname}: outputs reserve element {format_element(value)}"
-                )
+            at = Location(fname, args)
+            violations += [
+                f"{at!r}: stored for reserve argument {format_element(a)}"
+                for a in args if in_reserve(a, self.reserve_next)
+            ]
+            if in_reserve(value, self.reserve_next):
+                violations.append(f"{at!r}: outputs reserve element {format_element(value)}")
         return violations
 
     def __repr__(self):
@@ -605,7 +619,7 @@ def _resolve(vocabulary: Vocabulary, fname: str, arity: int) -> Resolved:
         return _constant(_integer(int(fname), modulus))
     if fname == "Reserve":
         return Resolved("reserve", None, lambda state, args: boolean(
-            args[0].kind == "reserve" and args[0].value >= state.reserve_next
+            in_reserve(args[0], state.reserve_next)
         ))
     default = FALSE if fn.is_relation else UNDEF
 

@@ -14,7 +14,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Union
 
-from .errors import require_int
+from .errors import ContractViolation, require_int
 
 if TYPE_CHECKING:
     from .vocabulary import Vocabulary
@@ -246,7 +246,7 @@ class Program(Value):
 
     @cached_property
     def has_choose(self) -> bool:
-        return has_choose(self.core_rule)
+        return rule_facts(self.prepared).choose
 
 
 class DistributedSpec(Value):
@@ -263,6 +263,19 @@ class DistributedSpec(Value):
     @property
     def module_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.module_list)
+
+
+def require_parsed(node, kind: str, entry_point: str):
+    """``node``, refused with ``ContractViolation`` naming ``entry_point``
+    when it is text, which ``parse_<kind>_text`` parses for a rule, a
+    guard or a term, or no syntax node at all.  Only the entry is checked:
+    a malformed node inside a tree is a ``TypeError`` where it is met."""
+    if isinstance(node, str):
+        hint = f"; parse it with parse_{kind}_text" if kind in ("rule", "guard", "term") else ""
+        raise ContractViolation(f"{entry_point} takes a parsed {kind}, not text{hint}")
+    if not isinstance(node, Value):
+        raise ContractViolation(f"{entry_point} takes a parsed {kind}, not {type(node).__name__}")
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +392,21 @@ def _map(fn, children) -> tuple:
 
 
 def free_vars(node) -> frozenset[str]:
+    return _free_vars(require_parsed(node, "term, guard or rule", "free_vars"))
+
+
+def _free_vars(node) -> frozenset[str]:
     if isinstance(node, Var):
         return frozenset((node.name,))
     binders, outside, inside = parts(node)
     out: set[str] = set()
     for c in inside:
         if c is not None:
-            out |= free_vars(c)
+            out |= _free_vars(c)
     out.difference_update(binders)
     for c in outside:
         if c is not None:
-            out |= free_vars(c)
+            out |= _free_vars(c)
     return frozenset(out)
 
 
@@ -399,7 +416,7 @@ def binder_occurrences(node) -> list[str]:
 
 
 def bound_vars(node) -> frozenset[str]:
-    return frozenset(binder_occurrences(node))
+    return frozenset(binder_occurrences(require_parsed(node, "term, guard or rule", "bound_vars")))
 
 
 class RuleFacts(NamedTuple):
@@ -409,6 +426,7 @@ class RuleFacts(NamedTuple):
     binders: Optional[frozenset[str]]  # None when a binder is declared twice
     free: frozenset[str]
     choose: bool
+    imports: bool  # imports, extends or duplicates: the rule withdraws from the reserve
 
 
 def rule_facts(rule: Rule) -> RuleFacts:
@@ -424,8 +442,9 @@ def rule_facts(rule: Rule) -> RuleFacts:
         facts = RuleFacts(
             is_core(rule),
             unique if len(unique) == len(binders) else None,
-            free_vars(rule),
+            _free_vars(rule),
             has_choose(rule),
+            has_import(rule),
         )
         rule.__dict__["_facts"] = facts
     return facts
@@ -434,7 +453,7 @@ def rule_facts(rule: Rule) -> RuleFacts:
 def is_perspicuous(rule: Rule, avoid: frozenset[str] | set[str] = frozenset()) -> bool:
     """No variable both bound and free, no binder declared twice, and no
     binder colliding with the caller's name set."""
-    facts = rule_facts(rule)
+    facts = rule_facts(require_parsed(rule, "rule", "is_perspicuous"))
     return facts.binders is not None and facts.binders.isdisjoint(facts.free.union(avoid))
 
 
@@ -469,7 +488,7 @@ def make_perspicuous(rule: Rule, avoid=frozenset()) -> Rule:
     rules stay parseable and readable.  ``used`` only grows, so the search
     for a variable's next fresh name resumes at the last one handed out.
     """
-    used = set(avoid) | free_vars(rule)
+    used = set(avoid) | _free_vars(require_parsed(rule, "rule", "make_perspicuous"))
     last: dict[str, str] = {}
 
     def walk(node):
@@ -567,7 +586,7 @@ def desugar(rule: Rule, *, active: bool = False) -> Rule:
         binders, outside, inside = parts(node)
         return _expand(rebuild(node, binders, _map(walk, outside), _map(walk, inside)), active)
 
-    return walk(rule)
+    return walk(require_parsed(rule, "rule", "desugar"))
 
 
 def is_core(rule: Rule) -> bool:
@@ -640,12 +659,17 @@ def format_term(t: Term | Guard, prec: int = 0) -> str:
 
 
 def format_rule(rule: Rule, indent: int = 0) -> str:
-    pad = "  " * require_int(indent, "format_rule")
+    require_parsed(rule, "rule", "format_rule")
+    return _format_rule(rule, require_int(indent, "format_rule"))
+
+
+def _format_rule(rule: Rule, indent: int) -> str:
+    pad = "  " * indent
 
     def body_lines(r: Rule, depth: int) -> str:
         if isinstance(r, Block) and r.rules:
-            return "\n".join(format_rule(x, depth) for x in r.rules)
-        return format_rule(r, depth)
+            return "\n".join(_format_rule(x, depth) for x in r.rules)
+        return _format_rule(r, depth)
 
     if isinstance(rule, UpdateInstr):
         lhs = format_term(App(rule.fname, rule.args))
@@ -653,7 +677,7 @@ def format_rule(rule: Rule, indent: int = 0) -> str:
     if isinstance(rule, Block):
         if not rule.rules:
             return f"{pad}skip"
-        return "\n".join(format_rule(r, indent) for r in rule.rules)
+        return "\n".join(_format_rule(r, indent) for r in rule.rules)
     if isinstance(rule, Cond):
         lines = []
         for i, (g, r) in enumerate(rule.clauses):

@@ -177,6 +177,7 @@ def fun_of(obj) -> set[str]:
     of binders, update subjects, Boolean connectives in guard position) are
     included, matching a plain syntactic scan.
     """
+    syntax.require_parsed(obj, "term, guard, rule or program", "fun_of")
     if isinstance(obj, syntax.Program):
         return fun_of(obj.rule)
     if isinstance(obj, syntax.DistributedSpec):

@@ -35,19 +35,27 @@ from ealgebra import (
     StateValidityError,
     agent_move,
     agents_of,
+    bound_vars,
     check_partial_run,
     corollary2_agrees,
+    desugar,
     enumerate_reachable,
     eval_guard,
     eval_term,
     format_certificate,
+    format_program,
     format_rule,
     format_state,
+    free_vars,
+    fun_of,
     generate_partial_run,
+    is_perspicuous,
     linearizations,
     load_certificate,
     load_state,
+    make_perspicuous,
     make_vocabulary,
+    normalize_guarded,
     nupdates,
     parse_certificate,
     parse_element,
@@ -64,6 +72,7 @@ from ealgebra import (
     updates,
     validate_spec_state,
 )
+from ealgebra.syntax import Block
 
 KINDS = ("State", "PartialRun", "RunTrace", "DistributedSpec", "Vocabulary")
 
@@ -295,6 +304,38 @@ def test_a_wrong_kind_node_or_element_is_a_contract_violation(entry, call, valid
         assert type(refused.value) is ContractViolation
         assert str(refused.value).startswith(f"{entry} takes a")
         assert str(refused.value).endswith(f", not {type(bad).__name__}")
+
+
+# (entry point, the function, a valid argument)
+SYNTAX_CALLS = [
+    ("format_rule", format_rule, PROGRAM.rule),
+    ("desugar", desugar, PROGRAM.rule),
+    ("free_vars", free_vars, TERM),
+    ("bound_vars", bound_vars, GUARD),
+    ("make_perspicuous", make_perspicuous, PROGRAM.rule),
+    ("is_perspicuous", is_perspicuous, PROGRAM.prepared),
+    ("fun_of", fun_of, PROGRAM),
+    ("normalize_guarded", normalize_guarded, PROGRAM.rule),
+    ("format_program", format_program, PROGRAM),
+]
+
+
+@pytest.mark.parametrize("entry,call,valid", SYNTAX_CALLS, ids=[c[0] for c in SYNTAX_CALLS])
+def test_a_syntax_entry_point_refuses_what_is_no_syntax_node(entry, call, valid):
+    call(valid)
+    for bad in (5, 2.5, None, "r") + ((SPEC,) if entry == "format_program" else ()):
+        with pytest.raises(EalgebraError) as refused:
+            call(bad)
+        assert type(refused.value) is ContractViolation
+        shown = "text|str" if isinstance(bad, str) else type(bad).__name__
+        assert re.fullmatch(rf"{entry} takes an? [a-zA-Z ,]+, not (?:{shown})(; .*)?",
+                            str(refused.value))
+
+
+@pytest.mark.parametrize("call", [format_rule, desugar, free_vars, bound_vars, make_perspicuous])
+def test_a_malformed_node_inside_a_tree_stays_a_type_error(call):
+    with pytest.raises(TypeError, match="int"):
+        call(Block((PROGRAM.rule, 5)))
 
 
 def test_an_unknown_trace_format_is_a_contract_violation():

@@ -184,7 +184,8 @@ def test_malformed_guards_are_refused_when_compiled(guard):
     (lambda s, text: eval_term(s, None, text), "g", "parse_term_text"),
     (lambda s, text: updates(text, s), "g := g", "parse_rule_text"),
     (lambda s, text: nupdates(text, s), "g := g", "parse_rule_text"),
-], ids=["eval_guard", "eval_term", "updates", "nupdates"])
+    (lambda s, text: normalize_guarded(text), "g := g", "parse_rule_text"),
+], ids=["eval_guard", "eval_term", "updates", "nupdates", "normalize_guarded"])
 def test_text_is_refused_naming_its_parser(entry, text, parser):
     with pytest.raises(ContractViolation, match=parser):
         entry(State(BASIC_VOCAB), text)

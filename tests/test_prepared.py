@@ -171,7 +171,7 @@ CHOOSING = Choose(("y",), "F", None, Block(()))
 
 @pytest.mark.parametrize("rule,error,message", [
     ("F(a) := true", ContractViolation,
-     "expected a parsed rule, not text; parse it with parse_rule_text"),
+     "updates takes a parsed rule, not text; parse it with parse_rule_text"),
     (SUGARED, ModeError, "rule contains surface sugar; desugar it first"),
     (CLASHING, ContractViolation,
      "rule is not perspicuous for this state; apply make_perspicuous"),

@@ -28,6 +28,7 @@ from ealgebra import (
     FunctionName,
     Location,
     State,
+    StateValidityError,
     StaticMirror,
     StepRecord,
     Update,
@@ -41,6 +42,7 @@ from ealgebra import (
     parse_program,
     parse_state,
     render_trace,
+    replay_record,
     run,
     step,
 )
@@ -155,6 +157,38 @@ def test_step_lines_of_every_golden_records_trace_round_trip():
     assert len(lines) > 50
     for line in lines:
         assert record_to_json(record_from_json(line)) == line
+
+
+def test_every_golden_records_trace_replays_from_its_initial_state():
+    """Import, extend and duplicate write what they withdraw, so every set
+    the engine recorded fires again under the reserve check."""
+    replayed = []
+    for path in sorted(GOLDEN.glob("run_*_records.txt")):
+        status, header, *lines = path.read_text(encoding="utf-8").splitlines()
+        if status != "exit 0":
+            continue
+        trace = json.loads(header)["trace"]
+        target = load_program(trace["program"])
+        state = load_initial(trace["state"], target)
+        for line in lines:
+            if line.startswith("{") and "step" in json.loads(line):
+                state = replay_record(state, record_from_json(line))
+        assert state.audit_proviso() == []
+        replayed.append(trace["program"])
+    assert {"dupdemo.ea", "extendnodes.ea", "grow.ea", "growtree.ea"} <= set(replayed)
+
+
+@pytest.mark.parametrize("update,message", [
+    ('{"args": [], "f": "c", "value": "r:7"}', "c := @7: @7 is still in the reserve"),
+    ('{"args": ["r:3"], "f": "G", "value": "n:a"}', "G(@3) := a: @3 is still in the reserve"),
+], ids=["value", "argument"])
+def test_a_record_that_writes_an_element_still_in_the_reserve_is_refused(update, message):
+    line = f'{{"consistent": true, "fired": true, "oracle": [], "step": 1, "updates": [{update}]}}'
+    empty = State(make_vocabulary([FunctionName("c", 0), FunctionName("G", 1)],
+                                  with_reserve=True))
+    with pytest.raises(StateValidityError) as refused:
+        replay_record(empty, record_from_json(line))
+    assert str(refused.value) == message
 
 
 CLASH = """\

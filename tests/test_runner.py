@@ -373,6 +373,22 @@ def test_an_oracle_answer_that_is_no_element_is_refused():
     assert type(caught.value) is OracleError and str(caught.value) == "e: oracle returned a non-element"
 
 
+def test_a_step_records_each_oracle_answer_once_in_the_order_asked():
+    asked = []
+
+    class Counting(Oracle):
+        def resolve(self, fname, args, step_index):
+            asked.append(args[0].value)
+            return Element.integer(10 * args[0].value)
+
+    program = parse_program("vocabulary:\n  dynamic g/0, h/0, k/0\n  external e/1\n"
+                            "pragma integers\nprogram:\n  g := e(2), h := e(1), k := e(2)\n")
+    _, record = step(program, State(program.vocabulary), Counting())
+    I = Element.integer
+    assert asked == [2, 1]
+    assert record.oracle_qa == (("e", (I(2),), I(20)), ("e", (I(1),), I(10)))
+
+
 def test_an_oracle_answer_still_in_the_reserve_is_refused(echo, echo_state):
     # Only import and duplicate take an element out of the reserve: an
     # answer @7 at a state whose reserve starts at @0 would output a

@@ -4,6 +4,7 @@ tries past one leaf."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ealgebra import (
@@ -14,6 +15,7 @@ from ealgebra import (
     FunctionName,
     Location,
     State,
+    StateValidityError,
     StaticMirror,
     Update,
     UpdateSet,
@@ -276,6 +278,54 @@ def test_firing_copies_only_the_changed_path():
         assert child == table_state({j: I(0) for j in range(5000)} | {k: v})
     assert parent.read(Location("F", (I(42),))) == I(0)
     assert len(old) == 5000 and old.get((I(5000),)) is None
+
+
+R3, R7 = Element.reserve(3), Element.reserve(7)
+
+
+def withdraw(serial: int) -> Update:
+    return Update(Location("Reserve", (Element.reserve(serial),)), FALSE)
+
+
+@pytest.mark.parametrize("beta,message", [
+    ([Update(Location("g"), R7)], "g := @7: @7 is still in the reserve"),
+    ([Update(Location("f", (NAMED[0], R3)), NAMED[1])],
+     "f(a, @3) := b: @3 is still in the reserve"),
+    ([StaticMirror(Location("S", (R3,)), NAMED[0])], "~S(@3) := a: @3 is still in the reserve"),
+    ([Update(Location("Parent", (R3,)), NAMED[0]), Update(Location("g"), R7)],
+     "Parent(@3) := a: @3 is still in the reserve"),
+    ([Update(Location("Parent", (R3,)), R7), withdraw(5)],
+     "Parent(@3) := @7: @7 is still in the reserve"),
+], ids=["value", "argument", "mirror", "least-update-named", "past-the-withdrawals"])
+def test_firing_refuses_an_element_still_in_the_reserve(beta, message):
+    state = State(VOCAB, {}, 2)
+    for fire in (state.fire_update_set, state.checked):
+        with pytest.raises(StateValidityError) as refused:
+            fire(UpdateSet(beta))
+        assert str(refused.value) == message
+
+
+def test_firing_writes_what_the_set_withdraws_and_what_left_the_reserve():
+    state = State(VOCAB, {}, 4)
+    beta = UpdateSet([Update(Location("f", (R3, R7)), Element.reserve(6)), withdraw(7)])
+    child, fired = state.fire_update_set(beta)
+    assert fired and child.reserve_next == 8 and child.audit_proviso() == []
+    assert repr(child) == "State(f(@3, @7)=@6; reserve@8)"
+
+
+def test_the_audit_names_each_location_that_breaks_the_proviso():
+    assert repr(State(VOCAB)) == "State(all default; reserve@0)"
+    bad = State._raw(VOCAB, {
+        "g": {(): R3},
+        "f": {(R3, NAMED[0]): R7, (NAMED[0], NAMED[1]): NAMED[0]},
+        "Parent": {(Element.reserve(1),): NAMED[1]},
+    }, 2)
+    assert bad.audit_proviso() == [
+        "f(@3, a): stored for reserve argument @3",
+        "f(@3, a): outputs reserve element @7",
+        "g: outputs reserve element @3",
+    ]
+    assert repr(bad) == "State(Parent(@1)=b, f(a, b)=a, f(@3, a)=@7, g=@3; reserve@2)"
 
 
 def test_firing_the_empty_set_gives_back_the_state():
