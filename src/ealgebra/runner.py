@@ -307,9 +307,11 @@ def step(
     program: Program, state: State, oracle: Oracle | None = None, chooser=None, *,
     step_index: int = 1,
 ) -> tuple[State, StepRecord]:
-    """Fire the program once; inconsistent update sets change nothing."""
+    """Fire the program once; inconsistent update sets change nothing.
+    The inputs are checked as ``run`` checks them."""
     _require_program(program)
     _require_inputs(program, state, "step")
+    check_appropriate(program, state)
     return move(program, state, chooser, oracle=oracle, index=require_int(step_index, "step"))
 
 
@@ -429,11 +431,11 @@ def successors(
     A move is ``(agent, choice index, family size)``, as its ``StepRecord``
     holds them; an empty family has one, which changes nothing.  The
     resolutions are checked for firing (``State.checked``).  ``shapes``, a
-    dict one enumeration owns for this mover, keeps them by ``_keep``, and
-    under ``reserve_next`` too when a member withdraws from Reserve, for
-    reuse at a state that holds the same values; never those of a program
-    with externals.  The effect, one for all members, is None for a step
-    and for a move evaluated without a footprint.
+    dict one enumeration owns for this mover, keeps them by ``_keep`` for
+    reuse at a state that holds the same values and the same
+    ``reserve_next``; never those of a program with externals.  The
+    effect, one for all members, is None for a step and for a move
+    evaluated without a footprint.
     """
     if program.externals:
         shapes = None
@@ -443,26 +445,25 @@ def successors(
         effect = None if footprint is None or agent is None else _Effect.of(members, footprint)
         found = [state.checked(member) for member in members], family_size, effect
         if footprint is not None:
-            reserve = any(u.location.fname == "Reserve" for m in members for u in m)
-            _keep(shapes, state, footprint, found, reserve)
+            _keep(shapes, state, footprint, found)
     members, family_size, effect = found
-    fired = [state._apply(pairs) if pairs else state for pairs in members] or [state]
+    fired = [state if c is None else state._apply(*c) for c in members] or [state]
     choices = range(family_size) if family_size else [None]
     return [((agent, i, family_size), nxt, effect) for i, nxt in zip(choices, fired)]
 
 
 def _recall(shapes: dict, state: State):
     """What ``_keep`` kept in ``shapes`` for the values ``state`` holds, or None."""
-    for (at, reserve), kept in shapes.items():
-        if (found := kept.get(_held(state, at, reserve))) is not None:
+    for at, kept in shapes.items():
+        if (found := kept.get(_held(state, at))) is not None:
             return found
     return None
 
 
-def _keep(shapes: dict, state: State, footprint: Footprint, found, reserve: bool = False):
-    """Keep ``found`` in ``shapes`` under the values ``state`` holds at the
-    locations ``footprint`` records (and ``reserve_next`` when ``reserve``):
-    an evaluation reads nothing else, so a state holding the same values
+def _keep(shapes: dict, state: State, footprint: Footprint, found):
+    """Keep ``found`` in ``shapes`` under ``_held``: the values ``state``
+    holds at the locations ``footprint`` records, and its ``reserve_next``.
+    An evaluation reads nothing else, so a state holding the same values
     has the same result (read-set validation, Acar, *Self-Adjusting
     Computation*, 2005).  Not kept: one that read a table whole or a
     location outside the tables (as ``Reserve(x)``).
@@ -475,7 +476,7 @@ def _keep(shapes: dict, state: State, footprint: Footprint, found, reserve: bool
     two branches may mirror different values onto the same serial."""
     if footprint.names:
         return
-    vocabulary, at, held = state.vocabulary, [], []
+    vocabulary, at = state.vocabulary, []
     for fname, args in sorted(footprint.locations):
         how = resolve(vocabulary, fname, len(args))
         if how.kind != "table":
@@ -483,22 +484,19 @@ def _keep(shapes: dict, state: State, footprint: Footprint, found, reserve: bool
         if vocabulary.lookup(fname).is_static and all(a.kind != "reserve" for a in args):
             continue
         at.append((fname, args, how.value))
-        held.append(how.read(state, args))
-    if reserve:
-        held.append(state.reserve_next)
-    shapes.setdefault((tuple(at), reserve), {})[tuple(held)] = found
+    at = tuple(at)
+    shapes.setdefault(at, {})[_held(state, at)] = found
 
 
-def _held(state: State, at, reserve: bool) -> tuple:
+def _held(state: State, at) -> tuple:
     """The values ``state`` holds at the ``(name, args, default)`` tabled
     locations ``at``, read as a compiled tabled read reads them, and its
-    ``reserve_next`` when ``reserve``."""
+    ``reserve_next``: the key of everything ``_keep`` keeps."""
     tables = state._tables
-    held = [
+    return (*[
         default if (table := tables.get(fname)) is None else table.get(args, default)
         for fname, args, default in at
-    ]
-    return (*held, state.reserve_next) if reserve else tuple(held)
+    ], state.reserve_next)
 
 
 def _instance(state: State, at: int, index: dict,
@@ -568,9 +566,9 @@ def enumerate_reachable(
     (sequential interleavings) plus each agent's choice resolutions.
     States are deduplicated up to isomorphism (reserve renaming).  A
     move's results are kept under the values the state holds at what the
-    move read, less the static locations no move can write, and reused
-    at every state that holds the same values there (``successors``,
-    ``_keep``).  Violations of the safety predicate are reported with
+    move read, less the static locations no move can write, and under its
+    ``reserve_next``, and reused at every state that holds the same
+    values there (``successors``, ``_keep``).  Violations of the safety predicate are reported with
     witness traces.
 
     The predicate is checked by the same rule: at the initial state it is

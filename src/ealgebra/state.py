@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import sys
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .errors import (
     ContractViolation,
@@ -410,17 +410,18 @@ class State:
 
     # -- firing ---------------------------------------------------------------
 
-    def _apply(self, pairs: Iterable[tuple[Update, FunctionName]]) -> "State":
+    def _apply(self, pairs: list[tuple[Update, FunctionName]], reserve_next: int) -> "State":
+        """The writes ``pairs`` fired at once, with the serial at
+        ``reserve_next``, as ``checked`` returns them; this state itself
+        when nothing changes."""
+        if not pairs and reserve_next == self.reserve_next:
+            return self
         tables = dict(self._tables)
         touched: set[str] = set()
-        reserve_next = self.reserve_next
         known = self.__dict__.get("_fact_set")
         gone, new = [], []  # the facts replaced and written, kept once known
         for u, fn in pairs:
             name, args, value = fn.name, u.location.args, u.value
-            if name == "Reserve":
-                reserve_next = max(reserve_next, args[0].value + 1)
-                continue
             if name not in touched:
                 tables[name] = tables.get(name, {}).copy()
                 touched.add(name)
@@ -453,24 +454,24 @@ class State:
             child._fact_set = known.symmetric_difference(gone + new)
         return child
 
-    def checked(self, beta: UpdateSet) -> Optional[list[tuple[Update, FunctionName]]]:
-        """The members of ``beta`` with their names, as ``_apply`` fires
-        them, or None when ``beta`` is inconsistent.  Raises as firing
-        would, and ``StateValidityError`` for an update whose arguments or
-        value hold an element still in the reserve once ``beta``'s own
-        withdrawals are out of it.  Only a set that writes some location
-        twice can conflict.  Whether an update may write its target is
-        decided once per vocabulary (``_writable``), its value at each
-        update.  Beside the vocabulary, the result depends on
-        ``reserve_next`` alone, so the move memo reuses it at a state that
-        holds the same values at its key's locations: a set the engine
-        makes writes a reserve element only when it withdraws it or read
-        it at one of them, where that state stores it too, so out of its
-        reserve."""
+    def checked(self, beta: UpdateSet) -> Optional[tuple[list[tuple[Update, FunctionName]], int]]:
+        """The writes of ``beta`` with their names, less its ``Reserve``
+        withdrawals, and the serial past those withdrawals, as ``_apply``
+        fires them; or None when ``beta`` is inconsistent.  Raises as
+        firing would, and ``StateValidityError`` for an update whose
+        arguments or value hold an element still in the reserve once
+        ``beta``'s own withdrawals are out of it.  Only a set that writes
+        some location twice can conflict.  Whether an update may write its
+        target is decided once per vocabulary (``_writable``), its value at
+        each update.  The result depends on the vocabulary, ``beta`` and
+        ``reserve_next`` alone."""
         vocabulary, allowed, pairs = self.vocabulary, self.vocabulary.resolved, []
         top, held = self.reserve_next, []  # past the set's withdrawals; (update, reserve element)
+        locations = set()
         for u in beta:
-            (fname, args), value = u
+            location, value = u
+            fname, args = location
+            locations.add(location)
             key = (fname, len(args), type(u) is StaticMirror)
             fn = allowed.get(key) or _writable(vocabulary, *key)
             if fname == "Reserve":
@@ -479,28 +480,29 @@ class State:
                 if value != FALSE or args[0].kind != "reserve":
                     raise IllegalUpdateError("Reserve can only be withdrawn from")
                 top = max(top, args[0].value + 1)
-            elif fn.is_relation and value not in _BOOLEANS:
+                continue  # its one argument is out of the reserve once withdrawn
+            if fn.is_relation and value not in _BOOLEANS:
                 raise UpdateTypeError(
                     f"{fname}: relational location needs a Boolean value, "
                     f"got {format_element(value)}"
                 )
+            pairs.append((u, fn))
             for e in args:
                 if e[0] == "reserve":
                     held.append((u, e))
             if value[0] == "reserve":
                 held.append((u, value))
-            pairs.append((u, fn))
         if held and (late := [(_update_key(u), u, e) for u, e in held if in_reserve(e, top)]):
             _, u, e = min(late)
             raise StateValidityError(f"{u!r}: {format_element(e)} is still in the reserve")
-        if len({u.location for u in beta}) < len(pairs) and beta.conflicts():
+        if len(locations) < len(beta) and beta.conflicts():
             return None
-        return pairs
+        return pairs, top
 
     def fire_update_set(self, beta: UpdateSet) -> tuple["State", bool]:
         """Fire all members at once; an empty or inconsistent set changes nothing."""
-        pairs = self.checked(beta)
-        return self._apply(pairs) if pairs else self, pairs is not None
+        checked = self.checked(beta)
+        return (self, False) if checked is None else (self._apply(*checked), True)
 
     # -- equality, isomorphism, audit -------------------------------------------
 

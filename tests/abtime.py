@@ -10,7 +10,9 @@ this process.  The benchmark's operations are built for each side by
 read: one operation per round, a whole certificate batch on
 ``cert_check``.  A round runs both sides once, the change first on odd
 rounds, so a drift in the host's speed falls on both.  Per operation it
-prints each side's p10 and median in ms and the rounds the change won.
+prints each side's p10 and median in ms, the base's p25-p75, and the
+rounds the change won.  A difference of medians smaller than the base's
+p25-p75 spread is within the base's own noise.
 
 Separate processes on a shared host can drift by tens of percent within
 minutes; alternating in one process still resolves a difference of a few
@@ -69,11 +71,13 @@ def main(argv=None) -> int:
     cli.add_argument("--seed", type=int, default=1)
     cli.add_argument("--workload", action="append", choices=sorted(workloads.SIZES))
     args = cli.parse_args(argv)
+    if args.rounds < 2:
+        cli.error("--rounds must be at least 2, for the base's p25-p75")
     with tempfile.TemporaryDirectory() as scratch:
         sys.path.insert(0, scratch)
         sides = [load(args.base, "ealgebra_base", Path(scratch)),
                  load(args.change, "ealgebra_change", Path(scratch))]
-        print(f"{'operation':16} {'base p10':>9} {'base p50':>9} "
+        print(f"{'operation':16} {'base p10':>9} {'base p50':>9} {'base p25-p75':>13} "
               f"{'change p10':>10} {'change p50':>10} {'wins':>6}")
         for workload in args.workload or sorted(workloads.SIZES):
             units = [unit_of(ea, workload, args.seed) for ea in sides]
@@ -91,8 +95,10 @@ def main(argv=None) -> int:
             for t in times:
                 ms = sorted(x * 1000 for x in t)
                 row += [ms[len(ms) // 10], statistics.median(ms)]
-            print(f"{workload:16} {row[0]:9.2f} {row[1]:9.2f} {row[2]:10.2f} {row[3]:10.2f} "
-                  f"{wins:3}/{args.rounds}")
+            q1, _, q3 = statistics.quantiles(x * 1000 for x in times[0])
+            spread = f"{q1:.2f}-{q3:.2f}"
+            print(f"{workload:16} {row[0]:9.2f} {row[1]:9.2f} {spread:>13} {row[2]:10.2f} "
+                  f"{row[3]:10.2f} {wins:3}/{args.rounds}")
     return 0
 
 

@@ -1,12 +1,15 @@
 """Move results reused across the states of one enumeration.
 
 ``enumerate_reachable`` keeps each move's checked members under the
-values its state holds at the move's footprint and reuses them at any
-later state that holds the same values.  The properties compare it with
+values its state holds at the move's footprint, and its
+``reserve_next``, and reuses them at any later state that holds the
+same values.  The properties compare it with
 ``enumoracle.enumerate_reference``, which evaluates every move afresh:
 on the ``genrules`` basic and choice rules, alone and as the modules of
 a spec, on rings of three to eight philosophers, and on the enumerate
-pairings of ``programs/``, with budgets small enough to stop early.  The
+pairings of ``programs/``, with budgets small enough to stop early.  A
+kept move must be the move: every memoized ``runner.successors`` call of
+an enumeration is made again without the memo and compared.  The
 edge cases pin what a reuse must keep apart (``reserve_next``, the
 module an agent belongs to, a static relation that ``duplicate`` mirrors
 onto one serial with different values in two branches), what is never
@@ -341,7 +344,7 @@ def test_a_ring_keys_each_move_and_instance_by_its_dynamic_reads(monkeypatch):
     # probes once.  Hits and misses are those of keys that held every read.
     spec, state = thinking_ring(10)
     guard = parse_guard_text(RING_GUARDS[0], spec.vocabulary)
-    memos, lookups, probes = {}, [], []
+    memos, lookups, probes, recalling = {}, [], [], []
     real_keep, real_recall, real_held = runner._keep, runner._recall, runner._held
 
     def keep(shapes, *args):
@@ -349,12 +352,15 @@ def test_a_ring_keys_each_move_and_instance_by_its_dynamic_reads(monkeypatch):
         return real_keep(shapes, *args)
 
     def recall(shapes, state):
+        recalling.append(shapes)
         found = real_recall(shapes, state)
+        recalling.pop()
         lookups.append((bool(shapes), found is not None))
         return found
 
-    def held(*args):
-        probes.append(args)
+    def held(*args):  # a probe, when a lookup makes it; ``_keep`` keys through it too
+        if recalling:
+            probes.append(args)
         return real_held(*args)
 
     for name, fake in (("_keep", keep), ("_recall", recall), ("_held", held)):
@@ -371,7 +377,7 @@ def test_a_ring_keys_each_move_and_instance_by_its_dynamic_reads(monkeypatch):
     } | {frozenset({("Mode", (i[k],)), ("Mode", (i[(k + 1) % 10],))}) for k in range(10)}
     shapes = [shape for memo in memos.values() for shape in memo]
     assert len(shapes) == len(memos) == 20
-    assert {frozenset((fname, args) for fname, args, _ in at) for at, _ in shapes} == want
+    assert {frozenset((fname, args) for fname, args, _ in at) for at in shapes} == want
 
 
 # Duplicating a chosen element of U mirrors S onto the copy @0: S(@0) is
@@ -395,15 +401,57 @@ module Dup:
 """)
 
 
+def mirrors_state() -> State:
+    return parse_state("Mod(d) = Dup\nU(a) = true\nU(b) = true\nS(a) = true",
+                       MIRRORS.vocabulary, constants=MIRRORS.constants)
+
+
 def test_a_static_read_at_a_reserve_argument_stays_keyed():
-    state = parse_state("Mod(d) = Dup\nU(a) = true\nU(b) = true\nS(a) = true",
-                        MIRRORS.vocabulary, constants=MIRRORS.constants)
+    state = mirrors_state()
     guard = parse_guard_text("not S(ptr)", MIRRORS.vocabulary)
     assert_same(MIRRORS, state, 3, 20000, guard)
     report = enumerate_reachable(MIRRORS, state, 3, predicate=guard)
     seen = [s for s, _ in report.states if s.read(Location("seen")) != UNDEF]
     assert len(report.states) == 4 and len(seen) == 1
     assert len(report.violations) == 2  # the copy of a and its successor
+
+
+def kept_case(name: str):
+    """Target, state, depth and predicate of an enumeration whose kept
+    moves ``test_a_kept_move_is_the_move`` checks."""
+    if name == "ring":
+        spec, state = thinking_ring(10)
+        return spec, state, 6, parse_guard_text(RING_GUARDS[0], spec.vocabulary)
+    if name == "importer":
+        return IMPORTER, importer_state(""), 4, None
+    if name == "mirrors":
+        return MIRRORS, mirrors_state(), 3, parse_guard_text("not S(ptr)", MIRRORS.vocabulary)
+    if name == "swappers":
+        return SWAPPERS, parse_state("Mod(a) = Left\nMod(b) = Right", SWAPPERS.vocabulary,
+                                     constants=SWAPPERS.constants), 6, None
+    return enumerate_case(CASES[name])
+
+
+@pytest.mark.parametrize("name", ["ring", "importer", "mirrors", "swappers", *ENUMERATE_CASES])
+def test_a_kept_move_is_the_move(monkeypatch, name):
+    # Every call that gets a memo is made again without one: a kept result
+    # must give the moves and successors a fresh evaluation gives, at the
+    # state where it is reused, whatever its reserve_next.
+    target, state, depth, guard = kept_case(name)
+    real, hits = runner.successors, []
+
+    def compared(program, state, agent=None, shapes=None):
+        if shapes is not None:
+            hits.append(bool(shapes) and runner._recall(shapes, state) is not None)
+        found = real(program, state, agent, shapes)
+        if shapes is not None:
+            fresh = real(program, state, agent, None)
+            assert [(move, nxt) for move, nxt, _ in found] == [(m, n) for m, n, _ in fresh]
+        return found
+
+    monkeypatch.setattr(runner, "successors", compared)
+    enumerate_reachable(target, state, depth, predicate=guard)
+    assert any(hits) or name not in ("ring", "mirrors", "swappers")  # these reuse
 
 
 CLASH = parse_program("""\

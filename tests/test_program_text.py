@@ -265,5 +265,15 @@ def test_nesting_headroom():
         parse_program(form(depth))
 
 
+def test_an_active_program_prints_its_pragma_and_reads_back():
+    text = (
+        "vocabulary:\n  dynamic Mod/1, Mod'/1\nconstants m\npragma active\n"
+        "program:\n  if Active(m) then Active(m) := false endif\n"
+    )
+    shown = format_program(parse_program(text))
+    assert "\npragma active\nprogram:\n" in shown
+    assert format_program(parse_program(shown)) == shown
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(render(), encoding="utf-8")

@@ -8,6 +8,7 @@ from ealgebra import (
     EalgebraError,
     Element,
     FixedChooser,
+    FunctionName,
     Location,
     ModeError,
     Oracle,
@@ -21,6 +22,7 @@ from ealgebra import (
     UpdateSet,
     VocabularyError,
     enumerate_reachable,
+    make_vocabulary,
     parse_guard_text,
     parse_program,
     parse_state,
@@ -199,15 +201,29 @@ def test_enumerate_refuses_a_predicate_given_as_text(philosophers, ring3):
 
 ENTRIES = {
     "run": lambda target, initial: run(target, initial),
+    "step": lambda target, initial: step(target, initial),
     "enumerate_reachable": lambda target, initial: enumerate_reachable(target, initial, 1),
 }
 CLAIMS_MODE = parse_program("vocabulary:\n  dynamic Mode/0\nconstants think\nprogram:\n  Mode := think\n")
+READS_D = parse_program(
+    "vocabulary:\n  dynamic c/0, d/0\n  relation R/0\nprogram:\n  if R then c := d endif\n"
+)
+
+
+@pytest.fixture
+def lacks_d():
+    """A state without d, where R is false: the program's one set is empty."""
+    names = [FunctionName("c", 0), FunctionName("R", 0, is_relation=True)]
+    return State(make_vocabulary(names), {})
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 @pytest.mark.parametrize("target,initial,error,message", [
     # ring3 interprets Mode as a unary function
     (CLAIMS_MODE, "ring3", VocabularyError, "state does not interpret Mode as the program declares"),
+    # a name the program reads only under a false guard is still declared
+    (READS_D, "lacks_d", VocabularyError,
+     "state does not interpret d as the program declares"),
     (CLAIMS_MODE, None, ContractViolation, "{entry} takes a State, not NoneType"),
     ("Mode := think", "ring3", ContractViolation,
      "{entry} takes a Program or a DistributedSpec, not str"),

@@ -313,6 +313,16 @@ def test_firing_writes_what_the_set_withdraws_and_what_left_the_reserve():
     assert repr(child) == "State(f(@3, @7)=@6; reserve@8)"
 
 
+def test_a_withdrawal_counts_in_the_conflict_test_and_moves_the_serial_alone():
+    state = State(VOCAB, {}, 4)
+    clash = UpdateSet([withdraw(4), *(Update(Location("g"), v) for v in NAMED)])
+    assert state.checked(clash) is None
+    assert state.fire_update_set(clash) == (state, False)
+    child, fired = state.fire_update_set(UpdateSet([withdraw(4)]))
+    assert fired and child is not state and child.reserve_next == 5
+    assert child._tables == state._tables
+
+
 def test_the_audit_names_each_location_that_breaks_the_proviso():
     assert repr(State(VOCAB)) == "State(all default; reserve@0)"
     bad = State._raw(VOCAB, {

@@ -9,6 +9,7 @@ from ealgebra import (
     VocabularyError,
     fun_of,
     make_vocabulary,
+    parse_program,
     parse_rule_text,
     parse_term_text,
 )
@@ -131,6 +132,15 @@ def test_fun_of_philosophers_program(philosophers):
     assert fun_of(prog) == {
         "Mode", "Fork", "Self", "think", "eat", "up", "down", "+", "1", "=", "and",
     }
+
+
+def test_fun_of_a_spec_is_the_union_over_its_modules():
+    spec = parse_program(
+        "vocabulary:\n  dynamic g/0, h/0\nconstants a, b\n"
+        "module A:\n  g := a\nmodule B:\n  h := b\n"
+    )
+    assert [fun_of(program) for program in spec.modules.values()] == [{"g", "a"}, {"h", "b"}]
+    assert fun_of(spec) == {"g", "a", "h", "b"}
 
 
 def test_fun_of_import_rule_excludes_the_variable_and_reserve():
